@@ -70,8 +70,10 @@ from .sequence import (
     GyroTimeSeries,
     SequenceConfig,
     bright_projection,
+    combine_4ramsey,
     pump_state,
-    rotating_environment,
+    ramsey_projections,
+    ramsey_signals,
     run_4ramsey_point,
     run_dq_ramsey,
     run_gyro_stream,

@@ -10,6 +10,7 @@ records the wall time.  Exit codes: 0 ok, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,15 +30,14 @@ from .analysis import (
 )
 from .config import ExperimentConfig, default_config, load_config
 from .detector import psn_rotation_sensitivity
-from .errors import GyroSimError
+from .errors import ConfigError, GyroSimError
 from .io import write_json, write_table
 from .ratetable import RotationProfile, run_profile
 from .sequence import (
     FringeSeries,
+    combine_4ramsey,
     combined_sigma,
-    rotating_environment,
-    run_4ramsey_point,
-    run_dq_ramsey,
+    ramsey_signals,
     run_gyro_stream,
 )
 from .spin import dq_splitting, transition_frequencies
@@ -46,8 +46,18 @@ from .spin import dq_splitting, transition_frequencies
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = cfg.replace(seed=args.seed)
     return cfg
+
+
+def _check_duration(duration: float, cfg: ExperimentConfig) -> None:
+    """Reject a --duration that cannot hold one stream cycle."""
+    period = cfg.sequence.cycle_period
+    if not (math.isfinite(duration) and duration >= period):
+        raise ConfigError(f"--duration must be a finite time of at least one "
+                          f"cycle ({period} s), got {duration}")
 
 
 def _outdir(args) -> Path:
@@ -73,13 +83,11 @@ def _write_manifest(out: Path, command: str, cfg: ExperimentConfig,
 
 def _alpha_direct(cfg: ExperimentConfig, delta_nu: float = 0.01) -> tuple[float, float]:
     """(baseline R at nu=0, dR/dnu) from noiseless points at +-delta_nu."""
-    env0 = cfg.environment.replace(nu=0.0)
-    base = run_4ramsey_point(cfg.sequence, env0, cfg.constants, cfg.sequence.tau_wp)
-    plus = run_4ramsey_point(cfg.sequence, env0.replace(nu=delta_nu),
-                             cfg.constants, cfg.sequence.tau_wp)
-    minus = run_4ramsey_point(cfg.sequence, env0.replace(nu=-delta_nu),
-                              cfg.constants, cfg.sequence.tau_wp)
-    return base, (plus - minus) / (2.0 * delta_nu)
+    seq = cfg.sequence
+    base, plus, minus = combine_4ramsey(ramsey_signals(
+        seq, cfg.environment, cfg.constants, seq.tau_wp,
+        nu=np.array([0.0, delta_nu, -delta_nu])))
+    return float(base), float((plus - minus) / (2.0 * delta_nu))
 
 
 def cmd_fringes(args) -> int:
@@ -92,11 +100,8 @@ def cmd_fringes(args) -> int:
 
     # The four phase-cycled sweeps share noise draws with the combined
     # signal, as in hardware where R is formed from the same records.
-    shots = np.empty((len(taus), 4))
-    for i, tau in enumerate(taus):
-        for j, phases in enumerate(seq.phase_table):
-            shots[i, j] = run_dq_ramsey(seq, env, consts, float(tau), phases, rng)
-    combined = (shots[:, 0] - shots[:, 1] + shots[:, 2] - shots[:, 3]) / 4.0
+    shots = ramsey_signals(seq, env, consts, taus, rng)
+    combined = combine_4ramsey(shots)
     sigma = np.full(len(taus), combined_sigma(seq))
 
     outputs = []
@@ -142,17 +147,23 @@ def cmd_fringes(args) -> int:
 def cmd_gyro(args) -> int:
     t0 = time.monotonic()
     cfg = _load(args)
+    telemetry, traj = run_profile(RotationProfile.from_csv(args.profile))
+    duration = traj.total_duration
+    if duration < cfg.sequence.cycle_period:
+        raise ConfigError(f"{args.profile}: profile lasts {duration} s, "
+                          f"shorter than one cycle")
+    if args.duration is not None:
+        _check_duration(args.duration, cfg)
+        duration = min(duration, args.duration)
     out = _outdir(args)
     rng = np.random.default_rng(cfg.seed)
-    profile = RotationProfile.from_csv(args.profile)
-    telemetry, traj = run_profile(profile)
-    duration = traj.total_duration
-    if args.duration is not None:
-        duration = min(duration, args.duration)
 
-    env_source = rotating_environment(cfg.environment, traj.rate_at)
-    stream = run_gyro_stream(cfg.sequence, env_source, cfg.constants, duration, rng)
-    nu_true = np.asarray(traj.rate_at(stream.t)) / 360.0  # deg/s -> Hz
+    def nu_at(t):
+        return traj.rate_at(t) / 360.0  # deg/s -> Hz
+
+    stream = run_gyro_stream(cfg.sequence, cfg.environment, cfg.constants,
+                             duration, rng, nu_at=nu_at)
+    nu_true = nu_at(stream.t)
 
     baseline, alpha0 = _alpha_direct(cfg)
     report: dict = {
@@ -202,6 +213,7 @@ def cmd_gyro(args) -> int:
 def cmd_allan(args) -> int:
     t0 = time.monotonic()
     cfg = _load(args)
+    _check_duration(args.duration, cfg)
     out = _outdir(args)
     rng = np.random.default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
@@ -246,7 +258,10 @@ def cmd_budget(args) -> int:
     f1, f2 = transition_frequencies(cfg.environment, cfg.constants)
     sens = psn_rotation_sensitivity(det, seq.tau_wp)
     nu0 = one_rad_rotation_rate(seq.tau_wp)
-    dr = dynamic_range(args.epsilon, nu0)
+    try:
+        dr = dynamic_range(args.epsilon, nu0)
+    except ValueError as exc:
+        raise ConfigError(f"--epsilon: {exc}") from None
     overhead = max(seq.cycle_period / 4.0 - seq.tau_wp, 0.0)
     wp = select_working_point(seq.t2_dq, f_dq, overhead)
 

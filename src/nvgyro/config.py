@@ -329,6 +329,8 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     if "seed" in sections.get("run", {}):
         value, lineno = sections["run"]["seed"]
         seed = _as_int(origin, lineno, "seed", value)
+        if seed < 0:
+            raise ConfigError(f"{origin}:{lineno}: seed must be >= 0")
 
     return ExperimentConfig(constants=constants, environment=environment,
                             sequence=sequence, fringes=fringes, seed=seed)

@@ -37,8 +37,19 @@ def read_table(path) -> dict[str, np.ndarray]:
         if not header:
             raise ConfigError(f"{path}: empty table")
         names = header.split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            if len(cells) != len(names):
+                raise ConfigError(f"{path}:{lineno}: expected {len(names)} "
+                                  f"columns, got {len(cells)}")
+            try:
+                rows.append([float(cell) for cell in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    data = np.array(rows) if rows else np.empty((0, len(names)))
     return {name: data[:, i] for i, name in enumerate(names)}
 
 

@@ -86,10 +86,10 @@ class Instruction:
     accel: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("instruction duration must be > 0")
-        if self.accel <= 0:
-            raise ValueError("instruction accel must be > 0")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("instruction duration must be finite and > 0")
+        if not 0.0 < self.accel < math.inf:
+            raise ValueError("instruction accel must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,12 @@ class RotationProfile:
     @classmethod
     def from_csv(cls, path) -> "RotationProfile":
         path = Path(path)
-        rows = []
-        with path.open(newline="") as fh:
+        instructions = []
+        try:
+            fh = path.open(newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot read profile {path}: {exc}") from None
+        with fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != [
@@ -129,12 +133,18 @@ class RotationProfile:
                 if len(row) != 3:
                     raise ConfigError(f"{path}:{lineno}: expected 3 columns")
                 try:
-                    rows.append(tuple(float(cell) for cell in row))
+                    ins = Instruction(*(float(cell) for cell in row))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        if not rows:
+                if not abs(ins.rate_setpoint) <= DEFAULT_RATE_LIMIT:
+                    raise ConfigError(
+                        f"{path}:{lineno}: rate_dps {ins.rate_setpoint} is "
+                        f"outside the +-{DEFAULT_RATE_LIMIT} deg/s table limit"
+                    )
+                instructions.append(ins)
+        if not instructions:
             raise ConfigError(f"{path}: profile has no instructions")
-        return cls.from_rows(rows)
+        return cls(tuple(instructions))
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:

@@ -16,6 +16,15 @@ pulse areas exactly, while the DQ term alternates sign and survives.
 Imperfect RF (gradient across the sensing volume) is a weighted mixture
 of sub-ensembles with different common area scales; the detector reads
 the ensemble-averaged projection once per shot.
+
+Every experiment here is evaluated by one kernel, ramsey_projections:
+the noise-free bright projections of the four phase-table Ramseys,
+Tr(W_j rho(tau)) with W_j = U2_j^dag |0><0| U2_j, broadcast over arrays
+of delays and rotation rates.  Shot noise is added afterwards, one
+normal draw per (delay or cycle, phase entry) in C order.  The
+density-matrix chain pump_state -> apply_pulse -> evolve_free ->
+apply_pulse -> bright_projection computes the same projections one
+shot at a time and serves as the test oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from .spin import (
     PulseSpec,
     RotatingFrame,
     SpinState,
-    dq_splitting,
     evolution_factor,
+    frame_detunings,
     pulse_unitary,
 )
 
@@ -47,8 +56,6 @@ DEFAULT_PHASE_TABLE = (
     (math.pi, math.pi),
     (0.0, math.pi),
 )
-
-_COMBINE_SIGNS = (1.0, -1.0, 1.0, -1.0)
 
 #: Measured DQ coherence time used as the default for both decay channels.
 DEFAULT_T2_DQ = 1.95e-3
@@ -186,34 +193,54 @@ def _projection_operators(cfg: SequenceConfig, scale: float) -> np.ndarray:
     return out
 
 
-def _detunings(env: FieldEnvironment, c: PhysicalConstants,
-               frame: RotatingFrame, b=None, nu=None, delta_q=None,
-               delta_b=None):
-    """Per-tone phase rates; scalar or arrays (overrides broadcast over env)."""
-    b = env.B if b is None else b
-    nu = env.nu if nu is None else nu
-    delta_q = env.delta_Q if delta_q is None else delta_q
-    delta_b = env.delta_B if delta_b is None else delta_b
-    f_dq = dq_splitting(np.asarray(b) + np.asarray(delta_b), c)
-    center = c.Q + np.asarray(delta_q)
-    f1 = center + f_dq / 2.0
-    f2 = center - f_dq / 2.0
-    return f1 + nu - frame.f1, f2 - nu - frame.f2
+def ramsey_projections(cfg: SequenceConfig, env: FieldEnvironment,
+                       c: PhysicalConstants, tau, nu=None) -> np.ndarray:
+    """Noise-free bright projections of the four phase-table Ramseys.
 
-
-def _ensemble_projections(cfg: SequenceConfig, env: FieldEnvironment,
-                          c: PhysicalConstants, tau: float) -> np.ndarray:
-    """Noise-free bright projections for the 4 phase entries, averaged
-    over the rf_gradient sub-ensembles."""
-    d1, d2 = _detunings(env, c, cfg.effective_frame)
+    tau (s) and nu (rotation rate in Hz, replacing env.nu when given)
+    broadcast against each other; the result has shape (..., 4) with
+    their broadcast shape leading.  Projections are averaged over the
+    rf_gradient sub-ensembles with their weights.
+    """
+    d1, d2 = frame_detunings(env, c, cfg.effective_frame, nu)
     factor = evolution_factor(tau, d1, d2, cfg.t2_dq, cfg.effective_t2_sq)
-    pbar = np.zeros(4)
+    pbar = 0.0
     for weight, scale in cfg.rf_gradient:
-        rho_ev = _prepared_state(cfg, scale) * factor
-        w = _projection_operators(cfg, scale)
-        p_zero = np.real(np.einsum("jab,ba->j", w, rho_ev))
-        pbar += weight * (1.0 - p_zero)
+        p_zero = np.real(np.einsum("jab,ba,...ba->...j",
+                                   _projection_operators(cfg, scale),
+                                   _prepared_state(cfg, scale), factor))
+        pbar = pbar + weight * (1.0 - p_zero)
     return pbar
+
+
+def _readout(cfg: SequenceConfig, proj,
+             rng: np.random.Generator | None) -> np.ndarray:
+    """Normalized signal S of bright projections; with an rng, one
+    photon-shot-noise draw per entry of proj, in C order."""
+    d = cfg.detector
+    volts = d.v_low + proj * d.V0 * d.contrast
+    if rng is not None:
+        volts = volts + rng.normal(0.0, d.V0 * psn_fractional_uncertainty(d),
+                                   size=np.shape(proj))
+    return volts / d.v_pump
+
+
+def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
+                   c: PhysicalConstants, tau,
+                   rng: np.random.Generator | None = None,
+                   nu=None) -> np.ndarray:
+    """Signals S of the four phase-table Ramseys, shape (..., 4).
+
+    Broadcasts like ramsey_projections; with an rng each (delay, phase
+    entry) gets its own shot-noise draw.
+    """
+    return _readout(cfg, ramsey_projections(cfg, env, c, tau, nu), rng)
+
+
+def combine_4ramsey(signals) -> np.ndarray:
+    """R = (R1 - R2 + R3 - R4)/4 over the last axis of a (..., 4) array."""
+    s = np.asarray(signals)
+    return (s[..., 0] - s[..., 1] + s[..., 2] - s[..., 3]) / 4.0
 
 
 def run_dq_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
@@ -225,35 +252,17 @@ def run_dq_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
     Deterministic without an rng; with one, a single photon-shot-noise
     draw is added to the ensemble-averaged readout.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    d = cfg.detector
-    d1, d2 = _detunings(env, c, cfg.effective_frame)
-    factor = evolution_factor(tau, d1, d2, cfg.t2_dq, cfg.effective_t2_sq)
-    proj = 0.0
-    for weight, scale in cfg.rf_gradient:
-        rho_ev = _prepared_state(cfg, scale) * factor
-        ph1, ph2 = second_pulse_phases
-        u2 = pulse_unitary(
-            PulseSpec(PulseKind.DQ_TWO_TONE, phase_f1=ph1, phase_f2=ph2,
-                      area_scale=scale)
-        )
-        rho_out = u2 @ rho_ev @ u2.conj().T
-        proj += weight * (1.0 - float(np.real(rho_out[1, 1])))
-    volts = d.v_low + proj * d.V0 * d.contrast
-    if rng is not None:
-        volts += rng.normal(0.0, d.V0 * psn_fractional_uncertainty(d))
-    return volts / d.v_pump
+    # The kernel evaluates a whole 4-entry table; fill it with this pair.
+    single = cfg.replace(phase_table=(second_pulse_phases,) * 4)
+    proj = ramsey_projections(single, env, c, tau)[0]
+    return float(_readout(cfg, proj, rng))
 
 
 def run_4ramsey_point(cfg: SequenceConfig, env: FieldEnvironment,
                       c: PhysicalConstants, tau: float,
                       rng: np.random.Generator | None = None) -> float:
     """Combined signal R = (R1 - R2 + R3 - R4)/4 over the phase table."""
-    total = 0.0
-    for sign, phases in zip(_COMBINE_SIGNS, cfg.phase_table):
-        total += sign * run_dq_ramsey(cfg, env, c, tau, phases, rng)
-    return total / 4.0
+    return float(combine_4ramsey(ramsey_signals(cfg, env, c, tau, rng)))
 
 
 def combined_sigma(cfg: SequenceConfig) -> float:
@@ -274,7 +283,7 @@ def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
         raise ValueError("tau grid must be strictly increasing")
     if cfg.cycle_period <= cfg.pump_duration + taus[-1]:
         raise ValueError("cycle_period must exceed pump_duration + max tau")
-    values = np.array([run_4ramsey_point(cfg, env, c, t, rng) for t in taus])
+    values = combine_4ramsey(ramsey_signals(cfg, env, c, taus, rng))
     sigma = None
     if rng is not None:
         sigma = np.full(taus.shape, combined_sigma(cfg))
@@ -287,10 +296,8 @@ def sweep_single_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
                         rng: np.random.Generator | None = None) -> FringeSeries:
     """Sweep of one of the four Ramsey variants (phase_table[phase_entry])."""
     taus = np.asarray(tau_grid, dtype=float)
-    phases = cfg.phase_table[phase_entry]
-    values = np.array(
-        [run_dq_ramsey(cfg, env, c, t, phases, rng) for t in taus]
-    )
+    proj = ramsey_projections(cfg, env, c, taus)[..., phase_entry]
+    values = _readout(cfg, proj, rng)
     sigma = None
     if rng is not None:
         d = cfg.detector
@@ -298,29 +305,20 @@ def sweep_single_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
     return FringeSeries(taus=taus, values=values, sigma=sigma)
 
 
-EnvSource = FieldEnvironment | Callable[[float], FieldEnvironment]
-
-
-def rotating_environment(base: FieldEnvironment,
-                         rate_dps_fn: Callable[[float], float]) -> Callable[[float], FieldEnvironment]:
-    """Environment source with nu(t) taken from a table rate in deg/s."""
-
-    def source(t: float) -> FieldEnvironment:
-        return base.replace(nu=float(rate_dps_fn(t)) / 360.0)
-
-    return source
-
-
-def run_gyro_stream(cfg: SequenceConfig, env_source: EnvSource,
+def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
                     c: PhysicalConstants, duration: float,
-                    rng: np.random.Generator | None = None) -> GyroTimeSeries:
+                    rng: np.random.Generator | None = None,
+                    nu_at: Callable[[np.ndarray], np.ndarray] | None = None
+                    ) -> GyroTimeSeries:
     """Working-point stream: one combined 4-Ramsey sample per cycle.
 
-    The environment is sampled once per cycle start and held constant
-    over the cycle.  The per-cycle physics is evaluated vectorized but is
-    numerically the 4-Ramsey sequence at tau_wp (cross-checked against
-    run_4ramsey_point in the test suite).  With an rng, draw order is:
-    photon shot noise (n_cycles x 4), extra white noise, random walk.
+    Each cycle is the 4-Ramsey sequence at tau_wp in env, evaluated for
+    all cycles at once by ramsey_projections.  nu_at, when given, maps
+    the array of cycle-start times to rotation rates in Hz (replacing
+    env.nu), held constant over each cycle; without it the environment
+    is static and the projections broadcast from a single evaluation.
+    With an rng, draw order is: photon shot noise (n_cycles x 4), extra
+    white noise (n_cycles), random-walk increments (n_cycles).
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -331,41 +329,9 @@ def run_gyro_stream(cfg: SequenceConfig, env_source: EnvSource,
         raise ValueError("duration shorter than one cycle")
     ts = np.arange(n) * cfg.cycle_period
 
-    if isinstance(env_source, FieldEnvironment):
-        envs = None
-        base = env_source
-        b = np.full(n, base.B)
-        nu = np.full(n, base.nu)
-        dq = np.full(n, base.delta_Q)
-        db = np.full(n, base.delta_B)
-    else:
-        envs = [env_source(float(t)) for t in ts]
-        base = envs[0]
-        b = np.array([e.B for e in envs])
-        nu = np.array([e.nu for e in envs])
-        dq = np.array([e.delta_Q for e in envs])
-        db = np.array([e.delta_B for e in envs])
-
-    d1, d2 = _detunings(base, c, cfg.effective_frame, b=b, nu=nu,
-                        delta_q=dq, delta_b=db)
-    factor = evolution_factor(cfg.tau_wp, d1, d2, cfg.t2_dq, cfg.effective_t2_sq)
-
-    # Ensemble-averaged bright projection per cycle and phase entry.
-    pbar = np.zeros((n, 4))
-    for weight, scale in cfg.rf_gradient:
-        rho_mid = _prepared_state(cfg, scale)
-        w = _projection_operators(cfg, scale)
-        p_zero = np.real(np.einsum("jab,ba,kba->kj", w, rho_mid, factor))
-        pbar += weight * (1.0 - p_zero)
-
-    det = cfg.detector
-    volts = det.v_low + pbar * det.V0 * det.contrast
-    if rng is not None:
-        volts = volts + rng.normal(
-            0.0, det.V0 * psn_fractional_uncertainty(det), size=(n, 4)
-        )
-    s = volts / det.v_pump
-    combined = (s[:, 0] - s[:, 1] + s[:, 2] - s[:, 3]) / 4.0
+    nu = None if nu_at is None else nu_at(ts)
+    proj = ramsey_projections(cfg, env, c, cfg.tau_wp, nu)
+    combined = combine_4ramsey(_readout(cfg, np.broadcast_to(proj, (n, 4)), rng))
 
     if rng is not None:
         if cfg.noise.white_sigma > 0:

@@ -107,17 +107,13 @@ class PulseSpec:
 
     area_scale multiplies the nominal pulse area (pi for the SQ pulse,
     pi/sqrt(2) per tone for the two-tone DQ pulse) and models RF-gradient
-    miscalibration.  detuning_f1/f2 are carried for completeness; an
-    instantaneous hard pulse has no duration over which a detuning can
-    act, so they do not enter the unitary.
+    miscalibration.
     """
 
     kind: PulseKind
     phase_f1: float = 0.0
     phase_f2: float = 0.0
     area_scale: float = 1.0
-    detuning_f1: float = 0.0
-    detuning_f2: float = 0.0
 
     def __post_init__(self):
         if self.area_scale <= 0:
@@ -281,10 +277,15 @@ def apply_pulse(state: SpinState, p: PulseSpec) -> SpinState:
 
 
 def frame_detunings(env: FieldEnvironment, c: PhysicalConstants,
-                    frame: RotatingFrame) -> tuple[float, float]:
-    """Per-tone phase accumulation rates (Hz) including the rotation shift."""
+                    frame: RotatingFrame, nu=None):
+    """Per-tone phase accumulation rates (Hz) including the rotation shift.
+
+    nu (Hz) replaces env.nu when given and may be an array; the rates
+    then broadcast over it.
+    """
     f1, f2 = transition_frequencies(env, c)
-    return f1 + env.nu - frame.f1, f2 - env.nu - frame.f2
+    nu = env.nu if nu is None else np.asarray(nu, dtype=float)
+    return f1 + nu - frame.f1, f2 - nu - frame.f2
 
 
 def evolve_free(state: SpinState, tau: float, env: FieldEnvironment,
@@ -298,46 +299,32 @@ def evolve_free(state: SpinState, tau: float, env: FieldEnvironment,
     coherences turn at their own detunings and decay with t2_sq
     (defaulting to the same t2star).
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if t2star <= 0:
-        raise ValueError("t2star must be > 0")
     t2_sq = t2star if t2_sq is None else t2_sq
     d1, d2 = frame_detunings(env, c, frame)
-    phases = np.array(
-        [np.exp(-2j * np.pi * d1 * tau), 1.0, np.exp(-2j * np.pi * d2 * tau)]
-    )
-    damp_sq = math.exp(-tau / t2_sq)
-    damp_dq = math.exp(-tau / t2star)
-    decay = np.array(
-        [
-            [1.0, damp_sq, damp_dq],
-            [damp_sq, 1.0, damp_sq],
-            [damp_dq, damp_sq, 1.0],
-        ]
-    )
-    rho = state.rho * np.outer(phases, phases.conj()) * decay
-    return SpinState(rho)
+    return SpinState(state.rho * evolution_factor(tau, d1, d2, t2star, t2_sq))
 
 
-def evolution_factor(tau: float, delta1, delta2, t2_dq: float,
+def evolution_factor(tau, delta1, delta2, t2_dq: float,
                      t2_sq: float) -> np.ndarray:
-    """Elementwise factor applied to rho by evolve_free; broadcasts over
-    arrays of detunings (leading axes), returning (..., 3, 3)."""
-    delta1 = np.asarray(delta1, dtype=float)
-    delta2 = np.asarray(delta2, dtype=float)
-    ones = np.ones_like(delta1)
-    phases = np.stack(
-        [np.exp(-2j * np.pi * delta1 * tau), ones.astype(complex),
-         np.exp(-2j * np.pi * delta2 * tau)], axis=-1
-    )
-    damp_sq = math.exp(-tau / t2_sq)
-    damp_dq = math.exp(-tau / t2_dq)
-    decay = np.array(
-        [
-            [1.0, damp_sq, damp_dq],
-            [damp_sq, 1.0, damp_sq],
-            [damp_dq, damp_sq, 1.0],
-        ]
-    )
+    """Elementwise factor that free evolution applies to rho.
+
+    tau and the per-tone detunings broadcast against each other; their
+    broadcast shape leads the returned (..., 3, 3) array.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
+        raise ValueError("tau must be >= 0")
+    if t2_dq <= 0 or t2_sq <= 0:
+        raise ValueError("coherence times must be > 0")
+    e1, e2 = np.broadcast_arrays(np.exp(-2j * np.pi * np.asarray(delta1) * tau),
+                                 np.exp(-2j * np.pi * np.asarray(delta2) * tau))
+    phases = np.stack([e1, np.ones_like(e1), e2], axis=-1)
+    damp_sq = np.exp(-tau / t2_sq)
+    damp_dq = np.exp(-tau / t2_dq)
+    one = np.ones_like(damp_sq)
+    decay = np.stack(
+        [one, damp_sq, damp_dq,
+         damp_sq, one, damp_sq,
+         damp_dq, damp_sq, one], axis=-1
+    ).reshape(tau.shape + (3, 3))
     return phases[..., :, None] * phases[..., None, :].conj() * decay

@@ -28,7 +28,6 @@ from nvgyro import (
     linearity,
     power_spectrum,
     psn_rotation_sensitivity,
-    rotating_environment,
     run_4ramsey_point,
     run_gyro_stream,
     run_profile,
@@ -180,9 +179,9 @@ def test_criterion_07_calibration_agreement():
     alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq).per_hz
 
     telem, traj = run_profile(triangle_profile(180.0, 1.8, cycles=1))
-    source = rotating_environment(ENV, traj.rate_at)
-    stream = run_gyro_stream(cfg, source, C, traj.total_duration,
-                             np.random.default_rng(42))
+    stream = run_gyro_stream(cfg, ENV, C, traj.total_duration,
+                             np.random.default_rng(42),
+                             nu_at=lambda t: traj.rate_at(t) / 360.0)
     nu = np.asarray(traj.rate_at(stream.t)) / 360.0
     dev = nu - nu.mean()
     alpha_sweep = float(np.sum(dev * (stream.S - stream.S.mean())) / np.sum(dev**2))

@@ -206,3 +206,65 @@ class TestBudgetCommand:
         assert budget["sensitivity_hz_per_rt_hz"] == pytest.approx(10.0e-3, rel=0.05)
         assert budget["f_dq_hz"] == pytest.approx(293.73e3, rel=1e-4)
         assert json.loads((out / "manifest.json").read_text())["command"] == "budget"
+
+
+class TestCleanErrors:
+    """Bad input exits 1 with `error: ...` naming the flag or file:line."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["allan", "--duration", "-5"], "--duration"),
+        (["allan", "--duration", "nan"], "--duration"),
+        (["gyro", "--duration", "-1"], "--duration"),
+        (["budget", "--seed", "-1"], "--seed"),
+        (["budget", "--epsilon", "-1"], "--epsilon"),
+    ])
+    def test_bad_flag_values(self, tmp_path, profile_csv, capsys, argv, flag):
+        if argv[0] == "gyro":
+            argv = argv + ["--profile", str(profile_csv)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_seed_must_be_non_negative(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nseed = -1\n")
+        assert main(["budget", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("10.0,500.0,1.8", "table limit"),
+        ("10.0,nan,1.8", "table limit"),
+        ("0.0,10.0,1.8", "duration"),
+        ("nan,10.0,1.8", "duration"),
+        ("10.0,10.0,inf", "accel"),
+    ])
+    def test_bad_profile_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        profile = tmp_path / "profile.csv"
+        profile.write_text(f"duration_s,rate_dps,accel_dps2\n5.0,10.0,1.8\n{row}\n")
+        rc = main(["gyro", "--profile", str(profile), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profile}:3:") and message in err
+
+    def test_profile_shorter_than_a_cycle(self, tmp_path, capsys):
+        profile = tmp_path / "short.csv"
+        profile.write_text("duration_s,rate_dps,accel_dps2\n0.001,0.0,1.8\n")
+        rc = main(["gyro", "--profile", str(profile), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {profile}:" in capsys.readouterr().err
+
+    def test_missing_profile(self, tmp_path, capsys):
+        rc = main(["gyro", "--profile", str(tmp_path / "none.csv"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "none.csv" in capsys.readouterr().err
+
+    def test_read_table_ragged_row(self, tmp_path):
+        from nvgyro import ConfigError
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0\n")
+        with pytest.raises(ConfigError, match=f"{path}:3: expected 2 columns"):
+            read_table(path)

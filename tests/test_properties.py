@@ -1,0 +1,133 @@
+"""Physics invariants of the projection kernel over random inputs.
+
+The density-matrix chain pump_state -> apply_pulse (SQ pi, DQ) ->
+evolve_free -> apply_pulse (DQ with the second-pulse phases) ->
+bright_projection is the independent oracle for ramsey_projections.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvgyro import (
+    LITERATURE_CONSTANTS,
+    FieldEnvironment,
+    PulseKind,
+    PulseSpec,
+    RotatingFrame,
+    SequenceConfig,
+    apply_pulse,
+    bright_projection,
+    combine_4ramsey,
+    evolve_free,
+    pump_state,
+    ramsey_projections,
+)
+from nvgyro.spin import frame_detunings
+
+C = LITERATURE_CONSTANTS
+TOL = 1e-12
+
+taus = st.floats(0.0, 5e-3)
+nus = st.floats(-50.0, 50.0)
+phases = st.floats(0.0, 2 * math.pi)
+phase_tables = st.tuples(*[st.tuples(phases, phases)] * 4)
+
+
+@st.composite
+def environments(draw):
+    return FieldEnvironment(
+        B=draw(st.floats(50.0, 900.0)),
+        nu=draw(nus),
+        delta_Q=draw(st.floats(-20e3, 20e3)),
+        delta_B=draw(st.floats(-1.0, 1.0)),
+    )
+
+
+@st.composite
+def rf_gradients(draw):
+    k = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+    scales = draw(st.lists(st.floats(0.7, 1.3), min_size=k, max_size=k))
+    total = sum(weights)
+    return tuple((w / total, s) for w, s in zip(weights, scales))
+
+
+frames = st.one_of(
+    st.none(),
+    st.builds(RotatingFrame, st.floats(0.0, 6e6), st.floats(0.0, 6e6)),
+)
+
+
+@st.composite
+def sequence_configs(draw, phase_table=phase_tables):
+    return SequenceConfig(
+        pump_fidelity=draw(st.floats(0.0, 1.0)),
+        rf_gradient=draw(rf_gradients()),
+        phase_table=draw(phase_table),
+        t2_dq=draw(st.floats(0.5e-3, 5e-3)),
+        t2_sq=draw(st.one_of(st.none(), st.floats(0.2e-3, 5e-3))),
+        frame=draw(frames),
+    )
+
+
+def oracle(cfg: SequenceConfig, env: FieldEnvironment, tau: float) -> np.ndarray:
+    """Bright projections of the four phase entries, one shot at a time."""
+    out = np.zeros(4)
+    for weight, scale in cfg.rf_gradient:
+        state = pump_state(cfg.pump_fidelity)
+        state = apply_pulse(state, PulseSpec(PulseKind.SQ_PI_F1, area_scale=scale))
+        state = apply_pulse(state, PulseSpec(PulseKind.DQ_TWO_TONE, area_scale=scale))
+        state = evolve_free(state, tau, env, C, cfg.t2_dq, t2_sq=cfg.t2_sq,
+                            frame=cfg.effective_frame)
+        for j, (ph1, ph2) in enumerate(cfg.phase_table):
+            read = apply_pulse(state, PulseSpec(PulseKind.DQ_TWO_TONE, phase_f1=ph1,
+                                                phase_f2=ph2, area_scale=scale))
+            out[j] += weight * bright_projection(read)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=sequence_configs(), env=environments(),
+       tau_list=st.lists(taus, min_size=1, max_size=3),
+       nu_list=st.lists(nus, min_size=1, max_size=2))
+def test_kernel_matches_density_matrix_oracle(cfg, env, tau_list, nu_list):
+    # tau along the last axis, nu along the first: result (n_nu, n_tau, 4)
+    got = ramsey_projections(cfg, env, C, np.array(tau_list),
+                             np.array(nu_list)[:, None])
+    assert got.shape == (len(nu_list), len(tau_list), 4)
+    for i, nu in enumerate(nu_list):
+        for k, tau in enumerate(tau_list):
+            expected = oracle(cfg, env.replace(nu=nu), tau)
+            np.testing.assert_allclose(got[i, k], expected, rtol=0, atol=TOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=sequence_configs(), env=environments(),
+       tau_list=st.lists(taus, min_size=1, max_size=8))
+def test_projections_lie_in_unit_interval(cfg, env, tau_list):
+    proj = ramsey_projections(cfg, env, C, np.array(tau_list))
+    assert np.all(proj >= -TOL) and np.all(proj <= 1.0 + TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=sequence_configs(phase_table=st.just(SequenceConfig().phase_table)),
+       env=environments(), tau_list=st.lists(taus, min_size=1, max_size=8),
+       delta_q=st.floats(-20e3, 20e3))
+def test_combined_signal_immune_to_quadrupole_shift(cfg, env, tau_list, delta_q):
+    # The 4-Ramsey combination cancels every SQ coherence exactly, so a
+    # common-mode shift of both carriers leaves R unchanged.  Each tone's
+    # phase 2*pi*d*tau is rounded on its own (up to ~1.5e5 rad in the
+    # absolute frame), and delta_Q changes that rounding, so the DQ phase
+    # they form moves by a few eps times the tone phase.
+    shifted = env.replace(delta_Q=delta_q)
+    tau = np.array(tau_list)
+    r0 = combine_4ramsey(ramsey_projections(cfg, env, C, tau))
+    r1 = combine_4ramsey(ramsey_projections(cfg, shifted, C, tau))
+    tone_phase = 2 * math.pi * tau * max(
+        np.max(np.abs(frame_detunings(e, C, cfg.effective_frame)))
+        for e in (env, shifted))
+    atol = TOL + 4 * np.finfo(float).eps * tone_phase
+    assert np.all(np.abs(r1 - r0) <= atol)

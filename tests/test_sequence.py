@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from nvgyro import (
     power_spectrum,
     pump_state,
     populations,
-    rotating_environment,
     run_4ramsey_point,
     run_dq_ramsey,
     run_gyro_stream,
@@ -226,10 +223,15 @@ class TestGyroStream:
         assert np.ptp(stream.S) == 0.0
 
     def test_matches_scalar_4ramsey(self):
+        # per-cycle rate samples reach the kernel as the environment's nu
         cfg = self.wp_config()
-        source = rotating_environment(ENV, lambda t: 20.0 * math.sin(3 * t))
-        stream = run_gyro_stream(cfg, source, C, 0.25)
-        direct = [run_4ramsey_point(cfg, source(float(t)), C, cfg.tau_wp)
+
+        def nu_at(t):
+            return 20.0 * np.sin(3 * t) / 360.0
+
+        stream = run_gyro_stream(cfg, ENV, C, 0.25, nu_at=nu_at)
+        direct = [run_4ramsey_point(cfg, ENV.replace(nu=float(nu_at(t))), C,
+                                    cfg.tau_wp)
                   for t in stream.t]
         assert np.allclose(stream.S, direct, atol=1e-15)
 
@@ -249,8 +251,8 @@ class TestGyroStream:
         from nvgyro import run_profile, triangle_profile
         cfg = self.wp_config()
         telem, traj = run_profile(triangle_profile(180.0, 1.8, cycles=1))
-        source = rotating_environment(ENV, traj.rate_at)
-        stream = run_gyro_stream(cfg, source, C, traj.total_duration)
+        stream = run_gyro_stream(cfg, ENV, C, traj.total_duration,
+                                 nu_at=lambda t: traj.rate_at(t) / 360.0)
         nu = np.asarray(traj.rate_at(stream.t)) / 360.0
         coeffs = np.polyfit(nu, stream.S, 1)
         resid = stream.S - np.polyval(coeffs, nu)

@@ -193,6 +193,13 @@ class TestEvolveFree:
         ratio = abs(out.rho[0, 1]) / abs(s.rho[0, 1])
         assert ratio == pytest.approx(math.exp(-1e-3 / 0.5e-3), abs=1e-10)
 
+    def test_dq_decay_ignores_t2_sq(self):
+        s = dq_state()
+        out = evolve_free(s, 1e-3, ENV, C, 1.95e-3, t2_sq=0.5e-3,
+                          frame=self.on_resonance())
+        ratio = abs(out.rho[0, 2]) / abs(s.rho[0, 2])
+        assert ratio == pytest.approx(math.exp(-1e-3 / 1.95e-3), abs=1e-10)
+
     def test_absolute_frame_dq_rate(self):
         # In the phase-reset frame the DQ coherence turns at f_DQ + 2*nu.
         s = dq_state()
