@@ -230,7 +230,8 @@ def cmd_allan(args) -> int:
     first = slice(0, min(4, len(series.tau_avg)))
     arw = float(np.median(series.adev[first] * np.sqrt(series.tau_avg[first])))
     i_min = int(np.argmin(series.adev))
-    psn = psn_rotation_sensitivity(cfg.sequence.detector, cfg.sequence.tau_wp)
+    psn = psn_rotation_sensitivity(cfg.sequence.detector, cfg.sequence.tau_wp,
+                                   cfg.sequence.t2_dq)
     write_json(out / "summary.json", {
         "duration_s": args.duration,
         "n_samples": len(stream),
@@ -256,7 +257,7 @@ def cmd_budget(args) -> int:
     seq, det = cfg.sequence, cfg.sequence.detector
     f_dq = dq_splitting(cfg.environment.B, cfg.constants)
     f1, f2 = transition_frequencies(cfg.environment, cfg.constants)
-    sens = psn_rotation_sensitivity(det, seq.tau_wp)
+    sens = psn_rotation_sensitivity(det, seq.tau_wp, seq.t2_dq)
     nu0 = one_rad_rotation_rate(seq.tau_wp)
     try:
         dr = dynamic_range(args.epsilon, nu0)

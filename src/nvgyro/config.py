@@ -14,14 +14,16 @@ where the working-point protocol is linear and maximally sensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .analysis import snap_to_cos_null
 from .detector import DetectorConfig, NoiseHooks
 from .errors import ConfigError
-from .sequence import DEFAULT_PHASE_TABLE, SequenceConfig
+from .sequence import SequenceConfig
 from .spin import (
+    ABSOLUTE_FRAME,
     FieldEnvironment,
     PhysicalConstants,
     RotatingFrame,
@@ -39,9 +41,9 @@ class FringeScanConfig:
 
     def __post_init__(self):
         if self.tau_min < 0 or self.tau_max <= self.tau_min:
-            raise ConfigError("fringes grid requires 0 <= tau_min < tau_max")
+            raise ValueError("fringes grid requires 0 <= tau_min < tau_max")
         if self.points < 8:
-            raise ConfigError("fringes grid needs at least 8 points")
+            raise ValueError("fringes grid needs at least 8 points")
 
 
 @dataclass(frozen=True)
@@ -69,58 +71,16 @@ class ExperimentConfig:
         return f_dq - self.sequence.effective_frame.dq_reference
 
     def to_mapping(self) -> dict:
+        """Snapshot of every settable key, by section (the manifest config)."""
         seq = self.sequence
+        objects = {"constants": self.constants, "environment": self.environment,
+                   "sequence": seq, "detector": seq.detector, "noise": seq.noise,
+                   "fringes": self.fringes, "run": self}
+        out = {section: {key: getattr(obj, key) for key in SCHEMA[section]}
+               for section, obj in objects.items()}
         frame = seq.effective_frame
-        det = seq.detector
-        return {
-            "constants": {
-                "gamma_e": self.constants.gamma_e,
-                "gamma_n": self.constants.gamma_n,
-                "D": self.constants.D,
-                "A_perp": self.constants.A_perp,
-                "Q": self.constants.Q,
-                "q_e": self.constants.q_e,
-            },
-            "environment": {
-                "B": self.environment.B,
-                "nu": self.environment.nu,
-                "delta_Q": self.environment.delta_Q,
-                "delta_B": self.environment.delta_B,
-            },
-            "sequence": {
-                "tau": seq.tau,
-                "tau_wp": seq.tau_wp,
-                "pump_duration": seq.pump_duration,
-                "readout_window": seq.readout_window,
-                "cycle_period": seq.cycle_period,
-                "pump_fidelity": seq.pump_fidelity,
-                "rf_gradient": [list(p) for p in seq.rf_gradient],
-                "phase_table": [list(p) for p in seq.phase_table],
-                "t2_dq": seq.t2_dq,
-                "t2_sq": seq.t2_sq,
-                "f1_ref": frame.f1,
-                "f2_ref": frame.f2,
-            },
-            "detector": {
-                "V0": det.V0,
-                "G": det.G,
-                "contrast": det.contrast,
-                "t_R": det.t_R,
-                "balanced": det.balanced,
-                "T2star": det.T2star,
-                "t_meas": det.t_meas,
-            },
-            "noise": {
-                "white_sigma": seq.noise.white_sigma,
-                "random_walk_sigma": seq.noise.random_walk_sigma,
-            },
-            "fringes": {
-                "tau_min": self.fringes.tau_min,
-                "tau_max": self.fringes.tau_max,
-                "points": self.fringes.points,
-            },
-            "run": {"seed": self.seed},
-        }
+        out["sequence"].update(f1_ref=frame.f1, f2_ref=frame.f2)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -157,9 +117,12 @@ def _parse_kv_text(text: str, origin: str) -> dict[str, dict[str, tuple[str, int
 
 def _as_float(origin, lineno, key, value) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"{origin}:{lineno}: key {key!r}: {value!r} is not a number") from None
+        number = math.nan
+    if math.isnan(number):
+        raise ConfigError(f"{origin}:{lineno}: key {key!r}: {value!r} is not a number")
+    return number
 
 
 def _as_int(origin, lineno, key, value) -> int:
@@ -196,27 +159,59 @@ def _as_pairs(origin, lineno, key, value) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_CONSTANTS_KEYS = {"gamma_e", "gamma_n", "D", "A_perp", "Q", "q_e"}
-_ENVIRONMENT_KEYS = {"B", "nu", "delta_Q", "delta_B"}
-_SEQUENCE_KEYS = {
-    "tau", "tau_wp", "pump_duration", "readout_window", "cycle_period",
-    "pump_fidelity", "rf_gradient", "phase_table", "t2_dq", "t2_sq",
-    "phase_reference", "dq_detuning", "f1_ref", "f2_ref",
+#: Section name -> the dataclass whose fields are its keys.
+_SECTION_TYPES = {
+    "constants": PhysicalConstants,
+    "environment": FieldEnvironment,
+    "sequence": SequenceConfig,
+    "detector": DetectorConfig,
+    "noise": NoiseHooks,
+    "fringes": FringeScanConfig,
+    "run": ExperimentConfig,
 }
-_DETECTOR_KEYS = {"V0", "G", "contrast", "t_R", "balanced", "T2star", "t_meas"}
-_NOISE_KEYS = {"white_sigma", "random_walk_sigma"}
-_FRINGES_KEYS = {"tau_min", "tau_max", "points"}
-_RUN_KEYS = {"seed"}
 
-_SECTION_KEYS = {
-    "constants": _CONSTANTS_KEYS,
-    "environment": _ENVIRONMENT_KEYS,
-    "sequence": _SEQUENCE_KEYS,
-    "detector": _DETECTOR_KEYS,
-    "noise": _NOISE_KEYS,
-    "fringes": _FRINGES_KEYS,
-    "run": _RUN_KEYS,
+# Fields that hold another section, or (frame) are set by the mode keys.
+_NESTED = {"frame", "detector", "noise", *_SECTION_TYPES}
+
+# Value parser for each field annotation.
+_PARSERS = {
+    "float": _as_float,
+    "float | None": _as_float,
+    "int": _as_int,
+    "bool": _as_bool,
+    "tuple[tuple[float, float], ...]": _as_pairs,
 }
+
+#: Section -> {key: value parser}, derived from the dataclass fields.
+SCHEMA = {
+    section: {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in _NESTED}
+    for section, cls in _SECTION_TYPES.items()
+}
+
+# Sequence keys that choose the rotating frame instead of setting a field.
+_MODE_KEYS = {"phase_reference", "dq_detuning", "f1_ref", "f2_ref"}
+
+# Keys that no longer exist, with what replaces them.
+_REMOVED = {
+    ("constants", "q_e"): "the elementary charge is a fixed SI constant",
+    ("sequence", "tau"): "use tau_wp",
+    ("sequence", "readout_window"): "the readout window is t_R in [detector]",
+    ("detector", "T2star"): "the coherence time is t2_dq in [sequence]",
+}
+
+
+def accepted_keys(section: str) -> set[str]:
+    """Keys a config file may set in [section]."""
+    return set(SCHEMA[section]) | (_MODE_KEYS if section == "sequence" else set())
+
+
+def _check_key(origin, section, key, lineno) -> None:
+    if key in accepted_keys(section):
+        return
+    if (section, key) in _REMOVED:
+        raise ConfigError(f"{origin}:{lineno}: key {key!r} in [{section}] was "
+                          f"removed: {_REMOVED[section, key]}")
+    raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in section [{section}]")
 
 
 def _check_known(origin, sections) -> None:
@@ -226,114 +221,86 @@ def _check_known(origin, sections) -> None:
             raise ConfigError(
                 f"{origin}:{lineno}: key {key!r} appears before any [section]"
             )
-        if section and section not in _SECTION_KEYS:
+        if section and section not in SCHEMA:
             raise ConfigError(f"{origin}: unknown section [{section}]")
         for key, (_, lineno) in entries.items():
-            if key not in _SECTION_KEYS.get(section, set()):
-                raise ConfigError(
-                    f"{origin}:{lineno}: unknown key {key!r} in section [{section}]"
-                )
+            _check_key(origin, section, key, lineno)
 
 
-def _floats(origin, entries, keys) -> dict[str, float]:
-    return {
-        key: _as_float(origin, lineno, key, value)
-        for key, (value, lineno) in entries.items()
-        if key in keys
-    }
+def _parse_section(origin, section, entries) -> dict:
+    """Typed values of the [section] keys that set dataclass fields."""
+    parsers = SCHEMA[section]
+    return {key: parsers[key](origin, lineno, key, value)
+            for key, (value, lineno) in entries.items() if key in parsers}
 
 
-def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
-    """Assemble an ExperimentConfig from parsed sections (strings)."""
-    _check_known(origin, sections)
+def _build(origin, section, kwargs):
+    """Construct the [section] dataclass; its range checks become ConfigError."""
+    try:
+        return _SECTION_TYPES[section](**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: [{section}]: {exc}") from None
 
-    constants = PhysicalConstants(**_floats(origin, sections.get("constants", {}),
-                                            _CONSTANTS_KEYS))
-    environment = FieldEnvironment(**_floats(origin, sections.get("environment", {}),
-                                             _ENVIRONMENT_KEYS))
 
-    det_entries = dict(sections.get("detector", {}))
-    det_kwargs: dict = {}
-    if "balanced" in det_entries:
-        value, lineno = det_entries.pop("balanced")
-        det_kwargs["balanced"] = _as_bool(origin, lineno, "balanced", value)
-    det_kwargs.update(_floats(origin, det_entries, _DETECTOR_KEYS))
-    detector = DetectorConfig(**det_kwargs)
+def _frame(origin, entries, environment, constants) -> RotatingFrame | None:
+    """Rotating frame of the sequence mode keys: phase_reference = reset
+    (default, no frame) or resonant (with dq_detuning), or explicit
+    f1_ref/f2_ref tone references."""
+    def number(key, default=None):
+        if key not in entries:
+            return default
+        value, lineno = entries[key]
+        return _as_float(origin, lineno, key, value)
 
-    noise = NoiseHooks(**_floats(origin, sections.get("noise", {}), _NOISE_KEYS))
-
-    seq_entries = dict(sections.get("sequence", {}))
-    seq_kwargs: dict = {"detector": detector, "noise": noise}
-    for key in ("tau", "tau_wp", "pump_duration", "readout_window",
-                "cycle_period", "pump_fidelity", "t2_dq", "t2_sq"):
-        if key in seq_entries:
-            value, lineno = seq_entries.pop(key)
-            seq_kwargs[key] = _as_float(origin, lineno, key, value)
-    if "rf_gradient" in seq_entries:
-        value, lineno = seq_entries.pop("rf_gradient")
-        seq_kwargs["rf_gradient"] = _as_pairs(origin, lineno, "rf_gradient", value)
-    if "phase_table" in seq_entries:
-        value, lineno = seq_entries.pop("phase_table")
-        seq_kwargs["phase_table"] = _as_pairs(origin, lineno, "phase_table", value)
-
-    # Phase reference: reset (default), resonant, or explicit tone references.
     mode = "reset"
-    if "phase_reference" in seq_entries:
-        value, lineno = seq_entries.pop("phase_reference")
+    if "phase_reference" in entries:
+        value, lineno = entries["phase_reference"]
         mode = value.lower()
         if mode not in ("reset", "resonant"):
             raise ConfigError(
                 f"{origin}:{lineno}: phase_reference must be 'reset' or 'resonant'"
             )
-    dq_detuning = 0.0
-    if "dq_detuning" in seq_entries:
-        value, lineno = seq_entries.pop("dq_detuning")
-        dq_detuning = _as_float(origin, lineno, "dq_detuning", value)
-    explicit_refs = {}
-    for key in ("f1_ref", "f2_ref"):
-        if key in seq_entries:
-            value, lineno = seq_entries.pop(key)
-            explicit_refs[key] = _as_float(origin, lineno, key, value)
-    if explicit_refs:
-        if set(explicit_refs) != {"f1_ref", "f2_ref"}:
+    dq_detuning = number("dq_detuning", 0.0)
+    refs = [number("f1_ref"), number("f2_ref")]
+    if refs != [None, None]:
+        if None in refs:
             raise ConfigError(f"{origin}: f1_ref and f2_ref must be given together")
-        frame = RotatingFrame(f1=explicit_refs["f1_ref"], f2=explicit_refs["f2_ref"])
-    elif mode == "resonant":
+        return RotatingFrame(*refs)
+    if mode == "resonant":
         nominal = FieldEnvironment(B=environment.B)
-        frame = RotatingFrame.dq_detuned(nominal, constants, dq_detuning)
-    else:
-        if dq_detuning:
-            raise ConfigError(
-                f"{origin}: dq_detuning requires phase_reference = resonant"
-            )
-        frame = None
-    seq_kwargs["frame"] = frame
+        return RotatingFrame.dq_detuned(nominal, constants, dq_detuning)
+    if dq_detuning:
+        raise ConfigError(f"{origin}: dq_detuning requires phase_reference = resonant")
+    return None
 
-    explicit_tau_wp = "tau_wp" in seq_kwargs
-    sequence = SequenceConfig(**seq_kwargs)
-    if not explicit_tau_wp:
-        f_dq = dq_splitting(environment.B, constants)
-        f_fringe = f_dq - sequence.effective_frame.dq_reference
+
+def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
+    """Assemble an ExperimentConfig from parsed sections (strings)."""
+    _check_known(origin, sections)
+    kw = {section: _parse_section(origin, section, sections.get(section, {}))
+          for section in SCHEMA}
+
+    constants = _build(origin, "constants", kw["constants"])
+    environment = _build(origin, "environment", kw["environment"])
+    seq_kw = kw["sequence"]
+    frame = _frame(origin, sections.get("sequence", {}), environment, constants)
+    if "tau_wp" not in seq_kw:
+        reference = (frame or ABSOLUTE_FRAME).dq_reference
+        f_fringe = dq_splitting(environment.B, constants) - reference
         if f_fringe > 100.0:
-            sequence = sequence.replace(tau_wp=snap_to_cos_null(sequence.tau_wp, f_fringe))
+            seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
+    sequence = _build(origin, "sequence", {
+        **seq_kw, "frame": frame,
+        "detector": _build(origin, "detector", kw["detector"]),
+        "noise": _build(origin, "noise", kw["noise"]),
+    })
 
-    fringe_entries = dict(sections.get("fringes", {}))
-    fringe_kwargs: dict = {}
-    if "points" in fringe_entries:
-        value, lineno = fringe_entries.pop("points")
-        fringe_kwargs["points"] = _as_int(origin, lineno, "points", value)
-    fringe_kwargs.update(_floats(origin, fringe_entries, _FRINGES_KEYS))
-    fringes = FringeScanConfig(**fringe_kwargs)
-
-    seed = 0
-    if "seed" in sections.get("run", {}):
-        value, lineno = sections["run"]["seed"]
-        seed = _as_int(origin, lineno, "seed", value)
-        if seed < 0:
-            raise ConfigError(f"{origin}:{lineno}: seed must be >= 0")
-
-    return ExperimentConfig(constants=constants, environment=environment,
-                            sequence=sequence, fringes=fringes, seed=seed)
+    if kw["run"].get("seed", 0) < 0:
+        raise ConfigError(f"{origin}:{sections['run']['seed'][1]}: seed must be >= 0")
+    return _build(origin, "run", {
+        **kw["run"], "constants": constants, "environment": environment,
+        "sequence": sequence, "fringes": _build(origin, "fringes", kw["fringes"]),
+    })
 
 
 def load_config(path) -> ExperimentConfig:
@@ -364,6 +331,5 @@ def load_constants(path) -> PhysicalConstants:
     if extra:
         raise ConfigError(f"{path}: unexpected sections {sorted(extra)}")
     for key, (_, lineno) in entries.items():
-        if key not in _CONSTANTS_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown constant {key!r}")
-    return PhysicalConstants(**_floats(str(path), entries, _CONSTANTS_KEYS))
+        _check_key(path, "constants", key, lineno)
+    return _build(path, "constants", _parse_section(path, "constants", entries))

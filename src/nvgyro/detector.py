@@ -22,6 +22,9 @@ import numpy as np
 
 from .spin import ELEMENTARY_CHARGE
 
+#: Measured DQ coherence time T2* (s), the default of SequenceConfig.t2_dq.
+DEFAULT_T2_DQ = 1.95e-3
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -30,8 +33,7 @@ class DetectorConfig:
     V0: mean fluorescence voltage (V); G: transimpedance gain (V/A);
     contrast: full fringe contrast C; t_R: signal-bearing readout window
     (s) inside the pump pulse; balanced: balanced photodiode flag;
-    T2star: coherence time used by the sensitivity budget (s); t_meas:
-    duration of one measurement (s).
+    t_meas: duration of one measurement (s).
     """
 
     V0: float = 15.0
@@ -39,11 +41,10 @@ class DetectorConfig:
     contrast: float = 0.015
     t_R: float = 17e-6
     balanced: bool = True
-    T2star: float = 1.95e-3
     t_meas: float = 1.92e-3
 
     def __post_init__(self):
-        for name in ("V0", "G", "t_R", "T2star", "t_meas"):
+        for name in ("V0", "G", "t_R", "t_meas"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if not 0.0 < self.contrast < 1.0:
@@ -82,22 +83,20 @@ class NoiseHooks:
             raise ValueError("noise sigmas must be >= 0")
 
 
-def photoelectron_count(d: DetectorConfig, n_meas: int,
-                        q_e: float = ELEMENTARY_CHARGE) -> float:
+def photoelectron_count(d: DetectorConfig, n_meas: int) -> float:
     """Detected photoelectrons in n_meas readout windows: (V0/(G*q_e))*t_R*n_meas."""
     if n_meas < 1:
         raise ValueError("n_meas must be >= 1")
-    return (d.V0 / (d.G * q_e)) * d.t_R * n_meas
+    return (d.V0 / (d.G * ELEMENTARY_CHARGE)) * d.t_R * n_meas
 
 
-def psn_fractional_uncertainty(d: DetectorConfig, n_meas: int = 1,
-                               q_e: float = ELEMENTARY_CHARGE) -> float:
+def psn_fractional_uncertainty(d: DetectorConfig, n_meas: int = 1) -> float:
     """Photon-shot-noise fractional voltage uncertainty delta_V/V0.
 
     sqrt(2)/sqrt(N_p) for balanced detection, 1/sqrt(N_p) otherwise.
     """
     factor = math.sqrt(2.0) if d.balanced else 1.0
-    return factor / math.sqrt(photoelectron_count(d, n_meas, q_e))
+    return factor / math.sqrt(photoelectron_count(d, n_meas))
 
 
 def readout_voltage(projection, d: DetectorConfig,
@@ -135,26 +134,27 @@ class RotationSensitivity:
 
 
 def psn_rotation_sensitivity(d: DetectorConfig, tau: float,
-                             q_e: float = ELEMENTARY_CHARGE) -> RotationSensitivity:
+                             t2: float = DEFAULT_T2_DQ) -> RotationSensitivity:
     """Shot-noise-limited rotation sensitivity of the working-point protocol.
 
     delta_nu * sqrt(t) =
         (1/2pi) * 1/(tau*exp(-tau/T2*)) * (1/C)
         * sqrt(n_b * G * q_e / (V0 * t_R)) * sqrt(t_meas),
 
-    with n_b = 2 for balanced detection (1 otherwise).  The leading 1/2
-    converts the frequency uncertainty on the DQ splitting into a rotation
-    uncertainty (each |+-1> level shifts by +-nu).  Degrees-per-root-second
-    is the same number times 360.
+    with T2* = t2, the DQ coherence time (SequenceConfig.t2_dq), q_e the
+    SI elementary charge, and n_b = 2 for balanced detection (1
+    otherwise).  The leading 1/2 converts the frequency uncertainty on the
+    DQ splitting into a rotation uncertainty (each |+-1> level shifts by
+    +-nu).  Degrees-per-root-second is the same number times 360.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    if tau <= 0 or t2 <= 0:
+        raise ValueError("tau and t2 must be > 0")
     noise_factor = 2.0 if d.balanced else 1.0
     hz = (
         (1.0 / (2.0 * math.pi))
-        * (1.0 / (tau * math.exp(-tau / d.T2star)))
+        * (1.0 / (tau * math.exp(-tau / t2)))
         * (1.0 / d.contrast)
-        * math.sqrt(noise_factor * d.G * q_e / (d.V0 * d.t_R))
+        * math.sqrt(noise_factor * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R))
         * math.sqrt(d.t_meas)
     )
     return RotationSensitivity(hz_per_rt_hz=hz, dps_per_rt_s=hz * 360.0)

@@ -35,7 +35,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detector import DetectorConfig, NoiseHooks, psn_fractional_uncertainty
+from .detector import (
+    DEFAULT_T2_DQ,
+    DetectorConfig,
+    NoiseHooks,
+    psn_fractional_uncertainty,
+)
 from .spin import (
     ABSOLUTE_FRAME,
     FieldEnvironment,
@@ -57,9 +62,6 @@ DEFAULT_PHASE_TABLE = (
     (0.0, math.pi),
 )
 
-#: Measured DQ coherence time used as the default for both decay channels.
-DEFAULT_T2_DQ = 1.95e-3
-
 
 @dataclass(frozen=True)
 class SequenceConfig:
@@ -68,13 +70,13 @@ class SequenceConfig:
     rf_gradient is a tuple of (weight, area_scale) sub-ensembles with
     weights summing to one.  frame=None selects the phase-reset
     convention (fringes at absolute transition frequencies); pass a
-    RotatingFrame for synchronized synthesizers.
+    RotatingFrame for synchronized synthesizers.  The readout window is
+    detector.t_R; t2_dq (default for both decay channels) is also the
+    T2* of the sensitivity budget.
     """
 
-    tau: float = 1.428e-3
     tau_wp: float = 1.428e-3
     pump_duration: float = 300e-6
-    readout_window: float = 17e-6
     cycle_period: float = 7e-3
     pump_fidelity: float = 1.0
     rf_gradient: tuple[tuple[float, float], ...] = ((1.0, 1.0),)
@@ -97,8 +99,8 @@ class SequenceConfig:
             raise ValueError("pump_fidelity must be in [0, 1]")
         if self.t2_dq <= 0 or (self.t2_sq is not None and self.t2_sq <= 0):
             raise ValueError("coherence times must be > 0")
-        if self.cycle_period <= self.pump_duration + self.tau:
-            raise ValueError("cycle_period must exceed pump_duration + tau")
+        if self.cycle_period <= self.pump_duration + self.tau_wp:
+            raise ValueError("cycle_period must exceed pump_duration + tau_wp")
         if self.detector.t_R > self.pump_duration:
             raise ValueError("detector t_R must fit inside the pump pulse")
 
@@ -322,8 +324,6 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
-    if cfg.cycle_period <= cfg.pump_duration + cfg.tau_wp:
-        raise ValueError("cycle_period must exceed pump_duration + tau_wp")
     n = int(math.floor(duration / cfg.cycle_period))
     if n < 1:
         raise ValueError("duration shorter than one cycle")

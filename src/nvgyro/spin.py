@@ -45,7 +45,7 @@ class PhysicalConstants:
     """Literature constants of the NV / 14N system.
 
     gamma_e, gamma_n in Hz/G, D (zero-field splitting), A_perp (transverse
-    hyperfine) and Q (quadrupole splitting) in Hz, q_e in A*s.
+    hyperfine) and Q (quadrupole splitting) in Hz.
     """
 
     gamma_e: float = 2.8025e6
@@ -53,10 +53,9 @@ class PhysicalConstants:
     D: float = 2.870e9
     A_perp: float = 2.62e6
     Q: float = 4.9425e6
-    q_e: float = ELEMENTARY_CHARGE
 
     def __post_init__(self):
-        for name in ("gamma_e", "gamma_n", "D", "Q", "q_e"):
+        for name in ("gamma_e", "gamma_n", "D", "Q"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.gamma_e / self.gamma_n <= 1.0:
@@ -226,21 +225,15 @@ def transition_frequencies(env: FieldEnvironment,
     return center + f_dq / 2.0, center - f_dq / 2.0
 
 
-def pulse_unitary(p: PulseSpec,
-                  env: FieldEnvironment | None = None,
-                  c: PhysicalConstants | None = None) -> np.ndarray:
+def pulse_unitary(p: PulseSpec) -> np.ndarray:
     """Unitary of a hard RF pulse in the (+1, 0, -1) basis.
 
-    env and c are accepted for interface symmetry with free evolution but
-    are unused: hard pulses depend only on areas and phases.
-
-    SQ_PI_F1 rotates the {+1, 0} two-level subspace by pi*area_scale about
+    Hard pulses depend only on their areas and phases.  SQ_PI_F1 rotates the {+1, 0} two-level subspace by pi*area_scale about
     the axis set by phase_f1.  DQ_TWO_TONE drives both SQ subspaces
     simultaneously with per-tone area (pi/sqrt(2))*area_scale; the bright
     superposition of |+-1> then sees an effective angle pi*area_scale, so
     the ideal pulse maps |0> onto an equal |+-1> superposition.
     """
-    del env, c
     if p.kind is PulseKind.SQ_PI_F1:
         half = 0.5 * math.pi * p.area_scale
         ch, sh = math.cos(half), math.sin(half)

@@ -150,8 +150,7 @@ def test_criterion_05_rotation_factor_of_two():
 
 def test_criterion_06_sensitivity_budget():
     # budget formula with its own stated inputs (tau = 1.4 ms, T2* = 2.0 ms)
-    d = DetectorConfig(T2star=2.0e-3)
-    sens = psn_rotation_sensitivity(d, 1.4e-3)
+    sens = psn_rotation_sensitivity(DetectorConfig(), 1.4e-3, t2=2.0e-3)
     rel = abs(sens.hz_per_rt_hz - 9.8e-3) / 9.8e-3
     conv = 13e-3 * 360.0
     ok = rel <= 0.02 and conv == pytest.approx(4.68, abs=1e-12)

@@ -234,6 +234,21 @@ class TestCleanErrors:
         assert main(["budget", "--config", str(cfg)]) == 1
         assert f"{cfg}:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, line", [
+        ("detector", "V0 = -1"),
+        ("sequence", "pump_fidelity = 2"),
+        ("environment", "B = -5"),
+        ("sequence", "cycle_period = 1e-4"),
+        ("constants", "D = 0"),
+    ])
+    def test_out_of_range_config_value(self, tmp_path, capsys, section, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        assert main(["budget", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [{section}]: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("row, message", [
         ("10.0,500.0,1.8", "table limit"),
         ("10.0,nan,1.8", "table limit"),

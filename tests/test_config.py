@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,10 @@ from nvgyro import (
     load_config,
     load_constants,
 )
-from nvgyro.config import _parse_kv_text
+from nvgyro.config import SCHEMA, _parse_kv_text, accepted_keys
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+MODE_KEYS = {"phase_reference", "dq_detuning", "f1_ref", "f2_ref"}
 
 
 FULL = """\
@@ -97,6 +102,12 @@ class TestParser:
         with pytest.raises(ConfigError, match=r"bad\.cfg:2"):
             load_config(path)
 
+    def test_nan_is_not_a_number(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[environment]\nB = nan\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: .*not a number"):
+            load_config(path)
+
     def test_comments_and_blank_lines(self):
         text = "# top\n\n[run]\nseed = 7  # inline\n; another\n"
         cfg = build_config(_parse_kv_text(text, "t"), origin="t")
@@ -169,3 +180,70 @@ class TestConstantsProfile:
         path.write_text("gamma_q = 1.0\n")
         with pytest.raises(ConfigError, match="gamma_q"):
             load_constants(path)
+
+
+class TestSchema:
+    """The dataclass fields are the only list of keys."""
+
+    @pytest.mark.parametrize("section", sorted(SCHEMA))
+    def test_accepted_keys_are_the_manifest_keys(self, section):
+        mapping = default_config().to_mapping()
+        assert set(mapping) == set(SCHEMA)
+        extra = MODE_KEYS if section == "sequence" else set()
+        assert accepted_keys(section) == set(mapping[section]) | extra
+
+    def test_manifest_values_round_trip(self, tmp_path):
+        # every manifest entry, written back as a config key, is parsed
+        # into the same value
+        def text(value):
+            if isinstance(value, bool):
+                return str(value).lower()
+            if isinstance(value, tuple):
+                return ", ".join(f"{a!r}:{b!r}" for a, b in value)
+            return repr(value)
+
+        mapping = default_config().to_mapping()
+        lines = []
+        for section, entries in mapping.items():
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {text(value)}" for key, value in entries.items()
+                      if value is not None]
+        path = tmp_path / "round.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_config(path).to_mapping() == mapping
+
+    @pytest.mark.parametrize("section, key, replacement", [
+        ("constants", "q_e", "fixed SI constant"),
+        ("sequence", "tau", "tau_wp"),
+        ("sequence", "readout_window", "t_R"),
+        ("detector", "T2star", "t2_dq"),
+    ])
+    def test_removed_key_names_its_replacement(self, tmp_path, section, key,
+                                               replacement):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"[{section}]\n{key} = 1e-3\n")
+        with pytest.raises(ConfigError, match=rf"old\.cfg:2: .*{key}.*removed") as exc:
+            load_config(path)
+        assert replacement in str(exc.value)
+
+    def test_constants_profile_rejects_q_e(self, tmp_path):
+        path = tmp_path / "constants.cfg"
+        path.write_text("q_e = 1.602176634e-19\n")
+        with pytest.raises(ConfigError, match="fixed SI constant"):
+            load_constants(path)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        load_config(path)
+
+    def test_default_cfg_documents_every_key(self):
+        # key = value lines, commented out or not, under each [section]
+        chunks = re.split(r"^\[(\w+)\]", (CONFIGS / "default.cfg").read_text(),
+                          flags=re.M)
+        documented = dict(zip(chunks[1::2], chunks[2::2]))
+        assert set(documented) == set(SCHEMA)
+        for section, body in documented.items():
+            for key in accepted_keys(section):
+                assert re.search(rf"(^|[#\s]){key} =", body, flags=re.M), \
+                    f"[{section}] {key} missing from default.cfg"

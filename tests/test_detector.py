@@ -108,8 +108,7 @@ class TestPsnFractionalUncertainty:
 class TestRotationSensitivity:
     def test_budget_value(self):
         # exact budget inputs: tau = 1.4 ms, T2* = 2.0 ms, defaults otherwise
-        d = D.replace(T2star=2.0e-3)
-        sens = psn_rotation_sensitivity(d, 1.4e-3)
+        sens = psn_rotation_sensitivity(D, 1.4e-3, t2=2.0e-3)
         assert sens.hz_per_rt_hz == pytest.approx(9.8e-3, rel=0.02)
 
     def test_unit_conversion(self):
@@ -129,10 +128,11 @@ class TestRotationSensitivity:
         # duty-cycled sensitivity is minimal at the root of
         # 1/tau - 1/T2* - 1/(2*(tau+overhead)) = 0 and convex around it
         overhead = 0.52e-3
-        t2 = D.T2star
+        t2 = 1.95e-3
 
         def duty_sens(tau):
-            per_meas = psn_rotation_sensitivity(D.replace(t_meas=tau + overhead), tau)
+            per_meas = psn_rotation_sensitivity(D.replace(t_meas=tau + overhead), tau,
+                                                t2=t2)
             return per_meas.hz_per_rt_hz
 
         root = brentq(lambda t: 1 / t - 1 / t2 - 1 / (2 * (t + overhead)), 1e-4, 5e-3)

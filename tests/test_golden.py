@@ -35,6 +35,10 @@ def _digests(out: Path) -> dict[str, str]:
 
 
 GOLDEN = {
+    "budget": {
+        "budget.json":
+            "e21949678851f0048db84e727cc279ae87710dbcdc8b6a734bd8689d327e14b1",
+    },
     "gyro": {
         "regression.json":
             "65db9d0c9648fdaec1821f273cb647fd3f215892bc8f82a8862bbd9cb3b3b4e3",
@@ -103,6 +107,8 @@ GOLDEN = {
 
 
 def _argv(case: str, tmp_path: Path) -> list[str]:
+    if case == "budget":
+        return ["budget", "--config", str(CONFIGS / "default.cfg")]
     if case == "gyro":
         return ["gyro", "--profile", str(CONFIGS / "triangle_profile.csv"),
                 "--duration", "20"]

@@ -1,8 +1,10 @@
-"""Physics invariants of the projection kernel over random inputs.
+"""Physics invariants over random inputs.
 
 The density-matrix chain pump_state -> apply_pulse (SQ pi, DQ) ->
 evolve_free -> apply_pulse (DQ with the second-pulse phases) ->
 bright_projection is the independent oracle for ramsey_projections.
+Seeded runs must repeat bit for bit, and the rate table's angle must be
+the integral of its rate.
 """
 
 import math
@@ -14,9 +16,13 @@ from hypothesis import strategies as st
 from nvgyro import (
     LITERATURE_CONSTANTS,
     FieldEnvironment,
+    Instruction,
+    NoiseHooks,
     PulseKind,
     PulseSpec,
     RotatingFrame,
+    RotationProfile,
+    RateTrajectory,
     SequenceConfig,
     apply_pulse,
     bright_projection,
@@ -24,6 +30,8 @@ from nvgyro import (
     evolve_free,
     pump_state,
     ramsey_projections,
+    ramsey_signals,
+    run_gyro_stream,
 )
 from nvgyro.spin import frame_detunings
 
@@ -131,3 +139,66 @@ def test_combined_signal_immune_to_quadrupole_shift(cfg, env, tau_list, delta_q)
         for e in (env, shifted))
     atol = TOL + 4 * np.finfo(float).eps * tone_phase
     assert np.all(np.abs(r1 - r0) <= atol)
+
+
+noise_hooks = st.builds(NoiseHooks, st.floats(0.0, 1e-4), st.floats(0.0, 1e-4))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), seed=seeds,
+       tau_list=st.lists(taus, min_size=1, max_size=8))
+def test_seeded_signals_repeat_bit_for_bit(cfg, env, seed, tau_list):
+    tau = np.array(tau_list)
+    a = ramsey_signals(cfg, env, C, tau, np.random.default_rng(seed))
+    b = ramsey_signals(cfg, env, C, tau, np.random.default_rng(seed))
+    c = ramsey_signals(cfg, env, C, tau, np.random.default_rng(seed + 1))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), seed=seeds,
+       noise=noise_hooks, duration=st.floats(7e-3, 0.5),
+       amplitude=st.floats(0.0, 1.0), omega=st.floats(0.0, 50.0),
+       rotating=st.booleans())
+def test_seeded_stream_repeats_bit_for_bit(cfg, env, seed, noise, duration,
+                                           amplitude, omega, rotating):
+    cfg = cfg.replace(noise=noise)
+
+    def nu_at(t):
+        return amplitude * np.sin(omega * t)
+
+    def run(s):
+        return run_gyro_stream(cfg, env, C, duration, np.random.default_rng(s),
+                               nu_at=nu_at if rotating else None)
+
+    a, b, c = run(seed), run(seed), run(seed + 1)
+    assert np.array_equal(a.t, b.t) and np.array_equal(a.S, b.S)
+    assert not np.array_equal(a.S, c.S)
+
+
+instructions = st.builds(
+    Instruction,
+    duration=st.floats(0.01, 20.0),
+    rate_setpoint=st.floats(-400.0, 400.0),
+    accel=st.floats(0.5, 100.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(instructions, min_size=1, max_size=6))
+def test_angle_is_integral_of_rate(rows):
+    traj = RateTrajectory(RotationProfile(tuple(rows)))
+    t = np.linspace(traj.t_start, traj.t_end, 200_001)
+    rate = traj.rate_at(t)
+    integral = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))])
+    angle = traj.angle_at(t) - traj.angle_at(traj.t_start)
+    # The trapezoid rule is exact on every grid step except the two or
+    # fewer per instruction that hold a change of slope; each of those is
+    # off by at most step**2 * |change of slope| / 8.
+    h = t[1] - t[0]
+    kinks = 2 * len(rows) * h**2 * 2 * max(r.accel for r in rows) / 8
+    atol = kinks + 1e-9 * (1.0 + np.max(np.abs(angle)))
+    assert np.all(np.abs(angle - integral) <= atol)

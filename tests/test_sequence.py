@@ -312,7 +312,7 @@ class TestSequenceConfig:
 
     def test_cycle_must_fit_pump_and_tau(self):
         with pytest.raises(ValueError):
-            SequenceConfig(tau=7e-3)
+            SequenceConfig(tau_wp=7e-3)
 
     def test_readout_window_fits_pump(self):
         from nvgyro import DetectorConfig
