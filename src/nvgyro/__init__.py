@@ -38,11 +38,11 @@ from .detector import (
     DetectorConfig,
     NoiseHooks,
     RotationSensitivity,
-    normalize_contrast,
     photoelectron_count,
     psn_fractional_uncertainty,
     psn_rotation_sensitivity,
-    readout_voltage,
+    readout_signal,
+    signal_sigma,
 )
 from .errors import (
     ConfigError,
@@ -56,7 +56,6 @@ from .ratetable import (
     Instruction,
     RateTrajectory,
     RotationProfile,
-    ServoLag,
     TableState,
     TableTelemetry,
     jog,

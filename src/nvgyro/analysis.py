@@ -219,14 +219,6 @@ class Calibration:
     def per_dps(self) -> float:
         return self.per_hz / DEG_PER_REV
 
-    @property
-    def magnitude_per_hz(self) -> float:
-        return abs(self.per_hz)
-
-    @property
-    def magnitude_per_dps(self) -> float:
-        return abs(self.per_hz) / DEG_PER_REV
-
 
 def calibration_from_fringes(fit, tau_wp: float,
                              null_tolerance: float = 0.1) -> Calibration:

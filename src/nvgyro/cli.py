@@ -93,6 +93,10 @@ def _alpha_direct(cfg: ExperimentConfig, delta_nu: float = 0.01) -> tuple[float,
 def cmd_fringes(args) -> int:
     t0 = time.monotonic()
     cfg = _load(args)
+    try:
+        cfg.sequence.check_delay(cfg.fringes.tau_max, "tau_max")
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: [fringes]: {exc}") from None
     out = _outdir(args)
     rng = np.random.default_rng(cfg.seed)
     seq, env, consts = cfg.sequence, cfg.environment, cfg.constants
@@ -256,6 +260,11 @@ def cmd_budget(args) -> int:
     cfg = _load(args)
     seq, det = cfg.sequence, cfg.sequence.detector
     f_dq = dq_splitting(cfg.environment.B, cfg.constants)
+    if not f_dq > 0:
+        raise ConfigError(
+            f"{args.config}: [environment]: B = {cfg.environment.B:g} G gives "
+            f"f_DQ = {f_dq:.6g} Hz; the budget needs f_DQ > 0 "
+            f"(0 < B below the ground-state anticrossing)")
     f1, f2 = transition_frequencies(cfg.environment, cfg.constants)
     sens = psn_rotation_sensitivity(det, seq.tau_wp, seq.t2_dq)
     nu0 = one_rad_rotation_rate(seq.tau_wp)

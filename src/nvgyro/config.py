@@ -40,8 +40,8 @@ class FringeScanConfig:
     points: int = 5000
 
     def __post_init__(self):
-        if self.tau_min < 0 or self.tau_max <= self.tau_min:
-            raise ValueError("fringes grid requires 0 <= tau_min < tau_max")
+        if not 0.0 <= self.tau_min < self.tau_max < math.inf:
+            raise ValueError("fringes grid requires 0 <= tau_min < tau_max < inf")
         if self.points < 8:
             raise ValueError("fringes grid needs at least 8 points")
 
@@ -60,15 +60,10 @@ class ExperimentConfig:
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
 
-    @property
-    def nominal_environment(self) -> FieldEnvironment:
-        """Configured bias field with drifts and rotation zeroed."""
-        return FieldEnvironment(B=self.environment.B)
-
     def fringe_frequency(self) -> float:
         """DQ fringe frequency of the configured mode at nu = 0."""
-        f_dq = dq_splitting(self.environment.B, self.constants)
-        return f_dq - self.sequence.effective_frame.dq_reference
+        return _fringe_frequency(self.environment, self.constants,
+                                 self.sequence.frame)
 
     def to_mapping(self) -> dict:
         """Snapshot of every settable key, by section (the manifest config)."""
@@ -81,6 +76,11 @@ class ExperimentConfig:
         frame = seq.effective_frame
         out["sequence"].update(f1_ref=frame.f1, f2_ref=frame.f2)
         return out
+
+
+def _fringe_frequency(environment, constants, frame) -> float:
+    """DQ fringe frequency at nu = 0 in frame (None: phase reset)."""
+    return dq_splitting(environment.B, constants) - (frame or ABSOLUTE_FRAME).dq_reference
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +250,10 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame | None:
         if key not in entries:
             return default
         value, lineno = entries[key]
-        return _as_float(origin, lineno, key, value)
+        out = _as_float(origin, lineno, key, value)
+        if not math.isfinite(out):
+            raise ConfigError(f"{origin}:{lineno}: key {key!r} must be finite")
+        return out
 
     mode = "reset"
     if "phase_reference" in entries:
@@ -285,8 +288,7 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     seq_kw = kw["sequence"]
     frame = _frame(origin, sections.get("sequence", {}), environment, constants)
     if "tau_wp" not in seq_kw:
-        reference = (frame or ABSOLUTE_FRAME).dq_reference
-        f_fringe = dq_splitting(environment.B, constants) - reference
+        f_fringe = _fringe_frequency(environment, constants, frame)
         if f_fringe > 100.0:
             seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
     sequence = _build(origin, "sequence", {

@@ -45,8 +45,8 @@ class DetectorConfig:
 
     def __post_init__(self):
         for name in ("V0", "G", "t_R", "t_meas"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.contrast < 1.0:
             raise ValueError("contrast must be in (0, 1)")
 
@@ -79,50 +79,42 @@ class NoiseHooks:
     random_walk_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.white_sigma < 0 or self.random_walk_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        for name in ("white_sigma", "random_walk_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
-def photoelectron_count(d: DetectorConfig, n_meas: int) -> float:
-    """Detected photoelectrons in n_meas readout windows: (V0/(G*q_e))*t_R*n_meas."""
-    if n_meas < 1:
-        raise ValueError("n_meas must be >= 1")
-    return (d.V0 / (d.G * ELEMENTARY_CHARGE)) * d.t_R * n_meas
+def photoelectron_count(d: DetectorConfig) -> float:
+    """Detected photoelectrons in one readout window: (V0/(G*q_e))*t_R."""
+    return (d.V0 / (d.G * ELEMENTARY_CHARGE)) * d.t_R
 
 
-def psn_fractional_uncertainty(d: DetectorConfig, n_meas: int = 1) -> float:
+def psn_fractional_uncertainty(d: DetectorConfig) -> float:
     """Photon-shot-noise fractional voltage uncertainty delta_V/V0.
 
     sqrt(2)/sqrt(N_p) for balanced detection, 1/sqrt(N_p) otherwise.
     """
     factor = math.sqrt(2.0) if d.balanced else 1.0
-    return factor / math.sqrt(photoelectron_count(d, n_meas))
+    return factor / math.sqrt(photoelectron_count(d))
 
 
-def readout_voltage(projection, d: DetectorConfig,
-                    rng: np.random.Generator | None = None,
-                    n_meas: int = 1):
-    """Fluorescence voltage for a bright-manifold projection in [0, 1].
+def signal_sigma(d: DetectorConfig) -> float:
+    """Photon-shot-noise std of one readout of the normalized signal S."""
+    return d.V0 * psn_fractional_uncertainty(d) / d.v_pump
 
-    Mean interpolates linearly V_L..V_H; with an rng, adds Gaussian photon
-    shot noise for a single measurement (or n_meas averaged ones).
-    Accepts scalar or array projections.
+
+def readout_signal(d: DetectorConfig, projection,
+                   rng: np.random.Generator | None = None):
+    """Normalized signal S = V/V_pump of bright projections in [0, 1].
+
+    The voltage interpolates linearly V_L..V_H; with an rng, one Gaussian
+    photon-shot-noise draw is added per entry of projection, in C order.
     """
-    projection = np.asarray(projection, dtype=float)
-    mean = d.v_low + projection * (d.V0 * d.contrast)
+    volts = d.v_low + projection * d.V0 * d.contrast
     if rng is not None:
-        sigma = d.V0 * psn_fractional_uncertainty(d, n_meas)
-        mean = mean + rng.normal(0.0, sigma, size=projection.shape)
-    return float(mean) if mean.ndim == 0 else mean
-
-
-def normalize_contrast(v, v_pump: float):
-    """Fractional fluorescence S = V / V_pump (V_pump noiseless by assumption)."""
-    if v_pump <= 0:
-        raise ValueError("v_pump must be > 0")
-    v = np.asarray(v, dtype=float)
-    out = v / v_pump
-    return float(out) if out.ndim == 0 else out
+        volts = volts + rng.normal(0.0, d.V0 * psn_fractional_uncertainty(d),
+                                   size=np.shape(projection))
+    return volts / d.v_pump
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,11 @@ class RotationSensitivity:
     """Photon-shot-noise-limited rotation sensitivity in both unit systems."""
 
     hz_per_rt_hz: float
-    dps_per_rt_s: float
+
+    @property
+    def dps_per_rt_s(self) -> float:
+        """Degrees per root second: 1 Hz of rotation is 360 deg/s."""
+        return self.hz_per_rt_hz * 360.0
 
 
 def psn_rotation_sensitivity(d: DetectorConfig, tau: float,
@@ -157,9 +153,5 @@ def psn_rotation_sensitivity(d: DetectorConfig, tau: float,
         * math.sqrt(noise_factor * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R))
         * math.sqrt(d.t_meas)
     )
-    return RotationSensitivity(hz_per_rt_hz=hz, dps_per_rt_s=hz * 360.0)
+    return RotationSensitivity(hz_per_rt_hz=hz)
 
-
-def rotation_unit_conversion(hz_per_rt_hz: float) -> float:
-    """Hz/sqrt(Hz) -> (deg/s)/sqrt(Hz) == deg/sqrt(s): exact factor 360."""
-    return hz_per_rt_hz * 360.0

@@ -1,16 +1,15 @@
 """Rotation platform simulator: JOG-style setpoint ramps and telemetry.
 
-The table follows its velocity setpoint with a linear ramp at the
-configured angular acceleration (perfect servo by default; an optional
-first-order lag models feedback error).  All kinematics are piecewise
-linear in rate, so angles integrate exactly (trapezoid rule).  Clockwise
-rotation is positive.
+The table is a perfect servo: it follows its velocity setpoint with a
+linear ramp at the configured angular acceleration.  All kinematics are
+piecewise linear in rate, so angles integrate exactly (trapezoid rule).
+Clockwise rotation is positive.
 
 A profile is an ordered list of (duration, rate_setpoint, accel)
 instructions; each instruction applies its setpoint and acceleration at
-its start and holds for its duration.  run_profile returns 30 ms-style
-polled telemetry plus a continuous-time evaluator that the pulse-sequence
-stream samples.
+its start and holds for its duration.  run_profile returns telemetry
+polled every 30 ms plus a continuous-time evaluator that the
+pulse-sequence stream samples.
 """
 
 from __future__ import annotations
@@ -172,17 +171,17 @@ def triangle_profile(amplitude: float = 180.0, accel: float = 1.8,
 class RateTrajectory:
     """Closed-form piecewise-linear rate trajectory of an executed profile.
 
-    Exposes vectorized rate_at / accel_at / angle_at evaluators; angles
-    are exact integrals of the piecewise-linear rate.
+    The table starts at rest at t = 0 and angle 0.  Exposes vectorized
+    rate_at / accel_at / angle_at evaluators; angles are exact integrals
+    of the piecewise-linear rate.
     """
 
-    def __init__(self, profile: RotationProfile, initial: TableState | None = None):
-        state = initial if initial is not None else TableState()
-        t_edges = [state.t]
-        r_edges = [state.rate]
+    def __init__(self, profile: RotationProfile):
+        t_edges = [0.0]
+        r_edges = [0.0]
         slopes: list[float] = []
         for ins in profile.instructions:
-            if abs(ins.rate_setpoint) > state.rate_limit:
+            if abs(ins.rate_setpoint) > DEFAULT_RATE_LIMIT:
                 raise ValueError("instruction setpoint exceeds the table limit")
             t0, r0 = t_edges[-1], r_edges[-1]
             gap = ins.rate_setpoint - r0
@@ -209,11 +208,7 @@ class RateTrajectory:
         self._slope = np.array(slopes + [0.0])
         # Cumulative exact angle at segment edges (trapezoid per segment).
         seg_angle = 0.5 * (self._r[:-1] + self._r[1:]) * np.diff(self._t)
-        self._angle = np.concatenate([[state.angle], state.angle + np.cumsum(seg_angle)])
-
-    @property
-    def t_start(self) -> float:
-        return float(self._t[0])
+        self._angle = np.concatenate([[0.0], np.cumsum(seg_angle)])
 
     @property
     def t_end(self) -> float:
@@ -221,7 +216,7 @@ class RateTrajectory:
 
     @property
     def total_duration(self) -> float:
-        return self.t_end - self.t_start
+        return self.t_end
 
     def _segment(self, t):
         t = np.asarray(t, dtype=float)
@@ -247,74 +242,6 @@ class RateTrajectory:
         return float(out) if out.ndim == 0 else out
 
 
-class ServoLag:
-    """First-order servo response to a RateTrajectory command.
-
-    Models a table whose actual rate follows the ramped setpoint with a
-    time constant: dr/dt = (r_cmd - r)/T.  Piecewise-linear commands give
-    closed-form segment solutions, so rates and angles stay exact.  With
-    T -> 0 this reduces to the perfect servo of RateTrajectory.
-    """
-
-    def __init__(self, trajectory: RateTrajectory, time_constant: float):
-        if time_constant <= 0:
-            raise ValueError("time_constant must be > 0")
-        self._traj = trajectory
-        self._T = time_constant
-        # Per command segment k: r_cmd = a_k + b_k*(t - t_k); the lagged
-        # response needs the initial mismatch c_k = r(t_k) - a_k + b_k*T.
-        t = trajectory._t
-        a = trajectory._r[:-1]
-        b = trajectory._slope[:-1]
-        c = np.empty(len(a))
-        r = trajectory._r[0]  # start on the command (table at steady state)
-        angle = trajectory._angle[0]
-        angles = [angle]
-        for k in range(len(a)):
-            c[k] = r - a[k] + b[k] * self._T
-            dt = t[k + 1] - t[k]
-            decay = math.exp(-dt / self._T)
-            r = a[k] + b[k] * dt - b[k] * self._T + c[k] * decay
-            angle += (a[k] * dt + 0.5 * b[k] * dt * dt - b[k] * self._T * dt
-                      + c[k] * self._T * (1.0 - decay))
-            angles.append(angle)
-        self._c = c
-        self._angles = np.array(angles)
-
-    @property
-    def t_start(self) -> float:
-        return self._traj.t_start
-
-    @property
-    def t_end(self) -> float:
-        return self._traj.t_end
-
-    def rate_at(self, t):
-        i, t = self._traj._segment(t)
-        dt = t - self._traj._t[i]
-        a = self._traj._r[i]
-        b = self._traj._slope[i]
-        out = a + b * dt - b * self._T + self._c[i] * np.exp(-dt / self._T)
-        return float(out) if out.ndim == 0 else out
-
-    def accel_at(self, t):
-        i, t = self._traj._segment(t)
-        dt = t - self._traj._t[i]
-        cmd = self._traj._r[i] + self._traj._slope[i] * dt
-        out = (cmd - self.rate_at(t)) / self._T
-        return float(out) if np.ndim(out) == 0 else out
-
-    def angle_at(self, t):
-        i, t = self._traj._segment(t)
-        dt = t - self._traj._t[i]
-        a = self._traj._r[i]
-        b = self._traj._slope[i]
-        out = (self._angles[i] + a * dt + 0.5 * b * dt * dt
-               - b * self._T * dt
-               + self._c[i] * self._T * (1.0 - np.exp(-dt / self._T)))
-        return float(out) if out.ndim == 0 else out
-
-
 @dataclass
 class TableTelemetry:
     """Polled telemetry mirroring the logger fields."""
@@ -325,34 +252,12 @@ class TableTelemetry:
     accel: np.ndarray
 
 
-def run_profile(profile: RotationProfile, poll: float = DEFAULT_POLL,
-                initial: TableState | None = None,
-                jitter_rms: float = 0.0,
-                rng: np.random.Generator | None = None,
-                servo_lag: float | None = None
-                ) -> tuple[TableTelemetry, "RateTrajectory | ServoLag"]:
-    """Execute the instruction list; emit telemetry every poll seconds and
-    return the continuous-time trajectory evaluator.
-
-    The servo is perfect by default; servo_lag adds a first-order lag
-    with the given time constant.  Telemetry timestamps are exactly
-    poll-spaced unless jitter_rms > 0 (requires an rng), in which case
-    Gaussian jitter is added to the sample times (kept monotone).
-    """
-    if poll <= 0:
-        raise ValueError("poll must be > 0")
-    traj = RateTrajectory(profile, initial)
-    if servo_lag is not None:
-        traj = ServoLag(traj, servo_lag)
-    n = int(math.floor((traj.t_end - traj.t_start) / poll)) + 1
-    ts = traj.t_start + np.arange(n) * poll
-    if jitter_rms > 0.0:
-        if rng is None:
-            raise ValueError("jitter requires an rng")
-        jitter = rng.normal(0.0, jitter_rms, size=n)
-        jittered = np.clip(ts + jitter, traj.t_start, traj.t_end)
-        jittered.sort()
-        ts = jittered
+def run_profile(profile: RotationProfile) -> tuple[TableTelemetry, RateTrajectory]:
+    """Execute the instruction list; emit telemetry every DEFAULT_POLL
+    seconds and return the continuous-time trajectory evaluator."""
+    traj = RateTrajectory(profile)
+    n = int(math.floor(traj.t_end / DEFAULT_POLL)) + 1
+    ts = np.arange(n) * DEFAULT_POLL
     telemetry = TableTelemetry(
         t=ts,
         angle=traj.angle_at(ts),

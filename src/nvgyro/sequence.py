@@ -39,7 +39,8 @@ from .detector import (
     DEFAULT_T2_DQ,
     DetectorConfig,
     NoiseHooks,
-    psn_fractional_uncertainty,
+    readout_signal,
+    signal_sigma,
 )
 from .spin import (
     ABSOLUTE_FRAME,
@@ -49,6 +50,7 @@ from .spin import (
     PulseSpec,
     RotatingFrame,
     SpinState,
+    check_finite,
     evolution_factor,
     frame_detunings,
     pulse_unitary,
@@ -90,19 +92,32 @@ class SequenceConfig:
     def __post_init__(self):
         if len(self.phase_table) != 4:
             raise ValueError("phase_table must have exactly 4 entries")
+        if not np.all(np.isfinite(self.phase_table)):
+            raise ValueError("phase_table phases must be finite")
         weights = [w for w, _ in self.rf_gradient]
-        if abs(sum(weights) - 1.0) > 1e-9:
+        if not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("rf_gradient weights must sum to 1")
-        if any(s <= 0 for _, s in self.rf_gradient):
-            raise ValueError("rf_gradient area scales must be > 0")
+        if any(not 0.0 < s < math.inf for _, s in self.rf_gradient):
+            raise ValueError("rf_gradient area scales must be finite and > 0")
         if not 0.0 <= self.pump_fidelity <= 1.0:
             raise ValueError("pump_fidelity must be in [0, 1]")
-        if self.t2_dq <= 0 or (self.t2_sq is not None and self.t2_sq <= 0):
-            raise ValueError("coherence times must be > 0")
-        if self.cycle_period <= self.pump_duration + self.tau_wp:
-            raise ValueError("cycle_period must exceed pump_duration + tau_wp")
+        if not 0.0 < self.t2_dq < math.inf:
+            raise ValueError("t2_dq must be finite and > 0")
+        if self.t2_sq is not None and not self.t2_sq > 0:
+            raise ValueError("t2_sq must be > 0 (inf: no SQ decay)")
+        check_finite(self, "cycle_period")
+        self.check_delay(self.tau_wp, "tau_wp")
         if self.detector.t_R > self.pump_duration:
             raise ValueError("detector t_R must fit inside the pump pulse")
+
+    def check_delay(self, delay: float, name: str) -> None:
+        """The timing rule of every Ramsey delay: 0 <= delay and
+        pump_duration + delay < cycle_period."""
+        if not (0.0 <= delay and self.pump_duration + delay < self.cycle_period):
+            raise ValueError(
+                f"{name} = {delay:g} s must be >= 0 and, after the "
+                f"{self.pump_duration:g} s pump, fit in cycle_period = "
+                f"{self.cycle_period:g} s")
 
     @property
     def effective_frame(self) -> RotatingFrame:
@@ -215,18 +230,6 @@ def ramsey_projections(cfg: SequenceConfig, env: FieldEnvironment,
     return pbar
 
 
-def _readout(cfg: SequenceConfig, proj,
-             rng: np.random.Generator | None) -> np.ndarray:
-    """Normalized signal S of bright projections; with an rng, one
-    photon-shot-noise draw per entry of proj, in C order."""
-    d = cfg.detector
-    volts = d.v_low + proj * d.V0 * d.contrast
-    if rng is not None:
-        volts = volts + rng.normal(0.0, d.V0 * psn_fractional_uncertainty(d),
-                                   size=np.shape(proj))
-    return volts / d.v_pump
-
-
 def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
                    c: PhysicalConstants, tau,
                    rng: np.random.Generator | None = None,
@@ -236,7 +239,7 @@ def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
     Broadcasts like ramsey_projections; with an rng each (delay, phase
     entry) gets its own shot-noise draw.
     """
-    return _readout(cfg, ramsey_projections(cfg, env, c, tau, nu), rng)
+    return readout_signal(cfg.detector, ramsey_projections(cfg, env, c, tau, nu), rng)
 
 
 def combine_4ramsey(signals) -> np.ndarray:
@@ -257,7 +260,7 @@ def run_dq_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
     # The kernel evaluates a whole 4-entry table; fill it with this pair.
     single = cfg.replace(phase_table=(second_pulse_phases,) * 4)
     proj = ramsey_projections(single, env, c, tau)[0]
-    return float(_readout(cfg, proj, rng))
+    return float(readout_signal(cfg.detector, proj, rng))
 
 
 def run_4ramsey_point(cfg: SequenceConfig, env: FieldEnvironment,
@@ -269,9 +272,7 @@ def run_4ramsey_point(cfg: SequenceConfig, env: FieldEnvironment,
 
 def combined_sigma(cfg: SequenceConfig) -> float:
     """Photon-shot-noise std of one combined 4-Ramsey sample (S units)."""
-    d = cfg.detector
-    sigma_s = d.V0 * psn_fractional_uncertainty(d) / d.v_pump
-    return sigma_s / 2.0
+    return signal_sigma(cfg.detector) / 2.0
 
 
 def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
@@ -283,8 +284,7 @@ def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
         raise ValueError("tau grid must be nonempty")
     if taus.size > 1 and np.any(np.diff(taus) <= 0):
         raise ValueError("tau grid must be strictly increasing")
-    if cfg.cycle_period <= cfg.pump_duration + taus[-1]:
-        raise ValueError("cycle_period must exceed pump_duration + max tau")
+    cfg.check_delay(taus[-1], "max tau")
     values = combine_4ramsey(ramsey_signals(cfg, env, c, taus, rng))
     sigma = None
     if rng is not None:
@@ -299,11 +299,10 @@ def sweep_single_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
     """Sweep of one of the four Ramsey variants (phase_table[phase_entry])."""
     taus = np.asarray(tau_grid, dtype=float)
     proj = ramsey_projections(cfg, env, c, taus)[..., phase_entry]
-    values = _readout(cfg, proj, rng)
+    values = readout_signal(cfg.detector, proj, rng)
     sigma = None
     if rng is not None:
-        d = cfg.detector
-        sigma = np.full(taus.shape, d.V0 * psn_fractional_uncertainty(d) / d.v_pump)
+        sigma = np.full(taus.shape, signal_sigma(cfg.detector))
     return FringeSeries(taus=taus, values=values, sigma=sigma)
 
 
@@ -331,7 +330,8 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
 
     nu = None if nu_at is None else nu_at(ts)
     proj = ramsey_projections(cfg, env, c, cfg.tau_wp, nu)
-    combined = combine_4ramsey(_readout(cfg, np.broadcast_to(proj, (n, 4)), rng))
+    combined = combine_4ramsey(
+        readout_signal(cfg.detector, np.broadcast_to(proj, (n, 4)), rng))
 
     if rng is not None:
         if cfg.noise.white_sigma > 0:

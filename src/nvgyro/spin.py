@@ -40,6 +40,13 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 M_INDEX = {+1: 0, 0: 1, -1: 2}
 
 
+def check_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first listed field of obj that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Literature constants of the NV / 14N system.
@@ -56,8 +63,9 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("gamma_e", "gamma_n", "D", "Q"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
+        check_finite(self, "A_perp")
         if self.gamma_e / self.gamma_n <= 1.0:
             raise ValueError("gamma_e/gamma_n must be >> 1")
 
@@ -85,8 +93,9 @@ class FieldEnvironment:
     delta_B: float = 0.0
 
     def __post_init__(self):
-        if self.B < 0:
-            raise ValueError("B must be >= 0")
+        if not 0.0 <= self.B < math.inf:
+            raise ValueError("B must be finite and >= 0")
+        check_finite(self, "nu", "delta_Q", "delta_B")
 
     def replace(self, **kwargs) -> "FieldEnvironment":
         return replace(self, **kwargs)

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nvgyro import triangle_profile
+from nvgyro import load_config, triangle_profile
 from nvgyro.cli import main
 from nvgyro.io import read_table
 
@@ -240,6 +241,20 @@ class TestCleanErrors:
         ("environment", "B = -5"),
         ("sequence", "cycle_period = 1e-4"),
         ("constants", "D = 0"),
+        ("environment", "B = 1024"),  # f_DQ < 0 past the anticrossing
+        ("detector", "V0 = inf"),
+        ("detector", "t_meas = inf"),
+        ("constants", "gamma_e = inf"),
+        ("constants", "A_perp = -inf"),
+        ("environment", "B = inf"),
+        ("environment", "nu = inf"),
+        ("sequence", "cycle_period = inf"),
+        ("sequence", "tau_wp = -inf"),
+        ("sequence", "t2_dq = inf"),
+        ("sequence", "rf_gradient = 1:inf"),
+        ("sequence", "phase_table = 0:inf, 0:0, 0:0, 0:0"),
+        ("noise", "white_sigma = inf"),
+        ("fringes", "tau_max = inf"),
     ])
     def test_out_of_range_config_value(self, tmp_path, capsys, section, line):
         cfg = tmp_path / "bad.cfg"
@@ -248,6 +263,28 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: [{section}]: ")
         assert "Traceback" not in err
+
+    def test_infinite_mode_key(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("[sequence]\nphase_reference = resonant\ndq_detuning = inf\n")
+        assert main(["budget", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: key 'dq_detuning'")
+
+    def test_infinite_t2_sq_means_no_sq_decay(self, tmp_path, capsys):
+        cfg = tmp_path / "nosq.cfg"
+        cfg.write_text("[sequence]\nt2_sq = inf\n")
+        assert load_config(cfg).sequence.effective_t2_sq == math.inf
+        assert main(["budget", "--config", str(cfg)]) == 0
+
+    def test_fringes_tau_max_must_fit_the_cycle(self, tmp_path, capsys):
+        # 9 ms + 0.3 ms pump overruns the 7 ms cycle
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[fringes]\ntau_max = 9e-3\n")
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [fringes]: tau_max = 0.009 s")
+        assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [
         ("10.0,500.0,1.8", "table limit"),

@@ -7,28 +7,33 @@ from scipy.optimize import brentq
 from nvgyro import (
     DetectorConfig,
     NoiseHooks,
-    normalize_contrast,
+    RotationSensitivity,
     photoelectron_count,
     psn_fractional_uncertainty,
     psn_rotation_sensitivity,
-    readout_voltage,
+    readout_signal,
+    signal_sigma,
 )
-from nvgyro.detector import rotation_unit_conversion
 from nvgyro.spin import ELEMENTARY_CHARGE
 
 D = DetectorConfig()
 
 
+def volts(projection, rng=None):
+    """Readout in volts: the normalized signal S times V_pump."""
+    return readout_signal(D, projection, rng) * D.v_pump
+
+
 class TestReadoutVoltage:
     def test_bright_endpoint(self):
-        assert readout_voltage(1.0, D) == pytest.approx(15.1125, abs=1e-12)
+        assert volts(1.0) == pytest.approx(15.1125, abs=1e-12)
 
     def test_dark_endpoint(self):
-        assert readout_voltage(0.0, D) == pytest.approx(14.8875, abs=1e-12)
+        assert volts(0.0) == pytest.approx(14.8875, abs=1e-12)
 
     def test_linear_interpolation(self):
-        lo, hi = readout_voltage(0.0, D), readout_voltage(1.0, D)
-        assert readout_voltage(0.25, D) == pytest.approx(lo + 0.25 * (hi - lo))
+        lo, hi = volts(0.0), volts(1.0)
+        assert volts(0.25) == pytest.approx(lo + 0.25 * (hi - lo))
 
     def test_balanced_noise_is_sqrt2_larger(self):
         unbalanced = D.replace(balanced=False)
@@ -39,53 +44,52 @@ class TestReadoutVoltage:
     def test_monte_carlo_noise_std(self):
         # 1e5 noisy draws match the analytic photon-shot-noise std within 2%
         rng = np.random.default_rng(321)
-        draws = readout_voltage(np.full(100_000, 0.5), D, rng)
+        draws = volts(np.full(100_000, 0.5), rng)
         predicted = D.V0 * psn_fractional_uncertainty(D)
         assert np.std(draws) == pytest.approx(predicted, rel=0.02)
+        assert np.std(draws / D.v_pump) == pytest.approx(signal_sigma(D), rel=0.02)
 
     def test_array_projection(self):
-        out = readout_voltage(np.array([0.0, 1.0]), D)
+        out = readout_signal(D, np.array([0.0, 1.0]))
         assert out.shape == (2,)
 
 
 class TestNormalizeContrast:
+    """S = V / V_pump with a noiseless pump reference."""
+
     def test_identity(self):
-        assert normalize_contrast(15.0, 15.0) == 1.0
+        # a pumped ensemble (projection 1) reads V_pump, i.e. S = 1
+        assert readout_signal(D, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_arithmetic(self):
-        assert normalize_contrast(15.1125, 15.0) == pytest.approx(1.0075)
+        # the dark level over the pump level: V_L / V_H
+        assert readout_signal(D, 0.0) == pytest.approx(14.8875 / 15.1125)
 
     def test_fractional_uncertainty_preserved(self):
-        # delta_S / S0 equals delta_V / V0 when dividing by a constant V_pump
-        dv = 1e-3
-        s1 = normalize_contrast(D.V0 + dv, D.v_pump)
-        s0 = normalize_contrast(D.V0, D.v_pump)
-        assert (s1 - s0) / s0 == pytest.approx(dv / D.V0, rel=1e-9)
+        # delta_S / S equals delta_V / V when dividing by a constant V_pump
+        dp = 1e-3
+        s1, s0 = readout_signal(D, 0.5 + dp), readout_signal(D, 0.5)
+        dv = volts(0.5 + dp) - volts(0.5)
+        assert (s1 - s0) / s0 == pytest.approx(dv / volts(0.5), rel=1e-9)
 
     def test_nonpositive_vpump(self):
+        # V_pump = V0*(1 + C/2) > 0 because V0 and C are checked positive
         with pytest.raises(ValueError):
-            normalize_contrast(15.0, 0.0)
+            DetectorConfig(V0=0.0)
+        with pytest.raises(ValueError):
+            DetectorConfig(V0=-15.0)
 
 
 class TestPhotoelectronCount:
     def test_default_count(self):
         # (15 / (1.75e5 * q_e)) * 17e-6 ~ 9.1e9
-        n = photoelectron_count(D, 1)
+        n = photoelectron_count(D)
         assert n == pytest.approx(9.095e9, rel=1e-3)
-
-    def test_zero_measurements_rejected(self):
-        with pytest.raises(ValueError):
-            photoelectron_count(D, 0)
 
     def test_linearity_in_readout_time(self):
         doubled = D.replace(t_R=2 * D.t_R)
-        assert photoelectron_count(doubled, 1) == pytest.approx(
-            2 * photoelectron_count(D, 1), rel=1e-12
-        )
-
-    def test_linearity_in_n_meas(self):
-        assert photoelectron_count(D, 7) == pytest.approx(
-            7 * photoelectron_count(D, 1), rel=1e-12
+        assert photoelectron_count(doubled) == pytest.approx(
+            2 * photoelectron_count(D), rel=1e-12
         )
 
 
@@ -93,7 +97,7 @@ class TestPsnFractionalUncertainty:
     def test_two_photoelectrons_balanced_gives_unity(self):
         # craft a detector with N_p = 2
         d = DetectorConfig(V0=1.0, G=1e-6 / (2 * ELEMENTARY_CHARGE), t_R=1e-6)
-        assert photoelectron_count(d, 1) == pytest.approx(2.0, rel=1e-12)
+        assert photoelectron_count(d) == pytest.approx(2.0, rel=1e-12)
         assert psn_fractional_uncertainty(d) == pytest.approx(1.0, rel=1e-12)
 
     def test_default_value(self):
@@ -112,7 +116,7 @@ class TestRotationSensitivity:
         assert sens.hz_per_rt_hz == pytest.approx(9.8e-3, rel=0.02)
 
     def test_unit_conversion(self):
-        assert rotation_unit_conversion(13e-3) == pytest.approx(4.68, abs=1e-12)
+        assert RotationSensitivity(13e-3).dps_per_rt_s == pytest.approx(4.68, abs=1e-12)
         sens = psn_rotation_sensitivity(D, 1.4e-3)
         assert sens.dps_per_rt_s == pytest.approx(sens.hz_per_rt_hz * 360.0)
 

@@ -190,11 +190,11 @@ instructions = st.builds(
 @given(rows=st.lists(instructions, min_size=1, max_size=6))
 def test_angle_is_integral_of_rate(rows):
     traj = RateTrajectory(RotationProfile(tuple(rows)))
-    t = np.linspace(traj.t_start, traj.t_end, 200_001)
+    t = np.linspace(0.0, traj.t_end, 200_001)
     rate = traj.rate_at(t)
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(t))])
-    angle = traj.angle_at(t) - traj.angle_at(traj.t_start)
+    angle = traj.angle_at(t) - traj.angle_at(0.0)
     # The trapezoid rule is exact on every grid step except the two or
     # fewer per instruction that hold a change of slope; each of those is
     # off by at most step**2 * |change of slope| / 8.

@@ -126,8 +126,7 @@ class TestRunProfile:
         assert np.all(telem.angle == 0.0)
 
     def test_poll_spacing_and_monotonicity(self):
-        telem, _ = run_profile(RotationProfile.from_rows([(2.0, 10.0, 1.8)]),
-                               poll=30e-3)
+        telem, _ = run_profile(RotationProfile.from_rows([(2.0, 10.0, 1.8)]))
         d = np.diff(telem.t)
         assert np.all(d > 0)
         assert np.max(np.abs(d - 30e-3)) < 1e-12
@@ -153,60 +152,6 @@ class TestRunProfile:
         ramp = telem.t < 5.0 - 1e-9
         assert np.all(telem.accel[ramp] == 1.8)
         assert np.all(telem.accel[~ramp] == 0.0)
-
-    def test_jitter_knob(self):
-        telem, _ = run_profile(RotationProfile.from_rows([(2.0, 10.0, 1.8)]),
-                               jitter_rms=1e-3, rng=np.random.default_rng(0))
-        assert np.all(np.diff(telem.t) > 0)
-        assert np.max(np.abs(np.diff(telem.t) - 30e-3)) > 1e-5
-
-
-class TestServoLag:
-    def test_matches_ode_oracle(self):
-        # independent oracle: numerically integrate dr/dt = (cmd - r)/T
-        from scipy.integrate import solve_ivp
-        from nvgyro import ServoLag
-        prof = RotationProfile.from_rows([(30.0, 45.0, 1.8), (20.0, -10.0, 3.0)])
-        traj = RateTrajectory(prof)
-        lag = ServoLag(traj, 0.8)
-        sol = solve_ivp(lambda t, r: (traj.rate_at(t) - r) / 0.8,
-                        (0.0, 50.0), [0.0], rtol=1e-10, atol=1e-12,
-                        dense_output=True, max_step=0.5)
-        for t in (3.0, 12.5, 25.0, 31.0, 49.0):
-            assert lag.rate_at(t) == pytest.approx(float(sol.sol(t)[0]), abs=1e-7)
-
-    def test_angle_matches_numeric_integral(self):
-        from nvgyro import ServoLag
-        prof = RotationProfile.from_rows([(15.0, 20.0, 1.8)])
-        lag = ServoLag(RateTrajectory(prof), 0.5)
-        ts = np.linspace(0.0, 15.0, 200_001)
-        numeric = np.trapezoid(lag.rate_at(ts), ts)
-        assert lag.angle_at(15.0) == pytest.approx(numeric, abs=1e-6)
-
-    def test_small_lag_approaches_perfect_servo(self):
-        from nvgyro import ServoLag
-        prof = RotationProfile.from_rows([(30.0, 45.0, 1.8)])
-        traj = RateTrajectory(prof)
-        lag = ServoLag(traj, 1e-4)
-        for t in (5.0, 20.0, 29.0):
-            assert lag.rate_at(t) == pytest.approx(traj.rate_at(t), abs=1e-3)
-
-    def test_lagged_rate_always_trails_ramp(self):
-        from nvgyro import ServoLag
-        prof = RotationProfile.from_rows([(30.0, 45.0, 1.8)])
-        traj = RateTrajectory(prof)
-        lag = ServoLag(traj, 1.0)
-        ts = np.linspace(0.01, 24.0, 50)
-        assert np.all(lag.rate_at(ts) < traj.rate_at(ts))
-
-    def test_run_profile_servo_lag_knob(self):
-        telem, source = run_profile(
-            RotationProfile.from_rows([(40.0, 36.0, 1.8)]), servo_lag=0.5
-        )
-        ramp_end = 36.0 / 1.8
-        i = int(np.searchsorted(telem.t, ramp_end))
-        assert telem.rate[i] < 36.0
-        assert telem.rate[-1] == pytest.approx(36.0, abs=1e-6)
 
 
 class TestProfileCsv:
