@@ -73,11 +73,8 @@ from .sequence import (
     pump_state,
     ramsey_projections,
     ramsey_signals,
-    run_4ramsey_point,
-    run_dq_ramsey,
     run_gyro_stream,
     sweep_fringes,
-    sweep_single_ramsey,
 )
 from .spin import (
     ABSOLUTE_FRAME,

@@ -32,8 +32,7 @@ from .errors import (
     NonUniformGridError,
 )
 from .sequence import FringeSeries
-
-DEG_PER_REV = 360.0
+from .spin import DEG_PER_REV
 
 
 class WorkingPointWarning(UserWarning):
@@ -110,15 +109,12 @@ def spectrum_peak_frequency(freqs: np.ndarray, power: np.ndarray) -> float:
     return float(freqs[i])
 
 
-def _initial_guess(taus, values, f_init):
+def _initial_guess(taus, values):
     y = values - np.mean(values)
     if np.max(np.abs(y)) == 0.0:
         raise InsufficientSpanError("constant series has no fringe to fit")
-    if f_init is None:
-        freqs, power = _spectrum(taus, values)
-        f0 = spectrum_peak_frequency(freqs, power)
-    else:
-        f0 = float(f_init)
+    freqs, power = _spectrum(taus, values)
+    f0 = spectrum_peak_frequency(freqs, power)
     span = taus[-1] - taus[0]
     if f0 <= 0 or span * f0 < 1.0:
         raise InsufficientSpanError(
@@ -143,8 +139,7 @@ def _initial_guess(taus, values, f_init):
     return np.array([a0, f0, phi0, t2_0, float(np.mean(values))])
 
 
-def fit_decaying_sine(series: FringeSeries,
-                      f_init: float | None = None) -> FringeFit:
+def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     """Least-squares fit of a decaying sine to a fringe series.
 
     Initialization: FFT peak (f), windowed-RMS decay (A, T2*), quadrature
@@ -159,7 +154,7 @@ def fit_decaying_sine(series: FringeSeries,
     values = series.values
     if len(taus) < 8:
         raise InsufficientSpanError("need at least 8 points")
-    x0 = _initial_guess(taus, values, f_init)
+    x0 = _initial_guess(taus, values)
     weights = None
     if series.sigma is not None and np.all(series.sigma > 0):
         weights = 1.0 / series.sigma
@@ -220,20 +215,19 @@ class Calibration:
         return self.per_hz / DEG_PER_REV
 
 
-def calibration_from_fringes(fit, tau_wp: float,
-                             null_tolerance: float = 0.1) -> Calibration:
+def calibration_from_fringes(fit, tau_wp: float) -> Calibration:
     """alpha = 4*pi*tau_wp*A_wp from the fringe amplitude near tau_wp.
 
     Accepts a FringeFit (the fitted envelope supplies A_wp and the fringe
-    phase supplies the slope sign; warns if tau_wp is not at a zero
-    crossing) or a bare local amplitude (used as-is, positive slope).
+    phase supplies the slope sign; warns if tau_wp is off a zero crossing
+    by |sin| > 0.1) or a bare local amplitude (used as-is, positive slope).
     """
     if tau_wp <= 0:
         raise ValueError("tau_wp must be > 0")
     if isinstance(fit, FringeFit):
         a_wp = fit.amplitude_at(tau_wp)
         arg = 2.0 * math.pi * fit.f * tau_wp + fit.phi
-        if abs(math.sin(arg)) > null_tolerance:
+        if abs(math.sin(arg)) > 0.1:
             warnings.warn(
                 f"tau_wp={tau_wp:.6g} s is off the fringe zero crossing "
                 f"(|sin| = {abs(math.sin(arg)):.3f}); alpha is biased low",
@@ -285,11 +279,11 @@ class AllanSeries:
             raise ValueError("tau_avg must be strictly increasing")
 
 
-def octave_m_values(n: int, max_fraction: int = 4) -> list[int]:
-    """Octave-spaced averaging factors 1, 2, 4, ... up to n / max_fraction."""
+def octave_m_values(n: int) -> list[int]:
+    """Octave-spaced averaging factors 1, 2, 4, ... up to n / 4."""
     out = []
     m = 1
-    while m <= max(n // max_fraction, 1):
+    while m <= max(n // 4, 1):
         out.append(m)
         m *= 2
     return out

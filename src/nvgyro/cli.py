@@ -40,7 +40,7 @@ from .sequence import (
     ramsey_signals,
     run_gyro_stream,
 )
-from .spin import dq_splitting, transition_frequencies
+from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
 
 
 def _load(args) -> ExperimentConfig:
@@ -81,9 +81,10 @@ def _write_manifest(out: Path, command: str, cfg: ExperimentConfig,
     })
 
 
-def _alpha_direct(cfg: ExperimentConfig, delta_nu: float = 0.01) -> tuple[float, float]:
-    """(baseline R at nu=0, dR/dnu) from noiseless points at +-delta_nu."""
+def _alpha_direct(cfg: ExperimentConfig) -> tuple[float, float]:
+    """(baseline R at nu=0, dR/dnu) from noiseless points at +-0.01 Hz."""
     seq = cfg.sequence
+    delta_nu = 0.01
     base, plus, minus = combine_4ramsey(ramsey_signals(
         seq, cfg.environment, cfg.constants, seq.tau_wp,
         nu=np.array([0.0, delta_nu, -delta_nu])))
@@ -152,7 +153,7 @@ def cmd_gyro(args) -> int:
     t0 = time.monotonic()
     cfg = _load(args)
     telemetry, traj = run_profile(RotationProfile.from_csv(args.profile))
-    duration = traj.total_duration
+    duration = traj.t_end
     if duration < cfg.sequence.cycle_period:
         raise ConfigError(f"{args.profile}: profile lasts {duration} s, "
                           f"shorter than one cycle")
@@ -163,7 +164,7 @@ def cmd_gyro(args) -> int:
     rng = np.random.default_rng(cfg.seed)
 
     def nu_at(t):
-        return traj.rate_at(t) / 360.0  # deg/s -> Hz
+        return traj.rate_at(t) / DEG_PER_REV  # deg/s -> Hz
 
     stream = run_gyro_stream(cfg.sequence, cfg.environment, cfg.constants,
                              duration, rng, nu_at=nu_at)
@@ -172,7 +173,7 @@ def cmd_gyro(args) -> int:
     baseline, alpha0 = _alpha_direct(cfg)
     report: dict = {
         "alpha0_per_hz": alpha0,
-        "alpha0_per_dps": alpha0 / 360.0,
+        "alpha0_per_dps": alpha0 / DEG_PER_REV,
         "baseline": baseline,
         "n_samples": len(stream),
     }
@@ -187,15 +188,14 @@ def cmd_gyro(args) -> int:
         report.update({
             "alpha_per_hz": slope,
             "alpha_stderr_per_hz": stderr,
-            "alpha_per_dps": slope / 360.0,
-            "alpha_stderr_per_dps": stderr / 360.0,
+            "alpha_per_dps": slope / DEG_PER_REV,
+            "alpha_stderr_per_dps": stderr / DEG_PER_REV,
             "intercept": intercept,
         })
         alpha_used, baseline_used = slope, intercept
     else:
         alpha_used, baseline_used = alpha0, baseline
     report["alpha_used_per_hz"] = alpha_used
-    stream.meta.update(alpha_per_hz=alpha_used, seed=cfg.seed)
 
     nu_hat = rotation_from_signal(stream.S, alpha_used, baseline_used)
     write_table(out / "telemetry.csv",
@@ -204,11 +204,11 @@ def cmd_gyro(args) -> int:
     write_table(out / "signal.csv", ["t_s", "signal"], [stream.t, stream.S])
     write_table(out / "rotation.csv",
                 ["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                [stream.t, nu_hat, nu_hat * 360.0, nu_true * 360.0])
+                [stream.t, nu_hat, nu_hat * DEG_PER_REV, nu_true * DEG_PER_REV])
     write_json(out / "regression.json", report)
     outputs = ["telemetry.csv", "signal.csv", "rotation.csv", "regression.json"]
     _write_manifest(out, "gyro", cfg, outputs, t0)
-    rms = float(np.sqrt(np.mean((nu_hat - nu_true) ** 2))) * 360.0
+    rms = float(np.sqrt(np.mean((nu_hat - nu_true) ** 2))) * DEG_PER_REV
     print(f"gyro: {len(stream)} samples over {duration:.1f} s, "
           f"table-vs-gyro RMS {rms:.3f} deg/s -> {out}")
     return 0
@@ -223,13 +223,12 @@ def cmd_allan(args) -> int:
     env = cfg.environment.replace(nu=0.0)
     stream = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
     baseline, alpha0 = _alpha_direct(cfg)
-    stream.meta.update(alpha_per_hz=alpha0, seed=cfg.seed)
     nu_hat = rotation_from_signal(stream.S, alpha0, baseline)
     series = allan_deviation(nu_hat, cfg.sequence.cycle_period)
 
     write_table(out / "allan.csv",
                 ["tau_s", "adev_hz", "adev_dps", "n_samples"],
-                [series.tau_avg, series.adev, series.adev * 360.0,
+                [series.tau_avg, series.adev, series.adev * DEG_PER_REV,
                  series.n_samples])
     first = slice(0, min(4, len(series.tau_avg)))
     arw = float(np.median(series.adev[first] * np.sqrt(series.tau_avg[first])))
@@ -240,9 +239,9 @@ def cmd_allan(args) -> int:
         "duration_s": args.duration,
         "n_samples": len(stream),
         "arw_hz_per_rt_hz": arw,
-        "arw_dps_per_rt_s": arw * 360.0,
+        "arw_dps_per_rt_s": arw * DEG_PER_REV,
         "bias_stability_hz": float(series.adev[i_min]),
-        "bias_stability_dps": float(series.adev[i_min]) * 360.0,
+        "bias_stability_dps": float(series.adev[i_min]) * DEG_PER_REV,
         "bias_stability_at_s": float(series.tau_avg[i_min]),
         "psn_prediction_hz_per_rt_hz": psn.hz_per_rt_hz,
         "alpha0_per_hz": alpha0,

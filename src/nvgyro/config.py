@@ -73,14 +73,13 @@ class ExperimentConfig:
                    "fringes": self.fringes, "run": self}
         out = {section: {key: getattr(obj, key) for key in SCHEMA[section]}
                for section, obj in objects.items()}
-        frame = seq.effective_frame
-        out["sequence"].update(f1_ref=frame.f1, f2_ref=frame.f2)
+        out["sequence"].update(f1_ref=seq.frame.f1, f2_ref=seq.frame.f2)
         return out
 
 
 def _fringe_frequency(environment, constants, frame) -> float:
-    """DQ fringe frequency at nu = 0 in frame (None: phase reset)."""
-    return dq_splitting(environment.B, constants) - (frame or ABSOLUTE_FRAME).dq_reference
+    """DQ fringe frequency at nu = 0 in frame."""
+    return dq_splitting(environment.B, constants) - frame.dq_reference
 
 
 # --------------------------------------------------------------------------
@@ -242,9 +241,9 @@ def _build(origin, section, kwargs):
         raise ConfigError(f"{origin}: [{section}]: {exc}") from None
 
 
-def _frame(origin, entries, environment, constants) -> RotatingFrame | None:
+def _frame(origin, entries, environment, constants) -> RotatingFrame:
     """Rotating frame of the sequence mode keys: phase_reference = reset
-    (default, no frame) or resonant (with dq_detuning), or explicit
+    (default, ABSOLUTE_FRAME) or resonant (with dq_detuning), or explicit
     f1_ref/f2_ref tone references."""
     def number(key, default=None):
         if key not in entries:
@@ -274,7 +273,7 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame | None:
         return RotatingFrame.dq_detuned(nominal, constants, dq_detuning)
     if dq_detuning:
         raise ConfigError(f"{origin}: dq_detuning requires phase_reference = resonant")
-    return None
+    return ABSOLUTE_FRAME
 
 
 def build_config(sections, origin: str = "<config>") -> ExperimentConfig:

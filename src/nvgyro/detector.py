@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spin import ELEMENTARY_CHARGE
+from .spin import DEG_PER_REV, ELEMENTARY_CHARGE
 
 #: Measured DQ coherence time T2* (s), the default of SequenceConfig.t2_dq.
 DEFAULT_T2_DQ = 1.95e-3
@@ -126,7 +126,7 @@ class RotationSensitivity:
     @property
     def dps_per_rt_s(self) -> float:
         """Degrees per root second: 1 Hz of rotation is 360 deg/s."""
-        return self.hz_per_rt_hz * 360.0
+        return self.hz_per_rt_hz * DEG_PER_REV
 
 
 def psn_rotation_sensitivity(d: DetectorConfig, tau: float,

@@ -17,16 +17,11 @@ def write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise ValueError("columns must have equal lengths")
+    cells = [map(str, a.tolist()) if np.issubdtype(a.dtype, np.integer)
+             else map(repr, a.astype(float).tolist()) for a in arrays]
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(a[i]) for a in arrays) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return repr(float(value))
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def read_table(path) -> dict[str, np.ndarray]:

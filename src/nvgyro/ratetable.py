@@ -89,6 +89,10 @@ class Instruction:
             raise ValueError("instruction duration must be finite and > 0")
         if not 0.0 < self.accel < math.inf:
             raise ValueError("instruction accel must be finite and > 0")
+        if not abs(self.rate_setpoint) <= DEFAULT_RATE_LIMIT:
+            raise ValueError(
+                f"rate_dps {self.rate_setpoint} is outside the "
+                f"+-{DEFAULT_RATE_LIMIT} deg/s table limit")
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,6 @@ class RotationProfile:
     def __post_init__(self):
         if not self.instructions:
             raise ValueError("profile must contain at least one instruction")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(i.duration for i in self.instructions)
 
     @classmethod
     def from_rows(cls, rows) -> "RotationProfile":
@@ -132,15 +132,9 @@ class RotationProfile:
                 if len(row) != 3:
                     raise ConfigError(f"{path}:{lineno}: expected 3 columns")
                 try:
-                    ins = Instruction(*(float(cell) for cell in row))
+                    instructions.append(Instruction(*(float(cell) for cell in row)))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
-                if not abs(ins.rate_setpoint) <= DEFAULT_RATE_LIMIT:
-                    raise ConfigError(
-                        f"{path}:{lineno}: rate_dps {ins.rate_setpoint} is "
-                        f"outside the +-{DEFAULT_RATE_LIMIT} deg/s table limit"
-                    )
-                instructions.append(ins)
         if not instructions:
             raise ConfigError(f"{path}: profile has no instructions")
         return cls(tuple(instructions))
@@ -181,8 +175,6 @@ class RateTrajectory:
         r_edges = [0.0]
         slopes: list[float] = []
         for ins in profile.instructions:
-            if abs(ins.rate_setpoint) > DEFAULT_RATE_LIMIT:
-                raise ValueError("instruction setpoint exceeds the table limit")
             t0, r0 = t_edges[-1], r_edges[-1]
             gap = ins.rate_setpoint - r0
             t_ramp = abs(gap) / ins.accel
@@ -213,10 +205,6 @@ class RateTrajectory:
     @property
     def t_end(self) -> float:
         return float(self._t[-1])
-
-    @property
-    def total_duration(self) -> float:
-        return self.t_end
 
     def _segment(self, t):
         t = np.asarray(t, dtype=float)

@@ -21,10 +21,12 @@ Every experiment here is evaluated by one kernel, ramsey_projections:
 the noise-free bright projections of the four phase-table Ramseys,
 Tr(W_j rho(tau)) with W_j = U2_j^dag |0><0| U2_j, broadcast over arrays
 of delays and rotation rates.  Shot noise is added afterwards, one
-normal draw per (delay or cycle, phase entry) in C order.  The
-density-matrix chain pump_state -> apply_pulse -> evolve_free ->
-apply_pulse -> bright_projection computes the same projections one
-shot at a time and serves as the test oracle for the kernel.
+normal draw per (delay or cycle, phase entry) in C order, by
+ramsey_signals; a single Ramsey record is one of its four columns, and
+combine_4ramsey forms R from them.  The density-matrix chain
+pump_state -> apply_pulse -> evolve_free -> apply_pulse ->
+bright_projection computes the same projections one shot at a time and
+serves as the test oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ class SequenceConfig:
     """Timing, phase cycling, imperfections and readout of the experiment.
 
     rf_gradient is a tuple of (weight, area_scale) sub-ensembles with
-    weights summing to one.  frame=None selects the phase-reset
-    convention (fringes at absolute transition frequencies); pass a
-    RotatingFrame for synchronized synthesizers.  The readout window is
-    detector.t_R; t2_dq (default for both decay channels) is also the
-    T2* of the sensitivity budget.
+    weights summing to one.  The default ABSOLUTE_FRAME is the
+    phase-reset convention (fringes at absolute transition frequencies);
+    pass another RotatingFrame for synchronized synthesizers.  The
+    readout window is detector.t_R; t2_dq (default for both decay
+    channels) is also the T2* of the sensitivity budget.
     """
 
     tau_wp: float = 1.428e-3
@@ -85,7 +87,7 @@ class SequenceConfig:
     phase_table: tuple[tuple[float, float], ...] = DEFAULT_PHASE_TABLE
     t2_dq: float = DEFAULT_T2_DQ
     t2_sq: float | None = None
-    frame: RotatingFrame | None = None
+    frame: RotatingFrame = ABSOLUTE_FRAME
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     noise: NoiseHooks = field(default_factory=NoiseHooks)
 
@@ -118,10 +120,6 @@ class SequenceConfig:
                 f"{name} = {delay:g} s must be >= 0 and, after the "
                 f"{self.pump_duration:g} s pump, fit in cycle_period = "
                 f"{self.cycle_period:g} s")
-
-    @property
-    def effective_frame(self) -> RotatingFrame:
-        return ABSOLUTE_FRAME if self.frame is None else self.frame
 
     @property
     def effective_t2_sq(self) -> float:
@@ -157,12 +155,10 @@ class FringeSeries:
 
 @dataclass
 class GyroTimeSeries:
-    """Working-point stream: timestamps, combined signal, calibrated rate."""
+    """Working-point stream: cycle-start timestamps and combined signal."""
 
     t: np.ndarray
     S: np.ndarray
-    nu_hat: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -219,7 +215,7 @@ def ramsey_projections(cfg: SequenceConfig, env: FieldEnvironment,
     their broadcast shape leading.  Projections are averaged over the
     rf_gradient sub-ensembles with their weights.
     """
-    d1, d2 = frame_detunings(env, c, cfg.effective_frame, nu)
+    d1, d2 = frame_detunings(env, c, cfg.frame, nu)
     factor = evolution_factor(tau, d1, d2, cfg.t2_dq, cfg.effective_t2_sq)
     pbar = 0.0
     for weight, scale in cfg.rf_gradient:
@@ -248,28 +244,6 @@ def combine_4ramsey(signals) -> np.ndarray:
     return (s[..., 0] - s[..., 1] + s[..., 2] - s[..., 3]) / 4.0
 
 
-def run_dq_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
-                  c: PhysicalConstants, tau: float,
-                  second_pulse_phases: tuple[float, float],
-                  rng: np.random.Generator | None = None) -> float:
-    """Normalized signal S of a single DQ Ramsey shot at delay tau.
-
-    Deterministic without an rng; with one, a single photon-shot-noise
-    draw is added to the ensemble-averaged readout.
-    """
-    # The kernel evaluates a whole 4-entry table; fill it with this pair.
-    single = cfg.replace(phase_table=(second_pulse_phases,) * 4)
-    proj = ramsey_projections(single, env, c, tau)[0]
-    return float(readout_signal(cfg.detector, proj, rng))
-
-
-def run_4ramsey_point(cfg: SequenceConfig, env: FieldEnvironment,
-                      c: PhysicalConstants, tau: float,
-                      rng: np.random.Generator | None = None) -> float:
-    """Combined signal R = (R1 - R2 + R3 - R4)/4 over the phase table."""
-    return float(combine_4ramsey(ramsey_signals(cfg, env, c, tau, rng)))
-
-
 def combined_sigma(cfg: SequenceConfig) -> float:
     """Photon-shot-noise std of one combined 4-Ramsey sample (S units)."""
     return signal_sigma(cfg.detector) / 2.0
@@ -282,27 +256,11 @@ def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    if taus.size > 1 and np.any(np.diff(taus) <= 0):
-        raise ValueError("tau grid must be strictly increasing")
     cfg.check_delay(taus[-1], "max tau")
     values = combine_4ramsey(ramsey_signals(cfg, env, c, taus, rng))
     sigma = None
     if rng is not None:
         sigma = np.full(taus.shape, combined_sigma(cfg))
-    return FringeSeries(taus=taus, values=values, sigma=sigma)
-
-
-def sweep_single_ramsey(cfg: SequenceConfig, env: FieldEnvironment,
-                        c: PhysicalConstants, tau_grid: Sequence[float],
-                        phase_entry: int,
-                        rng: np.random.Generator | None = None) -> FringeSeries:
-    """Sweep of one of the four Ramsey variants (phase_table[phase_entry])."""
-    taus = np.asarray(tau_grid, dtype=float)
-    proj = ramsey_projections(cfg, env, c, taus)[..., phase_entry]
-    values = readout_signal(cfg.detector, proj, rng)
-    sigma = None
-    if rng is not None:
-        sigma = np.full(taus.shape, signal_sigma(cfg.detector))
     return FringeSeries(taus=taus, values=values, sigma=sigma)
 
 
@@ -340,9 +298,4 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
             step = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
             combined = combined + np.cumsum(rng.normal(0.0, step, size=n))
 
-    meta = {
-        "tau_wp": cfg.tau_wp,
-        "cycle_period": cfg.cycle_period,
-        "n_cycles": n,
-    }
-    return GyroTimeSeries(t=ts, S=combined, meta=meta)
+    return GyroTimeSeries(t=ts, S=combined)

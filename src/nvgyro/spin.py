@@ -36,6 +36,9 @@ from .errors import SingularSplittingError
 # Elementary charge in A*s, used by the photodetector shot-noise budget.
 ELEMENTARY_CHARGE = 1.602176634e-19
 
+# Degrees per revolution: a rotation of 1 Hz is 360 deg/s.
+DEG_PER_REV = 360.0
+
 # Basis index for each nuclear spin projection.
 M_INDEX = {+1: 0, 0: 1, -1: 2}
 
@@ -146,11 +149,6 @@ class RotatingFrame:
     @property
     def dq_reference(self) -> float:
         return self.f1 - self.f2
-
-    @classmethod
-    def on_resonance(cls, env: FieldEnvironment, c: PhysicalConstants) -> "RotatingFrame":
-        f1, f2 = transition_frequencies(env, c)
-        return cls(f1=f1, f2=f2)
 
     @classmethod
     def dq_detuned(cls, env: FieldEnvironment, c: PhysicalConstants,

@@ -21,6 +21,7 @@ from nvgyro import (
     TableState,
     allan_deviation,
     calibration_from_fringes,
+    combine_4ramsey,
     dq_splitting,
     dynamic_range,
     fit_decaying_sine,
@@ -28,13 +29,12 @@ from nvgyro import (
     linearity,
     power_spectrum,
     psn_rotation_sensitivity,
-    run_4ramsey_point,
+    ramsey_signals,
     run_gyro_stream,
     run_profile,
     snap_to_cos_null,
     step,
     sweep_fringes,
-    sweep_single_ramsey,
     transition_frequencies,
     triangle_profile,
 )
@@ -89,10 +89,8 @@ def test_criterion_03_sq_cancellation():
     cfg = SequenceConfig(rf_gradient=((0.5, 0.9), (0.5, 1.1)))
     n, dt = 4096, 78.125e-9
     taus = np.arange(n) * dt + 1e-9
-    rng = np.random.default_rng(7)
-    singles = np.empty((n, 4))
-    for j in range(4):
-        singles[:, j] = sweep_single_ramsey(cfg, ENV, C, taus, j, rng).values
+    # R1..R4 share one shot-noise draw, as the records of one measurement
+    singles = ramsey_signals(cfg, ENV, C, taus, np.random.default_rng(7))
     combined = (singles[:, 0] - singles[:, 1] + singles[:, 2] - singles[:, 3]) / 4
     f1, f2 = transition_frequencies(ENV, C)
     f_dq = f1 - f2
@@ -172,13 +170,14 @@ def test_criterion_07_calibration_agreement():
     alpha_fringe = calibration_from_fringes(fit, tau_wp).per_hz
 
     dtau = 2e-8
-    ds_dtau = (run_4ramsey_point(cfg, ENV, C, tau_wp + dtau)
-               - run_4ramsey_point(cfg, ENV, C, tau_wp - dtau)) / (2 * dtau)
+    r_plus, r_minus = combine_4ramsey(ramsey_signals(
+        cfg, ENV, C, np.array([tau_wp + dtau, tau_wp - dtau])))
+    ds_dtau = (r_plus - r_minus) / (2 * dtau)
     from nvgyro import calibration_from_slope
     alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq).per_hz
 
     telem, traj = run_profile(triangle_profile(180.0, 1.8, cycles=1))
-    stream = run_gyro_stream(cfg, ENV, C, traj.total_duration,
+    stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
                              np.random.default_rng(42),
                              nu_at=lambda t: traj.rate_at(t) / 360.0)
     nu = np.asarray(traj.rate_at(stream.t)) / 360.0
@@ -211,10 +210,10 @@ def test_criterion_08_allan_suite():
     f_dq = dq_splitting(482.0, C)
     tau_wp = snap_to_cos_null(1.428e-3, f_dq)
     base_cfg = SequenceConfig(tau_wp=tau_wp)
-    baseline = run_4ramsey_point(base_cfg, ENV, C, tau_wp)
     dn = 0.01
-    alpha = (run_4ramsey_point(base_cfg, ENV.replace(nu=dn), C, tau_wp)
-             - run_4ramsey_point(base_cfg, ENV.replace(nu=-dn), C, tau_wp)) / (2 * dn)
+    baseline, plus, minus = combine_4ramsey(ramsey_signals(
+        base_cfg, ENV, C, tau_wp, nu=np.array([0.0, dn, -dn])))
+    alpha = (plus - minus) / (2 * dn)
     t_c = base_cfg.cycle_period
     target_sample_sigma = 13e-3 / math.sqrt(t_c)  # Hz per sample for 13 mHz/rtHz
     psn_sigma = combined_sigma(base_cfg) / abs(alpha)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from nvgyro import (
+    ABSOLUTE_FRAME,
     ConfigError,
     build_config,
     default_config,
@@ -125,7 +126,7 @@ class TestParser:
 class TestDefaults:
     def test_default_config_is_reset_mode(self):
         cfg = default_config()
-        assert cfg.sequence.frame is None
+        assert cfg.sequence.frame == ABSOLUTE_FRAME
         assert cfg.fringe_frequency() == pytest.approx(
             dq_splitting(482.0, cfg.constants)
         )

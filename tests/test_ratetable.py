@@ -179,3 +179,11 @@ class TestProfileCsv:
             Instruction(0.0, 10.0, 1.8)
         with pytest.raises(ValueError):
             Instruction(1.0, 10.0, 0.0)
+
+    @pytest.mark.parametrize("rate", [500.0, -400.5, float("nan")])
+    def test_setpoint_outside_table_limit_rejected(self, rate):
+        # the +-400 deg/s limit holds for every profile, not only a CSV one
+        with pytest.raises(ValueError, match="table limit"):
+            Instruction(1.0, rate, 1.8)
+        with pytest.raises(ValueError, match="table limit"):
+            RateTrajectory(RotationProfile.from_rows([(10.0, rate, 1.8)]))

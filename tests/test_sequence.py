@@ -9,17 +9,16 @@ from nvgyro import (
     RotatingFrame,
     SequenceConfig,
     bright_projection,
+    combine_4ramsey,
     dq_splitting,
     fit_decaying_sine,
     power_spectrum,
     pump_state,
     populations,
-    run_4ramsey_point,
-    run_dq_ramsey,
+    ramsey_signals,
     run_gyro_stream,
     snap_to_cos_null,
     sweep_fringes,
-    sweep_single_ramsey,
     transition_frequencies,
 )
 
@@ -64,11 +63,14 @@ class TestPumpState:
 
 
 class TestRunDqRamsey:
+    # a single DQ Ramsey with second-pulse phases (0, 0) is column 0 of
+    # ramsey_signals under the default phase table
+
     def test_tau_zero_is_extremum(self):
         cfg = sync_config()
-        s0 = run_dq_ramsey(cfg, ENV, C, 0.0, (0.0, 0.0))
+        s0 = ramsey_signals(cfg, ENV, C, 0.0)[0]
         taus = np.linspace(0.0, 0.4e-3, 40)
-        vals = [run_dq_ramsey(cfg, ENV, C, float(t), (0.0, 0.0)) for t in taus]
+        vals = ramsey_signals(cfg, ENV, C, taus)[:, 0]
         assert s0 == pytest.approx(min(vals), abs=1e-12)
 
     def test_ideal_sweep_single_spectral_peak(self):
@@ -76,8 +78,8 @@ class TestRunDqRamsey:
         cfg = SequenceConfig()
         n, dt = 2048, 78.125e-9
         taus = np.arange(n) * dt + 1e-9
-        vals = [run_dq_ramsey(cfg, ENV, C, float(t), (0.0, 0.0)) for t in taus]
-        series = FringeSeries(taus=taus, values=np.array(vals))
+        vals = ramsey_signals(cfg, ENV, C, taus)[:, 0]
+        series = FringeSeries(taus=taus, values=vals)
         f1, f2 = transition_frequencies(ENV, C)
         p_dq, freqs, power = spectrum_peak(series, F_DQ)
         p_f1, _, _ = spectrum_peak(series, f1)
@@ -91,8 +93,8 @@ class TestRunDqRamsey:
         cfg = SequenceConfig(rf_gradient=((0.5, 0.9), (0.5, 1.1)))
         n, dt = 2048, 78.125e-9
         taus = np.arange(n) * dt + 1e-9
-        vals = [run_dq_ramsey(cfg, ENV, C, float(t), (0.0, 0.0)) for t in taus]
-        series = FringeSeries(taus=taus, values=np.array(vals))
+        vals = ramsey_signals(cfg, ENV, C, taus)[:, 0]
+        series = FringeSeries(taus=taus, values=vals)
         f1, f2 = transition_frequencies(ENV, C)
         p1, freqs, power = spectrum_peak(series, f1)
         p2, _, _ = spectrum_peak(series, f2)
@@ -102,13 +104,13 @@ class TestRunDqRamsey:
 
     def test_deterministic_without_rng(self):
         cfg = sync_config()
-        a = run_dq_ramsey(cfg, ENV, C, 1e-3, (0.0, 0.0))
-        b = run_dq_ramsey(cfg, ENV, C, 1e-3, (0.0, 0.0))
-        assert a == b
+        a = ramsey_signals(cfg, ENV, C, 1e-3)
+        b = ramsey_signals(cfg, ENV, C, 1e-3)
+        assert np.array_equal(a, b)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            run_dq_ramsey(sync_config(), ENV, C, -1e-6, (0.0, 0.0))
+            ramsey_signals(sync_config(), ENV, C, -1e-6)
 
 
 class TestRun4Ramsey:
@@ -123,8 +125,8 @@ class TestRun4Ramsey:
     def test_identical_phase_entries_cancel(self):
         cfg = sync_config()
         cfg = cfg.replace(phase_table=((0.0, 0.0),) * 4)
-        for tau in (0.0, 0.5e-3, 2e-3):
-            assert run_4ramsey_point(cfg, ENV, C, tau) == pytest.approx(0.0, abs=1e-15)
+        taus = np.array([0.0, 0.5e-3, 2e-3])
+        assert combine_4ramsey(ramsey_signals(cfg, ENV, C, taus)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sq_cancellation_20db(self):
         # residual SQ power in the combined signal is >= 100x (20 dB) below
@@ -133,9 +135,7 @@ class TestRun4Ramsey:
         n, dt = 2048, 78.125e-9
         taus = np.arange(n) * dt + 1e-9
         f1, f2 = transition_frequencies(ENV, C)
-        singles = np.empty((n, 4))
-        for j in range(4):
-            singles[:, j] = sweep_single_ramsey(cfg, ENV, C, taus, j).values
+        singles = ramsey_signals(cfg, ENV, C, taus)
         combined = (singles[:, 0] - singles[:, 1] + singles[:, 2] - singles[:, 3]) / 4
         comb = FringeSeries(taus=taus, values=combined)
         for f_sq in (f1, f2):
@@ -151,7 +151,7 @@ class TestRun4Ramsey:
         n, dt = 1024, 78.125e-9
         taus = np.arange(n) * dt + 1e-9
         f1, _ = transition_frequencies(ENV, C)
-        singles = [sweep_single_ramsey(cfg, ENV, C, taus, j).values for j in range(4)]
+        singles = ramsey_signals(cfg, ENV, C, taus).T
         combined = (singles[0] - singles[1] + singles[2] - singles[3]) / 4
         p_single, _, _ = spectrum_peak(FringeSeries(taus=taus, values=singles[0]), f1)
         p_comb, _, _ = spectrum_peak(FringeSeries(taus=taus, values=combined), f1)
@@ -183,7 +183,7 @@ class TestSweepFringes:
         cfg = sync_config()
         taus = np.linspace(1e-6, 2e-3, 7)
         series = sweep_fringes(cfg, ENV, C, taus)
-        direct = [run_4ramsey_point(cfg, ENV, C, float(t)) for t in taus]
+        direct = [combine_4ramsey(ramsey_signals(cfg, ENV, C, float(t))) for t in taus]
         assert np.allclose(series.values, direct, atol=0)
 
     def test_envelope_decay_reproduced(self):
@@ -230,8 +230,8 @@ class TestGyroStream:
             return 20.0 * np.sin(3 * t) / 360.0
 
         stream = run_gyro_stream(cfg, ENV, C, 0.25, nu_at=nu_at)
-        direct = [run_4ramsey_point(cfg, ENV.replace(nu=float(nu_at(t))), C,
-                                    cfg.tau_wp)
+        direct = [combine_4ramsey(ramsey_signals(
+                      cfg, ENV.replace(nu=float(nu_at(t))), C, cfg.tau_wp))
                   for t in stream.t]
         assert np.allclose(stream.S, direct, atol=1e-15)
 
@@ -239,9 +239,9 @@ class TestGyroStream:
         # S offset at 10 deg/s equals alpha * 10 deg/s within 1%
         cfg = self.wp_config()
         dn = 0.01
-        slope = (run_4ramsey_point(cfg, ENV.replace(nu=dn), C, cfg.tau_wp)
-                 - run_4ramsey_point(cfg, ENV.replace(nu=-dn), C, cfg.tau_wp)) / (2 * dn)
-        base = run_4ramsey_point(cfg, ENV, C, cfg.tau_wp)
+        base, plus, minus = combine_4ramsey(ramsey_signals(
+            cfg, ENV, C, cfg.tau_wp, nu=np.array([0.0, dn, -dn])))
+        slope = (plus - minus) / (2 * dn)
         stream = run_gyro_stream(cfg, ENV.replace(nu=10.0 / 360.0), C, 0.5)
         offset = float(np.mean(stream.S)) - base
         assert offset == pytest.approx(slope * 10.0 / 360.0, rel=0.01)
@@ -251,7 +251,7 @@ class TestGyroStream:
         from nvgyro import run_profile, triangle_profile
         cfg = self.wp_config()
         telem, traj = run_profile(triangle_profile(180.0, 1.8, cycles=1))
-        stream = run_gyro_stream(cfg, ENV, C, traj.total_duration,
+        stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
                                  nu_at=lambda t: traj.rate_at(t) / 360.0)
         nu = np.asarray(traj.rate_at(stream.t)) / 360.0
         coeffs = np.polyfit(nu, stream.S, 1)
@@ -282,9 +282,9 @@ class TestGyroStream:
             lambda d: dq_splitting(482.0 + d, C) - dq_splitting(482.0, C) - target,
             0.0, 0.1,
         )
-        r0 = run_4ramsey_point(cfg, ENV, C, cfg.tau_wp)
-        r_nu = run_4ramsey_point(cfg, ENV.replace(nu=target / 2), C, cfg.tau_wp)
-        r_db = run_4ramsey_point(cfg, ENV.replace(delta_B=db), C, cfg.tau_wp)
+        r0, r_nu = combine_4ramsey(ramsey_signals(
+            cfg, ENV, C, cfg.tau_wp, nu=np.array([0.0, target / 2])))
+        r_db = combine_4ramsey(ramsey_signals(cfg, ENV.replace(delta_B=db), C, cfg.tau_wp))
         assert r_nu - r0 == pytest.approx(r_db - r0, rel=1e-6)
 
     def test_noise_hooks_change_spread(self):

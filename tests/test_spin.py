@@ -149,7 +149,7 @@ def dq_state() -> SpinState:
 
 class TestEvolveFree:
     def on_resonance(self):
-        return RotatingFrame.on_resonance(ENV, C)
+        return RotatingFrame.dq_detuned(ENV, C, 0.0)
 
     def test_tau_zero_identity(self):
         s = dq_state()
