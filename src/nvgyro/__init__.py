@@ -56,21 +56,15 @@ from .ratetable import (
     Instruction,
     RateTrajectory,
     RotationProfile,
-    TableState,
     TableTelemetry,
-    jog,
     run_profile,
-    step,
-    triangle_profile,
 )
 from .sequence import (
     DEFAULT_PHASE_TABLE,
     FringeSeries,
     GyroTimeSeries,
     SequenceConfig,
-    bright_projection,
     combine_4ramsey,
-    pump_state,
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
@@ -84,11 +78,7 @@ from .spin import (
     PulseKind,
     PulseSpec,
     RotatingFrame,
-    SpinState,
-    apply_pulse,
     dq_splitting,
-    evolve_free,
-    populations,
     pulse_unitary,
     transition_frequencies,
 )

@@ -62,7 +62,10 @@ def _check_duration(duration: float, cfg: ExperimentConfig) -> None:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from None
     return out
 
 

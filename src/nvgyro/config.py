@@ -21,6 +21,7 @@ from pathlib import Path
 from .analysis import snap_to_cos_null
 from .detector import DetectorConfig, NoiseHooks
 from .errors import ConfigError
+from .io import _read_text
 from .sequence import SequenceConfig
 from .spin import (
     ABSOLUTE_FRAME,
@@ -307,10 +308,7 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    text = _read_text(path, "config")
     return build_config(_parse_kv_text(text, str(path)), origin=str(path))
 
 
@@ -322,10 +320,7 @@ def default_config() -> ExperimentConfig:
 def load_constants(path) -> PhysicalConstants:
     """Constants profile: bare `key = value` lines or a [constants] section."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read constants profile {path}: {exc}") from None
+    text = _read_text(path, "constants profile")
     sections = _parse_kv_text(text, str(path))
     entries = sections.get("constants", sections.get("", {}))
     extra = set(sections) - {"", "constants"}

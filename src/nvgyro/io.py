@@ -1,4 +1,5 @@
-"""Plot-ready CSV and JSON emission with byte-deterministic formatting."""
+"""Plot-ready CSV and JSON emission with byte-deterministic formatting,
+and the one reader of text input files."""
 
 from __future__ import annotations
 
@@ -24,31 +25,17 @@ def write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def read_table(path) -> dict[str, np.ndarray]:
-    """Read a CSV written by write_table back into named float columns."""
-    path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ConfigError(f"{path}: empty table")
-        names = header.split(",")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            if len(cells) != len(names):
-                raise ConfigError(f"{path}:{lineno}: expected {len(names)} "
-                                  f"columns, got {len(cells)}")
-            try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    data = np.array(rows) if rows else np.empty((0, len(names)))
-    return {name: data[:, i] for i, name in enumerate(names)}
-
-
 def write_json(path, payload: dict) -> None:
     with Path(path).open("w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_text(path: Path, what: str) -> str:
+    """UTF-8 text of an input file; ConfigError if it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {what} {path}: not UTF-8 text") from None

@@ -1,4 +1,4 @@
-"""Rotation platform simulator: JOG-style setpoint ramps and telemetry.
+"""Rotation platform simulator: a perfect-servo rate table and its telemetry.
 
 The table is a perfect servo: it follows its velocity setpoint with a
 linear ramp at the configured angular acceleration.  All kinematics are
@@ -16,66 +16,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .io import _read_text
 
 DEFAULT_RATE_LIMIT = 400.0  # deg/s
 DEFAULT_POLL = 30e-3  # s
-
-
-@dataclass(frozen=True)
-class TableState:
-    """Kinematic state: time (s), angle (deg), rate and setpoint (deg/s),
-    ramp acceleration magnitude (deg/s^2)."""
-
-    t: float = 0.0
-    angle: float = 0.0
-    rate: float = 0.0
-    rate_setpoint: float = 0.0
-    accel: float = 1.8
-    rate_limit: float = DEFAULT_RATE_LIMIT
-
-    def __post_init__(self):
-        if self.accel <= 0:
-            raise ValueError("accel must be > 0")
-        if abs(self.rate) > self.rate_limit or abs(self.rate_setpoint) > self.rate_limit:
-            raise ValueError("rate exceeds the table limit")
-
-    def replace(self, **kwargs) -> "TableState":
-        return replace(self, **kwargs)
-
-
-def jog(state: TableState, new_setpoint: float,
-        accel: float | None = None) -> TableState:
-    """JOG command: update the velocity setpoint (and optionally the ramp
-    acceleration); subsequent steps ramp the rate linearly toward it."""
-    kwargs = {"rate_setpoint": float(new_setpoint)}
-    if accel is not None:
-        kwargs["accel"] = float(accel)
-    return state.replace(**kwargs)
-
-
-def step(state: TableState, dt: float) -> TableState:
-    """Advance by dt: ramp toward the setpoint at +-accel, clamp exactly
-    at the setpoint, integrate the angle exactly (trapezoid)."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    gap = state.rate_setpoint - state.rate
-    if gap == 0.0:
-        return state.replace(t=state.t + dt, angle=state.angle + state.rate * dt)
-    t_ramp = abs(gap) / state.accel
-    if t_ramp >= dt:
-        new_rate = state.rate + math.copysign(state.accel * dt, gap)
-        angle = state.angle + 0.5 * (state.rate + new_rate) * dt
-        return state.replace(t=state.t + dt, angle=angle, rate=new_rate)
-    # Ramp completes inside this step: trapezoid up to the clamp, then hold.
-    angle = state.angle + 0.5 * (state.rate + state.rate_setpoint) * t_ramp
-    angle += state.rate_setpoint * (dt - t_ramp)
-    return state.replace(t=state.t + dt, angle=angle, rate=state.rate_setpoint)
 
 
 @dataclass(frozen=True)
@@ -112,54 +62,23 @@ class RotationProfile:
     @classmethod
     def from_csv(cls, path) -> "RotationProfile":
         path = Path(path)
+        reader = csv.reader(_read_text(path, "profile").splitlines())
+        header = [h.strip() for h in next(reader, [])]
+        if header != ["duration_s", "rate_dps", "accel_dps2"]:
+            raise ConfigError(f"{path}: expected header 'duration_s,rate_dps,accel_dps2'")
         instructions = []
-        try:
-            fh = path.open(newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot read profile {path}: {exc}") from None
-        with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != [
-                "duration_s", "rate_dps", "accel_dps2",
-            ]:
-                raise ConfigError(
-                    f"{path}: expected header 'duration_s,rate_dps,accel_dps2'"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != 3:
-                    raise ConfigError(f"{path}:{lineno}: expected 3 columns")
-                try:
-                    instructions.append(Instruction(*(float(cell) for cell in row)))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise ConfigError(f"{path}:{lineno}: expected 3 columns")
+            try:
+                instructions.append(Instruction(*(float(cell) for cell in row)))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
         if not instructions:
             raise ConfigError(f"{path}: profile has no instructions")
         return cls(tuple(instructions))
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["duration_s", "rate_dps", "accel_dps2"])
-            for ins in self.instructions:
-                writer.writerow([repr(ins.duration), repr(ins.rate_setpoint),
-                                 repr(ins.accel)])
-
-
-def triangle_profile(amplitude: float = 180.0, accel: float = 1.8,
-                     cycles: int = 1) -> RotationProfile:
-    """Repeated linear sweep between -amplitude and +amplitude deg/s,
-    starting from rest (first leg ramps 0 -> +amplitude)."""
-    if amplitude <= 0 or accel <= 0 or cycles < 1:
-        raise ValueError("amplitude, accel must be > 0 and cycles >= 1")
-    leg = 2.0 * amplitude / accel
-    rows = [(amplitude / accel, amplitude, accel)]
-    for _ in range(cycles):
-        rows.append((leg, -amplitude, accel))
-        rows.append((leg, amplitude, accel))
-    return RotationProfile.from_rows(rows)
 
 
 class RateTrajectory:

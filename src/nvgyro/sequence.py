@@ -23,10 +23,10 @@ Tr(W_j rho(tau)) with W_j = U2_j^dag |0><0| U2_j, broadcast over arrays
 of delays and rotation rates.  Shot noise is added afterwards, one
 normal draw per (delay or cycle, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
-combine_4ramsey forms R from them.  The density-matrix chain
-pump_state -> apply_pulse -> evolve_free -> apply_pulse ->
-bright_projection computes the same projections one shot at a time and
-serves as the test oracle for the kernel.
+combine_4ramsey forms R from them.  The test reference model,
+tests/oracle.py, computes the same projections one shot at a time from
+matrix exponentials of the pulse generators and of the free Hamiltonian,
+sharing no code with the kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .spin import (
     PulseKind,
     PulseSpec,
     RotatingFrame,
-    SpinState,
     check_finite,
     evolution_factor,
     frame_detunings,
@@ -97,6 +96,8 @@ class SequenceConfig:
         if not np.all(np.isfinite(self.phase_table)):
             raise ValueError("phase_table phases must be finite")
         weights = [w for w, _ in self.rf_gradient]
+        if any(not 0.0 < w < math.inf for w in weights):
+            raise ValueError("rf_gradient weights must be finite and > 0")
         if not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("rf_gradient weights must sum to 1")
         if any(not 0.0 < s < math.inf for _, s in self.rf_gradient):
@@ -172,20 +173,11 @@ class GyroTimeSeries:
         return len(self.t)
 
 
-def pump_state(fidelity: float = 1.0) -> SpinState:
-    """Optical pump reset: fidelity into |+1>, remainder maximally mixed."""
-    rho = fidelity * SpinState.pure(+1).rho + (1.0 - fidelity) * np.eye(3) / 3.0
-    return SpinState(rho)
-
-
-def bright_projection(state: SpinState) -> float:
-    """Fraction of population outside |0> (the optically bright manifold)."""
-    return float(1.0 - np.real(state.rho[1, 1]))
-
-
 def _prepared_state(cfg: SequenceConfig, scale: float) -> np.ndarray:
-    """Density matrix after pump, SQ pi and the first DQ pulse (phases 0,0)."""
-    rho = pump_state(cfg.pump_fidelity).rho
+    """Density matrix after the optical pump (pump_fidelity in |+1>, the rest
+    maximally mixed), SQ pi and the first DQ pulse (phases 0,0)."""
+    f = cfg.pump_fidelity
+    rho = np.diag([f, 0.0, 0.0]) + (1.0 - f) * np.eye(3) / 3.0
     u_pi = pulse_unitary(PulseSpec(PulseKind.SQ_PI_F1, area_scale=scale))
     u_dq = pulse_unitary(PulseSpec(PulseKind.DQ_TWO_TONE, area_scale=scale))
     rho = u_pi @ rho @ u_pi.conj().T
@@ -295,7 +287,7 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
         if cfg.noise.white_sigma > 0:
             combined = combined + rng.normal(0.0, cfg.noise.white_sigma, size=n)
         if cfg.noise.random_walk_sigma > 0:
-            step = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
-            combined = combined + np.cumsum(rng.normal(0.0, step, size=n))
+            walk = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
+            combined = combined + np.cumsum(rng.normal(0.0, walk, size=n))
 
     return GyroTimeSeries(t=ts, S=combined)

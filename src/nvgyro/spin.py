@@ -1,4 +1,4 @@
-"""Spin-1 nuclear state, transition frequencies, RF pulses, free evolution.
+"""Spin-1 nuclear levels, transition frequencies, RF pulses, free evolution.
 
 The 14N nucleus intrinsic to an NV center is modeled as a bare spin-1 in
 the m_S = 0 electron manifold, basis ordered (m_I = +1, 0, -1).  Level
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,10 +38,6 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 
 # Degrees per revolution: a rotation of 1 Hz is 360 deg/s.
 DEG_PER_REV = 360.0
-
-# Basis index for each nuclear spin projection.
-M_INDEX = {+1: 0, 0: 1, -1: 2}
-
 
 def check_finite(obj, *names: str) -> None:
     """Raise ValueError naming the first listed field of obj that is not finite."""
@@ -162,45 +158,6 @@ class RotatingFrame:
 ABSOLUTE_FRAME = RotatingFrame(0.0, 0.0)
 
 
-@dataclass
-class SpinState:
-    """3x3 density matrix over (m_I = +1, 0, -1)."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (3, 3):
-            raise ValueError("rho must be 3x3")
-
-    @classmethod
-    def pure(cls, m: int) -> "SpinState":
-        rho = np.zeros((3, 3), dtype=complex)
-        rho[M_INDEX[m], M_INDEX[m]] = 1.0
-        return cls(rho)
-
-    @classmethod
-    def maximally_mixed(cls) -> "SpinState":
-        return cls(np.eye(3, dtype=complex) / 3.0)
-
-    def validate(self, atol: float = 1e-12) -> None:
-        if np.linalg.norm(self.rho - self.rho.conj().T) >= atol:
-            raise ValueError("rho is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) >= atol:
-            raise ValueError("trace(rho) != 1")
-        if np.linalg.eigvalsh(self.rho).min() < -1e-10:
-            raise ValueError("rho has a negative eigenvalue")
-
-    def copy(self) -> "SpinState":
-        return SpinState(self.rho.copy())
-
-
-def populations(state: SpinState) -> tuple[float, float, float]:
-    """Diagonal of rho as (p_plus, p_zero, p_minus)."""
-    d = np.real(np.diag(state.rho))
-    return float(d[0]), float(d[1]), float(d[2])
-
-
 def dq_splitting(B, c: PhysicalConstants = LITERATURE_CONSTANTS):
     """Splitting between |+1> and |-1> at bias field B (G). Array-friendly.
 
@@ -271,11 +228,6 @@ def pulse_unitary(p: PulseSpec) -> np.ndarray:
     raise ValueError(f"unknown pulse kind {p.kind!r}")
 
 
-def apply_pulse(state: SpinState, p: PulseSpec) -> SpinState:
-    U = pulse_unitary(p)
-    return SpinState(U @ state.rho @ U.conj().T)
-
-
 def frame_detunings(env: FieldEnvironment, c: PhysicalConstants,
                     frame: RotatingFrame, nu=None):
     """Per-tone phase accumulation rates (Hz) including the rotation shift.
@@ -288,27 +240,13 @@ def frame_detunings(env: FieldEnvironment, c: PhysicalConstants,
     return f1 + nu - frame.f1, f2 - nu - frame.f2
 
 
-def evolve_free(state: SpinState, tau: float, env: FieldEnvironment,
-                c: PhysicalConstants, t2star: float, *,
-                t2_sq: float | None = None,
-                frame: RotatingFrame = ABSOLUTE_FRAME) -> SpinState:
-    """Free precession for tau seconds with exponential dephasing.
-
-    Populations are untouched.  The DQ coherence <+1|rho|-1> turns at
-    (f_DQ + 2*nu) - frame.dq_reference and decays with t2star; the SQ
-    coherences turn at their own detunings and decay with t2_sq
-    (defaulting to the same t2star).
-    """
-    t2_sq = t2star if t2_sq is None else t2_sq
-    d1, d2 = frame_detunings(env, c, frame)
-    return SpinState(state.rho * evolution_factor(tau, d1, d2, t2star, t2_sq))
-
-
 def evolution_factor(tau, delta1, delta2, t2_dq: float,
                      t2_sq: float) -> np.ndarray:
-    """Elementwise factor that free evolution applies to rho.
+    """Elementwise factor that free precession for tau applies to rho.
 
-    tau and the per-tone detunings broadcast against each other; their
+    Populations are untouched.  The DQ coherence <+1|rho|-1> turns at
+    delta1 - delta2 and decays with t2_dq; the SQ coherences turn at
+    their own detunings and decay with t2_sq.  tau and the per-tone detunings broadcast against each other; their
     broadcast shape leads the returned (..., 3, 3) array.
     """
     tau = np.asarray(tau, dtype=float)

@@ -6,6 +6,7 @@ in captured output) and asserts the same condition.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +18,14 @@ from nvgyro import (
     LITERATURE_CONSTANTS,
     NoiseHooks,
     RotatingFrame,
+    RotationProfile,
     SequenceConfig,
-    TableState,
     allan_deviation,
     calibration_from_fringes,
     combine_4ramsey,
     dq_splitting,
     dynamic_range,
     fit_decaying_sine,
-    jog,
     linearity,
     power_spectrum,
     psn_rotation_sensitivity,
@@ -33,15 +33,14 @@ from nvgyro import (
     run_gyro_stream,
     run_profile,
     snap_to_cos_null,
-    step,
     sweep_fringes,
     transition_frequencies,
-    triangle_profile,
 )
 from nvgyro.sequence import combined_sigma
 
 C = LITERATURE_CONSTANTS
 ENV = FieldEnvironment(B=482.0)
+TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -176,7 +175,7 @@ def test_criterion_07_calibration_agreement():
     from nvgyro import calibration_from_slope
     alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq).per_hz
 
-    telem, traj = run_profile(triangle_profile(180.0, 1.8, cycles=1))
+    telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
     stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
                              np.random.default_rng(42),
                              nu_at=lambda t: traj.rate_at(t) / 360.0)
@@ -251,17 +250,16 @@ def test_criterion_09_dynamic_range():
 
 def test_criterion_10_rate_table_kinematics():
     accel, target = 1.8, 180.0
-    state = jog(TableState(accel=accel), target)
+    telem, traj = run_profile(RotationProfile.from_rows([(150.0, target, accel)]))
     dt = 0.03
-    while state.rate < target:
-        state = step(state, dt)
-    # completion time: ramp finishes inside the step that reaches 180
+    polled_at_dt = np.max(np.abs(np.diff(telem.t) - dt)) < 1e-12
+    # completion time: the ramp ends inside the poll interval that first reads 180
     t_done = target / accel
-    completed_in_band = state.t - dt < t_done <= state.t
-    # angle at exactly t_done: subtract the constant-rate overshoot
-    angle_at_done = state.angle - target * (state.t - t_done)
+    t_first = telem.t[np.argmax(telem.rate == target)]
+    completed_in_band = t_first - dt < t_done <= t_first
     closed_form = target**2 / (2 * accel)
-    err = abs(angle_at_done - closed_form)
-    ok = completed_in_band and err < 1e-9 and state.rate == target
+    err = abs(traj.angle_at(t_done) - closed_form)
+    ok = (polled_at_dt and completed_in_band and err < 1e-9
+          and traj.rate_at(t_done) == target and telem.rate[-1] == target)
     _report(10, ok, f"0 -> 180 deg/s at 1.8 deg/s^2 completes at "
                     f"{t_done:.1f} s, angle error {err:.2e} deg < 1e-9")

@@ -1,12 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nvgyro import load_config, triangle_profile
+from nvgyro import ConfigError, load_config, load_constants
 from nvgyro.cli import main
-from nvgyro.io import read_table
+
+TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
+
+
+def read_table(path) -> np.ndarray:
+    return np.genfromtxt(path, delimiter=",", names=True)
 
 # small, fast configs for the CLI round trips
 FRINGES_CFG = """\
@@ -35,13 +41,6 @@ points = 4000
 def fringes_cfg(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(FRINGES_CFG)
-    return path
-
-
-@pytest.fixture
-def profile_csv(tmp_path):
-    path = tmp_path / "profile.csv"
-    triangle_profile(180.0, 1.8, cycles=1).to_csv(path)
     return path
 
 
@@ -113,10 +112,10 @@ class TestFringesCommand:
 
 
 class TestGyroCommand:
-    def test_sweep_run_regression(self, tmp_path, fringes_cfg, profile_csv):
+    def test_sweep_run_regression(self, tmp_path, fringes_cfg):
         out = tmp_path / "out"
         rc = main(["gyro", "--config", str(fringes_cfg), "--profile",
-                   str(profile_csv), "--out", str(out), "--duration", "120"])
+                   str(TRIANGLE_CSV), "--out", str(out), "--duration", "120"])
         assert rc == 0
         report = json.loads((out / "regression.json").read_text())
         assert report["alpha_per_hz"] == pytest.approx(report["alpha0_per_hz"],
@@ -125,7 +124,7 @@ class TestGyroCommand:
         rotation = read_table(out / "rotation.csv")
         assert np.allclose(rotation["nu_hat_dps"], rotation["nu_hat_hz"] * 360.0)
         telem = read_table(out / "telemetry.csv")
-        assert set(telem) == {"t_s", "angle_deg", "rate_dps", "accel_dps2"}
+        assert set(telem.dtype.names) == {"t_s", "angle_deg", "rate_dps", "accel_dps2"}
 
     def test_zero_profile_mean_zero(self, tmp_path, fringes_cfg):
         profile = tmp_path / "zero.csv"
@@ -138,10 +137,10 @@ class TestGyroCommand:
         sem = np.std(rotation["nu_hat_hz"]) / np.sqrt(n)
         assert abs(np.mean(rotation["nu_hat_hz"])) < 5 * sem + 1e-12
 
-    def test_tracking_rms_within_shot_noise(self, tmp_path, fringes_cfg, profile_csv):
+    def test_tracking_rms_within_shot_noise(self, tmp_path, fringes_cfg):
         out = tmp_path / "out"
         main(["gyro", "--config", str(fringes_cfg), "--profile",
-              str(profile_csv), "--out", str(out), "--duration", "120"])
+              str(TRIANGLE_CSV), "--out", str(out), "--duration", "120"])
         report = json.loads((out / "regression.json").read_text())
         rotation = read_table(out / "rotation.csv")
         resid_hz = rotation["nu_hat_hz"] - rotation["table_rate_dps"] / 360.0
@@ -219,9 +218,9 @@ class TestCleanErrors:
         (["budget", "--seed", "-1"], "--seed"),
         (["budget", "--epsilon", "-1"], "--epsilon"),
     ])
-    def test_bad_flag_values(self, tmp_path, profile_csv, capsys, argv, flag):
+    def test_bad_flag_values(self, tmp_path, capsys, argv, flag):
         if argv[0] == "gyro":
-            argv = argv + ["--profile", str(profile_csv)]
+            argv = argv + ["--profile", str(TRIANGLE_CSV)]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -252,6 +251,7 @@ class TestCleanErrors:
         ("sequence", "tau_wp = -inf"),
         ("sequence", "t2_dq = inf"),
         ("sequence", "rf_gradient = 1:inf"),
+        ("sequence", "rf_gradient = 1.5:1, -0.5:0.6"),
         ("sequence", "phase_table = 0:inf, 0:0, 0:0, 0:0"),
         ("noise", "white_sigma = inf"),
         ("fringes", "tau_max = inf"),
@@ -314,9 +314,32 @@ class TestCleanErrors:
         assert rc == 1
         assert "none.csv" in capsys.readouterr().err
 
-    def test_read_table_ragged_row(self, tmp_path):
-        from nvgyro import ConfigError
-        path = tmp_path / "t.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0\n")
-        with pytest.raises(ConfigError, match=f"{path}:3: expected 2 columns"):
-            read_table(path)
+    @pytest.mark.parametrize("kind", ["config", "profile"])
+    def test_non_utf8_input(self, tmp_path, capsys, kind):
+        bad = tmp_path / f"bad.{'cfg' if kind == 'config' else 'csv'}"
+        bad.write_bytes(b"[run]\nseed = 1 \xff\n" if kind == "config"
+                        else b"duration_s,rate_dps,accel_dps2\n\xff\n")
+        argv = (["budget", "--config", str(bad)] if kind == "config"
+                else ["gyro", "--profile", str(bad), "--out", str(tmp_path / "o")])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {kind} {bad}: not UTF-8 text\n"
+
+    def test_non_utf8_constants_profile(self, tmp_path):
+        bad = tmp_path / "consts.txt"
+        bad.write_bytes(b"D = 2.87e9 \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            load_constants(bad)
+
+    @pytest.mark.parametrize("argv, under", [
+        (["budget"], ""),
+        (["allan", "--duration", "1"], "sub"),
+    ], ids=["existing-file", "path-under-a-file"])
+    def test_out_not_a_directory(self, tmp_path, capsys, argv, under):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / under
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ")
+        assert "Traceback" not in err

@@ -1,15 +1,16 @@
 """Physics invariants over random inputs.
 
-The density-matrix chain pump_state -> apply_pulse (SQ pi, DQ) ->
-evolve_free -> apply_pulse (DQ with the second-pulse phases) ->
-bright_projection is the independent oracle for ramsey_projections.
-Seeded runs must repeat bit for bit, and the rate table's angle must be
-the integral of its rate.
+tests/oracle.py, a one-shot-at-a-time model built from matrix
+exponentials that shares no code with the kernel, is the reference for
+ramsey_projections.  Seeded runs must repeat bit for bit, and the rate
+table must ramp toward each setpoint without overshoot and report an
+angle that is the integral of its rate.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,22 +20,17 @@ from nvgyro import (
     FieldEnvironment,
     Instruction,
     NoiseHooks,
-    PulseKind,
-    PulseSpec,
     RotatingFrame,
     RotationProfile,
     RateTrajectory,
     SequenceConfig,
-    apply_pulse,
-    bright_projection,
     combine_4ramsey,
-    evolve_free,
-    pump_state,
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
 )
 from nvgyro.spin import frame_detunings
+from oracle import bright_projections
 
 C = LITERATURE_CONSTANTS
 TOL = 1e-12
@@ -82,22 +78,6 @@ def sequence_configs(draw, phase_table=phase_tables):
     )
 
 
-def oracle(cfg: SequenceConfig, env: FieldEnvironment, tau: float) -> np.ndarray:
-    """Bright projections of the four phase entries, one shot at a time."""
-    out = np.zeros(4)
-    for weight, scale in cfg.rf_gradient:
-        state = pump_state(cfg.pump_fidelity)
-        state = apply_pulse(state, PulseSpec(PulseKind.SQ_PI_F1, area_scale=scale))
-        state = apply_pulse(state, PulseSpec(PulseKind.DQ_TWO_TONE, area_scale=scale))
-        state = evolve_free(state, tau, env, C, cfg.t2_dq, t2_sq=cfg.t2_sq,
-                            frame=cfg.frame)
-        for j, (ph1, ph2) in enumerate(cfg.phase_table):
-            read = apply_pulse(state, PulseSpec(PulseKind.DQ_TWO_TONE, phase_f1=ph1,
-                                                phase_f2=ph2, area_scale=scale))
-            out[j] += weight * bright_projection(read)
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(cfg=sequence_configs(), env=environments(),
        tau_list=st.lists(taus, min_size=1, max_size=3),
@@ -109,7 +89,7 @@ def test_kernel_matches_density_matrix_oracle(cfg, env, tau_list, nu_list):
     assert got.shape == (len(nu_list), len(tau_list), 4)
     for i, nu in enumerate(nu_list):
         for k, tau in enumerate(tau_list):
-            expected = oracle(cfg, env.replace(nu=nu), tau)
+            expected = bright_projections(cfg, env.replace(nu=nu), C, tau)
             np.testing.assert_allclose(got[i, k], expected, rtol=0, atol=TOL)
 
 
@@ -203,3 +183,25 @@ def test_angle_is_integral_of_rate(rows):
     kinks = 2 * len(rows) * h**2 * 2 * max(r.accel for r in rows) / 8
     atol = kinks + 1e-9 * (1.0 + np.max(np.abs(angle)))
     assert np.all(np.abs(angle - integral) <= atol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(instructions, min_size=1, max_size=6))
+def test_rate_ramps_to_each_setpoint_without_overshoot(rows):
+    # Within each instruction the rate moves by at most accel*dt, stays
+    # between its starting rate and the setpoint, and reaches the
+    # setpoint |gap|/accel after the instruction starts.
+    traj = RateTrajectory(RotationProfile(tuple(rows)))
+    t0 = r0 = 0.0
+    for ins in rows:
+        t = np.linspace(t0, t0 + ins.duration, 101)
+        rate = traj.rate_at(t)
+        assert np.all(np.abs(np.diff(rate)) <= ins.accel * np.diff(t) + 1e-9)
+        lo, hi = sorted((r0, ins.rate_setpoint))
+        assert np.all((rate >= lo - 1e-9) & (rate <= hi + 1e-9))
+        gap = ins.rate_setpoint - r0
+        t_reach = min(abs(gap) / ins.accel, ins.duration)
+        assert traj.rate_at(t0 + t_reach) == pytest.approx(
+            r0 + math.copysign(ins.accel * t_reach, gap), abs=1e-9)
+        t0 += ins.duration
+        r0 = traj.rate_at(t0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,24 +8,27 @@ from nvgyro import (
     FieldEnvironment,
     FringeSeries,
     NoiseHooks,
+    PulseKind,
+    PulseSpec,
     RotatingFrame,
     SequenceConfig,
-    bright_projection,
     combine_4ramsey,
     dq_splitting,
     fit_decaying_sine,
     power_spectrum,
-    pump_state,
-    populations,
+    pulse_unitary,
+    ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
     snap_to_cos_null,
     sweep_fringes,
     transition_frequencies,
 )
+from nvgyro.sequence import _prepared_state
 
 C = LITERATURE_CONSTANTS
 ENV = FieldEnvironment(B=482.0)
+TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
 F_DQ = dq_splitting(482.0, C)
 
 
@@ -48,18 +53,30 @@ def spectrum_floor(freqs, power, exclude):
     return float(np.median(power[mask]))
 
 
+def pumped_populations(fidelity: float) -> np.ndarray:
+    """Populations of the pumped state: _prepared_state with its pulses undone."""
+    rho = _prepared_state(SequenceConfig(pump_fidelity=fidelity), 1.0)
+    u = (pulse_unitary(PulseSpec(PulseKind.DQ_TWO_TONE))
+         @ pulse_unitary(PulseSpec(PulseKind.SQ_PI_F1)))
+    return np.diag(u.conj().T @ rho @ u).real
+
+
 class TestPumpState:
     def test_perfect_pump(self):
-        assert populations(pump_state(1.0)) == pytest.approx((1, 0, 0), abs=1e-15)
+        assert pumped_populations(1.0) == pytest.approx((1, 0, 0), abs=1e-15)
 
     def test_partial_pump(self):
-        p = populations(pump_state(0.7))
+        p = pumped_populations(0.7)
         assert p[0] == pytest.approx(0.7 + 0.3 / 3)
         assert p[1] == pytest.approx(0.1)
         assert sum(p) == pytest.approx(1.0)
 
     def test_bright_projection(self):
-        assert bright_projection(pump_state(1.0)) == pytest.approx(1.0)
+        # At tau = 0 the (0,0) and (pi,pi) readouts return a perfectly
+        # pumped ensemble to |0> (dark); (pi,0) and (0,pi) leave it in the
+        # |+-1> superposition (fully bright).
+        proj = ramsey_projections(SequenceConfig(pump_fidelity=1.0), ENV, C, 0.0)
+        assert proj == pytest.approx((0.0, 1.0, 0.0, 1.0), abs=1e-12)
 
 
 class TestRunDqRamsey:
@@ -248,9 +265,9 @@ class TestGyroStream:
 
     def test_linear_response_over_triangle_sweep(self):
         # S vs nu over a +-180 deg/s sweep is linear: residuals << span
-        from nvgyro import run_profile, triangle_profile
+        from nvgyro import RotationProfile, run_profile
         cfg = self.wp_config()
-        telem, traj = run_profile(triangle_profile(180.0, 1.8, cycles=1))
+        telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
         stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
                                  nu_at=lambda t: traj.rate_at(t) / 360.0)
         nu = np.asarray(traj.rate_at(stream.t)) / 360.0
