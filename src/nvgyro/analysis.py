@@ -1,10 +1,11 @@
 """Fringe fitting, spectra, calibration, Allan deviation, working point,
 linearity and dynamic range.
 
-Fringes are modeled as A * exp(-tau/T2*) * sin(2*pi*f*tau + phi) + offset;
-the fit is nonlinear least squares seeded from a zero-padded FFT peak
-(frequency), windowed RMS decay (amplitude, T2*) and quadrature
-projections (phase).
+Fringes are modeled as A * exp(-tau/T2*) * sin(2*pi*f*tau + phi) + offset.
+The fit is variable-projection least squares in numpy: the model is linear
+in (A cos phi, A sin phi, offset), so only (f, T2*) are iterated, seeded
+from a zero-padded FFT peak (frequency) and a windowed RMS decay (T2*).
+The sensitivity-optimal working point has a closed form.
 
 The calibration coefficient alpha converts the working-point signal to a
 rotation rate.  With A_wp the fringe amplitude *in the vicinity of the
@@ -24,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import (
     FitConvergenceError,
@@ -109,7 +109,8 @@ def spectrum_peak_frequency(freqs: np.ndarray, power: np.ndarray) -> float:
     return float(freqs[i])
 
 
-def _initial_guess(taus, values):
+def _initial_guess(taus, values) -> tuple[float, float]:
+    """Seed (f, T2*) from the FFT peak and the RMS decay between halves."""
     y = values - np.mean(values)
     if np.max(np.abs(y)) == 0.0:
         raise InsufficientSpanError("constant series has no fringe to fit")
@@ -131,64 +132,111 @@ def _initial_guess(taus, values):
         t2_0 = (t2c - t1) / math.log(rms1 / rms2)
     else:
         t2_0 = 10.0 * span
-    t2_0 = min(max(t2_0, span / 50.0), 100.0 * span)
-    a0 = math.sqrt(2.0) * rms1 * math.exp(t1 / t2_0)
-    # Quadrature projection for the phase.
-    arg = 2.0 * np.pi * f0 * taus
-    phi0 = math.atan2(float(np.sum(y * np.cos(arg))), float(np.sum(y * np.sin(arg))))
-    return np.array([a0, f0, phi0, t2_0, float(np.mean(values))])
+    return f0, min(max(t2_0, span / 50.0), 100.0 * span)
+
+
+#: Gauss-Newton iterations before the fringe fit gives up.
+MAX_FIT_ITERATIONS = 500
+
+
+class _Projection:
+    """Variable-projection view of the fringe model at fixed (f, T2*).
+
+    The model is linear in (A cos phi, A sin phi, offset) over the basis
+    exp(-tau/T2*) * (sin 2 pi f tau, cos 2 pi f tau, 1); np.linalg.lstsq
+    gives those three, and the residual left over is a function of
+    theta = (f, T2*) alone.  Basis, residuals and derivatives are weighted.
+    """
+
+    def __init__(self, taus, values, weights, theta):
+        self.taus, self.theta = taus, theta
+        f, t2 = theta
+        arg = 2.0 * np.pi * f * taus
+        env = np.exp(-taus / t2) * weights
+        self.basis = np.column_stack([env * np.sin(arg), env * np.cos(arg), weights])
+        self.coef = np.linalg.lstsq(self.basis, values * weights, rcond=None)[0]
+        self.residuals = self.basis @ self.coef - values * weights
+        self.cost = float(self.residuals @ self.residuals)
+
+    def derivatives(self) -> np.ndarray:
+        """Derivatives of the model in (f, T2*) at the solved coefficients."""
+        a1, a2, _ = self.coef
+        env_sin, env_cos = self.basis[:, 0], self.basis[:, 1]
+        t2 = self.theta[1]
+        return np.column_stack([
+            2.0 * np.pi * self.taus * (a1 * env_cos - a2 * env_sin),
+            self.taus / t2 / t2 * (a1 * env_sin + a2 * env_cos),
+        ])
+
+    def jacobian(self) -> np.ndarray:
+        """Kaufman's Jacobian of the residuals in (f, T2*): the derivatives
+        with their part in the span of the basis projected out."""
+        d = self.derivatives()
+        return d - self.basis @ np.linalg.lstsq(self.basis, d, rcond=None)[0]
 
 
 def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     """Least-squares fit of a decaying sine to a fringe series.
 
-    Initialization: FFT peak (f), windowed-RMS decay (A, T2*), quadrature
-    projection (phi).  Converges at relative step < 1e-10; the covariance
-    comes from the Jacobian at the solution, scaled by the reduced
+    Variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1):
+    at each (f, T2*) the amplitude, phase and offset follow from a linear
+    least-squares solve, and a damped Gauss-Newton loop moves (f, T2*)
+    alone, within f >= 0 and T2* >= span/1e4, from the FFT-peak and
+    windowed-RMS-decay seed.  It halves each step until the cost falls,
+    and stops when the relative step is below 1e-10 or the cost falls by
+    less than 1e-12 of itself.  The covariance comes from the full
+    five-parameter Jacobian at the solution, scaled by the reduced
     chi-square (per-point sigmas are used as weights when present).
 
     Raises InsufficientSpanError for short/degenerate data and
-    FitConvergenceError if the optimizer stalls.
+    FitConvergenceError if the loop has not stopped after
+    MAX_FIT_ITERATIONS steps.
     """
     taus = series.taus
     values = series.values
     if len(taus) < 8:
         raise InsufficientSpanError("need at least 8 points")
-    x0 = _initial_guess(taus, values)
-    weights = None
+    theta0 = np.array(_initial_guess(taus, values))
     if series.sigma is not None and np.all(series.sigma > 0):
         weights = 1.0 / series.sigma
+    else:
+        weights = np.ones_like(taus)
+    lower = np.array([0.0, (taus[-1] - taus[0]) / 1e4])
+    xtol, ftol = 1e-10, 1e-12
 
-    def residuals(x):
-        r = _decaying_sine(taus, *x) - values
-        return r * weights if weights is not None else r
+    proj = _Projection(taus, values, weights, theta0)
+    for _ in range(MAX_FIT_ITERATIONS):
+        step = -np.linalg.lstsq(proj.jacobian(), proj.residuals, rcond=None)[0]
+        while True:
+            trial = _Projection(taus, values, weights,
+                                np.maximum(proj.theta + step, lower))
+            small = np.all(np.abs(trial.theta - proj.theta)
+                           <= xtol * (np.abs(proj.theta) + xtol))
+            if trial.cost < proj.cost or small:
+                break
+            step = step / 2.0
+        gain = proj.cost - trial.cost
+        if gain > 0:
+            proj = trial
+        if small or gain <= ftol * proj.cost:
+            break
+    else:
+        raise FitConvergenceError(
+            f"fringe fit did not converge in {MAX_FIT_ITERATIONS} iterations")
 
-    span = taus[-1] - taus[0]
-    lower = [-np.inf, 0.0, -np.inf, span / 1e4, -np.inf]
-    upper = [np.inf, np.inf, np.inf, np.inf, np.inf]
-    result = least_squares(residuals, x0, bounds=(lower, upper),
-                           xtol=1e-10, ftol=1e-12, gtol=1e-14, max_nfev=2000)
-    if result.status <= 0:
-        raise FitConvergenceError(f"fringe fit did not converge: {result.message}")
-    a, f, phi, t2, offset = result.x
-    flip = a < 0
-    if flip:
-        a, phi = -a, phi + math.pi
-    phi %= 2.0 * math.pi
-    if a == 0.0:
-        raise FitConvergenceError("fit collapsed to zero amplitude")
-
-    n, n_par = len(taus), 5
-    jac = result.jac
+    (a1, a2, offset), (f, t2) = proj.coef, proj.theta
+    a = math.hypot(a1, a2)
+    phi = math.atan2(a2, a1) % (2.0 * math.pi)
+    env_sin, env_cos, weight = proj.basis.T
+    d_f, d_t2 = proj.derivatives().T
+    jac = np.column_stack([math.cos(phi) * env_sin + math.sin(phi) * env_cos,
+                           d_f, a1 * env_cos - a2 * env_sin, d_t2, weight])
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jac.T @ jac)
-    dof = max(n - n_par, 1)
-    cov = cov * (2.0 * result.cost / dof)
-    if flip:
-        sign = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
-        cov = sign @ cov @ sign
+    dof = max(len(taus) - 5, 1)
+    cov = cov * (proj.cost / dof)
     res_unweighted = _decaying_sine(taus, a, f, phi, t2, offset) - values
     return FringeFit(A=float(a), f=float(f), phi=float(phi), T2star=float(t2),
                      offset=float(offset), covariance=cov,
@@ -348,20 +396,17 @@ def select_working_point(t2star: float, f_dq: float,
     """Sensitivity-optimal delay, then snapped to the nearest cosine null.
 
     Maximizes tau * exp(-tau/T2*) / sqrt(tau + overhead): the numerator is
-    the fringe slope, the root the per-measurement duty cycle.  With zero
-    overhead the optimum is T2*/2; the per-shot slope alone would peak at
-    T2*.  Both the raw optimum and the snapped tau_wp are returned.
+    the fringe slope, the root the per-measurement duty cycle.  Setting
+    d ln(merit)/d tau = 1/tau - 1/T2* - 1/(2 (tau + overhead)) to zero
+    gives the positive root of 2 tau^2 - (T2* - 2 overhead) tau
+    - 2 T2* overhead = 0.  With zero overhead the optimum is T2*/2; the
+    per-shot slope alone would peak at T2*.  Both the raw optimum and the
+    snapped tau_wp are returned.
     """
     if t2star <= 0 or f_dq <= 0 or overhead < 0:
         raise ValueError("t2star, f_dq must be > 0 and overhead >= 0")
-
-    def neg_merit(tau):
-        return -tau * math.exp(-tau / t2star) / math.sqrt(tau + overhead)
-
-    res = minimize_scalar(neg_merit, bounds=(1e-9, 20.0 * t2star),
-                          method="bounded",
-                          options={"xatol": 1e-12 * t2star})
-    tau_opt = float(res.x)
+    b = t2star - 2.0 * overhead
+    tau_opt = (b + math.sqrt(b * b + 16.0 * t2star * overhead)) / 4.0
     return WorkingPoint(tau_optimal=tau_opt,
                         tau_wp=snap_to_cos_null(tau_opt, f_dq))
 

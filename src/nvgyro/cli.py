@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__
 from .analysis import (
@@ -102,7 +103,7 @@ def cmd_fringes(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"{args.config}: [fringes]: {exc}") from None
     out = _outdir(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     seq, env, consts = cfg.sequence, cfg.environment, cfg.constants
     taus = np.linspace(cfg.fringes.tau_min, cfg.fringes.tau_max, cfg.fringes.points)
 
@@ -164,7 +165,7 @@ def cmd_gyro(args) -> int:
         _check_duration(args.duration, cfg)
         duration = min(duration, args.duration)
     out = _outdir(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
 
     def nu_at(t):
         return traj.rate_at(t) / DEG_PER_REV  # deg/s -> Hz
@@ -222,7 +223,7 @@ def cmd_allan(args) -> int:
     cfg = _load(args)
     _check_duration(args.duration, cfg)
     out = _outdir(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
     stream = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
     baseline, alpha0 = _alpha_direct(cfg)
@@ -233,8 +234,10 @@ def cmd_allan(args) -> int:
                 ["tau_s", "adev_hz", "adev_dps", "n_samples"],
                 [series.tau_avg, series.adev, series.adev * DEG_PER_REV,
                  series.n_samples])
-    first = slice(0, min(4, len(series.tau_avg)))
-    arw = float(np.median(series.adev[first] * np.sqrt(series.tau_avg[first])))
+    # ARW: median of the first four points (m = 1, 2, 4, 8, which every
+    # series has), taken as np.median does: the mean of the middle pair.
+    first = np.sort(series.adev[:4] * np.sqrt(series.tau_avg[:4]))
+    arw = float((first[1] + first[2]) / 2.0)
     i_min = int(np.argmin(series.adev))
     psn = psn_rotation_sensitivity(cfg.sequence.detector, cfg.sequence.tau_wp,
                                    cfg.sequence.t2_dq)

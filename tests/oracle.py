@@ -1,18 +1,25 @@
-"""Reference model of the 4-Ramsey bright projections, one shot at a time.
+"""Reference models the nvgyro kernel and fringe fit are checked against.
 
-It shares no code with the nvgyro kernel.  Pulses are matrix exponentials
-expm(-i*G) of their rotating-wave generators, free precession is
+bright_projections recomputes the 4-Ramsey bright projections one shot
+at a time and shares no code with the nvgyro kernel.  Pulses are matrix
+exponentials expm(-i*G) of their rotating-wave generators, free precession is
 expm(-2*pi*i*H*tau) of the free Hamiltonian built from
 transition_frequencies, and each coherence rho[a, b] decays by its
 coherence order |m_a - m_b|: order 2 with t2_dq, order 1 with t2_sq.
+
+fringe_fit solves the same weighted decaying-sine problem as
+fit_decaying_sine, but with all five parameters free in scipy's
+trust-region least_squares instead of by variable projection.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import least_squares
 
 from nvgyro import PulseKind, PulseSpec, transition_frequencies
+from nvgyro.analysis import _decaying_sine, _initial_guess
 
 #: Nuclear spin projection m_I of each basis index.
 M_I = np.array([+1, 0, -1])
@@ -65,3 +72,30 @@ def bright_projections(cfg, env, c, tau: float) -> np.ndarray:
                                         phase_f2=ph2, area_scale=scale))
             out[j] += weight * (1.0 - read[1, 1].real)
     return out
+
+
+def fringe_fit(series) -> tuple[np.ndarray, np.ndarray]:
+    """(A, f, phi, T2*, offset) and their 1-sigma errors from least_squares.
+
+    Same seed for (f, T2*), bounds, tolerances, weights and chi-square
+    scaled covariance as nvgyro's fit; A, phi and offset start from a
+    linear solve at the seed.
+    """
+    taus, y = series.taus, series.values
+    w = 1.0 / series.sigma
+    f0, t0 = _initial_guess(taus, y)
+    env, arg = np.exp(-taus / t0), 2 * np.pi * f0 * taus
+    basis = np.column_stack([env * np.sin(arg), env * np.cos(arg), np.ones_like(taus)])
+    a1, a2, c = np.linalg.lstsq(basis * w[:, None], y * w, rcond=None)[0]
+    x0 = [math.hypot(a1, a2), f0, math.atan2(a2, a1), t0, c]
+    span = taus[-1] - taus[0]
+    res = least_squares(lambda x: (_decaying_sine(taus, *x) - y) * w, x0,
+                        bounds=([-np.inf, 0.0, -np.inf, span / 1e4, -np.inf], np.inf),
+                        xtol=1e-10, ftol=1e-12, gtol=1e-14, max_nfev=2000)
+    assert res.status > 0, res.message
+    cov = np.linalg.inv(res.jac.T @ res.jac) * (2 * res.cost / (len(taus) - 5))
+    x = res.x.copy()
+    if x[0] < 0:
+        x[0], x[2] = -x[0], x[2] + math.pi
+    x[2] %= 2 * math.pi
+    return x, np.sqrt(np.diag(cov))

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvgyro.analysis
 from nvgyro import (
     AllanSeries,
+    FitConvergenceError,
     FringeSeries,
     InsufficientSpanError,
     NonUniformGridError,
@@ -14,13 +18,18 @@ from nvgyro import (
     dynamic_range,
     fit_decaying_sine,
     linearity,
+    load_config,
     one_rad_rotation_rate,
     power_spectrum,
     rotation_from_signal,
     select_working_point,
     snap_to_cos_null,
+    sweep_fringes,
 )
 from nvgyro.analysis import WorkingPointWarning, _decaying_sine, spectrum_peak_frequency
+from oracle import fringe_fit
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def synth(taus, a=0.0066, f=293.332e3, phi=1.234, t2=1.95e-3, offset=0.001,
@@ -99,6 +108,13 @@ class TestFitDecayingSine:
             total += 5
         assert inside / total >= 0.99
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a noisy fringe needs more than one Gauss-Newton step
+        monkeypatch.setattr(nvgyro.analysis, "MAX_FIT_ITERATIONS", 1)
+        series = synth(DENSE, sigma=2e-4, rng=np.random.default_rng(77))
+        with pytest.raises(FitConvergenceError, match="did not converge in 1 iter"):
+            fit_decaying_sine(series)
+
     def test_spectrum_fit_agreement_within_one_bin(self):
         rng = np.random.default_rng(11)
         series = synth(DENSE, sigma=1e-4, rng=rng)
@@ -107,6 +123,32 @@ class TestFitDecayingSine:
         fit = fit_decaying_sine(series)
         bin_width = freqs[1] - freqs[0]
         assert abs(f_peak - fit.f) < bin_width * 4  # zero-padded x4 -> one raw bin
+
+
+def cli_fringes(name: str, seed: int | None = None,
+                points: int | None = None) -> FringeSeries:
+    """The combined series `nvgyro fringes` fits for a shipped config."""
+    cfg = load_config(CONFIGS / name)
+    grid = cfg.fringes if points is None else replace(cfg.fringes, points=points)
+    taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    return sweep_fringes(cfg.sequence, cfg.environment, cfg.constants, taus, rng)
+
+
+@pytest.mark.parametrize("name, seed, points", [
+    ("default.cfg", 0, None), ("default.cfg", 1, None),
+    ("default.cfg", 2, None), ("default.cfg", 3, None),
+    ("default.cfg", None, 200),          # the golden grids
+    ("sq_cancellation.cfg", None, 256),
+])
+def test_fit_matches_least_squares_oracle(name, seed, points):
+    series = cli_fringes(name, seed, points)
+    fit = fit_decaying_sine(series)
+    x, sig = fringe_fit(series)
+    assert abs(fit.f - x[1]) <= 1e-4 * sig[1]
+    assert fit.T2star == pytest.approx(x[3], rel=1e-8)
+    assert fit.A == pytest.approx(x[0], rel=1e-8)
+    np.testing.assert_allclose(fit.sigmas, sig, rtol=1e-4)
 
 
 class TestPowerSpectrum:
@@ -265,7 +307,7 @@ class TestWorkingPoint:
         # the stated merit function peaks at T2*/2 when overhead vanishes
         # (the per-shot slope alone would peak at T2*)
         wp = select_working_point(1.95e-3, 293.332e3, 0.0)
-        assert wp.tau_optimal == pytest.approx(1.95e-3 / 2, rel=1e-4)
+        assert wp.tau_optimal == 1.95e-3 / 2
 
     def test_snapped_value_near_optimum(self):
         wp = select_working_point(1.95e-3, 293.332e3, 0.52e-3)

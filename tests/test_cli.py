@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 from nvgyro import ConfigError, load_config, load_constants
 from nvgyro.cli import main
 
-TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
+ROOT = Path(__file__).resolve().parents[1]
+TRIANGLE_CSV = ROOT / "configs" / "triangle_profile.csv"
 
 
 def read_table(path) -> np.ndarray:
@@ -206,6 +210,28 @@ class TestBudgetCommand:
         assert budget["sensitivity_hz_per_rt_hz"] == pytest.approx(10.0e-3, rel=0.05)
         assert budget["f_dq_hz"] == pytest.approx(293.73e3, rel=1e-4)
         assert json.loads((out / "manifest.json").read_text())["command"] == "budget"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: a fresh interpreter that runs
+    # budget and a 200-point fringes fit must never import it
+    cfg = tmp_path / "small.cfg"
+    text = (ROOT / "configs" / "default.cfg").read_text()
+    assert "points = 5000" in text
+    cfg.write_text(text.replace("points = 5000", "points = 200"))
+    fringes = ["fringes", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from nvgyro.cli import main\n"
+        "assert main(['budget']) == 0\n"
+        f"assert main({fringes!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestCleanErrors:

@@ -37,7 +37,7 @@ def _digests(out: Path) -> dict[str, str]:
 GOLDEN = {
     "budget": {
         "budget.json":
-            "e21949678851f0048db84e727cc279ae87710dbcdc8b6a734bd8689d327e14b1",
+            "5eddf394d0cb9f410a7646485c307ddc5aeca0b94d7ea7955e611c8a517f0356",
     },
     "gyro": {
         "regression.json":
@@ -57,7 +57,7 @@ GOLDEN = {
     },
     "fringes-default": {
         "fit.json":
-            "0254c1b627b44aa3024adac1211f0f6f68b1ffae2869391d98757f5f5327e4b7",
+            "2a6847e035061ff2b7ee4652bc2df9f036dfbccf644e4c371cc4b6bec9559090",
         "fringes_combined.csv":
             "334a7d33f42dbd373e5c20eabce245db078b5e19397395d7de12a7de563b6af0",
         "fringes_r1.csv":
@@ -81,7 +81,7 @@ GOLDEN = {
     },
     "fringes-sq": {
         "fit.json":
-            "3602521c2a6053de6fa7f425be0b3e061bb7ec3d332fc3bfaed4d78634981fd7",
+            "150b13b06977ac056756fcffaae316ee08c73af6ca61102e5f9955b331cad378",
         "fringes_combined.csv":
             "34cef960da1e37afaf85810d4f66909b2f7b41dfb676916380e1daebcd93f74a",
         "fringes_r1.csv":

@@ -4,7 +4,8 @@ tests/oracle.py, a one-shot-at-a-time model built from matrix
 exponentials that shares no code with the kernel, is the reference for
 ramsey_projections.  Seeded runs must repeat bit for bit, and the rate
 table must ramp toward each setpoint without overshoot and report an
-angle that is the integral of its rate.
+angle that is the integral of its rate.  The closed-form working point
+must zero the derivative of the merit it maximizes.
 """
 
 import math
@@ -28,6 +29,7 @@ from nvgyro import (
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
+    select_working_point,
 )
 from nvgyro.spin import frame_detunings
 from oracle import bright_projections
@@ -205,3 +207,18 @@ def test_rate_ramps_to_each_setpoint_without_overshoot(rows):
             r0 + math.copysign(ins.accel * t_reach, gap), abs=1e-9)
         t0 += ins.duration
         r0 = traj.rate_at(t0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t2=st.floats(1e-4, 0.1), ratio=st.floats(0.0, 10.0))
+def test_working_point_maximizes_merit(t2, ratio):
+    overhead = ratio * t2
+    tau = select_working_point(t2, 293.332e3, overhead).tau_optimal
+
+    def merit(x):
+        return x * math.exp(-x / t2) / math.sqrt(x + overhead)
+
+    d_log_merit = 1.0 / tau - 1.0 / t2 - 1.0 / (2.0 * (tau + overhead))
+    assert abs(d_log_merit) <= 1e-9 / tau
+    assert merit(tau) >= merit(tau * (1 + 1e-6))
+    assert merit(tau) >= merit(tau * (1 - 1e-6))
