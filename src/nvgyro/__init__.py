@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     AllanSeries,
-    Calibration,
-    DynamicRange,
     FringeFit,
     WorkingPoint,
     allan_deviation,
@@ -37,7 +35,6 @@ from .config import (
 from .detector import (
     DetectorConfig,
     NoiseHooks,
-    RotationSensitivity,
     photoelectron_count,
     psn_fractional_uncertainty,
     psn_rotation_sensitivity,

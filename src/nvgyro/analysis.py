@@ -32,7 +32,6 @@ from .errors import (
     NonUniformGridError,
 )
 from .sequence import FringeSeries
-from .spin import DEG_PER_REV
 
 
 class WorkingPointWarning(UserWarning):
@@ -247,24 +246,8 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
 # Calibration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Calibration:
-    """Signal-per-rotation-rate coefficient (signed).
-
-    Units follow the fringe amplitude: an amplitude in fractional
-    fluorescence gives per_hz in 1/Hz; an amplitude in percent gives
-    %/Hz.  per_dps is per_hz / 360 exactly.
-    """
-
-    per_hz: float
-
-    @property
-    def per_dps(self) -> float:
-        return self.per_hz / DEG_PER_REV
-
-
-def calibration_from_fringes(fit, tau_wp: float) -> Calibration:
-    """alpha = 4*pi*tau_wp*A_wp from the fringe amplitude near tau_wp.
+def calibration_from_fringes(fit, tau_wp: float) -> float:
+    """alpha = 4*pi*tau_wp*A_wp per Hz, from the fringe amplitude near tau_wp.
 
     Accepts a FringeFit (the fitted envelope supplies A_wp and the fringe
     phase supplies the slope sign; warns if tau_wp is off a zero crossing
@@ -286,15 +269,16 @@ def calibration_from_fringes(fit, tau_wp: float) -> Calibration:
     else:
         a_wp = float(fit)
         sign = 1.0
-    return Calibration(per_hz=sign * 4.0 * math.pi * tau_wp * a_wp)
+    return sign * 4.0 * math.pi * tau_wp * a_wp
 
 
 def calibration_from_slope(ds_dtau: float, tau_wp: float,
-                           f_dq: float) -> Calibration:
-    """alpha = 2 * (tau_wp / f_DQ) * dS/dtau measured at the working point."""
+                           f_dq: float) -> float:
+    """alpha = 2 * (tau_wp / f_DQ) * dS/dtau per Hz, with dS/dtau measured
+    at the working point."""
     if tau_wp <= 0 or f_dq <= 0:
         raise ValueError("tau_wp and f_dq must be > 0")
-    return Calibration(per_hz=2.0 * (tau_wp / f_dq) * ds_dtau)
+    return 2.0 * (tau_wp / f_dq) * ds_dtau
 
 
 def rotation_from_signal(signal, alpha_per_hz: float, baseline: float):
@@ -433,18 +417,11 @@ def one_rad_rotation_rate(tau: float) -> float:
     return 1.0 / (4.0 * math.pi * tau)
 
 
-@dataclass(frozen=True)
-class DynamicRange:
-    hz: float
-    dps: float
-
-
-def dynamic_range(epsilon_tol: float, nu0: float) -> DynamicRange:
-    """Rotation range +-nu_DR staying within a linearity tolerance:
+def dynamic_range(epsilon_tol: float, nu0: float) -> float:
+    """Rotation range +-nu_DR (Hz) staying within a linearity tolerance:
     nu_DR = nu0 * sqrt(6*epsilon) (leading sine-expansion term)."""
     if not 0.0 < epsilon_tol < 0.1:
         raise ValueError("epsilon_tol must be in (0, 0.1)")
     if nu0 <= 0:
         raise ValueError("nu0 must be > 0")
-    hz = nu0 * math.sqrt(6.0 * epsilon_tol)
-    return DynamicRange(hz=hz, dps=hz * DEG_PER_REV)
+    return nu0 * math.sqrt(6.0 * epsilon_tol)

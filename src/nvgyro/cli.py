@@ -1,10 +1,13 @@
 """Command-line orchestration: fringes / gyro / allan / budget.
 
-Every data-producing command writes CSVs plus a JSON manifest (command,
-config snapshot, seed, version, output list, wall time); the manifest is
-written last, after verifying every listed file exists.  Outputs are
-byte-reproducible for a fixed (config, seed); the manifest additionally
-records the wall time.  Exit codes: 0 ok, 1 domain error, 2 usage error.
+Each command only computes: it returns its outputs, a mapping from file
+name to a JSON dict or a (names, columns) table, and the text it prints.
+`main` alone writes them: after the command returns, and only with
+--out, it creates the directory, writes every output, then writes a JSON
+manifest (command, config snapshot, seed, version, output list, wall
+time).  A run that fails writes nothing.  Outputs are byte-reproducible
+for a fixed (config, seed); the manifest additionally records the wall
+time.  Exit codes: 0 ok, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -61,30 +64,6 @@ def _check_duration(duration: float, cfg: ExperimentConfig) -> None:
                           f"cycle ({period} s), got {duration}")
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out}: {exc}") from None
-    return out
-
-
-def _write_manifest(out: Path, command: str, cfg: ExperimentConfig,
-                    outputs: list[str], t0: float) -> None:
-    missing = [name for name in outputs if not (out / name).exists()]
-    if missing:
-        raise GyroSimError(f"internal error: missing outputs {missing}")
-    write_json(out / "manifest.json", {
-        "command": command,
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.to_mapping(),
-        "outputs": sorted(outputs),
-        "wall_time_s": time.monotonic() - t0,
-    })
-
-
 def _alpha_direct(cfg: ExperimentConfig) -> tuple[float, float]:
     """(baseline R at nu=0, dR/dnu) from noiseless points at +-0.01 Hz."""
     seq = cfg.sequence
@@ -95,14 +74,11 @@ def _alpha_direct(cfg: ExperimentConfig) -> tuple[float, float]:
     return float(base), float((plus - minus) / (2.0 * delta_nu))
 
 
-def cmd_fringes(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load(args)
+def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     try:
         cfg.sequence.check_delay(cfg.fringes.tau_max, "tau_max")
     except ValueError as exc:
         raise ConfigError(f"{args.config}: [fringes]: {exc}") from None
-    out = _outdir(args)
     rng = default_rng(cfg.seed)
     seq, env, consts = cfg.sequence, cfg.environment, cfg.constants
     taus = np.linspace(cfg.fringes.tau_min, cfg.fringes.tau_max, cfg.fringes.points)
@@ -113,28 +89,19 @@ def cmd_fringes(args) -> int:
     combined = combine_4ramsey(shots)
     sigma = np.full(len(taus), combined_sigma(seq))
 
-    outputs = []
+    outputs = {}
     for j in range(4):
-        name = f"fringes_r{j + 1}.csv"
-        write_table(out / name, ["tau_s", "signal"], [taus, shots[:, j]])
-        outputs.append(name)
         series_j = FringeSeries(taus=taus, values=shots[:, j])
-        freqs, power = power_spectrum(series_j)
-        spec_name = f"spectrum_r{j + 1}.csv"
-        write_table(out / spec_name, ["freq_hz", "power"], [freqs, power])
-        outputs.append(spec_name)
-
+        outputs[f"fringes_r{j + 1}.csv"] = (["tau_s", "signal"], [taus, shots[:, j]])
+        outputs[f"spectrum_r{j + 1}.csv"] = (["freq_hz", "power"], power_spectrum(series_j))
     series = FringeSeries(taus=taus, values=combined, sigma=sigma)
-    write_table(out / "fringes_combined.csv", ["tau_s", "signal", "sigma"],
-                [taus, combined, sigma])
-    outputs.append("fringes_combined.csv")
-    freqs, power = power_spectrum(series)
-    write_table(out / "spectrum_combined.csv", ["freq_hz", "power"], [freqs, power])
-    outputs.append("spectrum_combined.csv")
+    outputs["fringes_combined.csv"] = (["tau_s", "signal", "sigma"],
+                                       [taus, combined, sigma])
+    outputs["spectrum_combined.csv"] = (["freq_hz", "power"], power_spectrum(series))
 
     fit = fit_decaying_sine(series)
     sig = fit.sigmas
-    write_json(out / "fit.json", {
+    outputs["fit.json"] = {
         "model": "A*exp(-tau/T2star)*sin(2*pi*f*tau + phi) + offset",
         "A": fit.A, "A_sigma": sig[0],
         "f_hz": fit.f, "f_sigma_hz": sig[1],
@@ -143,19 +110,14 @@ def cmd_fringes(args) -> int:
         "offset": fit.offset, "offset_sigma": sig[4],
         "residual_rms": fit.residual_rms,
         "covariance": fit.covariance.tolist(),
-        "alpha_per_hz": calibration_from_fringes(fit, seq.tau_wp).per_hz,
+        "alpha_per_hz": calibration_from_fringes(fit, seq.tau_wp),
         "tau_wp_s": seq.tau_wp,
-    })
-    outputs.append("fit.json")
-    _write_manifest(out, "fringes", cfg, outputs, t0)
-    print(f"fringes: {len(taus)} points, fitted f = {fit.f:.3f} Hz, "
-          f"T2* = {fit.T2star * 1e3:.3f} ms -> {out}")
-    return 0
+    }
+    return outputs, (f"fringes: {len(taus)} points, fitted f = {fit.f:.3f} Hz, "
+                     f"T2* = {fit.T2star * 1e3:.3f} ms -> {args.out}")
 
 
-def cmd_gyro(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load(args)
+def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     telemetry, traj = run_profile(RotationProfile.from_csv(args.profile))
     duration = traj.t_end
     if duration < cfg.sequence.cycle_period:
@@ -164,7 +126,6 @@ def cmd_gyro(args) -> int:
     if args.duration is not None:
         _check_duration(args.duration, cfg)
         duration = min(duration, args.duration)
-    out = _outdir(args)
     rng = default_rng(cfg.seed)
 
     def nu_at(t):
@@ -202,27 +163,22 @@ def cmd_gyro(args) -> int:
     report["alpha_used_per_hz"] = alpha_used
 
     nu_hat = rotation_from_signal(stream.S, alpha_used, baseline_used)
-    write_table(out / "telemetry.csv",
-                ["t_s", "angle_deg", "rate_dps", "accel_dps2"],
-                [telemetry.t, telemetry.angle, telemetry.rate, telemetry.accel])
-    write_table(out / "signal.csv", ["t_s", "signal"], [stream.t, stream.S])
-    write_table(out / "rotation.csv",
-                ["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                [stream.t, nu_hat, nu_hat * DEG_PER_REV, nu_true * DEG_PER_REV])
-    write_json(out / "regression.json", report)
-    outputs = ["telemetry.csv", "signal.csv", "rotation.csv", "regression.json"]
-    _write_manifest(out, "gyro", cfg, outputs, t0)
+    outputs = {
+        "telemetry.csv": (["t_s", "angle_deg", "rate_dps", "accel_dps2"],
+                          [telemetry.t, telemetry.angle, telemetry.rate, telemetry.accel]),
+        "signal.csv": (["t_s", "signal"], [stream.t, stream.S]),
+        "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
+                         [stream.t, nu_hat, nu_hat * DEG_PER_REV,
+                          nu_true * DEG_PER_REV]),
+        "regression.json": report,
+    }
     rms = float(np.sqrt(np.mean((nu_hat - nu_true) ** 2))) * DEG_PER_REV
-    print(f"gyro: {len(stream)} samples over {duration:.1f} s, "
-          f"table-vs-gyro RMS {rms:.3f} deg/s -> {out}")
-    return 0
+    return outputs, (f"gyro: {len(stream)} samples over {duration:.1f} s, "
+                     f"table-vs-gyro RMS {rms:.3f} deg/s -> {args.out}")
 
 
-def cmd_allan(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load(args)
+def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     _check_duration(args.duration, cfg)
-    out = _outdir(args)
     rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
     stream = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
@@ -230,10 +186,6 @@ def cmd_allan(args) -> int:
     nu_hat = rotation_from_signal(stream.S, alpha0, baseline)
     series = allan_deviation(nu_hat, cfg.sequence.cycle_period)
 
-    write_table(out / "allan.csv",
-                ["tau_s", "adev_hz", "adev_dps", "n_samples"],
-                [series.tau_avg, series.adev, series.adev * DEG_PER_REV,
-                 series.n_samples])
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every
     # series has), taken as np.median does: the mean of the middle pair.
     first = np.sort(series.adev[:4] * np.sqrt(series.tau_avg[:4]))
@@ -241,28 +193,28 @@ def cmd_allan(args) -> int:
     i_min = int(np.argmin(series.adev))
     psn = psn_rotation_sensitivity(cfg.sequence.detector, cfg.sequence.tau_wp,
                                    cfg.sequence.t2_dq)
-    write_json(out / "summary.json", {
-        "duration_s": args.duration,
-        "n_samples": len(stream),
-        "arw_hz_per_rt_hz": arw,
-        "arw_dps_per_rt_s": arw * DEG_PER_REV,
-        "bias_stability_hz": float(series.adev[i_min]),
-        "bias_stability_dps": float(series.adev[i_min]) * DEG_PER_REV,
-        "bias_stability_at_s": float(series.tau_avg[i_min]),
-        "psn_prediction_hz_per_rt_hz": psn.hz_per_rt_hz,
-        "alpha0_per_hz": alpha0,
-    })
-    outputs = ["allan.csv", "summary.json"]
-    _write_manifest(out, "allan", cfg, outputs, t0)
-    print(f"allan: {len(stream)} samples, ARW {arw * 1e3:.2f} mHz/rtHz, "
-          f"floor {series.adev[i_min] * 1e3:.3f} mHz at "
-          f"{series.tau_avg[i_min]:.0f} s -> {out}")
-    return 0
+    outputs = {
+        "allan.csv": (["tau_s", "adev_hz", "adev_dps", "n_samples"],
+                      [series.tau_avg, series.adev, series.adev * DEG_PER_REV,
+                       series.n_samples]),
+        "summary.json": {
+            "duration_s": args.duration,
+            "n_samples": len(stream),
+            "arw_hz_per_rt_hz": arw,
+            "arw_dps_per_rt_s": arw * DEG_PER_REV,
+            "bias_stability_hz": float(series.adev[i_min]),
+            "bias_stability_dps": float(series.adev[i_min]) * DEG_PER_REV,
+            "bias_stability_at_s": float(series.tau_avg[i_min]),
+            "psn_prediction_hz_per_rt_hz": psn,
+            "alpha0_per_hz": alpha0,
+        },
+    }
+    return outputs, (f"allan: {len(stream)} samples, ARW {arw * 1e3:.2f} mHz/rtHz, "
+                     f"floor {series.adev[i_min] * 1e3:.3f} mHz at "
+                     f"{series.tau_avg[i_min]:.0f} s -> {args.out}")
 
 
-def cmd_budget(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load(args)
+def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     seq, det = cfg.sequence, cfg.sequence.detector
     f_dq = dq_splitting(cfg.environment.B, cfg.constants)
     if not f_dq > 0:
@@ -285,32 +237,27 @@ def cmd_budget(args) -> int:
         f"  f_DQ = {f_dq / 1e3:.3f} kHz   f1 = {f1 / 1e6:.6f} MHz   "
         f"f2 = {f2 / 1e6:.6f} MHz",
         f"  shot-noise sensitivity at tau_wp = {seq.tau_wp * 1e3:.4f} ms: "
-        f"{sens.hz_per_rt_hz * 1e3:.2f} mHz/rtHz "
-        f"({sens.dps_per_rt_s:.2f} deg/rts)",
+        f"{sens * 1e3:.2f} mHz/rtHz ({sens * DEG_PER_REV:.2f} deg/rts)",
         f"  nu0 (1 rad shift) = {nu0:.2f} Hz",
         f"  dynamic range at epsilon = {args.epsilon:.1e}: "
-        f"+-{dr.hz:.3f} Hz (+-{dr.dps:.0f} deg/s)",
+        f"+-{dr:.3f} Hz (+-{dr * DEG_PER_REV:.0f} deg/s)",
         f"  working point: optimum {wp.tau_optimal * 1e3:.4f} ms "
         f"(overhead {overhead * 1e3:.3f} ms), "
         f"snapped to cosine null {wp.tau_wp * 1e3:.4f} ms",
     ]
-    print("\n".join(lines))
-    if args.out:
-        out = _outdir(args)
-        write_json(out / "budget.json", {
-            "f_dq_hz": f_dq, "f1_hz": f1, "f2_hz": f2,
-            "sensitivity_hz_per_rt_hz": sens.hz_per_rt_hz,
-            "sensitivity_dps_per_rt_s": sens.dps_per_rt_s,
-            "nu0_hz": nu0,
-            "epsilon": args.epsilon,
-            "dynamic_range_hz": dr.hz,
-            "dynamic_range_dps": dr.dps,
-            "tau_optimal_s": wp.tau_optimal,
-            "tau_wp_snapped_s": wp.tau_wp,
-            "overhead_s": overhead,
-        })
-        _write_manifest(out, "budget", cfg, ["budget.json"], t0)
-    return 0
+    outputs = {"budget.json": {
+        "f_dq_hz": f_dq, "f1_hz": f1, "f2_hz": f2,
+        "sensitivity_hz_per_rt_hz": sens,
+        "sensitivity_dps_per_rt_s": sens * DEG_PER_REV,
+        "nu0_hz": nu0,
+        "epsilon": args.epsilon,
+        "dynamic_range_hz": dr,
+        "dynamic_range_dps": dr * DEG_PER_REV,
+        "tau_optimal_s": wp.tau_optimal,
+        "tau_wp_snapped_s": wp.tau_wp,
+        "overhead_s": overhead,
+    }}
+    return outputs, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,13 +298,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        cfg = _load(args)
+        outputs, summary = args.func(args, cfg)
+        if args.out:
+            out = Path(args.out)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {out}: {exc}") from None
+            for name, data in outputs.items():
+                if isinstance(data, dict):
+                    write_json(out / name, data)
+                else:
+                    names, columns = data
+                    write_table(out / name, names, columns)
+            write_json(out / "manifest.json", {
+                "command": args.command,
+                "version": __version__,
+                "seed": cfg.seed,
+                "config": cfg.to_mapping(),
+                "outputs": sorted(outputs),
+                "wall_time_s": time.monotonic() - t0,
+            })
     except GyroSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spin import DEG_PER_REV, ELEMENTARY_CHARGE
+from .spin import ELEMENTARY_CHARGE
 
 #: Measured DQ coherence time T2* (s), the default of SequenceConfig.t2_dq.
 DEFAULT_T2_DQ = 1.95e-3
@@ -117,21 +117,10 @@ def readout_signal(d: DetectorConfig, projection,
     return volts / d.v_pump
 
 
-@dataclass(frozen=True)
-class RotationSensitivity:
-    """Photon-shot-noise-limited rotation sensitivity in both unit systems."""
-
-    hz_per_rt_hz: float
-
-    @property
-    def dps_per_rt_s(self) -> float:
-        """Degrees per root second: 1 Hz of rotation is 360 deg/s."""
-        return self.hz_per_rt_hz * DEG_PER_REV
-
-
 def psn_rotation_sensitivity(d: DetectorConfig, tau: float,
-                             t2: float = DEFAULT_T2_DQ) -> RotationSensitivity:
-    """Shot-noise-limited rotation sensitivity of the working-point protocol.
+                             t2: float = DEFAULT_T2_DQ) -> float:
+    """Shot-noise-limited rotation sensitivity of the working-point
+    protocol, in Hz/sqrt(Hz):
 
     delta_nu * sqrt(t) =
         (1/2pi) * 1/(tau*exp(-tau/T2*)) * (1/C)
@@ -146,12 +135,11 @@ def psn_rotation_sensitivity(d: DetectorConfig, tau: float,
     if tau <= 0 or t2 <= 0:
         raise ValueError("tau and t2 must be > 0")
     noise_factor = 2.0 if d.balanced else 1.0
-    hz = (
+    return (
         (1.0 / (2.0 * math.pi))
         * (1.0 / (tau * math.exp(-tau / t2)))
         * (1.0 / d.contrast)
         * math.sqrt(noise_factor * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R))
         * math.sqrt(d.t_meas)
     )
-    return RotationSensitivity(hz_per_rt_hz=hz)
 

@@ -110,6 +110,11 @@ class SequenceConfig:
             raise ValueError("t2_sq must be > 0 (inf: no SQ decay)")
         check_finite(self, "cycle_period")
         self.check_delay(self.tau_wp, "tau_wp")
+        if not math.exp(-self.tau_wp / self.t2_dq) > 0.0:
+            raise ValueError(
+                f"tau_wp = {self.tau_wp:g} s is {self.tau_wp / self.t2_dq:g} times "
+                f"t2_dq = {self.t2_dq:g} s: the signal exp(-tau_wp/t2_dq) "
+                f"decays to 0")
         if self.detector.t_R > self.pump_duration:
             raise ValueError("detector t_R must fit inside the pump pulse")
 

@@ -148,17 +148,17 @@ def test_criterion_05_rotation_factor_of_two():
 def test_criterion_06_sensitivity_budget():
     # budget formula with its own stated inputs (tau = 1.4 ms, T2* = 2.0 ms)
     sens = psn_rotation_sensitivity(DetectorConfig(), 1.4e-3, t2=2.0e-3)
-    rel = abs(sens.hz_per_rt_hz - 9.8e-3) / 9.8e-3
+    rel = abs(sens - 9.8e-3) / 9.8e-3
     conv = 13e-3 * 360.0
     ok = rel <= 0.02 and conv == pytest.approx(4.68, abs=1e-12)
-    _report(6, ok, f"budget {sens.hz_per_rt_hz * 1e3:.3f} mHz/rtHz "
+    _report(6, ok, f"budget {sens * 1e3:.3f} mHz/rtHz "
                    f"({rel * 100:.2f}% of 9.8), 13 mHz/rtHz -> {conv:.2f} deg/rts")
 
 
 def test_criterion_07_calibration_agreement():
     # formula value with the quoted fringe amplitude
     cal_quoted = calibration_from_fringes(1.32, 1.428e-3)
-    quoted_ok = abs(cal_quoted.per_dps - 6.56e-5) / 6.56e-5 <= 0.02
+    quoted_ok = abs(cal_quoted / 360.0 - 6.56e-5) / 6.56e-5 <= 0.02
 
     # three estimators on the simulated instrument (absolute mode)
     f_dq = dq_splitting(482.0, C)
@@ -166,14 +166,14 @@ def test_criterion_07_calibration_agreement():
     cfg = SequenceConfig(tau_wp=tau_wp)
     taus = np.linspace(0.0, 5e-3, 5000)
     fit = fit_decaying_sine(sweep_fringes(cfg, ENV, C, taus))
-    alpha_fringe = calibration_from_fringes(fit, tau_wp).per_hz
+    alpha_fringe = calibration_from_fringes(fit, tau_wp)
 
     dtau = 2e-8
     r_plus, r_minus = combine_4ramsey(ramsey_signals(
         cfg, ENV, C, np.array([tau_wp + dtau, tau_wp - dtau])))
     ds_dtau = (r_plus - r_minus) / (2 * dtau)
     from nvgyro import calibration_from_slope
-    alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq).per_hz
+    alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq)
 
     telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
     stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
@@ -186,7 +186,7 @@ def test_criterion_07_calibration_agreement():
     mags = [abs(alpha_fringe), abs(alpha_slope), abs(alpha_sweep)]
     pairwise = max(abs(a / b - 1.0) for a in mags for b in mags)
     ok = quoted_ok and pairwise <= 0.02
-    _report(7, ok, f"alpha(A=1.32%) = {cal_quoted.per_dps:.3e} %/(deg/s) "
+    _report(7, ok, f"alpha(A=1.32%) = {cal_quoted / 360.0:.3e} %/(deg/s) "
                    f"(vs 6.56e-5), fringe/slope/sweep = "
                    f"{alpha_fringe:.4e}/{alpha_slope:.4e}/{alpha_sweep:.4e}, "
                    f"max pairwise dev {pairwise * 100:.2f}% <= 2%")
@@ -242,10 +242,10 @@ def test_criterion_09_dynamic_range():
     _, eps10 = linearity(10.0, nu0)
     dr = dynamic_range(1e-4, nu0)
     ok = (exact and abs(eps10 - 5.4e-3) <= 2e-4
-          and abs(dr.hz - 1.4) / 1.4 <= 0.03)
+          and abs(dr - 1.4) / 1.4 <= 0.03)
     _report(9, ok, f"nu_meas = nu0*sin(nu/nu0) exact, eps(10 Hz) = {eps10:.4e} "
-                   f"(5.4e-3 +- 2e-4), nu_DR(1e-4) = {dr.hz:.4f} Hz "
-                   f"({dr.dps:.0f} deg/s, 1.4 Hz +- 3%)")
+                   f"(5.4e-3 +- 2e-4), nu_DR(1e-4) = {dr:.4f} Hz "
+                   f"({dr * 360.0:.0f} deg/s, 1.4 Hz +- 3%)")
 
 
 def test_criterion_10_rate_table_kinematics():

@@ -27,6 +27,7 @@ from nvgyro import (
     sweep_fringes,
 )
 from nvgyro.analysis import WorkingPointWarning, _decaying_sine, spectrum_peak_frequency
+from nvgyro.spin import DEG_PER_REV
 from oracle import fringe_fit
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -176,13 +177,13 @@ class TestCalibration:
     def test_fringe_amplitude_formula(self):
         # alpha = 4*pi*tau_wp*A: A = 1.32 % at tau_wp = 1.428 ms
         cal = calibration_from_fringes(1.32, 1.428e-3)
-        assert cal.per_hz == pytest.approx(2.36e-2, rel=0.01)
-        assert cal.per_dps == pytest.approx(6.56e-5, rel=0.01)
+        assert cal == pytest.approx(2.36e-2, rel=0.01)
+        assert cal / DEG_PER_REV == pytest.approx(6.56e-5, rel=0.01)
 
     def test_linear_in_amplitude(self):
         one = calibration_from_fringes(1.0, 1.428e-3)
         two = calibration_from_fringes(2.0, 1.428e-3)
-        assert two.per_hz == pytest.approx(2 * one.per_hz, rel=1e-12)
+        assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_from_fit_applies_envelope_and_sign(self):
         a, f, t2 = 0.0074, 2000.0, 1.95e-3
@@ -191,9 +192,9 @@ class TestCalibration:
         fit = fit_decaying_sine(FringeSeries(taus=DENSE, values=y))
         cal = calibration_from_fringes(fit, tau_wp)
         expected_mag = 4 * math.pi * tau_wp * a * math.exp(-tau_wp / t2)
-        assert abs(cal.per_hz) == pytest.approx(expected_mag, rel=1e-6)
+        assert abs(cal) == pytest.approx(expected_mag, rel=1e-6)
         sign = math.copysign(1.0, math.cos(2 * math.pi * f * tau_wp + math.pi / 2))
-        assert math.copysign(1.0, cal.per_hz) == sign
+        assert math.copysign(1.0, cal) == sign
 
     def test_misaligned_working_point_warns(self):
         y = _decaying_sine(DENSE, 0.0074, 2000.0, math.pi / 2, 1.95e-3, 0.0)
@@ -213,14 +214,10 @@ class TestCalibration:
                  float(fit.model([tau_wp - eps])[0])) / (2 * eps)
         cal_slope = calibration_from_slope(slope, tau_wp, f)
         cal_fringe = calibration_from_fringes(fit, tau_wp)
-        assert cal_slope.per_hz == pytest.approx(cal_fringe.per_hz, rel=0.01)
+        assert cal_slope == pytest.approx(cal_fringe, rel=0.01)
 
     def test_zero_slope_gives_zero(self):
-        assert calibration_from_slope(0.0, 1.4e-3, 2e3).per_hz == 0.0
-
-    def test_dps_conversion_exact(self):
-        cal = calibration_from_fringes(1.0, 1e-3)
-        assert cal.per_dps * 360.0 == cal.per_hz
+        assert calibration_from_slope(0.0, 1.4e-3, 2e3) == 0.0
 
 
 class TestRotationFromSignal:
@@ -347,14 +344,14 @@ class TestLinearity:
 class TestDynamicRange:
     def test_100ppm_value(self):
         dr = dynamic_range(1e-4, 55.7)
-        assert dr.hz == pytest.approx(1.4, rel=0.03)
-        assert dr.dps == pytest.approx(500.0, rel=0.03)
+        assert dr == pytest.approx(1.4, rel=0.03)
+        assert dr * DEG_PER_REV == pytest.approx(500.0, rel=0.03)
 
     def test_shrinks_to_zero(self):
-        assert dynamic_range(1e-8, 55.7).hz == pytest.approx(
+        assert dynamic_range(1e-8, 55.7) == pytest.approx(
             55.7 * math.sqrt(6e-8), rel=1e-12
         )
-        assert dynamic_range(1e-8, 55.7).hz < 0.02
+        assert dynamic_range(1e-8, 55.7) < 0.02
 
     def test_consistency_with_rounded_constant(self):
         # nu0*sqrt(6) = 136.4 vs the rounded 140 Hz prefactor: within 3%
@@ -365,7 +362,3 @@ class TestDynamicRange:
             dynamic_range(0.0, 55.7)
         with pytest.raises(ValueError):
             dynamic_range(0.2, 55.7)
-
-    def test_units_exact(self):
-        dr = dynamic_range(1e-4, 55.7)
-        assert dr.dps == dr.hz * 360.0

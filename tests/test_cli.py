@@ -98,9 +98,11 @@ class TestFringesCommand:
             "[sequence]\nphase_reference = resonant\ndq_detuning = 100.0\n"
             "[fringes]\ntau_min = 1e-6\ntau_max = 2e-3\npoints = 12\n"
         )
-        rc = main(["fringes", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = main(["fringes", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
         assert "period" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -194,6 +196,17 @@ class TestAllanCommand:
         assert np.allclose(table["adev_dps"], table["adev_hz"] * 360.0)
 
 
+    def test_too_short_run_writes_nothing(self, tmp_path, capsys):
+        # 28 cycles pass the one-cycle duration check but are too few
+        # for the Allan analysis, which fails after the stream is run
+        out = tmp_path / "out"
+        assert main(["allan", "--duration", "0.2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestBudgetCommand:
     def test_report_values(self, capsys):
         assert main(["budget", "--epsilon", "1e-4"]) == 0
@@ -276,6 +289,7 @@ class TestCleanErrors:
         ("sequence", "cycle_period = inf"),
         ("sequence", "tau_wp = -inf"),
         ("sequence", "t2_dq = inf"),
+        ("sequence", "t2_dq = 1e-6"),  # exp(-tau_wp/t2_dq) underflows to 0
         ("sequence", "rf_gradient = 1:inf"),
         ("sequence", "rf_gradient = 1.5:1, -0.5:0.6"),
         ("sequence", "phase_table = 0:inf, 0:0, 0:0, 0:0"),

@@ -7,14 +7,13 @@ from scipy.optimize import brentq
 from nvgyro import (
     DetectorConfig,
     NoiseHooks,
-    RotationSensitivity,
     photoelectron_count,
     psn_fractional_uncertainty,
     psn_rotation_sensitivity,
     readout_signal,
     signal_sigma,
 )
-from nvgyro.spin import ELEMENTARY_CHARGE
+from nvgyro.spin import DEG_PER_REV, ELEMENTARY_CHARGE
 
 D = DetectorConfig()
 
@@ -113,16 +112,15 @@ class TestRotationSensitivity:
     def test_budget_value(self):
         # exact budget inputs: tau = 1.4 ms, T2* = 2.0 ms, defaults otherwise
         sens = psn_rotation_sensitivity(D, 1.4e-3, t2=2.0e-3)
-        assert sens.hz_per_rt_hz == pytest.approx(9.8e-3, rel=0.02)
+        assert sens == pytest.approx(9.8e-3, rel=0.02)
 
     def test_unit_conversion(self):
-        assert RotationSensitivity(13e-3).dps_per_rt_s == pytest.approx(4.68, abs=1e-12)
-        sens = psn_rotation_sensitivity(D, 1.4e-3)
-        assert sens.dps_per_rt_s == pytest.approx(sens.hz_per_rt_hz * 360.0)
+        # the paper's 13 mHz/rtHz is 4.68 deg/rts
+        assert 13e-3 * DEG_PER_REV == pytest.approx(4.68, abs=1e-12)
 
     def test_divergence_at_small_tau(self):
         small = psn_rotation_sensitivity(D, 1e-9)
-        assert small.hz_per_rt_hz > 1e3 * psn_rotation_sensitivity(D, 1.4e-3).hz_per_rt_hz
+        assert small > 1e3 * psn_rotation_sensitivity(D, 1.4e-3)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
@@ -135,9 +133,8 @@ class TestRotationSensitivity:
         t2 = 1.95e-3
 
         def duty_sens(tau):
-            per_meas = psn_rotation_sensitivity(D.replace(t_meas=tau + overhead), tau,
-                                                t2=t2)
-            return per_meas.hz_per_rt_hz
+            return psn_rotation_sensitivity(D.replace(t_meas=tau + overhead), tau,
+                                            t2=t2)
 
         root = brentq(lambda t: 1 / t - 1 / t2 - 1 / (2 * (t + overhead)), 1e-4, 5e-3)
         taus = np.linspace(0.3e-3, 3.5e-3, 2001)

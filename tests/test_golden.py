@@ -8,6 +8,7 @@ re-record the digests and say why in CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,6 @@ def test_outputs_match_golden_digests(case, tmp_path):
     out = tmp_path / "out"
     assert main(_argv(case, tmp_path) + ["--out", str(out)]) == 0
     assert _digests(out) == GOLDEN[case]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(GOLDEN[case])
+    assert manifest["command"] == case.split("-")[0]

@@ -232,11 +232,6 @@ class TestStateAndConstants:
         mixed = _prepared_state(SequenceConfig(pump_fidelity=0.0), 1.0)
         assert np.diag(mixed).real == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
 
-    def test_populations_after_dq_pulse_matrix_product_oracle(self):
-        u = pulse_unitary(PulseSpec(PulseKind.DQ_TWO_TONE))
-        rho = u @ ZERO @ u.conj().T
-        assert np.diag(rho).real == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
-
     def test_state_validation_rejects_bad_matrices(self):
         # the validity check used above has teeth: trace and Hermiticity
         with pytest.raises(AssertionError, match="trace"):
