@@ -341,16 +341,23 @@ def allan_deviation(values, tau0: float,
         m_values = octave_m_values(n)
     # Integrated (phase-like) series.  The mean is removed first: Allan
     # variance is offset-invariant, and the smaller running sum avoids
-    # cancellation error on long records.
-    x = np.concatenate([[0.0], np.cumsum(y - np.mean(y))]) * tau0
+    # cancellation error on long records.  x and each second difference
+    # d are built in place, in the order of x[2m:] - 2*x[m:-m] + x[:-2m].
+    x = np.empty(n + 1)
+    x[0] = 0.0
+    np.cumsum(y - np.mean(y), out=x[1:])
+    x *= tau0
     taus, adevs, counts = [], [], []
     for m in m_values:
         m = int(m)
         if m < 1 or 2 * m >= len(x):
             raise ValueError(f"averaging factor m={m} needs more than 2m samples")
-        d = x[2 * m:] - 2.0 * x[m:-m] + x[: -2 * m]
+        d = -2.0 * x[m:-m]
+        d += x[2 * m:]
+        d += x[: -2 * m]
+        d *= d
         tau = m * tau0
-        avar = np.sum(d * d) / (2.0 * tau * tau * d.size)
+        avar = np.sum(d) / (2.0 * tau * tau * d.size)
         taus.append(tau)
         adevs.append(math.sqrt(avar))
         counts.append(d.size)

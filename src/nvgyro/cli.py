@@ -64,14 +64,28 @@ def _check_duration(duration: float, cfg: ExperimentConfig) -> None:
                           f"cycle ({period} s), got {duration}")
 
 
-def _alpha_direct(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(baseline R at nu=0, dR/dnu) from noiseless points at +-0.01 Hz."""
+def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
+    """(baseline R at nu=0, alpha0 = dR/dnu, shot-noise sensitivity in
+    Hz/sqrt(Hz)) at tau_wp; alpha0 from noiseless points at +-0.01 Hz.
+
+    A working point whose alpha0 is zero or not finite, or whose
+    sensitivity is not finite, carries no usable rotation signal and is
+    a ConfigError naming tau_wp and t2_dq.
+    """
     seq = cfg.sequence
     delta_nu = 0.01
     base, plus, minus = combine_4ramsey(ramsey_signals(
         seq, cfg.environment, cfg.constants, seq.tau_wp,
         nu=np.array([0.0, delta_nu, -delta_nu])))
-    return float(base), float((plus - minus) / (2.0 * delta_nu))
+    alpha0 = float((plus - minus) / (2.0 * delta_nu))
+    sens = psn_rotation_sensitivity(seq.detector, seq.tau_wp, seq.t2_dq)
+    if not (alpha0 != 0.0 and math.isfinite(alpha0) and math.isfinite(sens)):
+        raise ConfigError(
+            f"{args.config}: [sequence]: tau_wp = {seq.tau_wp:g} s and "
+            f"t2_dq = {seq.t2_dq:g} s leave no usable rotation signal: "
+            f"alpha0 = {alpha0:g} per Hz, shot-noise sensitivity "
+            f"{sens:g} Hz/rtHz")
+    return float(base), alpha0, sens
 
 
 def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
@@ -131,11 +145,11 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     def nu_at(t):
         return traj.rate_at(t) / DEG_PER_REV  # deg/s -> Hz
 
+    baseline, alpha0, _ = _working_point(args, cfg)
     stream = run_gyro_stream(cfg.sequence, cfg.environment, cfg.constants,
                              duration, rng, nu_at=nu_at)
     nu_true = nu_at(stream.t)
 
-    baseline, alpha0 = _alpha_direct(cfg)
     report: dict = {
         "alpha0_per_hz": alpha0,
         "alpha0_per_dps": alpha0 / DEG_PER_REV,
@@ -179,10 +193,10 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     _check_duration(args.duration, cfg)
+    baseline, alpha0, psn = _working_point(args, cfg)
     rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
     stream = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
-    baseline, alpha0 = _alpha_direct(cfg)
     nu_hat = rotation_from_signal(stream.S, alpha0, baseline)
     series = allan_deviation(nu_hat, cfg.sequence.cycle_period)
 
@@ -191,8 +205,6 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     first = np.sort(series.adev[:4] * np.sqrt(series.tau_avg[:4]))
     arw = float((first[1] + first[2]) / 2.0)
     i_min = int(np.argmin(series.adev))
-    psn = psn_rotation_sensitivity(cfg.sequence.detector, cfg.sequence.tau_wp,
-                                   cfg.sequence.t2_dq)
     outputs = {
         "allan.csv": (["tau_s", "adev_hz", "adev_dps", "n_samples"],
                       [series.tau_avg, series.adev, series.adev * DEG_PER_REV,
@@ -215,15 +227,15 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
-    seq, det = cfg.sequence, cfg.sequence.detector
+    seq = cfg.sequence
     f_dq = dq_splitting(cfg.environment.B, cfg.constants)
     if not f_dq > 0:
         raise ConfigError(
             f"{args.config}: [environment]: B = {cfg.environment.B:g} G gives "
             f"f_DQ = {f_dq:.6g} Hz; the budget needs f_DQ > 0 "
             f"(0 < B below the ground-state anticrossing)")
+    _, _, sens = _working_point(args, cfg)
     f1, f2 = transition_frequencies(cfg.environment, cfg.constants)
-    sens = psn_rotation_sensitivity(det, seq.tau_wp, seq.t2_dq)
     nu0 = one_rad_rotation_rate(seq.tau_wp)
     try:
         dr = dynamic_range(args.epsilon, nu0)

@@ -23,10 +23,12 @@ Tr(W_j rho(tau)) with W_j = U2_j^dag |0><0| U2_j, broadcast over arrays
 of delays and rotation rates.  Shot noise is added afterwards, one
 normal draw per (delay or cycle, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
-combine_4ramsey forms R from them.  The test reference model,
-tests/oracle.py, computes the same projections one shot at a time from
-matrix exponentials of the pulse generators and of the free Hamiltonian,
-sharing no code with the kernel.
+combine_4ramsey forms R from them.  The working-point stream runs the
+same steps over fixed blocks of cycles, so its memory holds a few words
+per cycle plus one block; its output does not depend on the block size.
+The test reference model, tests/oracle.py, computes the same projections
+one shot at a time from matrix exponentials of the pulse generators and
+of the free Hamiltonian, sharing no code with the kernel.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ from .spin import (
     frame_detunings,
     pulse_unitary,
 )
+
+#: Cycles per block of run_gyro_stream: bounds its working memory and
+#: leaves its output bytes unchanged.
+_STREAM_BLOCK = 16_384
 
 #: Second-pulse (phase_f1, phase_f2) table; signs in the combination are +,-,+,-.
 DEFAULT_PHASE_TABLE = (
@@ -268,13 +274,17 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
                     ) -> GyroTimeSeries:
     """Working-point stream: one combined 4-Ramsey sample per cycle.
 
-    Each cycle is the 4-Ramsey sequence at tau_wp in env, evaluated for
-    all cycles at once by ramsey_projections.  nu_at, when given, maps
-    the array of cycle-start times to rotation rates in Hz (replacing
-    env.nu), held constant over each cycle; without it the environment
-    is static and the projections broadcast from a single evaluation.
-    With an rng, draw order is: photon shot noise (n_cycles x 4), extra
-    white noise (n_cycles), random-walk increments (n_cycles).
+    Each cycle is the 4-Ramsey sequence at tau_wp in env.  nu_at, when
+    given, maps the array of cycle-start times to rotation rates in Hz
+    (replacing env.nu), held constant over each cycle; without it the
+    environment is static and the projections come from a single
+    evaluation.  The cycles run in blocks of _STREAM_BLOCK: each block
+    gets its projections, shot noise and 4-Ramsey combination, so the
+    (cycles x 4) signals exist one block at a time.  Every step is
+    elementwise and the draws are sequential, so t and S are the same
+    bit for bit whatever the block size.  With an rng, draw order is:
+    photon shot noise (n_cycles x 4, block after block), extra white
+    noise (n_cycles), random-walk increments (n_cycles).
     """
     if duration <= 0:
         raise ValueError("duration must be > 0")
@@ -283,16 +293,23 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
         raise ValueError("duration shorter than one cycle")
     ts = np.arange(n) * cfg.cycle_period
 
-    nu = None if nu_at is None else nu_at(ts)
-    proj = ramsey_projections(cfg, env, c, cfg.tau_wp, nu)
-    combined = combine_4ramsey(
-        readout_signal(cfg.detector, np.broadcast_to(proj, (n, 4)), rng))
+    nu = None if nu_at is None else np.broadcast_to(nu_at(ts), ts.shape)
+    if nu is None:
+        proj = ramsey_projections(cfg, env, c, cfg.tau_wp)
+    combined = np.empty(n)
+    for start in range(0, n, _STREAM_BLOCK):
+        stop = min(start + _STREAM_BLOCK, n)
+        if nu is not None:
+            proj = ramsey_projections(cfg, env, c, cfg.tau_wp, nu[start:stop])
+        combined[start:stop] = combine_4ramsey(readout_signal(
+            cfg.detector, np.broadcast_to(proj, (stop - start, 4)), rng))
 
     if rng is not None:
         if cfg.noise.white_sigma > 0:
-            combined = combined + rng.normal(0.0, cfg.noise.white_sigma, size=n)
+            combined += rng.normal(0.0, cfg.noise.white_sigma, size=n)
         if cfg.noise.random_walk_sigma > 0:
             walk = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
-            combined = combined + np.cumsum(rng.normal(0.0, walk, size=n))
+            steps = rng.normal(0.0, walk, size=n)
+            combined += np.cumsum(steps, out=steps)
 
     return GyroTimeSeries(t=ts, S=combined)

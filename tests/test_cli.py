@@ -304,6 +304,26 @@ class TestCleanErrors:
         assert err.startswith(f"error: {cfg}: [{section}]: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["allan", "gyro", "budget"])
+    @pytest.mark.parametrize("t2_dq", ["2e-6", "5e-6", "1e-5", "2e-5"])
+    def test_working_point_without_signal(self, tmp_path, capsys, command, t2_dq):
+        # exp(-tau_wp/t2_dq) stays above 0, but the fringe term is below
+        # double precision next to the baseline, so alpha0 is exactly 0
+        # (and at 2e-6 the shot-noise sensitivity is inf).
+        cfg = tmp_path / "decayed.cfg"
+        cfg.write_text(f"[sequence]\nt2_dq = {t2_dq}\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command != "budget":
+            argv += ["--duration", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [sequence]: ")
+        assert "tau_wp" in err and "t2_dq" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_mode_key(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
         cfg.write_text("[sequence]\nphase_reference = resonant\ndq_detuning = inf\n")

@@ -56,6 +56,24 @@ GOLDEN = {
         "summary.json":
             "9a7e99e3e5a25cf998503acec103b0a7f532186976e2269dd065ff1b81b4ce42",
     },
+    # 42,857 cycles: the stream crosses block boundaries.
+    "allan-multiblock": {
+        "allan.csv":
+            "74820cba22caf572a3de1d1c14eb7d1c04ba22d4cc910eb9dee9d09a7ab2b931",
+        "summary.json":
+            "5ee04cb74f529ea1f62e89acf8cbbb6b4357b24f8f0341f6616d09b1fec5c59d",
+    },
+    # 21,428 cycles through the rate table: stream and CSV row blocks.
+    "gyro-multiblock": {
+        "regression.json":
+            "9ff16b09d8277f0fe04add4679312f0f03161745a26ed37868eec95a97c7604d",
+        "rotation.csv":
+            "fd0496d4095fae3b9d47dd3b9c63ead0357a5c7eccc1e93fb5419b9218673015",
+        "signal.csv":
+            "b3483d0951ead386fdb97356f9c7ae56243c543976ccd6e2a9147c994142d70b",
+        "telemetry.csv":
+            "59f5b16c583912f781ed7d7e7f2b7a167e27c514b3532e484769038f0bde0ae6",
+    },
     "fringes-default": {
         "fit.json":
             "2a6847e035061ff2b7ee4652bc2df9f036dfbccf644e4c371cc4b6bec9559090",
@@ -110,11 +128,13 @@ GOLDEN = {
 def _argv(case: str, tmp_path: Path) -> list[str]:
     if case == "budget":
         return ["budget", "--config", str(CONFIGS / "default.cfg")]
-    if case == "gyro":
+    if case.startswith("gyro"):
+        duration = "150" if case == "gyro-multiblock" else "20"
         return ["gyro", "--profile", str(CONFIGS / "triangle_profile.csv"),
-                "--duration", "20"]
-    if case == "allan":
-        return ["allan", "--duration", "60"]
+                "--duration", duration]
+    if case.startswith("allan"):
+        duration = "300" if case == "allan-multiblock" else "60"
+        return ["allan", "--duration", duration]
     if case == "fringes-default":
         cfg = _small_grid(tmp_path, "default.cfg", "points = 5000", 200)
         return ["fringes", "--config", str(cfg)]

@@ -5,10 +5,15 @@ exponentials that shares no code with the kernel, is the reference for
 ramsey_projections.  Seeded runs must repeat bit for bit, and the rate
 table must ramp toward each setpoint without overshoot and report an
 angle that is the integral of its rate.  The closed-form working point
-must zero the derivative of the merit it maximizes.
+must zero the derivative of the merit it maximizes.  The block sizes of
+the working-point stream and of the CSV writer must not change a bit of
+their output, and the in-place Allan deviation must equal the textbook
+expression exactly.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +30,15 @@ from nvgyro import (
     RotationProfile,
     RateTrajectory,
     SequenceConfig,
+    allan_deviation,
     combine_4ramsey,
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
     select_working_point,
 )
+from nvgyro import io, sequence
+from nvgyro.analysis import octave_m_values
 from nvgyro.spin import frame_detunings
 from oracle import bright_projections
 
@@ -222,3 +230,82 @@ def test_working_point_maximizes_merit(t2, ratio):
     assert abs(d_log_merit) <= 1e-9 / tau
     assert merit(tau) >= merit(tau * (1 + 1e-6))
     assert merit(tau) >= merit(tau * (1 - 1e-6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), seed=seeds,
+       noise=st.builds(NoiseHooks, st.floats(1e-7, 1e-4), st.floats(1e-7, 1e-4)),
+       data=st.data(), noisy=st.booleans(), rotating=st.booleans())
+def test_stream_bytes_do_not_depend_on_block_size(cfg, env, seed, noise, data,
+                                                  noisy, rotating):
+    cfg = cfg.replace(noise=noise)
+    n = data.draw(st.integers(1, 40), label="cycles")
+    block = data.draw(st.integers(1, n + 1), label="block")
+    duration = (n + 0.5) * cfg.cycle_period
+
+    def nu_at(t):
+        return 3.0 * np.sin(40.0 * t) + 0.25
+
+    def run(block_size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequence, "_STREAM_BLOCK", block_size)
+            return run_gyro_stream(cfg, env, C, duration,
+                                   np.random.default_rng(seed) if noisy else None,
+                                   nu_at=nu_at if rotating else None)
+
+    whole, blocked = run(n), run(block)
+    assert len(whole) == n
+    assert np.array_equal(blocked.t, whole.t)
+    assert np.array_equal(blocked.S, whole.S)
+
+
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+)
+
+
+def _reference_csv(names, columns) -> str:
+    # One row at a time, str for integer columns and repr for floats.
+    rows = [",".join(names)]
+    for i in range(len(columns[0])):
+        rows.append(",".join(str(int(c[i])) if c.dtype.kind == "i"
+                             else repr(float(c[i])) for c in columns))
+    return "".join(row + "\n" for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2**62, 2**62), cells, cells),
+                     min_size=0, max_size=30),
+       block=st.integers(1, 31))
+def test_table_bytes_do_not_depend_on_row_block(rows, block):
+    names = ["n", "a", "b"]
+    columns = [np.array([r[0] for r in rows], dtype=np.int64),
+               np.array([r[1] for r in rows], dtype=float),
+               np.array([r[2] for r in rows], dtype=float)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_ROW_BLOCK", block)
+            io.write_table(path, names, columns)
+        blocked = path.read_bytes()
+        io.write_table(path, names, columns)
+        default = path.read_bytes()
+    assert blocked == default
+    assert blocked.decode() == _reference_csv(names, columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(-1e3, 1e3), min_size=32, max_size=300),
+       tau0=st.floats(1e-4, 10.0))
+def test_allan_deviation_matches_textbook_expression(values, tau0):
+    y = np.array(values)
+    series = allan_deviation(y, tau0)
+    x = np.concatenate([[0.0], np.cumsum(y - np.mean(y))]) * tau0
+    m_values = octave_m_values(len(y))
+    assert len(series.adev) == len(m_values)
+    for m, tau, adev, count in zip(m_values, series.tau_avg, series.adev,
+                                   series.n_samples):
+        d = x[2 * m:] - 2.0 * x[m:-m] + x[: -2 * m]
+        assert count == d.size
+        assert adev == math.sqrt(np.sum(d * d) / (2.0 * tau * tau * d.size))
