@@ -285,7 +285,8 @@ def rotation_from_signal(signal, alpha_per_hz: float, baseline: float):
     """Calibrated rotation rate nu_hat = (S - baseline) / alpha, in Hz."""
     if alpha_per_hz == 0:
         raise ValueError("alpha must be nonzero")
-    out = (np.asarray(signal, dtype=float) - baseline) / alpha_per_hz
+    out = np.asarray(signal, dtype=float) - baseline
+    out /= alpha_per_hz  # in place: no second run-length temporary
     return float(out) if out.ndim == 0 else out
 
 
@@ -342,17 +343,19 @@ def allan_deviation(values, tau0: float,
     # Integrated (phase-like) series.  The mean is removed first: Allan
     # variance is offset-invariant, and the smaller running sum avoids
     # cancellation error on long records.  x and each second difference
-    # d are built in place, in the order of x[2m:] - 2*x[m:-m] + x[:-2m].
+    # d are built in place, in the order of x[2m:] - 2*x[m:-m] + x[:-2m];
+    # every d reuses one buffer, so two never coexist.
     x = np.empty(n + 1)
     x[0] = 0.0
     np.cumsum(y - np.mean(y), out=x[1:])
     x *= tau0
+    buf = np.empty(n - 1)  # the longest second difference, m = 1
     taus, adevs, counts = [], [], []
     for m in m_values:
         m = int(m)
         if m < 1 or 2 * m >= len(x):
             raise ValueError(f"averaging factor m={m} needs more than 2m samples")
-        d = -2.0 * x[m:-m]
+        d = np.multiply(x[m:-m], -2.0, out=buf[:len(x) - 2 * m])
         d += x[2 * m:]
         d += x[: -2 * m]
         d *= d

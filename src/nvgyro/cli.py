@@ -4,10 +4,11 @@ Each command only computes: it returns its outputs, a mapping from file
 name to a JSON dict or a (names, columns) table, and the text it prints.
 `main` alone writes them: after the command returns, and only with
 --out, it creates the directory, writes every output, then writes a JSON
-manifest (command, config snapshot, seed, version, output list, wall
-time).  A run that fails writes nothing.  Outputs are byte-reproducible
-for a fixed (config, seed); the manifest additionally records the wall
-time.  Exit codes: 0 ok, 1 domain error, 2 usage error.
+manifest (command, config snapshot, seed, version, output list, bytes
+written, compute and write seconds, wall time).  A run that fails writes
+nothing.  Outputs are byte-reproducible for a fixed (config, seed); the
+manifest additionally records the timings.  Exit codes: 0 ok, 1 domain
+error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -197,7 +198,9 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
     stream = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
+    n_samples = len(stream)
     nu_hat = rotation_from_signal(stream.S, alpha0, baseline)
+    del stream  # nothing reads t or S again; free them before the Allan peak
     series = allan_deviation(nu_hat, cfg.sequence.cycle_period)
 
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every
@@ -211,7 +214,7 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                        series.n_samples]),
         "summary.json": {
             "duration_s": args.duration,
-            "n_samples": len(stream),
+            "n_samples": n_samples,
             "arw_hz_per_rt_hz": arw,
             "arw_dps_per_rt_s": arw * DEG_PER_REV,
             "bias_stability_hz": float(series.adev[i_min]),
@@ -221,7 +224,7 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
             "alpha0_per_hz": alpha0,
         },
     }
-    return outputs, (f"allan: {len(stream)} samples, ARW {arw * 1e3:.2f} mHz/rtHz, "
+    return outputs, (f"allan: {n_samples} samples, ARW {arw * 1e3:.2f} mHz/rtHz, "
                      f"floor {series.adev[i_min] * 1e3:.3f} mHz at "
                      f"{series.tau_avg[i_min]:.0f} s -> {args.out}")
 
@@ -316,6 +319,7 @@ def main(argv=None) -> int:
         cfg = _load(args)
         outputs, summary = args.func(args, cfg)
         if args.out:
+            t_compute = time.monotonic()
             out = Path(args.out)
             try:
                 out.mkdir(parents=True, exist_ok=True)
@@ -327,12 +331,15 @@ def main(argv=None) -> int:
                 else:
                     names, columns = data
                     write_table(out / name, names, columns)
+            t_write = time.monotonic()
             write_json(out / "manifest.json", {
                 "command": args.command,
                 "version": __version__,
                 "seed": cfg.seed,
                 "config": cfg.to_mapping(),
                 "outputs": sorted(outputs),
+                "bytes_written": sum((out / name).stat().st_size for name in outputs),
+                "timings_s": {"compute": t_compute - t0, "write": t_write - t_compute},
                 "wall_time_s": time.monotonic() - t0,
             })
     except GyroSimError as exc:

@@ -68,6 +68,17 @@ class TestFringesCommand:
         fit = json.loads((out / "fit.json").read_text())
         assert fit["f_hz"] == pytest.approx(2000.0, abs=3 * fit["f_sigma_hz"])
 
+    def test_manifest_records_timings_and_bytes(self, tmp_path, fringes_cfg):
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(fringes_cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings_s"]
+        assert set(timings) == {"compute", "write"}
+        assert timings["compute"] >= 0 and timings["write"] >= 0
+        assert timings["compute"] + timings["write"] <= manifest["wall_time_s"]
+        assert manifest["bytes_written"] == sum(
+            (out / name).stat().st_size for name in manifest["outputs"])
+
     def test_absolute_mode_recovers_dq_frequency(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(ABSOLUTE_CFG)

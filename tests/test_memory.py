@@ -3,18 +3,21 @@
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts every array it allocates.  The working-point stream keeps a
 few 8-byte words per cycle (timestamps, rates, the combined signal) plus
-one block of working arrays; the CSV writer keeps one block of rows.
-Materialising the (cycles x 4) signals, or whole columns as Python
-objects, breaks these bounds.
+one block of working arrays; the CSV writer keeps one block of rows;
+`allan` holds the rotation estimate and the Allan phase series, not the
+stream it came from.  Materialising the (cycles x 4) signals, whole
+columns as Python objects or text, or keeping the stream through the
+Allan step, breaks these bounds.
 """
 
+import argparse
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from nvgyro import LITERATURE_CONSTANTS, FieldEnvironment, SequenceConfig, run_gyro_stream
-from nvgyro import io, sequence
+from nvgyro import cli, io, sequence
 
 WORD = 8
 CYCLES = (100_000, 400_000)
@@ -57,3 +60,33 @@ def test_table_peak_does_not_grow_with_rows(tmp_path):
             lambda: io.write_table(tmp_path / "t.csv", ["n", "x"], columns))
 
     assert peak(40_000) <= peak(5_000) + 64 * 1024
+
+
+def test_four_column_table_peak_is_one_block(tmp_path):
+    # The shape of rotation.csv; the first call builds the kernel's
+    # lookup tables, which later calls reuse.
+    rng = np.random.default_rng(4)
+    io.write_table(tmp_path / "t.csv", ["x"], [np.ones(3)])
+
+    def peak(rows):
+        columns = [np.arange(rows) * 0.007, rng.normal(size=rows),
+                   360 * rng.normal(size=rows), 100 * rng.normal(size=rows)]
+        return _traced_peak(lambda: io.write_table(
+            tmp_path / "t.csv", ["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
+            columns))
+
+    p_small, p_large = peak(5_000), peak(40_000)
+    assert p_large <= p_small + 64 * 1024
+    assert p_large <= 2 * 1024 * 1024
+
+
+def test_allan_peak_is_a_few_words_per_cycle():
+    cfg = cli.default_config()
+
+    def peak(n):
+        args = argparse.Namespace(config=None, out=None,
+                                  duration=(n + 0.5) * cfg.sequence.cycle_period)
+        return _traced_peak(lambda: cli.cmd_allan(args, cfg))
+
+    small, large = CYCLES
+    assert (peak(large) - peak(small)) / (large - small) <= 4 * WORD
