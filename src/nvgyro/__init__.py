@@ -15,6 +15,7 @@ from .analysis import (
     allan_deviation,
     calibration_from_fringes,
     calibration_from_slope,
+    calibration_from_sweep,
     dynamic_range,
     fit_decaying_sine,
     linearity,
@@ -59,7 +60,6 @@ from .ratetable import (
 from .sequence import (
     DEFAULT_PHASE_TABLE,
     FringeSeries,
-    GyroTimeSeries,
     SequenceConfig,
     combine_4ramsey,
     ramsey_projections,

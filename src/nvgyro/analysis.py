@@ -281,6 +281,20 @@ def calibration_from_slope(ds_dtau: float, tau_wp: float,
     return 2.0 * (tau_wp / f_dq) * ds_dtau
 
 
+def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
+    """(alpha per Hz, its standard error, intercept): the least-squares
+    line of the working-point signal against known rotation rates nu
+    (Hz), as a rate-table sweep measures it."""
+    nu, signal = np.asarray(nu, dtype=float), np.asarray(signal, dtype=float)
+    dev = nu - np.mean(nu)
+    slope = float(np.sum(dev * (signal - np.mean(signal))) / np.sum(dev**2))
+    intercept = float(np.mean(signal) - slope * np.mean(nu))
+    resid = signal - (slope * nu + intercept)
+    stderr = float(np.sqrt(np.sum(resid**2) / max(len(signal) - 2, 1)
+                           / np.sum(dev**2)))
+    return slope, stderr, intercept
+
+
 def rotation_from_signal(signal, alpha_per_hz: float, baseline: float):
     """Calibrated rotation rate nu_hat = (S - baseline) / alpha, in Hz."""
     if alpha_per_hz == 0:

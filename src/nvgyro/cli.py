@@ -26,6 +26,7 @@ from . import __version__
 from .analysis import (
     allan_deviation,
     calibration_from_fringes,
+    calibration_from_sweep,
     dynamic_range,
     fit_decaying_sine,
     one_rad_rotation_rate,
@@ -75,9 +76,9 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
     """
     seq = cfg.sequence
     delta_nu = 0.01
+    env = cfg.environment.replace(nu=np.array([0.0, delta_nu, -delta_nu]))
     base, plus, minus = combine_4ramsey(ramsey_signals(
-        seq, cfg.environment, cfg.constants, seq.tau_wp,
-        nu=np.array([0.0, delta_nu, -delta_nu])))
+        seq, env, cfg.constants, seq.tau_wp))
     alpha0 = float((plus - minus) / (2.0 * delta_nu))
     sens = psn_rotation_sensitivity(seq.detector, seq.tau_wp, seq.t2_dq)
     if not (alpha0 != 0.0 and math.isfinite(alpha0) and math.isfinite(sens)):
@@ -142,29 +143,23 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         _check_duration(args.duration, cfg)
         duration = min(duration, args.duration)
     rng = default_rng(cfg.seed)
-
-    def nu_at(t):
-        return traj.rate_at(t) / DEG_PER_REV  # deg/s -> Hz
+    seq = cfg.sequence
+    t = np.arange(seq.n_cycles(duration)) * seq.cycle_period
+    nu_true = traj.rate_at(t) / DEG_PER_REV  # deg/s -> Hz
 
     baseline, alpha0, _ = _working_point(args, cfg)
-    stream = run_gyro_stream(cfg.sequence, cfg.environment, cfg.constants,
-                             duration, rng, nu_at=nu_at)
-    nu_true = nu_at(stream.t)
+    signal = run_gyro_stream(seq, cfg.environment.replace(nu=nu_true),
+                             cfg.constants, duration, rng)
 
     report: dict = {
         "alpha0_per_hz": alpha0,
         "alpha0_per_dps": alpha0 / DEG_PER_REV,
         "baseline": baseline,
-        "n_samples": len(stream),
+        "n_samples": len(signal),
     }
     # Regress S against the table rate when the profile actually sweeps.
     if np.std(nu_true) > 1e-4:
-        dev = nu_true - np.mean(nu_true)
-        slope = float(np.sum(dev * (stream.S - np.mean(stream.S))) / np.sum(dev**2))
-        intercept = float(np.mean(stream.S) - slope * np.mean(nu_true))
-        resid = stream.S - (slope * nu_true + intercept)
-        stderr = float(np.sqrt(np.sum(resid**2) / max(len(stream) - 2, 1)
-                               / np.sum(dev**2)))
+        slope, stderr, intercept = calibration_from_sweep(nu_true, signal)
         report.update({
             "alpha_per_hz": slope,
             "alpha_stderr_per_hz": stderr,
@@ -177,18 +172,18 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         alpha_used, baseline_used = alpha0, baseline
     report["alpha_used_per_hz"] = alpha_used
 
-    nu_hat = rotation_from_signal(stream.S, alpha_used, baseline_used)
+    nu_hat = rotation_from_signal(signal, alpha_used, baseline_used)
     outputs = {
         "telemetry.csv": (["t_s", "angle_deg", "rate_dps", "accel_dps2"],
                           [telemetry.t, telemetry.angle, telemetry.rate, telemetry.accel]),
-        "signal.csv": (["t_s", "signal"], [stream.t, stream.S]),
+        "signal.csv": (["t_s", "signal"], [t, signal]),
         "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                         [stream.t, nu_hat, nu_hat * DEG_PER_REV,
+                         [t, nu_hat, nu_hat * DEG_PER_REV,
                           nu_true * DEG_PER_REV]),
         "regression.json": report,
     }
     rms = float(np.sqrt(np.mean((nu_hat - nu_true) ** 2))) * DEG_PER_REV
-    return outputs, (f"gyro: {len(stream)} samples over {duration:.1f} s, "
+    return outputs, (f"gyro: {len(signal)} samples over {duration:.1f} s, "
                      f"table-vs-gyro RMS {rms:.3f} deg/s -> {args.out}")
 
 
@@ -197,10 +192,10 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     baseline, alpha0, psn = _working_point(args, cfg)
     rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
-    stream = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
-    n_samples = len(stream)
-    nu_hat = rotation_from_signal(stream.S, alpha0, baseline)
-    del stream  # nothing reads t or S again; free them before the Allan peak
+    signal = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
+    n_samples = len(signal)
+    nu_hat = rotation_from_signal(signal, alpha0, baseline)
+    del signal  # nothing reads it again; free it before the Allan peak
     series = allan_deviation(nu_hat, cfg.sequence.cycle_period)
 
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every

@@ -20,12 +20,14 @@ the ensemble-averaged projection once per shot.
 Every experiment here is evaluated by one kernel, ramsey_projections:
 the noise-free bright projections of the four phase-table Ramseys,
 Tr(W_j rho(tau)) with W_j = U2_j^dag |0><0| U2_j, broadcast over arrays
-of delays and rotation rates.  Shot noise is added afterwards, one
-normal draw per (delay or cycle, phase entry) in C order, by
+of delays and over the array fields of the FieldEnvironment (rotation
+rate, quadrupole shift, field drift).  Shot noise is added afterwards,
+one normal draw per (delay or cycle, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
 combine_4ramsey forms R from them.  The working-point stream runs the
-same steps over fixed blocks of cycles, so its memory holds a few words
-per cycle plus one block; its output does not depend on the block size.
+same steps over fixed blocks of cycles, slicing the environment's
+per-cycle arrays block by block, so its memory holds the combined
+signal plus one block; its output does not depend on the block size.
 The test reference model, tests/oracle.py, computes the same projections
 one shot at a time from matrix exponentials of the pulse generators and
 of the free Hamiltonian, sharing no code with the kernel.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,6 +126,15 @@ class SequenceConfig:
         if self.detector.t_R > self.pump_duration:
             raise ValueError("detector t_R must fit inside the pump pulse")
 
+    def n_cycles(self, duration: float) -> int:
+        """Whole cycles in duration (s): the length of a working-point stream."""
+        if not duration > 0:
+            raise ValueError("duration must be > 0")
+        n = int(math.floor(duration / self.cycle_period))
+        if n < 1:
+            raise ValueError("duration shorter than one cycle")
+        return n
+
     def check_delay(self, delay: float, name: str) -> None:
         """The timing rule of every Ramsey delay: 0 <= delay and
         pump_duration + delay < cycle_period."""
@@ -165,25 +176,6 @@ class FringeSeries:
         return len(self.taus)
 
 
-@dataclass
-class GyroTimeSeries:
-    """Working-point stream: cycle-start timestamps and combined signal."""
-
-    t: np.ndarray
-    S: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.S = np.asarray(self.S, dtype=float)
-        if self.t.shape != self.S.shape:
-            raise ValueError("t and S must have equal lengths")
-        if len(self.t) > 1 and np.any(np.diff(self.t) <= 0):
-            raise ValueError("t must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-
 def _prepared_state(cfg: SequenceConfig, scale: float) -> np.ndarray:
     """Density matrix after the optical pump (pump_fidelity in |+1>, the rest
     maximally mixed), SQ pi and the first DQ pulse (phases 0,0)."""
@@ -210,15 +202,15 @@ def _projection_operators(cfg: SequenceConfig, scale: float) -> np.ndarray:
 
 
 def ramsey_projections(cfg: SequenceConfig, env: FieldEnvironment,
-                       c: PhysicalConstants, tau, nu=None) -> np.ndarray:
+                       c: PhysicalConstants, tau) -> np.ndarray:
     """Noise-free bright projections of the four phase-table Ramseys.
 
-    tau (s) and nu (rotation rate in Hz, replacing env.nu when given)
-    broadcast against each other; the result has shape (..., 4) with
-    their broadcast shape leading.  Projections are averaged over the
-    rf_gradient sub-ensembles with their weights.
+    tau (s) and the environment's array fields broadcast against each
+    other; the result has shape (..., 4) with their broadcast shape
+    leading.  Projections are averaged over the rf_gradient
+    sub-ensembles with their weights.
     """
-    d1, d2 = frame_detunings(env, c, cfg.frame, nu)
+    d1, d2 = frame_detunings(env, c, cfg.frame)
     factor = evolution_factor(tau, d1, d2, cfg.t2_dq, cfg.effective_t2_sq)
     pbar = 0.0
     for weight, scale in cfg.rf_gradient:
@@ -231,14 +223,13 @@ def ramsey_projections(cfg: SequenceConfig, env: FieldEnvironment,
 
 def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
                    c: PhysicalConstants, tau,
-                   rng: np.random.Generator | None = None,
-                   nu=None) -> np.ndarray:
+                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Signals S of the four phase-table Ramseys, shape (..., 4).
 
     Broadcasts like ramsey_projections; with an rng each (delay, phase
     entry) gets its own shot-noise draw.
     """
-    return readout_signal(cfg.detector, ramsey_projections(cfg, env, c, tau, nu), rng)
+    return readout_signal(cfg.detector, ramsey_projections(cfg, env, c, tau), rng)
 
 
 def combine_4ramsey(signals) -> np.ndarray:
@@ -269,38 +260,36 @@ def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
 
 def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
                     c: PhysicalConstants, duration: float,
-                    rng: np.random.Generator | None = None,
-                    nu_at: Callable[[np.ndarray], np.ndarray] | None = None
-                    ) -> GyroTimeSeries:
-    """Working-point stream: one combined 4-Ramsey sample per cycle.
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """Working-point stream: the combined 4-Ramsey sample of each of the
+    cfg.n_cycles(duration) cycles; cycle k starts at k * cycle_period.
 
-    Each cycle is the 4-Ramsey sequence at tau_wp in env.  nu_at, when
-    given, maps the array of cycle-start times to rotation rates in Hz
-    (replacing env.nu), held constant over each cycle; without it the
-    environment is static and the projections come from a single
-    evaluation.  The cycles run in blocks of _STREAM_BLOCK: each block
-    gets its projections, shot noise and 4-Ramsey combination, so the
+    Each cycle is the 4-Ramsey sequence at tau_wp in env.  A field of
+    env that holds an array has one entry per cycle, held constant over
+    that cycle; an environment of scalars is static and its projections
+    come from a single evaluation.  The cycles run in blocks of
+    _STREAM_BLOCK: each block slices the environment's arrays and gets
+    its projections, shot noise and 4-Ramsey combination, so the
     (cycles x 4) signals exist one block at a time.  Every step is
-    elementwise and the draws are sequential, so t and S are the same
+    elementwise and the draws are sequential, so the output is the same
     bit for bit whatever the block size.  With an rng, draw order is:
     photon shot noise (n_cycles x 4, block after block), extra white
     noise (n_cycles), random-walk increments (n_cycles).
     """
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
-    n = int(math.floor(duration / cfg.cycle_period))
-    if n < 1:
-        raise ValueError("duration shorter than one cycle")
-    ts = np.arange(n) * cfg.cycle_period
-
-    nu = None if nu_at is None else np.broadcast_to(nu_at(ts), ts.shape)
-    if nu is None:
+    n = cfg.n_cycles(duration)
+    varying = {name: values for name in ("nu", "delta_Q", "delta_B")
+               if np.ndim(values := getattr(env, name))}
+    if any(np.shape(values) != (n,) for values in varying.values()):
+        raise ValueError(f"environment arrays must hold one entry per cycle ({n})")
+    if not varying:
         proj = ramsey_projections(cfg, env, c, cfg.tau_wp)
     combined = np.empty(n)
     for start in range(0, n, _STREAM_BLOCK):
         stop = min(start + _STREAM_BLOCK, n)
-        if nu is not None:
-            proj = ramsey_projections(cfg, env, c, cfg.tau_wp, nu[start:stop])
+        if varying:
+            block = env.replace(**{name: values[start:stop]
+                                   for name, values in varying.items()})
+            proj = ramsey_projections(cfg, block, c, cfg.tau_wp)
         combined[start:stop] = combine_4ramsey(readout_signal(
             cfg.detector, np.broadcast_to(proj, (stop - start, 4)), rng))
 
@@ -311,5 +300,4 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
             walk = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
             steps = rng.normal(0.0, walk, size=n)
             combined += np.cumsum(steps, out=steps)
-
-    return GyroTimeSeries(t=ts, S=combined)
+    return combined

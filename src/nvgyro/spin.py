@@ -15,6 +15,8 @@ this sign convention is recorded here, not asserted as a measured fact.
 Sample rotation at rate nu about the NV axis (clockwise positive) shifts
 the |+-1> levels by +-nu, so the DQ coherence precesses at f_DQ + 2*nu
 while the mid-level quadrupole shift (temperature) cancels out of it.
+All three reach the levels through one FieldEnvironment, whose
+perturbations may be arrays (one entry per delay or per cycle).
 
 RF pulses are hard pulses: instantaneous rotations characterized only by
 area and phase.  Phase bookkeeping between pulses uses an explicit
@@ -40,9 +42,10 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 DEG_PER_REV = 360.0
 
 def check_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first listed field of obj that is not finite."""
+    """Raise ValueError naming the first listed field of obj that is not
+    finite in every entry."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
+        if not np.isfinite(getattr(obj, name)).all():
             raise ValueError(f"{name} must be finite")
 
 
@@ -83,7 +86,10 @@ class FieldEnvironment:
 
     B: bias field (G); nu: rotation rate about the NV axis (Hz, clockwise
     positive); delta_Q: quadrupole perturbation (Hz, temperature drift
-    proxy); delta_B: bias-field drift (G).
+    proxy); delta_B: bias-field drift (G).  B is a scalar; nu, delta_Q
+    and delta_B may be numpy arrays, which broadcast against the delays
+    of the Ramsey kernel (one entry per cycle in run_gyro_stream).  An
+    environment holding arrays is unhashable.
     """
 
     B: float = 482.0
@@ -229,15 +235,11 @@ def pulse_unitary(p: PulseSpec) -> np.ndarray:
 
 
 def frame_detunings(env: FieldEnvironment, c: PhysicalConstants,
-                    frame: RotatingFrame, nu=None):
-    """Per-tone phase accumulation rates (Hz) including the rotation shift.
-
-    nu (Hz) replaces env.nu when given and may be an array; the rates
-    then broadcast over it.
-    """
+                    frame: RotatingFrame):
+    """Per-tone phase accumulation rates (Hz) including the rotation shift;
+    arrays when the environment holds arrays."""
     f1, f2 = transition_frequencies(env, c)
-    nu = env.nu if nu is None else np.asarray(nu, dtype=float)
-    return f1 + nu - frame.f1, f2 - nu - frame.f2
+    return f1 + env.nu - frame.f1, f2 - env.nu - frame.f2
 
 
 def evolution_factor(tau, delta1, delta2, t2_dq: float,

@@ -176,12 +176,12 @@ def test_criterion_07_calibration_agreement():
     alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq)
 
     telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
-    stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
-                             np.random.default_rng(42),
-                             nu_at=lambda t: traj.rate_at(t) / 360.0)
-    nu = np.asarray(traj.rate_at(stream.t)) / 360.0
+    t = np.arange(cfg.n_cycles(traj.t_end)) * cfg.cycle_period
+    nu = np.asarray(traj.rate_at(t)) / 360.0
+    signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, traj.t_end,
+                             np.random.default_rng(42))
     dev = nu - nu.mean()
-    alpha_sweep = float(np.sum(dev * (stream.S - stream.S.mean())) / np.sum(dev**2))
+    alpha_sweep = float(np.sum(dev * (signal - signal.mean())) / np.sum(dev**2))
 
     mags = [abs(alpha_fringe), abs(alpha_slope), abs(alpha_sweep)]
     pairwise = max(abs(a / b - 1.0) for a in mags for b in mags)
@@ -211,15 +211,15 @@ def test_criterion_08_allan_suite():
     base_cfg = SequenceConfig(tau_wp=tau_wp)
     dn = 0.01
     baseline, plus, minus = combine_4ramsey(ramsey_signals(
-        base_cfg, ENV, C, tau_wp, nu=np.array([0.0, dn, -dn])))
+        base_cfg, ENV.replace(nu=np.array([0.0, dn, -dn])), C, tau_wp))
     alpha = (plus - minus) / (2 * dn)
     t_c = base_cfg.cycle_period
     target_sample_sigma = 13e-3 / math.sqrt(t_c)  # Hz per sample for 13 mHz/rtHz
     psn_sigma = combined_sigma(base_cfg) / abs(alpha)
     extra = math.sqrt(target_sample_sigma**2 - psn_sigma**2) * abs(alpha)
     cfg = base_cfg.replace(noise=NoiseHooks(white_sigma=extra))
-    stream = run_gyro_stream(cfg, ENV, C, 1800.0, np.random.default_rng(99))
-    nu_hat = (stream.S - baseline) / alpha
+    signal = run_gyro_stream(cfg, ENV, C, 1800.0, np.random.default_rng(99))
+    nu_hat = (signal - baseline) / alpha
     m300 = round(300.0 / t_c)
     floor_series = allan_deviation(nu_hat, t_c, m_values=[1, 2, 4, m300])
     arw = float(np.median(floor_series.adev[:3] * np.sqrt(floor_series.tau_avg[:3])))

@@ -15,6 +15,7 @@ from nvgyro import (
     allan_deviation,
     calibration_from_fringes,
     calibration_from_slope,
+    calibration_from_sweep,
     dynamic_range,
     fit_decaying_sine,
     linearity,
@@ -218,6 +219,26 @@ class TestCalibration:
 
     def test_zero_slope_gives_zero(self):
         assert calibration_from_slope(0.0, 1.4e-3, 2e3) == 0.0
+
+    def test_sweep_line_matches_polyfit_and_linregress(self):
+        # a noisy rate-table sweep: slope and intercept as np.polyfit,
+        # standard error as scipy's linregress
+        from scipy.stats import linregress
+        rng = np.random.default_rng(7)
+        nu = 0.5 * np.sin(np.linspace(0.0, 20.0, 2000))
+        signal = 0.4 + 6.6e-3 * nu + rng.normal(0.0, 1e-4, nu.size)
+        slope, stderr, intercept = calibration_from_sweep(nu, signal)
+        np.testing.assert_allclose([slope, intercept], np.polyfit(nu, signal, 1),
+                                   rtol=1e-12)
+        ref = linregress(nu, signal)
+        assert slope == pytest.approx(ref.slope, rel=1e-12)
+        assert stderr == pytest.approx(ref.stderr, rel=1e-9)
+        assert intercept == pytest.approx(ref.intercept, rel=1e-12)
+
+    def test_sweep_line_is_exact_on_a_line(self):
+        nu = np.array([-1.0, 0.0, 0.5, 2.0])
+        slope, stderr, intercept = calibration_from_sweep(nu, 3.0 + 0.25 * nu)
+        assert (slope, stderr, intercept) == (0.25, 0.0, 3.0)
 
 
 class TestRotationFromSignal:

@@ -110,3 +110,30 @@ def test_tables_are_not_built_on_import():
 def test_any_bit_pattern_prints_as_repr(tmp_path_factory, patterns):
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
     _check_floats(tmp_path_factory.mktemp("io"), values)
+
+
+def test_round_to_odd_sticky_threshold():
+    # Schubfach's exact cases: for 0 <= e <= 22 the g table holds
+    # G + 1 with G = 10**e * 2**(128 - n) exact, so the scaled value
+    # g * cp / 2**128 of cp = m * 2**(n - e) is the integer m * 5**e plus
+    # (g - G) * cp / 2**128: the g error alone decides the 64 bits below
+    # the result.  Raising that error by delta puts those bits at w, and
+    # the lowest bit is set only for w > 1.
+    g_limbs = io._tables()[0]
+    gs, cps, expected = [], [], []
+    for e in range(23):
+        n = (10**e).bit_length()
+        big_g = 10**e << (128 - n)
+        assert sum(int(g_limbs[i][292 + e]) << (32 * i) for i in range(4)) == big_g + 1
+        for m in (2, 6, 10):
+            cp = m << (n - e)
+            for w in (0, 1, 2, 3):
+                delta = -(-w * 2**64 // cp) if w else 1
+                assert (delta * cp) >> 64 == w
+                gs.append(big_g + delta)
+                cps.append(cp)
+                expected.append(m * 5**e + (w > 1))
+    limbs = tuple(np.array([(g >> (32 * i)) & 0xFFFFFFFF for g in gs], np.uint64)
+                  for i in range(4))
+    got = io._round_to_odd(limbs, np.array(cps, np.uint64))
+    assert got.tolist() == expected

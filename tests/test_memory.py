@@ -1,9 +1,10 @@
 """Memory guards for the long-run paths, measured with tracemalloc.
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a
-call counts every array it allocates.  The working-point stream keeps a
-few 8-byte words per cycle (timestamps, rates, the combined signal) plus
-one block of working arrays; the CSV writer keeps one block of rows;
+call counts every array it allocates.  The working-point stream keeps
+one 8-byte word per cycle (the combined signal) plus one block of
+working arrays, and a rate-table run adds the per-cycle rates its
+environment carries; the CSV writer keeps one block of rows;
 `allan` holds the rotation estimate and the Allan phase series, not the
 stream it came from.  Materialising the (cycles x 4) signals, whole
 columns as Python objects or text, or keeping the stream through the
@@ -34,21 +35,26 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("rotating", [False, True])
 def test_stream_peak_is_a_few_words_per_cycle(rotating):
+    # A static run keeps only the combined signal; a rotating run also
+    # holds the rates it builds, inside the traced call, for its
+    # environment, and their timestamps while it builds them.
     cfg = SequenceConfig()
     env = FieldEnvironment(B=482.0)
+    words = 4 if rotating else 2
 
-    def nu_at(t):
-        return 0.5 * np.sin(t)
-
-    def peak(n):
-        return _traced_peak(lambda: run_gyro_stream(
-            cfg, env, LITERATURE_CONSTANTS, (n + 0.5) * cfg.cycle_period,
-            np.random.default_rng(5), nu_at=nu_at if rotating else None))
+    def run(n):
+        run_env = env
+        if rotating:
+            t = np.arange(n) * cfg.cycle_period
+            run_env = env.replace(nu=0.5 * np.sin(t))
+            del t
+        run_gyro_stream(cfg, run_env, LITERATURE_CONSTANTS,
+                        (n + 0.5) * cfg.cycle_period, np.random.default_rng(5))
 
     small, large = CYCLES
-    p_small, p_large = peak(small), peak(large)
-    assert (p_large - p_small) / (large - small) <= 4 * WORD
-    assert p_small <= 4 * WORD * small + 512 * sequence._STREAM_BLOCK
+    p_small, p_large = (_traced_peak(lambda: run(n)) for n in CYCLES)
+    assert (p_large - p_small) / (large - small) <= words * WORD
+    assert p_small <= words * WORD * small + 512 * sequence._STREAM_BLOCK
 
 
 def test_table_peak_does_not_grow_with_rows(tmp_path):

@@ -2,9 +2,10 @@
 
 tests/oracle.py, a one-shot-at-a-time model built from matrix
 exponentials that shares no code with the kernel, is the reference for
-ramsey_projections.  Seeded runs must repeat bit for bit, and the rate
-table must ramp toward each setpoint without overshoot and report an
-angle that is the integral of its rate.  The closed-form working point
+ramsey_projections, and an environment of arrays must give the stack of
+its entries' scalar environments.  Seeded runs must repeat bit for bit,
+and the rate table must ramp toward each setpoint without overshoot and
+report an angle that is the integral of its rate.  The closed-form working point
 must zero the derivative of the merit it maximizes.  The block sizes of
 the working-point stream and of the CSV writer must not change a bit of
 their output, and the in-place Allan deviation must equal the textbook
@@ -94,13 +95,39 @@ def sequence_configs(draw, phase_table=phase_tables):
        nu_list=st.lists(nus, min_size=1, max_size=2))
 def test_kernel_matches_density_matrix_oracle(cfg, env, tau_list, nu_list):
     # tau along the last axis, nu along the first: result (n_nu, n_tau, 4)
-    got = ramsey_projections(cfg, env, C, np.array(tau_list),
-                             np.array(nu_list)[:, None])
+    got = ramsey_projections(cfg, env.replace(nu=np.array(nu_list)[:, None]), C,
+                             np.array(tau_list))
     assert got.shape == (len(nu_list), len(tau_list), 4)
     for i, nu in enumerate(nu_list):
         for k, tau in enumerate(tau_list):
             expected = bright_projections(cfg, env.replace(nu=nu), C, tau)
             np.testing.assert_allclose(got[i, k], expected, rtol=0, atol=TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), tau=taus,
+       rows=st.lists(st.tuples(nus, st.floats(-20e3, 20e3), st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=6))
+def test_array_environment_matches_scalar_environments(cfg, env, tau, rows):
+    # An environment whose perturbations are equal-length arrays is the
+    # stack of the scalar environments of its entries.
+    nu, delta_q, delta_b = (np.array(col) for col in zip(*rows))
+    got = ramsey_projections(cfg, env.replace(nu=nu, delta_Q=delta_q, delta_B=delta_b),
+                             C, tau)
+    assert got.shape == (len(rows), 4)
+    for i, (v, q, b) in enumerate(rows):
+        expected = ramsey_projections(cfg, env.replace(nu=v, delta_Q=q, delta_B=b), C, tau)
+        np.testing.assert_allclose(got[i], expected, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(["nu", "delta_Q", "delta_B"]),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_non_finite_array_entry_is_rejected(name, bad, data):
+    values = np.array(data.draw(st.lists(nus, min_size=1, max_size=6), label="values"))
+    values[data.draw(st.integers(0, len(values) - 1), label="index")] = bad
+    with pytest.raises(ValueError, match=name):
+        FieldEnvironment(**{name: values})
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,17 +183,16 @@ def test_seeded_signals_repeat_bit_for_bit(cfg, env, seed, tau_list):
 def test_seeded_stream_repeats_bit_for_bit(cfg, env, seed, noise, duration,
                                            amplitude, omega, rotating):
     cfg = cfg.replace(noise=noise)
-
-    def nu_at(t):
-        return amplitude * np.sin(omega * t)
+    if rotating:
+        t = np.arange(cfg.n_cycles(duration)) * cfg.cycle_period
+        env = env.replace(nu=amplitude * np.sin(omega * t))
 
     def run(s):
-        return run_gyro_stream(cfg, env, C, duration, np.random.default_rng(s),
-                               nu_at=nu_at if rotating else None)
+        return run_gyro_stream(cfg, env, C, duration, np.random.default_rng(s))
 
     a, b, c = run(seed), run(seed), run(seed + 1)
-    assert np.array_equal(a.t, b.t) and np.array_equal(a.S, b.S)
-    assert not np.array_equal(a.S, c.S)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 instructions = st.builds(
@@ -242,21 +268,19 @@ def test_stream_bytes_do_not_depend_on_block_size(cfg, env, seed, noise, data,
     n = data.draw(st.integers(1, 40), label="cycles")
     block = data.draw(st.integers(1, n + 1), label="block")
     duration = (n + 0.5) * cfg.cycle_period
-
-    def nu_at(t):
-        return 3.0 * np.sin(40.0 * t) + 0.25
+    if rotating:
+        t = np.arange(n) * cfg.cycle_period
+        env = env.replace(nu=3.0 * np.sin(40.0 * t) + 0.25)
 
     def run(block_size):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sequence, "_STREAM_BLOCK", block_size)
             return run_gyro_stream(cfg, env, C, duration,
-                                   np.random.default_rng(seed) if noisy else None,
-                                   nu_at=nu_at if rotating else None)
+                                   np.random.default_rng(seed) if noisy else None)
 
     whole, blocked = run(n), run(block)
     assert len(whole) == n
-    assert np.array_equal(blocked.t, whole.t)
-    assert np.array_equal(blocked.S, whole.S)
+    assert np.array_equal(blocked, whole)
 
 
 cells = st.one_of(

@@ -236,31 +236,29 @@ class TestGyroStream:
 
     def test_constant_signal_without_rotation(self):
         cfg = self.wp_config()
-        stream = run_gyro_stream(cfg, ENV, C, 0.5)
-        assert np.ptp(stream.S) == 0.0
+        signal = run_gyro_stream(cfg, ENV, C, 0.5)
+        assert np.ptp(signal) == 0.0
 
     def test_matches_scalar_4ramsey(self):
-        # per-cycle rate samples reach the kernel as the environment's nu
+        # per-cycle rates in the environment reach the kernel cycle by cycle
         cfg = self.wp_config()
-
-        def nu_at(t):
-            return 20.0 * np.sin(3 * t) / 360.0
-
-        stream = run_gyro_stream(cfg, ENV, C, 0.25, nu_at=nu_at)
+        t = np.arange(cfg.n_cycles(0.25)) * cfg.cycle_period
+        nu = 20.0 * np.sin(3 * t) / 360.0
+        signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, 0.25)
         direct = [combine_4ramsey(ramsey_signals(
-                      cfg, ENV.replace(nu=float(nu_at(t))), C, cfg.tau_wp))
-                  for t in stream.t]
-        assert np.allclose(stream.S, direct, atol=1e-15)
+                      cfg, ENV.replace(nu=float(v)), C, cfg.tau_wp))
+                  for v in nu]
+        assert np.allclose(signal, direct, atol=1e-15)
 
     def test_constant_rotation_offset_matches_calibration(self):
         # S offset at 10 deg/s equals alpha * 10 deg/s within 1%
         cfg = self.wp_config()
         dn = 0.01
         base, plus, minus = combine_4ramsey(ramsey_signals(
-            cfg, ENV, C, cfg.tau_wp, nu=np.array([0.0, dn, -dn])))
+            cfg, ENV.replace(nu=np.array([0.0, dn, -dn])), C, cfg.tau_wp))
         slope = (plus - minus) / (2 * dn)
-        stream = run_gyro_stream(cfg, ENV.replace(nu=10.0 / 360.0), C, 0.5)
-        offset = float(np.mean(stream.S)) - base
+        signal = run_gyro_stream(cfg, ENV.replace(nu=10.0 / 360.0), C, 0.5)
+        offset = float(np.mean(signal)) - base
         assert offset == pytest.approx(slope * 10.0 / 360.0, rel=0.01)
 
     def test_linear_response_over_triangle_sweep(self):
@@ -268,26 +266,25 @@ class TestGyroStream:
         from nvgyro import RotationProfile, run_profile
         cfg = self.wp_config()
         telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
-        stream = run_gyro_stream(cfg, ENV, C, traj.t_end,
-                                 nu_at=lambda t: traj.rate_at(t) / 360.0)
-        nu = np.asarray(traj.rate_at(stream.t)) / 360.0
-        coeffs = np.polyfit(nu, stream.S, 1)
-        resid = stream.S - np.polyval(coeffs, nu)
-        span = np.ptp(stream.S)
+        t = np.arange(cfg.n_cycles(traj.t_end)) * cfg.cycle_period
+        nu = np.asarray(traj.rate_at(t)) / 360.0
+        signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, traj.t_end)
+        coeffs = np.polyfit(nu, signal, 1)
+        resid = signal - np.polyval(coeffs, nu)
+        span = np.ptp(signal)
         assert np.max(np.abs(resid)) < 2e-4 * span
 
     def test_sample_rate(self):
         cfg = self.wp_config()
-        stream = run_gyro_stream(cfg, ENV, C, 1.0)
-        assert len(stream) == int(1.0 / cfg.cycle_period)
-        assert np.allclose(np.diff(stream.t), cfg.cycle_period)
+        signal = run_gyro_stream(cfg, ENV, C, 1.0)
+        assert len(signal) == cfg.n_cycles(1.0) == int(1.0 / cfg.cycle_period)
 
     def test_seeded_determinism(self):
         cfg = self.wp_config(noise=NoiseHooks(white_sigma=1e-6,
                                               random_walk_sigma=1e-7))
         a = run_gyro_stream(cfg, ENV, C, 2.0, np.random.default_rng(5))
         b = run_gyro_stream(cfg, ENV, C, 2.0, np.random.default_rng(5))
-        assert np.array_equal(a.S, b.S)
+        assert np.array_equal(a, b)
 
     def test_rotation_reads_as_half_a_frequency_shift(self):
         # a rotation nu and a field-induced DQ-splitting shift of 2*nu
@@ -300,7 +297,7 @@ class TestGyroStream:
             0.0, 0.1,
         )
         r0, r_nu = combine_4ramsey(ramsey_signals(
-            cfg, ENV, C, cfg.tau_wp, nu=np.array([0.0, target / 2])))
+            cfg, ENV.replace(nu=np.array([0.0, target / 2])), C, cfg.tau_wp))
         r_db = combine_4ramsey(ramsey_signals(cfg, ENV.replace(delta_B=db), C, cfg.tau_wp))
         assert r_nu - r0 == pytest.approx(r_db - r0, rel=1e-6)
 
@@ -309,13 +306,21 @@ class TestGyroStream:
         quiet = run_gyro_stream(cfg, ENV, C, 5.0, np.random.default_rng(1))
         loud_cfg = self.wp_config(noise=NoiseHooks(white_sigma=1e-4))
         loud = run_gyro_stream(loud_cfg, ENV, C, 5.0, np.random.default_rng(1))
-        assert np.std(loud.S) > 3 * np.std(quiet.S)
+        assert np.std(loud) > 3 * np.std(quiet)
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             run_gyro_stream(self.wp_config(), ENV, C, 0.0)
         with pytest.raises(ValueError):
             run_gyro_stream(self.wp_config(), ENV, C, 1e-3)
+
+    def test_environment_arrays_hold_one_entry_per_cycle(self):
+        cfg = self.wp_config()
+        n = cfg.n_cycles(0.1)
+        for env in (ENV.replace(nu=np.zeros(n - 1)), ENV.replace(delta_Q=np.zeros(n + 1)),
+                    ENV.replace(delta_B=np.zeros((n, 1)))):
+            with pytest.raises(ValueError, match="one entry per cycle"):
+                run_gyro_stream(cfg, env, C, 0.1)
 
 
 class TestSequenceConfig:
