@@ -14,6 +14,12 @@ rotation; dividing by 360 gives the per-(deg/s) value.  The slope method
 alpha = 2*(tau_wp/f_DQ)*dS/dtau is algebraically identical at a fringe
 zero crossing; a rotation sweep measures the same number directly.
 
+The overlapping Allan deviation is computed from the phase series,
+built in place in one float64 array (one 8-byte word per sample), and
+its second differences are summed in cache-sized leaves along numpy's
+pairwise-summation tree, so the result is the whole-array formula's to
+the bit.
+
 All frequencies are Hz internally; degrees appear only through the exact
 x360 conversion at I/O boundaries.
 """
@@ -295,12 +301,17 @@ def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     return slope, stderr, intercept
 
 
-def rotation_from_signal(signal, alpha_per_hz: float, baseline: float):
-    """Calibrated rotation rate nu_hat = (S - baseline) / alpha, in Hz."""
+def rotation_from_signal(signal, alpha_per_hz: float, baseline: float,
+                         out=None):
+    """Calibrated rotation rate nu_hat = (S - baseline) / alpha, in Hz.
+
+    out, a float array shaped like signal (which may be signal itself),
+    receives the result in place of a new array.
+    """
     if alpha_per_hz == 0:
         raise ValueError("alpha must be nonzero")
-    out = np.asarray(signal, dtype=float) - baseline
-    out /= alpha_per_hz  # in place: no second run-length temporary
+    out = np.subtract(signal, baseline, out=out, dtype=float)
+    out /= alpha_per_hz
     return float(out) if out.ndim == 0 else out
 
 
@@ -342,9 +353,50 @@ def allan_deviation(values, tau0: float,
 
     values are rate-like samples spaced tau0 seconds; averaging factors
     default to octaves up to N/4.  Each point reports the number of
-    overlapping second differences that entered the estimate.
+    overlapping second differences that entered the estimate.  values
+    is left unchanged: the phase series is built in one copy of it.
     """
-    y = np.asarray(values, dtype=float)
+    return _allan_in_place(np.array(values, dtype=float), tau0, m_values)
+
+
+#: Second differences per leaf of the blocked sum in _allan_in_place: a
+#: 128 KiB buffer that stays in cache.
+_ALLAN_LEAF = 16_384
+
+
+def _pairwise_sum(fill, n: int, buf: np.ndarray) -> float:
+    """np.sum of the length-n array whose elements [i, j) fill(i, j, out)
+    writes into out, without forming it.
+
+    numpy sums a contiguous float64 array along a pairwise tree that
+    splits n at n//2 rounded down to a multiple of 8; the subtrees of at
+    most len(buf) elements are formed in buf and summed by np.add.reduce,
+    so the result is np.sum's, bit for bit.
+    """
+    def node(start: int, size: int) -> float:
+        if size <= len(buf):
+            return np.add.reduce(fill(start, start + size, buf[:size]))
+        half = size // 2
+        half -= half % 8
+        return node(start, half) + node(start + half, size - half)
+
+    return float(node(0, n))
+
+
+def _allan_in_place(y: np.ndarray, tau0: float,
+                    m_values: list[int] | None = None) -> AllanSeries:
+    """allan_deviation of the float64 rate samples y, overwriting y with
+    their phase series.
+
+    The phase series (NIST SP 1065, Sec. 5.2) is x_k = tau0 * sum_{i<k}
+    (y_i - mean y) for k = 0..n; the mean is removed first, since Allan
+    variance is offset-invariant and the smaller running sum avoids
+    cancellation error on long records.  y becomes x_1..x_n in place and
+    x_0 = 0 stays implicit.  Each second difference x_{k+2m} - 2 x_{k+m}
+    + x_k is formed with the same roundings as the whole-array
+    expression, squared and summed leaf by leaf (_pairwise_sum), so no
+    run-length difference array exists and the sum is np.sum's.
+    """
     if y.ndim != 1:
         raise ValueError("values must be 1-D")
     n = len(y)
@@ -354,30 +406,35 @@ def allan_deviation(values, tau0: float,
         raise ValueError("tau0 must be > 0")
     if m_values is None:
         m_values = octave_m_values(n)
-    # Integrated (phase-like) series.  The mean is removed first: Allan
-    # variance is offset-invariant, and the smaller running sum avoids
-    # cancellation error on long records.  x and each second difference
-    # d are built in place, in the order of x[2m:] - 2*x[m:-m] + x[:-2m];
-    # every d reuses one buffer, so two never coexist.
-    x = np.empty(n + 1)
-    x[0] = 0.0
-    np.cumsum(y - np.mean(y), out=x[1:])
-    x *= tau0
-    buf = np.empty(n - 1)  # the longest second difference, m = 1
+    y -= np.mean(y)
+    x1 = np.cumsum(y, out=y)  # x_1..x_n: x_k is x1[k - 1]
+    x1 *= tau0
+    buf = np.empty(min(n, _ALLAN_LEAF))
     taus, adevs, counts = [], [], []
     for m in m_values:
         m = int(m)
-        if m < 1 or 2 * m >= len(x):
+        if m < 1 or 2 * m > n:
             raise ValueError(f"averaging factor m={m} needs more than 2m samples")
-        d = np.multiply(x[m:-m], -2.0, out=buf[:len(x) - 2 * m])
-        d += x[2 * m:]
-        d += x[: -2 * m]
-        d *= d
+
+        def second_differences(i, j, out, m=m):
+            # Squared (-2 x_{k+m} + x_{k+2m}) + x_k for k in [i, j);
+            # x_0 = 0 enters as + 0.0.
+            d = np.multiply(x1[m - 1 + i:m - 1 + j], -2.0, out=out)
+            d += x1[2 * m - 1 + i:2 * m - 1 + j]
+            if i == 0:
+                d[0] += 0.0
+                d[1:] += x1[:j - 1]
+            else:
+                d += x1[i - 1:j - 1]
+            d *= d
+            return d
+
+        count = n + 1 - 2 * m
         tau = m * tau0
-        avar = np.sum(d) / (2.0 * tau * tau * d.size)
+        avar = _pairwise_sum(second_differences, count, buf) / (2.0 * tau * tau * count)
         taus.append(tau)
         adevs.append(math.sqrt(avar))
-        counts.append(d.size)
+        counts.append(count)
     return AllanSeries(np.array(taus), np.array(adevs), np.array(counts))
 
 

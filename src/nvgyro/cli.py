@@ -24,7 +24,7 @@ from numpy.random import default_rng
 
 from . import __version__
 from .analysis import (
-    allan_deviation,
+    _allan_in_place,
     calibration_from_fringes,
     calibration_from_sweep,
     dynamic_range,
@@ -194,9 +194,10 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     env = cfg.environment.replace(nu=0.0)
     signal = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
     n_samples = len(signal)
-    nu_hat = rotation_from_signal(signal, alpha0, baseline)
-    del signal  # nothing reads it again; free it before the Allan peak
-    series = allan_deviation(nu_hat, cfg.sequence.cycle_period)
+    # The stream's buffer becomes the rotation estimate, then the Allan
+    # phase series, in place: the Allan step holds one word per cycle.
+    series = _allan_in_place(rotation_from_signal(signal, alpha0, baseline, out=signal),
+                             cfg.sequence.cycle_period)
 
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every
     # series has), taken as np.median does: the mean of the middle pair.
@@ -339,6 +340,9 @@ def main(argv=None) -> int:
             })
     except GyroSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     print(summary)
     return 0

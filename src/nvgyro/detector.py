@@ -104,17 +104,25 @@ def signal_sigma(d: DetectorConfig) -> float:
 
 
 def readout_signal(d: DetectorConfig, projection,
-                   rng: np.random.Generator | None = None):
+                   rng: np.random.Generator | None = None, out=None):
     """Normalized signal S = V/V_pump of bright projections in [0, 1].
 
     The voltage interpolates linearly V_L..V_H; with an rng, one Gaussian
-    photon-shot-noise draw is added per entry of projection, in C order.
+    photon-shot-noise draw is added per entry of the result, in C order.
+    out, a float array that projection broadcasts to (projection itself
+    included), receives the result in place of a new array.
     """
     volts = d.v_low + projection * d.V0 * d.contrast
-    if rng is not None:
-        volts = volts + rng.normal(0.0, d.V0 * psn_fractional_uncertainty(d),
-                                   size=np.shape(projection))
-    return volts / d.v_pump
+    if rng is None:
+        return np.divide(volts, d.v_pump, out=out)
+    if out is None:
+        out = np.empty(np.shape(projection))
+    # sigma * N(0, 1) is rng.normal(0, sigma) bit for bit.
+    noise = rng.standard_normal(out=out)
+    noise *= d.V0 * psn_fractional_uncertainty(d)
+    noise += volts
+    noise /= d.v_pump
+    return noise
 
 
 def psn_rotation_sensitivity(d: DetectorConfig, tau: float,

@@ -26,8 +26,9 @@ one normal draw per (delay or cycle, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
 combine_4ramsey forms R from them.  The working-point stream runs the
 same steps over fixed blocks of cycles, slicing the environment's
-per-cycle arrays block by block, so its memory holds the combined
-signal plus one block; its output does not depend on the block size.
+per-cycle arrays block by block, so its memory holds one 8-byte word
+per cycle (the combined signal) plus one block; its output does not
+depend on the block size.
 The test reference model, tests/oracle.py, computes the same projections
 one shot at a time from matrix exponentials of the pulse generators and
 of the free Hamiltonian, sharing no code with the kernel.
@@ -232,10 +233,15 @@ def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
     return readout_signal(cfg.detector, ramsey_projections(cfg, env, c, tau), rng)
 
 
-def combine_4ramsey(signals) -> np.ndarray:
-    """R = (R1 - R2 + R3 - R4)/4 over the last axis of a (..., 4) array."""
+def combine_4ramsey(signals, out=None) -> np.ndarray:
+    """R = (R1 - R2 + R3 - R4)/4 over the last axis of a (..., 4) array,
+    written into out when given."""
     s = np.asarray(signals)
-    return (s[..., 0] - s[..., 1] + s[..., 2] - s[..., 3]) / 4.0
+    r = np.subtract(s[..., 0], s[..., 1], out=out)
+    r += s[..., 2]
+    r -= s[..., 3]
+    r /= 4.0
+    return r
 
 
 def combined_sigma(cfg: SequenceConfig) -> float:
@@ -258,6 +264,18 @@ def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
     return FringeSeries(taus=taus, values=values, sigma=sigma)
 
 
+def _normal_blocks(rng: np.random.Generator, sigma: float, combined: np.ndarray):
+    """(block of combined, its N(0, sigma) draws) for each _STREAM_BLOCK
+    of combined; the draws are rng.normal(0, sigma, len(combined)) bit
+    for bit, made in one reused buffer."""
+    buf = np.empty(min(len(combined), _STREAM_BLOCK))
+    for start in range(0, len(combined), _STREAM_BLOCK):
+        block = combined[start:start + _STREAM_BLOCK]
+        draws = rng.standard_normal(out=buf[:len(block)])
+        draws *= sigma
+        yield block, draws
+
+
 def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
                     c: PhysicalConstants, duration: float,
                     rng: np.random.Generator | None = None) -> np.ndarray:
@@ -270,11 +288,14 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     come from a single evaluation.  The cycles run in blocks of
     _STREAM_BLOCK: each block slices the environment's arrays and gets
     its projections, shot noise and 4-Ramsey combination, so the
-    (cycles x 4) signals exist one block at a time.  Every step is
-    elementwise and the draws are sequential, so the output is the same
-    bit for bit whatever the block size.  With an rng, draw order is:
-    photon shot noise (n_cycles x 4, block after block), extra white
-    noise (n_cycles), random-walk increments (n_cycles).
+    (cycles x 4) signals exist one block at a time: a static run reads
+    every block out into one reused (block x 4) buffer, a varying one
+    into its projections, and combines it straight into the output.
+    Every step is elementwise and the draws are sequential, so the
+    output is the same bit for bit whatever the block size.  With an
+    rng, draw order is: photon shot noise (n_cycles x 4, block after
+    block), extra white noise (n_cycles), random-walk increments
+    (n_cycles).
     """
     n = cfg.n_cycles(duration)
     varying = {name: values for name in ("nu", "delta_Q", "delta_B")
@@ -283,21 +304,35 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
         raise ValueError(f"environment arrays must hold one entry per cycle ({n})")
     if not varying:
         proj = ramsey_projections(cfg, env, c, cfg.tau_wp)
-    combined = np.empty(n)
+        signals = np.empty((min(n, _STREAM_BLOCK), 4))
+    try:
+        combined = np.empty(n)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+        raise MemoryError(f"a stream of {n} cycles needs {8 * n} bytes for its "
+                          f"signal (8 per cycle), more than can be allocated") from None
     for start in range(0, n, _STREAM_BLOCK):
         stop = min(start + _STREAM_BLOCK, n)
         if varying:
             block = env.replace(**{name: values[start:stop]
                                    for name, values in varying.items()})
-            proj = ramsey_projections(cfg, block, c, cfg.tau_wp)
-        combined[start:stop] = combine_4ramsey(readout_signal(
-            cfg.detector, np.broadcast_to(proj, (stop - start, 4)), rng))
+            proj = signals = ramsey_projections(cfg, block, c, cfg.tau_wp)
+        combine_4ramsey(readout_signal(cfg.detector, proj, rng,
+                                       out=signals[:stop - start]),
+                        out=combined[start:stop])
 
-    if rng is not None:
-        if cfg.noise.white_sigma > 0:
-            combined += rng.normal(0.0, cfg.noise.white_sigma, size=n)
-        if cfg.noise.random_walk_sigma > 0:
-            walk = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
-            steps = rng.normal(0.0, walk, size=n)
-            combined += np.cumsum(steps, out=steps)
+    # The block buffer is freed first.  The technical noise is drawn a
+    # block at a time into a buffer of its own; the random walk carries
+    # its level from block to block, so its running sum is the whole-run
+    # np.cumsum's.
+    del proj, signals
+    if rng is not None and cfg.noise.white_sigma > 0:
+        for block, draws in _normal_blocks(rng, cfg.noise.white_sigma, combined):
+            block += draws
+    if rng is not None and cfg.noise.random_walk_sigma > 0:
+        walk = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
+        level = 0.0
+        for block, steps in _normal_blocks(rng, walk, combined):
+            steps[0] += level
+            block += np.cumsum(steps, out=steps)
+            level = steps[-1]
     return combined

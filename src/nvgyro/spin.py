@@ -87,9 +87,10 @@ class FieldEnvironment:
     B: bias field (G); nu: rotation rate about the NV axis (Hz, clockwise
     positive); delta_Q: quadrupole perturbation (Hz, temperature drift
     proxy); delta_B: bias-field drift (G).  B is a scalar; nu, delta_Q
-    and delta_B may be numpy arrays, which broadcast against the delays
-    of the Ramsey kernel (one entry per cycle in run_gyro_stream).  An
-    environment holding arrays is unhashable.
+    and delta_B may be arrays (a sequence becomes a float numpy array),
+    which broadcast against the delays of the Ramsey kernel (one entry
+    per cycle in run_gyro_stream).  An environment holding arrays is
+    unhashable.
     """
 
     B: float = 482.0
@@ -100,6 +101,9 @@ class FieldEnvironment:
     def __post_init__(self):
         if not 0.0 <= self.B < math.inf:
             raise ValueError("B must be finite and >= 0")
+        for name in ("nu", "delta_Q", "delta_B"):
+            if np.ndim(value := getattr(self, name)):
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
         check_finite(self, "nu", "delta_Q", "delta_B")
 
     def replace(self, **kwargs) -> "FieldEnvironment":

@@ -254,6 +254,13 @@ class TestRotationFromSignal:
         with pytest.raises(ValueError):
             rotation_from_signal(0.5, 0.0, 0.5)
 
+    def test_in_place_matches_new_array(self):
+        s = np.random.default_rng(6).normal(0.5, 1e-3, 1000)
+        expected = rotation_from_signal(s, 1e-4, 0.5)
+        got = rotation_from_signal(s, 1e-4, 0.5, out=s)
+        assert got is s
+        assert np.array_equal(got, expected)
+
 
 class TestAllanDeviation:
     def test_white_noise_scaling(self):
@@ -293,6 +300,33 @@ class TestAllanDeviation:
         series = allan_deviation(y, tau0=1.0, m_values=[4, 8, 16, 32])
         slope = np.polyfit(np.log(series.tau_avg), np.log(series.adev), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.1)
+
+    def test_input_is_left_unchanged(self):
+        y = np.random.default_rng(3).normal(0.5, 1.0, 50_000)
+        kept = y.copy()
+        allan_deviation(y, tau0=0.007)
+        assert np.array_equal(y, kept)
+
+    def test_leaves_sum_like_np_sum(self):
+        # _pairwise_sum follows numpy's pairwise reduction tree; if a numpy
+        # release changes that order, this fails instead of Allan bytes
+        # moving silently.  Lengths straddle the leaf size, its double and
+        # multiples of 8 next to them.
+        leaf = nvgyro.analysis._ALLAN_LEAF
+        a = np.random.default_rng(12).normal(0.0, 1.0, 3 * leaf + 64) ** 2
+        a *= 10.0 ** np.random.default_rng(13).uniform(-8, 8, a.size)
+
+        def fill(i, j, out):
+            out[:] = a[i:j]
+            return out
+
+        lengths = {n + k for n in (8, 128, 1024, leaf, 2 * leaf, 3 * leaf)
+                   for k in (-9, -8, -1, 0, 1, 8, 9) if n + k > 0}
+        for buf_size in (128, 136, 1000, leaf):
+            buf = np.empty(buf_size)
+            for n in sorted(lengths):
+                assert nvgyro.analysis._pairwise_sum(fill, n, buf) == np.sum(a[:n]), \
+                    (n, buf_size)
 
     def test_series_invariants(self):
         with pytest.raises(ValueError):

@@ -217,6 +217,18 @@ class TestAllanCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unallocatable_duration_names_cycles_and_bytes(self, tmp_path, capsys):
+        # 1e12 s is 142,857,142,857,142 cycles: 1.02 PiB of signal, which
+        # numpy refuses before touching any memory.
+        out = tmp_path / "out"
+        assert main(["allan", "--duration", "1e12", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "142857142857142 cycles" in err
+        assert f"{8 * 142857142857142} bytes" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBudgetCommand:
     def test_report_values(self, capsys):

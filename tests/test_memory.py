@@ -2,13 +2,15 @@
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts every array it allocates.  The working-point stream keeps
-one 8-byte word per cycle (the combined signal) plus one block of
-working arrays, and a rate-table run adds the per-cycle rates its
-environment carries; the CSV writer keeps one block of rows;
-`allan` holds the rotation estimate and the Allan phase series, not the
-stream it came from.  Materialising the (cycles x 4) signals, whole
-columns as Python objects or text, or keeping the stream through the
-Allan step, breaks these bounds.
+one 8-byte word per cycle (the combined signal) plus one reused
+(block x 4) buffer, and a rate-table run adds the per-cycle rates its
+environment carries; the CSV writer keeps one block of rows; `allan`
+holds one word per cycle: the stream's signal becomes the rotation
+estimate and then the Allan phase series in place, and the second
+differences are summed one cache-sized leaf at a time.  Materialising
+the (cycles x 4) signals, whole columns as Python objects or text, a
+copy of the phase series or a run-length second difference breaks
+these bounds.
 """
 
 import argparse
@@ -17,7 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nvgyro import LITERATURE_CONSTANTS, FieldEnvironment, SequenceConfig, run_gyro_stream
+from nvgyro import (LITERATURE_CONSTANTS, FieldEnvironment, NoiseHooks, SequenceConfig,
+                    run_gyro_stream)
 from nvgyro import cli, io, sequence
 
 WORD = 8
@@ -55,6 +58,27 @@ def test_stream_peak_is_a_few_words_per_cycle(rotating):
     p_small, p_large = (_traced_peak(lambda: run(n)) for n in CYCLES)
     assert (p_large - p_small) / (large - small) <= words * WORD
     assert p_small <= words * WORD * small + 512 * sequence._STREAM_BLOCK
+
+
+@pytest.mark.parametrize("hooks", [False, True])
+def test_static_stream_block_buffer_is_one_block_of_signals(hooks):
+    # Beyond its output, a static run holds the reused (block x 4) signal
+    # buffer and under 128 KiB of small fixed arrays (measured: 70 KB);
+    # a fresh readout, noise and quotient array per block exceeds it.
+    # Technical noise is drawn a block at a time after that buffer is
+    # freed, never as a run-length array.
+    cfg = SequenceConfig()
+    if hooks:
+        cfg = cfg.replace(noise=NoiseHooks(white_sigma=1e-5, random_walk_sigma=1e-5))
+
+    def run(n):
+        run_gyro_stream(cfg, FieldEnvironment(B=482.0), LITERATURE_CONSTANTS,
+                        (n + 0.5) * cfg.cycle_period, np.random.default_rng(5))
+
+    run(3)  # numpy's first-call set-up is not the stream's
+    n = 8 * sequence._STREAM_BLOCK + 7
+    peak = _traced_peak(lambda: run(n))
+    assert peak <= WORD * n + 4 * WORD * sequence._STREAM_BLOCK + 128 * 1024
 
 
 def test_table_peak_does_not_grow_with_rows(tmp_path):
@@ -95,4 +119,4 @@ def test_allan_peak_is_a_few_words_per_cycle():
         return _traced_peak(lambda: cli.cmd_allan(args, cfg))
 
     small, large = CYCLES
-    assert (peak(large) - peak(small)) / (large - small) <= 4 * WORD
+    assert (peak(large) - peak(small)) / (large - small) <= 1.5 * WORD

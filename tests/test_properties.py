@@ -130,6 +130,21 @@ def test_non_finite_array_entry_is_rejected(name, bad, data):
         FieldEnvironment(**{name: values})
 
 
+@settings(max_examples=50, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), tau=taus,
+       rows=st.lists(st.tuples(nus, st.floats(-20e3, 20e3), st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=6))
+def test_list_environment_matches_array_environment(cfg, env, tau, rows):
+    nu, delta_q, delta_b = (list(col) for col in zip(*rows))
+    listed = env.replace(nu=nu, delta_Q=delta_q, delta_B=delta_b)
+    assert all(isinstance(getattr(listed, name), np.ndarray)
+               for name in ("nu", "delta_Q", "delta_B"))
+    arrays = env.replace(nu=np.array(nu), delta_Q=np.array(delta_q),
+                         delta_B=np.array(delta_b))
+    assert np.array_equal(ramsey_projections(cfg, listed, C, tau),
+                          ramsey_projections(cfg, arrays, C, tau))
+
+
 @settings(max_examples=150, deadline=None)
 @given(cfg=sequence_configs(), env=environments(),
        tau_list=st.lists(taus, min_size=1, max_size=8))
@@ -331,5 +346,25 @@ def test_allan_deviation_matches_textbook_expression(values, tau0):
     for m, tau, adev, count in zip(m_values, series.tau_avg, series.adev,
                                    series.n_samples):
         d = x[2 * m:] - 2.0 * x[m:-m] + x[: -2 * m]
+        assert count == d.size
+        assert adev == math.sqrt(np.sum(d * d) / (2.0 * tau * tau * d.size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(32, 200_000), seed=seeds, data=st.data())
+def test_long_allan_deviation_is_the_whole_array_formula_bit_for_bit(n, seed, data):
+    # The blocked, in-place estimator against the textbook one, which
+    # forms the whole (n + 1) phase series and each whole second
+    # difference and sums it with np.sum.
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, 1.0, n) + rng.normal(0.0, 10.0 ** rng.uniform(-3, 3))
+    tau0 = 10.0 ** rng.uniform(-4, 1)
+    m_values = sorted(data.draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4),
+                                label="m_values"))
+    series = allan_deviation(y, tau0, m_values)
+    x = np.concatenate([[0.0], np.cumsum(y - np.mean(y))]) * tau0
+    for m, adev, count in zip(m_values, series.adev, series.n_samples):
+        d = x[2 * m:] - 2.0 * x[m:-m] + x[: -2 * m]
+        tau = m * tau0
         assert count == d.size
         assert adev == math.sqrt(np.sum(d * d) / (2.0 * tau * tau * d.size))

@@ -24,6 +24,7 @@ from nvgyro import (
     sweep_fringes,
     transition_frequencies,
 )
+from nvgyro import sequence
 from nvgyro.sequence import _prepared_state
 
 C = LITERATURE_CONSTANTS
@@ -307,6 +308,21 @@ class TestGyroStream:
         loud_cfg = self.wp_config(noise=NoiseHooks(white_sigma=1e-4))
         loud = run_gyro_stream(loud_cfg, ENV, C, 5.0, np.random.default_rng(1))
         assert np.std(loud) > 3 * np.std(quiet)
+
+    def test_noise_hooks_are_whole_run_draws(self, monkeypatch):
+        # After the shot noise, n white draws then n random-walk steps,
+        # as whole-run rng.normal arrays and one np.cumsum, across blocks.
+        monkeypatch.setattr(sequence, "_STREAM_BLOCK", 7)
+        white, walk = 3e-5, 2e-4
+        cfg = self.wp_config(noise=NoiseHooks(white_sigma=white, random_walk_sigma=walk))
+        rng = np.random.default_rng(4)
+        expected = run_gyro_stream(self.wp_config(), ENV, C, 0.2, rng)
+        n = len(expected)
+        expected += rng.normal(0.0, white, n)
+        expected += np.cumsum(rng.normal(0.0, walk * np.sqrt(cfg.cycle_period), n))
+        got = run_gyro_stream(cfg, ENV, C, 0.2, np.random.default_rng(4))
+        assert n > 3 * 7
+        assert np.array_equal(got, expected)
 
     def test_duration_validation(self):
         with pytest.raises(ValueError):
