@@ -86,24 +86,21 @@ def _check_uniform(taus: np.ndarray) -> float:
         raise NonUniformGridError("tau grid is not uniform")
     return float(dt[0])
 
-def _spectrum(taus: np.ndarray, values: np.ndarray,
-              zero_pad: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    dt = _check_uniform(taus)
+
+def power_spectrum(taus, values,
+                   zero_pad: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, |FT|^2) of values on the uniform grid taus, mean removed.
+
+    zero_pad multiplies the FFT length for peak localization.  Raises
+    NonUniformGridError on irregular grids.
+    """
+    dt = _check_uniform(np.asarray(taus, dtype=float))
+    values = np.asarray(values, dtype=float)
     y = values - np.mean(values)
     n_fft = zero_pad * len(y)
     power = np.abs(np.fft.rfft(y, n=n_fft)) ** 2
     freqs = np.fft.rfftfreq(n_fft, d=dt)
     return freqs, power
-
-
-def power_spectrum(series: FringeSeries,
-                   zero_pad: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """|FT|^2 of a uniformly sampled fringe series, mean removed.
-
-    zero_pad multiplies the FFT length for peak localization.  Raises
-    NonUniformGridError on irregular grids.
-    """
-    return _spectrum(series.taus, series.values, zero_pad)
 
 
 def spectrum_peak_frequency(freqs: np.ndarray, power: np.ndarray) -> float:
@@ -119,7 +116,7 @@ def _initial_guess(taus, values) -> tuple[float, float]:
     y = values - np.mean(values)
     if np.max(np.abs(y)) == 0.0:
         raise InsufficientSpanError("constant series has no fringe to fit")
-    freqs, power = _spectrum(taus, values)
+    freqs, power = power_spectrum(taus, values)
     f0 = spectrum_peak_frequency(freqs, power)
     span = taus[-1] - taus[0]
     if f0 <= 0 or span * f0 < 1.0:
@@ -290,9 +287,11 @@ def calibration_from_slope(ds_dtau: float, tau_wp: float,
 def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     """(alpha per Hz, its standard error, intercept): the least-squares
     line of the working-point signal against known rotation rates nu
-    (Hz), as a rate-table sweep measures it."""
+    (Hz), as a rate-table sweep measures it; ValueError if nu has no spread."""
     nu, signal = np.asarray(nu, dtype=float), np.asarray(signal, dtype=float)
     dev = nu - np.mean(nu)
+    if not np.sum(dev**2) > 0:
+        raise ValueError("the rates nu have no spread: the slope is undefined")
     slope = float(np.sum(dev * (signal - np.mean(signal))) / np.sum(dev**2))
     intercept = float(np.mean(signal) - slope * np.mean(nu))
     resid = signal - (slope * nu + intercept)
@@ -351,10 +350,11 @@ def allan_deviation(values, tau0: float,
                     m_values: list[int] | None = None) -> AllanSeries:
     """Overlapping Allan deviation of a uniformly sampled series.
 
-    values are rate-like samples spaced tau0 seconds; averaging factors
-    default to octaves up to N/4.  Each point reports the number of
-    overlapping second differences that entered the estimate.  values
-    is left unchanged: the phase series is built in one copy of it.
+    values are rate-like samples spaced tau0 seconds; the averaging
+    factors, integers m with 1 <= m and 2m <= N, default to octaves up
+    to N/4.  Each point reports the number of overlapping second
+    differences that entered the estimate.  values is left unchanged:
+    the phase series is built in one copy of it.
     """
     return _allan_in_place(np.array(values, dtype=float), tau0, m_values)
 
@@ -412,6 +412,8 @@ def _allan_in_place(y: np.ndarray, tau0: float,
     buf = np.empty(min(n, _ALLAN_LEAF))
     taus, adevs, counts = [], [], []
     for m in m_values:
+        if not float(m).is_integer():
+            raise ValueError(f"averaging factor m={m} must be an integer")
         m = int(m)
         if m < 1 or 2 * m > n:
             raise ValueError(f"averaging factor m={m} needs more than 2m samples")

@@ -39,13 +39,7 @@ from .detector import psn_rotation_sensitivity
 from .errors import ConfigError, GyroSimError
 from .io import write_json, write_table
 from .ratetable import RotationProfile, run_profile
-from .sequence import (
-    FringeSeries,
-    combine_4ramsey,
-    combined_sigma,
-    ramsey_signals,
-    run_gyro_stream,
-)
+from .sequence import combine_4ramsey, ramsey_signals, run_gyro_stream, sweep_fringes
 from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
 
 
@@ -58,12 +52,12 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _check_duration(duration: float, cfg: ExperimentConfig) -> None:
-    """Reject a --duration that cannot hold one stream cycle."""
-    period = cfg.sequence.cycle_period
-    if not (math.isfinite(duration) and duration >= period):
-        raise ConfigError(f"--duration must be a finite time of at least one "
-                          f"cycle ({period} s), got {duration}")
+def _n_cycles(cfg: ExperimentConfig, duration: float, prefix: str) -> int:
+    """cfg.sequence.n_cycles(duration), its ValueError a ConfigError after prefix."""
+    try:
+        return cfg.sequence.n_cycles(duration)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -91,29 +85,22 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
 
 
 def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
+    grid, seq = cfg.fringes, cfg.sequence
+    taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
     try:
-        cfg.sequence.check_delay(cfg.fringes.tau_max, "tau_max")
+        series = sweep_fringes(seq, cfg.environment, cfg.constants, taus,
+                               default_rng(cfg.seed))
     except ValueError as exc:
         raise ConfigError(f"{args.config}: [fringes]: {exc}") from None
-    rng = default_rng(cfg.seed)
-    seq, env, consts = cfg.sequence, cfg.environment, cfg.constants
-    taus = np.linspace(cfg.fringes.tau_min, cfg.fringes.tau_max, cfg.fringes.points)
-
-    # The four phase-cycled sweeps share noise draws with the combined
-    # signal, as in hardware where R is formed from the same records.
-    shots = ramsey_signals(seq, env, consts, taus, rng)
-    combined = combine_4ramsey(shots)
-    sigma = np.full(len(taus), combined_sigma(seq))
 
     outputs = {}
-    for j in range(4):
-        series_j = FringeSeries(taus=taus, values=shots[:, j])
-        outputs[f"fringes_r{j + 1}.csv"] = (["tau_s", "signal"], [taus, shots[:, j]])
-        outputs[f"spectrum_r{j + 1}.csv"] = (["freq_hz", "power"], power_spectrum(series_j))
-    series = FringeSeries(taus=taus, values=combined, sigma=sigma)
+    for j, record in enumerate(series.records.T, start=1):
+        outputs[f"fringes_r{j}.csv"] = (["tau_s", "signal"], [taus, record])
+        outputs[f"spectrum_r{j}.csv"] = (["freq_hz", "power"], power_spectrum(taus, record))
     outputs["fringes_combined.csv"] = (["tau_s", "signal", "sigma"],
-                                       [taus, combined, sigma])
-    outputs["spectrum_combined.csv"] = (["freq_hz", "power"], power_spectrum(series))
+                                       [taus, series.values, series.sigma])
+    outputs["spectrum_combined.csv"] = (["freq_hz", "power"],
+                                        power_spectrum(taus, series.values))
 
     fit = fit_decaying_sine(series)
     sig = fit.sigmas
@@ -136,11 +123,9 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     telemetry, traj = run_profile(RotationProfile.from_csv(args.profile))
     duration = traj.t_end
-    if duration < cfg.sequence.cycle_period:
-        raise ConfigError(f"{args.profile}: profile lasts {duration} s, "
-                          f"shorter than one cycle")
+    _n_cycles(cfg, duration, f"{args.profile}: profile ")
     if args.duration is not None:
-        _check_duration(args.duration, cfg)
+        _n_cycles(cfg, args.duration, "--")
         duration = min(duration, args.duration)
     rng = default_rng(cfg.seed)
     seq = cfg.sequence
@@ -188,7 +173,7 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
-    _check_duration(args.duration, cfg)
+    _n_cycles(cfg, args.duration, "--")
     baseline, alpha0, psn = _working_point(args, cfg)
     rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)

@@ -245,7 +245,8 @@ def _build(origin, section, kwargs):
 def _frame(origin, entries, environment, constants) -> RotatingFrame:
     """Rotating frame of the sequence mode keys: phase_reference = reset
     (default, ABSOLUTE_FRAME) or resonant (with dq_detuning), or explicit
-    f1_ref/f2_ref tone references."""
+    f1_ref/f2_ref tone references, which replace the mode: they are
+    rejected next to phase_reference = resonant or dq_detuning."""
     def number(key, default=None):
         if key not in entries:
             return default
@@ -268,6 +269,9 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame:
     if refs != [None, None]:
         if None in refs:
             raise ConfigError(f"{origin}: f1_ref and f2_ref must be given together")
+        if mode == "resonant" or "dq_detuning" in entries:
+            raise ConfigError(f"{origin}: f1_ref and f2_ref replace the mode: they cannot "
+                              f"be combined with phase_reference = resonant or dq_detuning")
         return RotatingFrame(*refs)
     if mode == "resonant":
         nominal = FieldEnvironment(B=environment.B)

@@ -1,5 +1,6 @@
 """Plot-ready CSV and JSON emission with byte-deterministic formatting,
-and the one reader of text input files."""
+and the one reader of text input files.  A CSV float cell is repr's text,
+from one numpy kernel; an integer cell is str's, printed cell by cell."""
 
 from __future__ import annotations
 
@@ -39,8 +40,6 @@ _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
 #: 10**0 .. 10**18, every power of ten that fits in int64.
 _P10 = np.array([10**i for i in range(19)], dtype=np.int64)
-#: Integer cells of this magnitude or more do not fit the integer places.
-_INT_LIMIT = 10**16
 #: Powers of ten that lay out a cell s * 10**-t, t in [-15, 20], in
 #: column t + 15: s // 10**t is the integer part, times 10**-t when t < 0;
 #: the fraction then splits into its digits 17-20 and 1-16, each scaled
@@ -190,10 +189,10 @@ def _shortest(bits):
 def _float_fields(x):
     """Layout fields of float64 cells, as repr(float) prints them.
 
-    Returns (neg, s, t, bare, sci, exponent, rare): the cell prints s *
-    10**-t, with no ".0" when bare and with "e" + exponent where sci;
-    rare marks the cells the kernel does not print (nan, inf, subnormal).
-    s may end in zeros: the layout drops them after the point.
+    Returns (neg, s, t, sci, exponent, rare): the cell prints s * 10**-t,
+    with "e" + exponent and no ".0" where sci; rare marks the cells the
+    kernel does not print (nan, inf, subnormal).  s may end in zeros:
+    the layout drops them after the point.
     """
     bits = x.view(_U64).copy()
     neg = bits >= _U64(1 << 63)
@@ -209,28 +208,17 @@ def _float_fields(x):
     n = np.searchsorted(_P10[1:], s, side="right") + 1
     point = n + k  # digits before the point, as in repr's decpt
     sci = (point < -3) | (point > 16)
-    # bare is its own array: integer columns overwrite it apart from sci.
-    return neg, s, np.where(sci, n - 1, -k), sci.copy(), sci, point - 1, rare
+    return neg, s, np.where(sci, n - 1, -k), sci, point - 1, rare
 
 
-def _int_fields(v):
-    """Layout fields of integer cells, as str(int) prints them."""
-    s = (np.abs(v.astype(np.int64)) if v.dtype.kind == "i" else v).astype(_U64)
-    rare = s >= _U64(_INT_LIMIT)
-    s[rare] = 0
-    zeros = np.zeros(s.shape, np.int64)
-    return (v < 0, s.astype(np.int64), zeros, np.ones(s.shape, bool),
-            np.zeros(s.shape, bool), zeros, rare)
-
-
-def _words(neg, s, t, bare, sci, exponent, k, table):
+def _words(neg, s, t, sci, exponent, k, table):
     """(words, cells) text of cells in rows of k, NUL-padded.
 
     s * 10**-t is split at the point into 4-digit groups, up to 4 before
     it and 5 after.  Groups before the first nonzero one print as NUL,
     the first in its leading-NUL form; after the point, groups past the
     last nonzero one print as NUL and the last in its trailing-NUL form,
-    with a "0" kept unless bare.  One lookup in table gives every word.
+    with a "0" kept unless sci.  One lookup in table gives every word.
     Only as many integer groups as the largest cell needs are laid out,
     with the sign just before them.  Arrays are (word, cell), so each
     operation runs along the cells.
@@ -262,7 +250,7 @@ def _words(neg, s, t, bare, sci, exponent, k, table):
     seen = used != 0
     p = 5 - first  # the point's word in used
     seen[p - 1] = True
-    seen[p + 1] |= ~bare
+    seen[p + 1] |= ~sci
     for j in range(2, p):
         seen[j] |= seen[j - 1]
     for j in range(p + 4, p, -1):
@@ -283,31 +271,26 @@ def _format_rows(columns: list[np.ndarray], integer: list[bool], table) -> bytes
     """CSV text of equal-length columns: floats as repr(float), integers
     as str(int), "," between cells and "\\n" after each row.
 
-    Every cell goes through one numpy kernel: Schubfach digits, then a
-    fixed-slot layout of 4-byte words from one table.  Only nan, inf,
-    subnormal floats and integers of 17 digits or more are printed one
-    by one, into their slots.
+    Every float cell goes through one numpy kernel: Schubfach digits,
+    then a fixed-slot layout of 4-byte words from one table.  Integer
+    cells, nan, inf and subnormal floats are rare: they are laid out as
+    1.0 and then printed one by one, by str or repr, into their slots.
     """
     rows, k = len(columns[0]), len(columns)
     x = np.ones((rows, k))
     for j, col in enumerate(columns):
         if not integer[j]:
             x[:, j] = col
-    fields = list(_float_fields(x.reshape(-1)))
+    *layout, rare = _float_fields(x.reshape(-1))
     del x
-    for j, col in enumerate(columns):
-        if integer[j]:
-            for f, v in zip(fields, _int_fields(col)):
-                f[j::k] = v
-    *layout, rare = fields
-    del fields
+    rare.reshape(rows, k)[:, integer] = True
     out = _words(*layout, k, table)
     del layout
     for cell in np.flatnonzero(rare):
         i, j = divmod(int(cell), k)
         v = columns[j][i]
         text = str(int(v)) if integer[j] else repr(float(v))
-        # The last word keeps the separator of the placeholder 1.0 or 0.
+        # The last word keeps the separator of the placeholder 1.0.
         out[:-1, cell] = np.frombuffer(text.encode().ljust(4 * len(out) - 4, b"\0"), _LE)
     return out.T.tobytes().translate(None, b"\0")
 
@@ -315,10 +298,11 @@ def _format_rows(columns: list[np.ndarray], integer: list[bool], table) -> bytes
 def write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
     """CSV with a header row; floats use shortest round-trip repr.
 
-    Integer columns are written as integers (str), every other column as
-    float (repr).  Rows are formatted _ROW_BLOCK at a time by one numpy
-    kernel (see _format_rows), so memory does not grow with the row
-    count and the bytes do not depend on the block size.
+    Integer columns are written as integers (str, cell by cell), every
+    other column as float (repr, by one numpy kernel).  Rows are
+    formatted _ROW_BLOCK at a time (see _format_rows), so memory does not
+    grow with the row count and the bytes do not depend on the block
+    size.
     """
     path = Path(path)
     arrays = [np.asarray(col) for col in columns]

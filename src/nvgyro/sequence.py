@@ -24,11 +24,13 @@ of delays and over the array fields of the FieldEnvironment (rotation
 rate, quadrupole shift, field drift).  Shot noise is added afterwards,
 one normal draw per (delay or cycle, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
-combine_4ramsey forms R from them.  The working-point stream runs the
-same steps over fixed blocks of cycles, slicing the environment's
-per-cycle arrays block by block, so its memory holds one 8-byte word
-per cycle (the combined signal) plus one block; its output does not
-depend on the block size.
+combine_4ramsey forms R from them; sweep_fringes, which `nvgyro
+fringes` runs, keeps the four records next to R.  The working-point
+stream of SequenceConfig.n_cycles(duration) cycles runs the same steps
+over fixed blocks of cycles, slicing the environment's per-cycle arrays
+block by block, so its memory holds one 8-byte word per cycle (the
+combined signal) plus one block; its output does not depend on the
+block size.
 The test reference model, tests/oracle.py, computes the same projections
 one shot at a time from matrix exponentials of the pulse generators and
 of the free Hamiltonian, sharing no code with the kernel.
@@ -128,13 +130,13 @@ class SequenceConfig:
             raise ValueError("detector t_R must fit inside the pump pulse")
 
     def n_cycles(self, duration: float) -> int:
-        """Whole cycles in duration (s): the length of a working-point stream."""
-        if not duration > 0:
-            raise ValueError("duration must be > 0")
-        n = int(math.floor(duration / self.cycle_period))
-        if n < 1:
-            raise ValueError("duration shorter than one cycle")
-        return n
+        """Whole cycles in duration (s), the length of a working-point
+        stream; ValueError unless duration is finite and >= one cycle."""
+        period = self.cycle_period
+        if not (math.isfinite(duration) and duration >= period):
+            raise ValueError(f"duration must be a finite time of at least one "
+                             f"cycle ({period} s), got {duration}")
+        return int(math.floor(duration / period))
 
     def check_delay(self, delay: float, name: str) -> None:
         """The timing rule of every Ramsey delay: 0 <= delay and
@@ -155,11 +157,13 @@ class SequenceConfig:
 
 @dataclass
 class FringeSeries:
-    """(tau, signal) fringe scan with an optional per-point noise sigma."""
+    """(tau, signal) fringe scan with an optional per-point noise sigma;
+    a simulated sweep also keeps the (points x 4) records R1..R4."""
 
     taus: np.ndarray
     values: np.ndarray
     sigma: np.ndarray | None = None
+    records: np.ndarray | None = None
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
@@ -172,6 +176,10 @@ class FringeSeries:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if self.sigma.shape != self.taus.shape:
                 raise ValueError("sigma must match taus in length")
+        if self.records is not None:
+            self.records = np.asarray(self.records, dtype=float)
+            if self.records.shape != (len(self.taus), 4):
+                raise ValueError("records must hold 4 signals per tau")
 
     def __len__(self) -> int:
         return len(self.taus)
@@ -252,16 +260,17 @@ def combined_sigma(cfg: SequenceConfig) -> float:
 def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
                   c: PhysicalConstants, tau_grid: Sequence[float],
                   rng: np.random.Generator | None = None) -> FringeSeries:
-    """One 4-Ramsey point per tau on a strictly increasing grid."""
+    """One 4-Ramsey point per tau on a strictly increasing grid whose last
+    delay, tau_max, obeys check_delay; the series keeps the records it
+    combined and, with an rng, combined_sigma per point."""
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    cfg.check_delay(taus[-1], "max tau")
-    values = combine_4ramsey(ramsey_signals(cfg, env, c, taus, rng))
-    sigma = None
-    if rng is not None:
-        sigma = np.full(taus.shape, combined_sigma(cfg))
-    return FringeSeries(taus=taus, values=values, sigma=sigma)
+    cfg.check_delay(taus[-1], "tau_max")
+    records = ramsey_signals(cfg, env, c, taus, rng)
+    sigma = None if rng is None else np.full(taus.shape, combined_sigma(cfg))
+    return FringeSeries(taus=taus, values=combine_4ramsey(records),
+                        sigma=sigma, records=records)
 
 
 def _normal_blocks(rng: np.random.Generator, sigma: float, combined: np.ndarray):

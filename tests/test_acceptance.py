@@ -14,7 +14,6 @@ import pytest
 from nvgyro import (
     DetectorConfig,
     FieldEnvironment,
-    FringeSeries,
     LITERATURE_CONSTANTS,
     NoiseHooks,
     RotatingFrame,
@@ -95,7 +94,7 @@ def test_criterion_03_sq_cancellation():
     f_dq = f1 - f2
 
     def peak(values, f_target):
-        freqs, power = power_spectrum(FringeSeries(taus=taus, values=values))
+        freqs, power = power_spectrum(taus, values)
         i = int(np.argmin(np.abs(freqs - f_target)))
         return float(np.max(power[i - 3:i + 4])), freqs, power
 

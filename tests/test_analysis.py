@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,7 +121,7 @@ class TestFitDecayingSine:
     def test_spectrum_fit_agreement_within_one_bin(self):
         rng = np.random.default_rng(11)
         series = synth(DENSE, sigma=1e-4, rng=rng)
-        freqs, power = power_spectrum(series)
+        freqs, power = power_spectrum(series.taus, series.values)
         f_peak = spectrum_peak_frequency(freqs, power)
         fit = fit_decaying_sine(series)
         bin_width = freqs[1] - freqs[0]
@@ -157,21 +158,20 @@ class TestPowerSpectrum:
     def test_pure_sine_peak_within_one_bin(self):
         taus = np.linspace(0, 1e-2, 1000)
         y = np.sin(2 * np.pi * 2345.0 * taus)
-        freqs, power = power_spectrum(FringeSeries(taus=taus, values=y), zero_pad=1)
+        freqs, power = power_spectrum(taus, y, zero_pad=1)
         raw_bin = 1.0 / (taus[-1] - taus[0])
         assert abs(spectrum_peak_frequency(freqs, power) - 2345.0) <= raw_bin
 
     def test_dc_removed(self):
         taus = np.linspace(0, 1e-2, 512)
         y = 5.0 + 0.01 * np.sin(2 * np.pi * 1000.0 * taus)
-        freqs, power = power_spectrum(FringeSeries(taus=taus, values=y))
+        freqs, power = power_spectrum(taus, y)
         assert power[0] < 1e-18 * np.max(power)
 
     def test_non_uniform_grid_rejected(self):
         taus = np.array([0.0, 1e-4, 3e-4, 4e-4, 5e-4, 6e-4, 7e-4, 8e-4])
-        series = FringeSeries(taus=taus, values=np.sin(taus * 1e4))
         with pytest.raises(NonUniformGridError):
-            power_spectrum(series)
+            power_spectrum(taus, np.sin(taus * 1e4))
 
 
 class TestCalibration:
@@ -239,6 +239,14 @@ class TestCalibration:
         nu = np.array([-1.0, 0.0, 0.5, 2.0])
         slope, stderr, intercept = calibration_from_sweep(nu, 3.0 + 0.25 * nu)
         assert (slope, stderr, intercept) == (0.25, 0.0, 3.0)
+
+    @pytest.mark.parametrize("nu", [[1.0, 1.0, 1.0], [0.5]])
+    def test_sweep_without_spread_is_rejected(self, nu):
+        # no line through one rate: a ValueError, not nan and a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no spread"):
+                calibration_from_sweep(nu, np.linspace(0.1, 0.3, len(nu)))
 
 
 class TestRotationFromSignal:
@@ -327,6 +335,14 @@ class TestAllanDeviation:
             for n in sorted(lengths):
                 assert nvgyro.analysis._pairwise_sum(fill, n, buf) == np.sum(a[:n]), \
                     (n, buf_size)
+
+    def test_averaging_factors_must_be_integers(self):
+        y = np.random.default_rng(4).normal(0.0, 1.0, 64)
+        for m in (1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be an integer"):
+                allan_deviation(y, 1.0, [m])
+        integral = allan_deviation(y, 1.0, [2.0, np.int64(4)])
+        assert list(integral.adev) == list(allan_deviation(y, 1.0, [2, 4]).adev)
 
     def test_series_invariants(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgyro import ConfigError, load_config, load_constants
+from nvgyro import ConfigError, load_config, load_constants, sweep_fringes
 from nvgyro.cli import main
+from nvgyro.io import write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_CSV = ROOT / "configs" / "triangle_profile.csv"
@@ -102,6 +103,27 @@ class TestFringesCommand:
         a = read_table(out1 / "fringes_combined.csv")["signal"]
         b = read_table(out2 / "fringes_combined.csv")["signal"]
         assert not np.array_equal(a, b)
+
+    def test_writes_the_library_sweep(self, tmp_path, fringes_cfg):
+        # `nvgyro fringes` is sweep_fringes on the [fringes] grid: its
+        # records, R and sigma are the library's, byte for byte
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(fringes_cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+        cfg = load_config(fringes_cfg)
+        grid = cfg.fringes
+        taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
+        series = sweep_fringes(cfg.sequence, cfg.environment, cfg.constants, taus,
+                               np.random.default_rng(3))
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for j in range(4):
+            write_table(ref / f"fringes_r{j + 1}.csv", ["tau_s", "signal"],
+                        [taus, series.records[:, j]])
+        write_table(ref / "fringes_combined.csv", ["tau_s", "signal", "sigma"],
+                    [taus, series.values, series.sigma])
+        for path in sorted(ref.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_coarse_grid_error_surfaces(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -369,6 +391,16 @@ class TestCleanErrors:
         assert err.startswith(f"error: {cfg}: [fringes]: tau_max = 0.009 s")
         assert not out.exists()
 
+    def test_fringes_grid_that_cannot_increase(self, tmp_path, capsys):
+        # 5000 points over 1e-320 s: linspace repeats subnormal delays
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[fringes]\ntau_min = 0.0\ntau_max = 1e-320\n")
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [fringes]: taus must be strictly increasing\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("row, message", [
         ("10.0,500.0,1.8", "table limit"),
         ("10.0,nan,1.8", "table limit"),
@@ -389,7 +421,21 @@ class TestCleanErrors:
         profile.write_text("duration_s,rate_dps,accel_dps2\n0.001,0.0,1.8\n")
         rc = main(["gyro", "--profile", str(profile), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert f"error: {profile}:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {profile}: profile duration must be a finite time of at least "
+            f"one cycle (0.007 s), got 0.001")
+
+    @pytest.mark.parametrize("command, duration", [
+        ("allan", "inf"), ("allan", "0.0035"), ("gyro", "inf"), ("gyro", "-1")])
+    def test_duration_rule_names_the_flag(self, tmp_path, capsys, command, duration):
+        argv = [command, "--duration", duration, "--out", str(tmp_path / "o")]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --duration must be a finite time of at least one cycle "
+            f"(0.007 s), got {float(duration)}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_profile(self, tmp_path, capsys):
         rc = main(["gyro", "--profile", str(tmp_path / "none.csv"),

@@ -13,6 +13,7 @@ from nvgyro import (
     load_config,
     load_constants,
 )
+from nvgyro.cli import main
 from nvgyro.config import SCHEMA, _parse_kv_text, accepted_keys
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -158,6 +159,26 @@ class TestDefaults:
         path.write_text("[sequence]\nf1_ref = 5.089e6\n")
         with pytest.raises(ConfigError, match="together"):
             load_config(path)
+
+    @pytest.mark.parametrize("mode", ["phase_reference = resonant\ndq_detuning = 2000.0",
+                                      "phase_reference = resonant",
+                                      "dq_detuning = 0.0"])
+    def test_explicit_refs_reject_the_resonant_mode(self, tmp_path, capsys, mode):
+        # otherwise the refs would silently win over the mode keys
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[sequence]\n{mode}\nf1_ref = 5.0953e6\nf2_ref = 4.8e6\n")
+        with pytest.raises(ConfigError, match=r"f1_ref and f2_ref .* "
+                                              r"phase_reference = resonant or dq_detuning"):
+            load_config(path)
+        assert main(["budget", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: f1_ref and f2_ref")
+
+    def test_explicit_refs_accept_reset(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[sequence]\nphase_reference = reset\n"
+                        "f1_ref = 5.0953e6\nf2_ref = 4.8e6\n")
+        frame = load_config(path).sequence.frame
+        assert (frame.f1, frame.f2) == (5.0953e6, 4.8e6)
 
 
 class TestConstantsProfile:

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ def sync_config(dq_detuning=2000.0, **kwargs) -> SequenceConfig:
 
 
 def spectrum_peak(series, f_target, halfwidth_bins=3):
-    freqs, power = power_spectrum(series)
+    freqs, power = power_spectrum(series.taus, series.values)
     i = int(np.argmin(np.abs(freqs - f_target)))
     lo = max(i - halfwidth_bins, 1)
     return float(np.max(power[lo:i + halfwidth_bins + 1])), freqs, power
@@ -226,8 +227,24 @@ class TestSweepFringes:
             sweep_fringes(sync_config(), ENV, C, [2e-3, 1e-3])
 
     def test_grid_must_fit_in_cycle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tau_max = 0.0069 s"):
             sweep_fringes(sync_config(), ENV, C, [1e-3, 6.9e-3])
+
+    def test_keeps_the_records_it_combined(self):
+        cfg = sync_config()
+        taus = np.linspace(1e-6, 2e-3, 50)
+        series = sweep_fringes(cfg, ENV, C, taus, np.random.default_rng(5))
+        records = ramsey_signals(cfg, ENV, C, taus, np.random.default_rng(5))
+        assert np.array_equal(series.records, records)
+        assert np.array_equal(series.values, combine_4ramsey(records))
+        assert sweep_fringes(cfg, ENV, C, taus).records.shape == (50, 4)
+
+    def test_records_match_taus(self):
+        taus = np.linspace(0.0, 1e-3, 8)
+        assert FringeSeries(taus=taus, values=np.zeros(8)).records is None
+        for shape in ((8, 3), (7, 4), (8,)):
+            with pytest.raises(ValueError, match="records"):
+                FringeSeries(taus=taus, values=np.zeros(8), records=np.zeros(shape))
 
 
 class TestGyroStream:
@@ -325,10 +342,9 @@ class TestGyroStream:
         assert np.array_equal(got, expected)
 
     def test_duration_validation(self):
-        with pytest.raises(ValueError):
-            run_gyro_stream(self.wp_config(), ENV, C, 0.0)
-        with pytest.raises(ValueError):
-            run_gyro_stream(self.wp_config(), ENV, C, 1e-3)
+        for duration in (0.0, 1e-3, math.inf):
+            with pytest.raises(ValueError):
+                run_gyro_stream(self.wp_config(), ENV, C, duration)
 
     def test_environment_arrays_hold_one_entry_per_cycle(self):
         cfg = self.wp_config()
@@ -356,3 +372,15 @@ class TestSequenceConfig:
         from nvgyro import DetectorConfig
         with pytest.raises(ValueError):
             SequenceConfig(detector=DetectorConfig(t_R=400e-6))
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0, 0.0, 3.5e-3])
+    def test_n_cycles_needs_a_finite_cycle(self, duration):
+        cfg = SequenceConfig()
+        with pytest.raises(ValueError, match=r"^duration must be a finite time of "
+                                             r"at least one cycle \(0.007 s\)"):
+            cfg.n_cycles(duration)
+
+    def test_n_cycles_counts_whole_cycles(self):
+        cfg = SequenceConfig()
+        assert cfg.n_cycles(cfg.cycle_period) == 1
+        assert cfg.n_cycles(1.0) == 142  # 1.0 / 0.007 = 142.86
