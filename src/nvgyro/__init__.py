@@ -31,7 +31,6 @@ from .config import (
     build_config,
     default_config,
     load_config,
-    load_constants,
 )
 from .detector import (
     DetectorConfig,
@@ -50,13 +49,7 @@ from .errors import (
     NonUniformGridError,
     SingularSplittingError,
 )
-from .ratetable import (
-    Instruction,
-    RateTrajectory,
-    RotationProfile,
-    TableTelemetry,
-    run_profile,
-)
+from .ratetable import RateTrajectory
 from .sequence import (
     DEFAULT_PHASE_TABLE,
     FringeSeries,
@@ -72,10 +65,9 @@ from .spin import (
     LITERATURE_CONSTANTS,
     FieldEnvironment,
     PhysicalConstants,
-    PulseKind,
-    PulseSpec,
     RotatingFrame,
+    dq_pulse,
     dq_splitting,
-    pulse_unitary,
+    sq_pi_pulse,
     transition_frequencies,
 )

@@ -38,7 +38,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .detector import psn_rotation_sensitivity
 from .errors import ConfigError, GyroSimError
 from .io import write_json, write_table
-from .ratetable import RotationProfile, run_profile
+from .ratetable import RateTrajectory
 from .sequence import combine_4ramsey, ramsey_signals, run_gyro_stream, sweep_fringes
 from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
 
@@ -121,7 +121,7 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
-    telemetry, traj = run_profile(RotationProfile.from_csv(args.profile))
+    traj = RateTrajectory.from_csv(args.profile)
     duration = traj.t_end
     _n_cycles(cfg, duration, f"{args.profile}: profile ")
     if args.duration is not None:
@@ -160,7 +160,7 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     nu_hat = rotation_from_signal(signal, alpha_used, baseline_used)
     outputs = {
         "telemetry.csv": (["t_s", "angle_deg", "rate_dps", "accel_dps2"],
-                          [telemetry.t, telemetry.angle, telemetry.rate, telemetry.accel]),
+                          traj.telemetry()),
         "signal.csv": (["t_s", "signal"], [t, signal]),
         "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
                          [t, nu_hat, nu_hat * DEG_PER_REV,
@@ -211,25 +211,26 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
-    seq = cfg.sequence
-    f_dq = dq_splitting(cfg.environment.B, cfg.constants)
-    if not f_dq > 0:
+    seq, env = cfg.sequence, cfg.environment
+    f_dq = dq_splitting(env.B + env.delta_B, cfg.constants)
+    f_fringe = abs(cfg.fringe_frequency())
+    if not (f_dq > 0 and f_fringe > 0):
         raise ConfigError(
-            f"{args.config}: [environment]: B = {cfg.environment.B:g} G gives "
-            f"f_DQ = {f_dq:.6g} Hz; the budget needs f_DQ > 0 "
-            f"(0 < B below the ground-state anticrossing)")
+            f"{args.config}: [environment]: B + delta_B = {env.B + env.delta_B:g} G "
+            f"gives f_DQ = {f_dq:.6g} Hz and a fringe at {f_fringe:.6g} Hz; the "
+            f"budget needs both > 0 (0 < B below the ground-state anticrossing)")
     _, _, sens = _working_point(args, cfg)
-    f1, f2 = transition_frequencies(cfg.environment, cfg.constants)
+    f1, f2 = transition_frequencies(env, cfg.constants)
     nu0 = one_rad_rotation_rate(seq.tau_wp)
     try:
         dr = dynamic_range(args.epsilon, nu0)
     except ValueError as exc:
         raise ConfigError(f"--epsilon: {exc}") from None
     overhead = max(seq.cycle_period / 4.0 - seq.tau_wp, 0.0)
-    wp = select_working_point(seq.t2_dq, f_dq, overhead)
+    wp = select_working_point(seq.t2_dq, f_fringe, overhead)
 
     lines = [
-        f"nvgyro budget (B = {cfg.environment.B:.1f} G)",
+        f"nvgyro budget (B = {env.B:.1f} G)",
         f"  f_DQ = {f_dq / 1e3:.3f} kHz   f1 = {f1 / 1e6:.6f} MHz   "
         f"f2 = {f2 / 1e6:.6f} MHz",
         f"  shot-noise sensitivity at tau_wp = {seq.tau_wp * 1e3:.4f} ms: "

@@ -9,7 +9,9 @@ phases in radians, angles in degrees only at the rate-table boundary.
 
 If tau_wp is not set explicitly it defaults to 1.428 ms snapped to the
 nearest fringe zero crossing of the configured operating mode, which is
-where the working-point protocol is linear and maximally sensitive.
+where the working-point protocol is linear and maximally sensitive.  The
+fringe is the kernel's: f_DQ at B + delta_B less the frame's DQ
+reference, of either sign (ExperimentConfig.fringe_frequency).
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ class ExperimentConfig:
 
 
 def _fringe_frequency(environment, constants, frame) -> float:
-    """DQ fringe frequency at nu = 0 in frame."""
-    return dq_splitting(environment.B, constants) - frame.dq_reference
+    """DQ fringe frequency at nu = 0 in frame: the splitting at the field
+    the nucleus sees, B + delta_B, less the frame's DQ reference."""
+    return (dq_splitting(environment.B + environment.delta_B, constants)
+            - frame.dq_reference)
 
 
 # --------------------------------------------------------------------------
@@ -205,15 +209,6 @@ def accepted_keys(section: str) -> set[str]:
     return set(SCHEMA[section]) | (_MODE_KEYS if section == "sequence" else set())
 
 
-def _check_key(origin, section, key, lineno) -> None:
-    if key in accepted_keys(section):
-        return
-    if (section, key) in _REMOVED:
-        raise ConfigError(f"{origin}:{lineno}: key {key!r} in [{section}] was "
-                          f"removed: {_REMOVED[section, key]}")
-    raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in section [{section}]")
-
-
 def _check_known(origin, sections) -> None:
     for section, entries in sections.items():
         if section == "" and entries:
@@ -224,7 +219,12 @@ def _check_known(origin, sections) -> None:
         if section and section not in SCHEMA:
             raise ConfigError(f"{origin}: unknown section [{section}]")
         for key, (_, lineno) in entries.items():
-            _check_key(origin, section, key, lineno)
+            if (section, key) in _REMOVED:
+                raise ConfigError(f"{origin}:{lineno}: key {key!r} in [{section}] was "
+                                  f"removed: {_REMOVED[section, key]}")
+            if key not in accepted_keys(section):
+                raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in "
+                                  f"section [{section}]")
 
 
 def _parse_section(origin, section, entries) -> dict:
@@ -292,7 +292,7 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     seq_kw = kw["sequence"]
     frame = _frame(origin, sections.get("sequence", {}), environment, constants)
     if "tau_wp" not in seq_kw:
-        f_fringe = _fringe_frequency(environment, constants, frame)
+        f_fringe = abs(_fringe_frequency(environment, constants, frame))
         if f_fringe > 100.0:
             seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
     sequence = _build(origin, "sequence", {
@@ -320,16 +320,3 @@ def default_config() -> ExperimentConfig:
     """All-defaults config (equivalent to an empty config file)."""
     return build_config({}, origin="<defaults>")
 
-
-def load_constants(path) -> PhysicalConstants:
-    """Constants profile: bare `key = value` lines or a [constants] section."""
-    path = Path(path)
-    text = _read_text(path, "constants profile")
-    sections = _parse_kv_text(text, str(path))
-    entries = sections.get("constants", sections.get("", {}))
-    extra = set(sections) - {"", "constants"}
-    if extra:
-        raise ConfigError(f"{path}: unexpected sections {sorted(extra)}")
-    for key, (_, lineno) in entries.items():
-        _check_key(path, "constants", key, lineno)
-    return _build(path, "constants", _parse_section(path, "constants", entries))

@@ -1,10 +1,10 @@
 """DQ Ramsey / 4-Ramsey experiments, fringe sweeps, and gyro streaming.
 
-One Ramsey shot: optical pump reset into |+1>, SQ pi pulse on f1 moving
-the population to |0>, two-tone DQ pulse creating the |+-1> coherence,
-free precession for tau, a second DQ pulse with configurable tone phases
-projecting the accumulated phase back into populations, and an optical
-readout through the detector model.
+One Ramsey shot: optical pump reset into |+1>, SQ pi pulse on f1
+(sq_pi_pulse) moving the population to |0>, two-tone DQ pulse (dq_pulse)
+creating the |+-1> coherence, free precession for tau, a second DQ pulse
+with configurable tone phases projecting the accumulated phase back into
+populations, and an optical readout through the detector model.
 
 The 4-Ramsey protocol repeats the shot with the second pulse's phases
 cycled through a 4-entry table and combines R = (R1 - R2 + R3 - R4)/4.
@@ -55,13 +55,12 @@ from .spin import (
     ABSOLUTE_FRAME,
     FieldEnvironment,
     PhysicalConstants,
-    PulseKind,
-    PulseSpec,
     RotatingFrame,
     check_finite,
+    dq_pulse,
     evolution_factor,
     frame_detunings,
-    pulse_unitary,
+    sq_pi_pulse,
 )
 
 #: Cycles per block of run_gyro_stream: bounds its working memory and
@@ -190,8 +189,8 @@ def _prepared_state(cfg: SequenceConfig, scale: float) -> np.ndarray:
     maximally mixed), SQ pi and the first DQ pulse (phases 0,0)."""
     f = cfg.pump_fidelity
     rho = np.diag([f, 0.0, 0.0]) + (1.0 - f) * np.eye(3) / 3.0
-    u_pi = pulse_unitary(PulseSpec(PulseKind.SQ_PI_F1, area_scale=scale))
-    u_dq = pulse_unitary(PulseSpec(PulseKind.DQ_TWO_TONE, area_scale=scale))
+    u_pi = sq_pi_pulse(area_scale=scale)
+    u_dq = dq_pulse(area_scale=scale)
     rho = u_pi @ rho @ u_pi.conj().T
     return u_dq @ rho @ u_dq.conj().T
 
@@ -202,10 +201,7 @@ def _projection_operators(cfg: SequenceConfig, scale: float) -> np.ndarray:
     p0[1, 1] = 1.0
     out = np.empty((4, 3, 3), dtype=complex)
     for j, (ph1, ph2) in enumerate(cfg.phase_table):
-        u2 = pulse_unitary(
-            PulseSpec(PulseKind.DQ_TWO_TONE, phase_f1=ph1, phase_f2=ph2,
-                      area_scale=scale)
-        )
+        u2 = dq_pulse(ph1, ph2, area_scale=scale)
         out[j] = u2.conj().T @ p0 @ u2
     return out
 

@@ -19,15 +19,16 @@ All three reach the levels through one FieldEnvironment, whose
 perturbations may be arrays (one entry per delay or per cycle).
 
 RF pulses are hard pulses: instantaneous rotations characterized only by
-area and phase.  Phase bookkeeping between pulses uses an explicit
-RotatingFrame of per-tone reference frequencies; the default references
-of zero model synthesizers whose phase restarts at each pulse, which
-makes fringes appear at the absolute transition frequencies.
+area and phase.  The sequence uses two, each one function returning its
+unitary: sq_pi_pulse on the f1 tone and the two-tone dq_pulse.  Phase
+bookkeeping between pulses uses an explicit RotatingFrame of per-tone
+reference frequencies; the default references of zero model
+synthesizers whose phase restarts at each pulse, which makes fringes
+appear at the absolute transition frequencies.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -110,35 +111,6 @@ class FieldEnvironment:
         return replace(self, **kwargs)
 
 
-class PulseKind(enum.Enum):
-    SQ_PI_F1 = "sq_pi_f1"
-    DQ_TWO_TONE = "dq_two_tone"
-
-
-_TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Hard RF pulse: kind, tone phases (rad), and a common area scale.
-
-    area_scale multiplies the nominal pulse area (pi for the SQ pulse,
-    pi/sqrt(2) per tone for the two-tone DQ pulse) and models RF-gradient
-    miscalibration.
-    """
-
-    kind: PulseKind
-    phase_f1: float = 0.0
-    phase_f2: float = 0.0
-    area_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.area_scale <= 0:
-            raise ValueError("area_scale must be > 0")
-        object.__setattr__(self, "phase_f1", self.phase_f1 % _TWO_PI)
-        object.__setattr__(self, "phase_f2", self.phase_f2 % _TWO_PI)
-
-
 @dataclass(frozen=True)
 class RotatingFrame:
     """Per-tone phase reference frequencies (Hz) for free evolution.
@@ -199,43 +171,57 @@ def transition_frequencies(env: FieldEnvironment,
     return center + f_dq / 2.0, center - f_dq / 2.0
 
 
-def pulse_unitary(p: PulseSpec) -> np.ndarray:
-    """Unitary of a hard RF pulse in the (+1, 0, -1) basis.
+_TWO_PI = 2.0 * math.pi
 
-    Hard pulses depend only on their areas and phases.  SQ_PI_F1 rotates the {+1, 0} two-level subspace by pi*area_scale about
-    the axis set by phase_f1.  DQ_TWO_TONE drives both SQ subspaces
-    simultaneously with per-tone area (pi/sqrt(2))*area_scale; the bright
-    superposition of |+-1> then sees an effective angle pi*area_scale, so
-    the ideal pulse maps |0> onto an equal |+-1> superposition.
+
+def _pulse_terms(area_scale: float, *phases: float):
+    """(cos, sin) of half the pulse angle pi*area_scale and e^{-i*phase}
+    of each tone phase, taken mod 2*pi; ValueError unless area_scale > 0."""
+    if not area_scale > 0:
+        raise ValueError("area_scale must be > 0")
+    half = 0.5 * math.pi * area_scale
+    return (math.cos(half), math.sin(half),
+            *(np.exp(-1j * (phase % _TWO_PI)) for phase in phases))
+
+
+def sq_pi_pulse(phase_f1: float = 0.0, area_scale: float = 1.0) -> np.ndarray:
+    """Unitary of the SQ pi pulse on f1 in the (+1, 0, -1) basis.
+
+    It rotates the {+1, 0} two-level subspace by pi*area_scale about the
+    axis set by phase_f1 (rad); area_scale models RF-gradient
+    miscalibration of the nominal area.
     """
-    if p.kind is PulseKind.SQ_PI_F1:
-        half = 0.5 * math.pi * p.area_scale
-        ch, sh = math.cos(half), math.sin(half)
-        e1 = np.exp(-1j * p.phase_f1)
-        return np.array(
-            [
-                [ch, -1j * sh * e1, 0.0],
-                [-1j * sh / e1, ch, 0.0],
-                [0.0, 0.0, 1.0],
-            ],
-            dtype=complex,
-        )
-    if p.kind is PulseKind.DQ_TWO_TONE:
-        # Per-tone area (pi/sqrt(2))*scale -> bright-state angle pi*scale.
-        half = 0.5 * math.pi * p.area_scale
-        ch, sh = math.cos(half), math.sin(half)
-        e1 = np.exp(-1j * p.phase_f1)
-        e2 = np.exp(-1j * p.phase_f2)
-        s2 = math.sqrt(2.0)
-        return np.array(
-            [
-                [(1.0 + ch) / 2.0, -1j * sh * e1 / s2, (ch - 1.0) / 2.0 * e1 / e2],
-                [-1j * sh / (e1 * s2), ch, -1j * sh / (e2 * s2)],
-                [(ch - 1.0) / 2.0 * e2 / e1, -1j * sh * e2 / s2, (1.0 + ch) / 2.0],
-            ],
-            dtype=complex,
-        )
-    raise ValueError(f"unknown pulse kind {p.kind!r}")
+    ch, sh, e1 = _pulse_terms(area_scale, phase_f1)
+    return np.array(
+        [
+            [ch, -1j * sh * e1, 0.0],
+            [-1j * sh / e1, ch, 0.0],
+            [0.0, 0.0, 1.0],
+        ],
+        dtype=complex,
+    )
+
+
+def dq_pulse(phase_f1: float = 0.0, phase_f2: float = 0.0,
+             area_scale: float = 1.0) -> np.ndarray:
+    """Unitary of the two-tone DQ pulse in the (+1, 0, -1) basis.
+
+    Both SQ subspaces are driven at once with per-tone area
+    (pi/sqrt(2))*area_scale and tone phases phase_f1, phase_f2 (rad); the
+    bright superposition of |+-1> then sees an effective angle
+    pi*area_scale, so the ideal pulse maps |0> onto an equal |+-1>
+    superposition.
+    """
+    ch, sh, e1, e2 = _pulse_terms(area_scale, phase_f1, phase_f2)
+    s2 = math.sqrt(2.0)
+    return np.array(
+        [
+            [(1.0 + ch) / 2.0, -1j * sh * e1 / s2, (ch - 1.0) / 2.0 * e1 / e2],
+            [-1j * sh / (e1 * s2), ch, -1j * sh / (e2 * s2)],
+            [(ch - 1.0) / 2.0 * e2 / e1, -1j * sh * e2 / s2, (1.0 + ch) / 2.0],
+        ],
+        dtype=complex,
+    )
 
 
 def frame_detunings(env: FieldEnvironment, c: PhysicalConstants,

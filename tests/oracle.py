@@ -12,36 +12,48 @@ fit_decaying_sine, but with all five parameters free in scipy's
 trust-region least_squares instead of by variable projection.
 """
 
+import enum
 import math
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from nvgyro import PulseKind, PulseSpec, transition_frequencies
+from nvgyro import transition_frequencies
 from nvgyro.analysis import _decaying_sine, _initial_guess
 
 #: Nuclear spin projection m_I of each basis index.
 M_I = np.array([+1, 0, -1])
 
 
-def two_tone_generator(p: PulseSpec) -> np.ndarray:
+class PulseKind(enum.Enum):
+    """The sequence's two hard pulses, by the tones they drive: the SQ pi
+    pulse drives f1 (|0> <-> |+1>) with area pi, the DQ pulse drives f1
+    and f2 (|0> <-> |-1>) at once with area pi/sqrt(2) each."""
+
+    SQ_PI_F1 = (math.pi, False)
+    DQ_TWO_TONE = (math.pi / math.sqrt(2), True)
+
+
+def two_tone_generator(kind: PulseKind, phase_f1: float = 0.0,
+                       phase_f2: float = 0.0, area_scale: float = 1.0) -> np.ndarray:
     """Rotating-wave generator G of the hard pulse, U = expm(-i * G).
 
-    Each driven tone couples |0> to its |+-1> level with half its area:
-    pi for the SQ pulse, pi/sqrt(2) per tone for the two-tone DQ pulse.
+    Each driven tone couples |0> to its |+-1> level with half its area,
+    scaled by area_scale, at its tone phase (rad).
     """
-    sq = p.kind is PulseKind.SQ_PI_F1
-    half = (math.pi if sq else math.pi / math.sqrt(2)) * p.area_scale / 2
+    area, drives_f2 = kind.value
+    half = area * area_scale / 2
     g = np.zeros((3, 3), dtype=complex)
-    g[0, 1] = half * np.exp(-1j * p.phase_f1)
-    if not sq:
-        g[2, 1] = half * np.exp(-1j * p.phase_f2)
+    g[0, 1] = half * np.exp(-1j * phase_f1)
+    if drives_f2:
+        g[2, 1] = half * np.exp(-1j * phase_f2)
     return g + g.conj().T
 
 
-def pulse(rho: np.ndarray, p: PulseSpec) -> np.ndarray:
-    u = expm(-1j * two_tone_generator(p))
+def pulse(rho: np.ndarray, kind: PulseKind, phase_f1: float = 0.0,
+          phase_f2: float = 0.0, area_scale: float = 1.0) -> np.ndarray:
+    u = expm(-1j * two_tone_generator(kind, phase_f1, phase_f2, area_scale))
     return u @ rho @ u.conj().T
 
 
@@ -64,12 +76,11 @@ def bright_projections(cfg, env, c, tau: float) -> np.ndarray:
     pumped = f * np.diag([1.0, 0.0, 0.0]) + (1.0 - f) * np.eye(3) / 3.0
     out = np.zeros(4)
     for weight, scale in cfg.rf_gradient:
-        rho = pulse(pumped, PulseSpec(PulseKind.SQ_PI_F1, area_scale=scale))
-        rho = pulse(rho, PulseSpec(PulseKind.DQ_TWO_TONE, area_scale=scale))
+        rho = pulse(pumped, PulseKind.SQ_PI_F1, area_scale=scale)
+        rho = pulse(rho, PulseKind.DQ_TWO_TONE, area_scale=scale)
         rho = free_precession(rho, tau, env, c, cfg.frame, cfg.t2_dq, t2_sq)
         for j, (ph1, ph2) in enumerate(cfg.phase_table):
-            read = pulse(rho, PulseSpec(PulseKind.DQ_TWO_TONE, phase_f1=ph1,
-                                        phase_f2=ph2, area_scale=scale))
+            read = pulse(rho, PulseKind.DQ_TWO_TONE, ph1, ph2, scale)
             out[j] += weight * (1.0 - read[1, 1].real)
     return out
 

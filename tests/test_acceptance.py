@@ -16,8 +16,8 @@ from nvgyro import (
     FieldEnvironment,
     LITERATURE_CONSTANTS,
     NoiseHooks,
+    RateTrajectory,
     RotatingFrame,
-    RotationProfile,
     SequenceConfig,
     allan_deviation,
     calibration_from_fringes,
@@ -30,7 +30,6 @@ from nvgyro import (
     psn_rotation_sensitivity,
     ramsey_signals,
     run_gyro_stream,
-    run_profile,
     snap_to_cos_null,
     sweep_fringes,
     transition_frequencies,
@@ -174,7 +173,7 @@ def test_criterion_07_calibration_agreement():
     from nvgyro import calibration_from_slope
     alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq)
 
-    telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
+    traj = RateTrajectory.from_csv(TRIANGLE_CSV)
     t = np.arange(cfg.n_cycles(traj.t_end)) * cfg.cycle_period
     nu = np.asarray(traj.rate_at(t)) / 360.0
     signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, traj.t_end,
@@ -249,16 +248,17 @@ def test_criterion_09_dynamic_range():
 
 def test_criterion_10_rate_table_kinematics():
     accel, target = 1.8, 180.0
-    telem, traj = run_profile(RotationProfile.from_rows([(150.0, target, accel)]))
+    traj = RateTrajectory([(150.0, target, accel)])
+    t, _, rate, _ = traj.telemetry()
     dt = 0.03
-    polled_at_dt = np.max(np.abs(np.diff(telem.t) - dt)) < 1e-12
+    polled_at_dt = np.max(np.abs(np.diff(t) - dt)) < 1e-12
     # completion time: the ramp ends inside the poll interval that first reads 180
     t_done = target / accel
-    t_first = telem.t[np.argmax(telem.rate == target)]
+    t_first = t[np.argmax(rate == target)]
     completed_in_band = t_first - dt < t_done <= t_first
     closed_form = target**2 / (2 * accel)
     err = abs(traj.angle_at(t_done) - closed_form)
     ok = (polled_at_dt and completed_in_band and err < 1e-9
-          and traj.rate_at(t_done) == target and telem.rate[-1] == target)
+          and traj.rate_at(t_done) == target and rate[-1] == target)
     _report(10, ok, f"0 -> 180 deg/s at 1.8 deg/s^2 completes at "
                     f"{t_done:.1f} s, angle error {err:.2e} deg < 1e-9")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgyro import ConfigError, load_config, load_constants, sweep_fringes
+from nvgyro import dq_splitting, load_config, sweep_fringes
 from nvgyro.cli import main
 from nvgyro.io import write_table
 
@@ -269,6 +269,29 @@ class TestBudgetCommand:
         assert budget["f_dq_hz"] == pytest.approx(293.73e3, rel=1e-4)
         assert json.loads((out / "manifest.json").read_text())["command"] == "budget"
 
+    @pytest.mark.parametrize("detuning", [2000.0, -2000.0])
+    def test_resonant_budget_snaps_to_its_fringe(self, tmp_path, capsys, detuning):
+        # a 2 kHz fringe has its cosine nulls at odd multiples of 1/(4 * 2 kHz)
+        cfg = tmp_path / "res.cfg"
+        cfg.write_text(f"[sequence]\nphase_reference = resonant\n"
+                       f"dq_detuning = {detuning!r}\n")
+        out = tmp_path / "out"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+        tau = json.loads((out / "budget.json").read_text())["tau_wp_snapped_s"]
+        turns = 4 * abs(detuning) * tau
+        assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
+        assert "snapped to cosine null 1.1250 ms" in capsys.readouterr().out
+
+    def test_budget_reports_f_dq_at_the_drifted_field(self, tmp_path, capsys):
+        cfg = tmp_path / "drift.cfg"
+        cfg.write_text("[environment]\ndelta_B = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+        budget = json.loads((out / "budget.json").read_text())
+        assert budget["f_dq_hz"] == dq_splitting(482.0 + 0.1)
+        assert budget["f1_hz"] - budget["f2_hz"] == pytest.approx(budget["f_dq_hz"],
+                                                                  abs=1e-6)
+
 
 def test_commands_run_without_scipy(tmp_path):
     # scipy is a test dependency only: a fresh interpreter that runs
@@ -453,12 +476,6 @@ class TestCleanErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: cannot read {kind} {bad}: not UTF-8 text\n"
-
-    def test_non_utf8_constants_profile(self, tmp_path):
-        bad = tmp_path / "consts.txt"
-        bad.write_bytes(b"D = 2.87e9 \xff\n")
-        with pytest.raises(ConfigError, match="not UTF-8 text"):
-            load_constants(bad)
 
     @pytest.mark.parametrize("argv, under", [
         (["budget"], ""),

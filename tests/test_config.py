@@ -11,7 +11,6 @@ from nvgyro import (
     default_config,
     dq_splitting,
     load_config,
-    load_constants,
 )
 from nvgyro.cli import main
 from nvgyro.config import SCHEMA, _parse_kv_text, accepted_keys
@@ -138,6 +137,20 @@ class TestDefaults:
         assert abs(math.cos(2 * math.pi * f * cfg.sequence.tau_wp)) < 1e-6
         assert cfg.sequence.tau_wp == pytest.approx(1.428e-3, rel=1e-3)
 
+    @pytest.mark.parametrize("text, fringe", [
+        ("[environment]\ndelta_B = 0.1\n", dq_splitting(482.0 + 0.1)),
+        ("[sequence]\nphase_reference = resonant\ndq_detuning = -2000.0\n", 2000.0),
+    ], ids=["drifted-field", "negative-detuning"])
+    def test_default_tau_wp_snaps_to_the_kernel_fringe(self, tmp_path, text, fringe):
+        # the fringe turns at f_DQ(B + delta_B) less the frame's DQ
+        # reference, and the snap follows it whatever its sign
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        cfg = load_config(path)
+        turns = 4 * fringe * cfg.sequence.tau_wp
+        assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
+        assert abs(cfg.fringe_frequency()) == pytest.approx(fringe, abs=1e-6)
+
     def test_explicit_tau_wp_respected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[sequence]\ntau_wp = 1.111e-3\n")
@@ -179,29 +192,6 @@ class TestDefaults:
                         "f1_ref = 5.0953e6\nf2_ref = 4.8e6\n")
         frame = load_config(path).sequence.frame
         assert (frame.f1, frame.f2) == (5.0953e6, 4.8e6)
-
-
-class TestConstantsProfile:
-    def test_bare_key_value_file(self, tmp_path):
-        path = tmp_path / "constants.cfg"
-        path.write_text(
-            "gamma_e = 2.8025e6\ngamma_n = 307.7\nD = 2.870e9\n"
-            "A_perp = 2.62e6\nQ = 4.9425e6\n"
-        )
-        c = load_constants(path)
-        assert c.gamma_n == 307.7
-        assert dq_splitting(482.0, c) == pytest.approx(293.73e3, rel=1e-4)
-
-    def test_sectioned_file(self, tmp_path):
-        path = tmp_path / "constants.cfg"
-        path.write_text("[constants]\ngamma_n = 310.0\n")
-        assert load_constants(path).gamma_n == 310.0
-
-    def test_unknown_constant_rejected(self, tmp_path):
-        path = tmp_path / "constants.cfg"
-        path.write_text("gamma_q = 1.0\n")
-        with pytest.raises(ConfigError, match="gamma_q"):
-            load_constants(path)
 
 
 class TestSchema:
@@ -247,12 +237,6 @@ class TestSchema:
         with pytest.raises(ConfigError, match=rf"old\.cfg:2: .*{key}.*removed") as exc:
             load_config(path)
         assert replacement in str(exc.value)
-
-    def test_constants_profile_rejects_q_e(self, tmp_path):
-        path = tmp_path / "constants.cfg"
-        path.write_text("q_e = 1.602176634e-19\n")
-        with pytest.raises(ConfigError, match="fixed SI constant"):
-            load_constants(path)
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
                              ids=lambda p: p.name)

@@ -25,11 +25,9 @@ from nvgyro import (
     ABSOLUTE_FRAME,
     LITERATURE_CONSTANTS,
     FieldEnvironment,
-    Instruction,
     NoiseHooks,
-    RotatingFrame,
-    RotationProfile,
     RateTrajectory,
+    RotatingFrame,
     SequenceConfig,
     allan_deviation,
     combine_4ramsey,
@@ -210,18 +208,18 @@ def test_seeded_stream_repeats_bit_for_bit(cfg, env, seed, noise, duration,
     assert not np.array_equal(a, c)
 
 
-instructions = st.builds(
-    Instruction,
-    duration=st.floats(0.01, 20.0),
-    rate_setpoint=st.floats(-400.0, 400.0),
-    accel=st.floats(0.5, 100.0),
+# (duration_s, rate_dps, accel_dps2) program rows.
+instructions = st.tuples(
+    st.floats(0.01, 20.0),
+    st.floats(-400.0, 400.0),
+    st.floats(0.5, 100.0),
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(instructions, min_size=1, max_size=6))
 def test_angle_is_integral_of_rate(rows):
-    traj = RateTrajectory(RotationProfile(tuple(rows)))
+    traj = RateTrajectory(rows)
     t = np.linspace(0.0, traj.t_end, 200_001)
     rate = traj.rate_at(t)
     integral = np.concatenate(
@@ -231,7 +229,7 @@ def test_angle_is_integral_of_rate(rows):
     # fewer per instruction that hold a change of slope; each of those is
     # off by at most step**2 * |change of slope| / 8.
     h = t[1] - t[0]
-    kinks = 2 * len(rows) * h**2 * 2 * max(r.accel for r in rows) / 8
+    kinks = 2 * len(rows) * h**2 * 2 * max(accel for _, _, accel in rows) / 8
     atol = kinks + 1e-9 * (1.0 + np.max(np.abs(angle)))
     assert np.all(np.abs(angle - integral) <= atol)
 
@@ -242,19 +240,19 @@ def test_rate_ramps_to_each_setpoint_without_overshoot(rows):
     # Within each instruction the rate moves by at most accel*dt, stays
     # between its starting rate and the setpoint, and reaches the
     # setpoint |gap|/accel after the instruction starts.
-    traj = RateTrajectory(RotationProfile(tuple(rows)))
+    traj = RateTrajectory(rows)
     t0 = r0 = 0.0
-    for ins in rows:
-        t = np.linspace(t0, t0 + ins.duration, 101)
+    for duration, setpoint, accel in rows:
+        t = np.linspace(t0, t0 + duration, 101)
         rate = traj.rate_at(t)
-        assert np.all(np.abs(np.diff(rate)) <= ins.accel * np.diff(t) + 1e-9)
-        lo, hi = sorted((r0, ins.rate_setpoint))
+        assert np.all(np.abs(np.diff(rate)) <= accel * np.diff(t) + 1e-9)
+        lo, hi = sorted((r0, setpoint))
         assert np.all((rate >= lo - 1e-9) & (rate <= hi + 1e-9))
-        gap = ins.rate_setpoint - r0
-        t_reach = min(abs(gap) / ins.accel, ins.duration)
+        gap = setpoint - r0
+        t_reach = min(abs(gap) / accel, duration)
         assert traj.rate_at(t0 + t_reach) == pytest.approx(
-            r0 + math.copysign(ins.accel * t_reach, gap), abs=1e-9)
-        t0 += ins.duration
+            r0 + math.copysign(accel * t_reach, gap), abs=1e-9)
+        t0 += duration
         r0 = traj.rate_at(t0)
 
 

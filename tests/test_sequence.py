@@ -9,19 +9,19 @@ from nvgyro import (
     FieldEnvironment,
     FringeSeries,
     NoiseHooks,
-    PulseKind,
-    PulseSpec,
+    RateTrajectory,
     RotatingFrame,
     SequenceConfig,
     combine_4ramsey,
+    dq_pulse,
     dq_splitting,
     fit_decaying_sine,
     power_spectrum,
-    pulse_unitary,
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
     snap_to_cos_null,
+    sq_pi_pulse,
     sweep_fringes,
     transition_frequencies,
 )
@@ -58,8 +58,7 @@ def spectrum_floor(freqs, power, exclude):
 def pumped_populations(fidelity: float) -> np.ndarray:
     """Populations of the pumped state: _prepared_state with its pulses undone."""
     rho = _prepared_state(SequenceConfig(pump_fidelity=fidelity), 1.0)
-    u = (pulse_unitary(PulseSpec(PulseKind.DQ_TWO_TONE))
-         @ pulse_unitary(PulseSpec(PulseKind.SQ_PI_F1)))
+    u = dq_pulse() @ sq_pi_pulse()
     return np.diag(u.conj().T @ rho @ u).real
 
 
@@ -281,9 +280,8 @@ class TestGyroStream:
 
     def test_linear_response_over_triangle_sweep(self):
         # S vs nu over a +-180 deg/s sweep is linear: residuals << span
-        from nvgyro import RotationProfile, run_profile
         cfg = self.wp_config()
-        telem, traj = run_profile(RotationProfile.from_csv(TRIANGLE_CSV))
+        traj = RateTrajectory.from_csv(TRIANGLE_CSV)
         t = np.arange(cfg.n_cycles(traj.t_end)) * cfg.cycle_period
         nu = np.asarray(traj.rate_at(t)) / 360.0
         signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, traj.t_end)

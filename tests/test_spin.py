@@ -9,18 +9,17 @@ from nvgyro import (
     LITERATURE_CONSTANTS,
     FieldEnvironment,
     PhysicalConstants,
-    PulseKind,
-    PulseSpec,
     RotatingFrame,
     SequenceConfig,
     SingularSplittingError,
+    dq_pulse,
     dq_splitting,
-    pulse_unitary,
+    sq_pi_pulse,
     transition_frequencies,
 )
 from nvgyro.sequence import _prepared_state
 from nvgyro.spin import evolution_factor, frame_detunings
-from oracle import two_tone_generator
+from oracle import PulseKind, two_tone_generator
 
 C = LITERATURE_CONSTANTS
 ENV = FieldEnvironment(B=482.0)
@@ -31,8 +30,14 @@ ZERO = np.diag([0.0, 1.0, 0.0]).astype(complex)
 MIXED = np.eye(3, dtype=complex) / 3.0
 
 
-def pulsed(rho: np.ndarray, p: PulseSpec) -> np.ndarray:
-    u = pulse_unitary(p)
+def kernel_pulse(kind: PulseKind, phase_f1=0.0, phase_f2=0.0, area_scale=1.0):
+    """The nvgyro unitary of the oracle's pulse kind."""
+    if kind is PulseKind.SQ_PI_F1:
+        return sq_pi_pulse(phase_f1, area_scale)
+    return dq_pulse(phase_f1, phase_f2, area_scale)
+
+
+def pulsed(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u @ rho @ u.conj().T
 
 
@@ -112,43 +117,48 @@ class TestPulseUnitary:
     @pytest.mark.parametrize("scale", [0.8, 1.0, 1.1])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (1.1, 2.7), (math.pi, math.pi / 3)])
     def test_matches_matrix_exponential(self, kind, scale, phases):
-        p = PulseSpec(kind, phase_f1=phases[0], phase_f2=phases[1], area_scale=scale)
-        u = pulse_unitary(p)
-        oracle = expm(-1j * two_tone_generator(p))
+        u = kernel_pulse(kind, *phases, area_scale=scale)
+        oracle = expm(-1j * two_tone_generator(kind, *phases, area_scale=scale))
         assert np.allclose(u, oracle, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [0.5, 0.9, 1.0, 1.2])
     @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.3, 5.1)])
     def test_unitarity(self, scale, phases):
         for kind in PulseKind:
-            u = pulse_unitary(PulseSpec(kind, *phases, area_scale=scale))
+            u = kernel_pulse(kind, *phases, area_scale=scale)
             assert np.linalg.norm(u @ u.conj().T - np.eye(3)) < 1e-12
 
     def test_sq_pi_swaps_populations(self):
-        out = pulsed(PLUS, PulseSpec(PulseKind.SQ_PI_F1))
+        out = pulsed(PLUS, sq_pi_pulse())
         assert np.diag(out).real == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
     def test_dq_pulse_creates_double_quantum_coherence(self):
-        out = pulsed(ZERO, PulseSpec(PulseKind.DQ_TWO_TONE))
+        out = pulsed(ZERO, dq_pulse())
         assert np.diag(out).real == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
         assert abs(out[0, 2]) == pytest.approx(0.5, abs=1e-12)
 
     def test_pulse_preserves_state_validity(self):
         for kind in PulseKind:
-            assert_density_matrix(pulsed(MIXED, PulseSpec(kind, 0.4, 1.9, area_scale=0.93)))
+            assert_density_matrix(pulsed(MIXED, kernel_pulse(kind, 0.4, 1.9, 0.93)))
 
     def test_invalid_area_scale(self):
-        with pytest.raises(ValueError):
-            PulseSpec(PulseKind.SQ_PI_F1, area_scale=0.0)
+        for scale in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="area_scale must be > 0"):
+                sq_pi_pulse(area_scale=scale)
+            with pytest.raises(ValueError, match="area_scale must be > 0"):
+                dq_pulse(area_scale=scale)
 
     def test_phases_wrap(self):
-        p = PulseSpec(PulseKind.DQ_TWO_TONE, phase_f1=-math.pi, phase_f2=7.0)
-        assert 0.0 <= p.phase_f1 < 2 * math.pi
-        assert 0.0 <= p.phase_f2 < 2 * math.pi
+        # each phase is taken mod 2*pi before it enters the matrix
+        two_pi = 2 * math.pi
+        for ph1, ph2 in [(-math.pi, 7.0), (13.0, -0.25), (two_pi, -two_pi)]:
+            assert np.array_equal(sq_pi_pulse(ph1), sq_pi_pulse(ph1 % two_pi))
+            assert np.array_equal(dq_pulse(ph1, ph2),
+                                  dq_pulse(ph1 % two_pi, ph2 % two_pi))
 
 
 def dq_state() -> np.ndarray:
-    return pulsed(ZERO, PulseSpec(PulseKind.DQ_TWO_TONE))
+    return pulsed(ZERO, dq_pulse())
 
 
 class TestEvolveFree:
@@ -189,7 +199,7 @@ class TestEvolveFree:
             assert abs(ratio - math.exp(-tau / 1.95e-3)) < 1e-10
 
     def test_independent_sq_decay(self):
-        s = pulsed(PLUS, PulseSpec(PulseKind.SQ_PI_F1, area_scale=0.5))
+        s = pulsed(PLUS, sq_pi_pulse(area_scale=0.5))
         assert abs(s[0, 1]) > 0.1
         out = s * free_factor(1e-3, ENV, 1.95e-3, t2_sq=0.5e-3, frame=self.on_resonance())
         ratio = abs(out[0, 1]) / abs(s[0, 1])
