@@ -37,7 +37,6 @@ from .detector import (
     NoiseHooks,
     photoelectron_count,
     psn_fractional_uncertainty,
-    psn_rotation_sensitivity,
     readout_signal,
     signal_sigma,
 )

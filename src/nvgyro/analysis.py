@@ -264,7 +264,10 @@ def calibration_from_fringes(fit, tau_wp: float) -> float:
         if abs(math.sin(arg)) > 0.1:
             warnings.warn(
                 f"tau_wp={tau_wp:.6g} s is off the fringe zero crossing "
-                f"(|sin| = {abs(math.sin(arg)):.3f}); alpha is biased low",
+                f"(|sin| = {abs(math.sin(arg)):.3f}); alpha is biased low. "
+                f"default_config() and load_config() snap tau_wp to a null; a "
+                f"hand-built SequenceConfig keeps its tau_wp: use "
+                f"snap_to_cos_null(tau_wp, {abs(fit.f):.6g})",
                 WorkingPointWarning,
                 stacklevel=2,
             )

@@ -35,11 +35,11 @@ from .analysis import (
     select_working_point,
 )
 from .config import ExperimentConfig, default_config, load_config
-from .detector import psn_rotation_sensitivity
 from .errors import ConfigError, GyroSimError
 from .io import write_json, write_table
 from .ratetable import RateTrajectory
-from .sequence import combine_4ramsey, ramsey_signals, run_gyro_stream, sweep_fringes
+from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
+                       sweep_fringes)
 from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
 
 
@@ -64,8 +64,10 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
     """(baseline R at nu=0, alpha0 = dR/dnu, shot-noise sensitivity in
     Hz/sqrt(Hz)) at tau_wp; alpha0 from noiseless points at +-0.01 Hz.
 
-    A working point whose alpha0 is zero or not finite, or whose
-    sensitivity is not finite, carries no usable rotation signal and is
+    The sensitivity is the stream's own floor: one combined sample per
+    cycle_period with rate noise combined_sigma/|alpha0|, i.e. a
+    measurement time of cycle_period/4 per Ramsey.  A working point whose
+    alpha0 is zero or not finite carries no usable rotation signal and is
     a ConfigError naming tau_wp and t2_dq.
     """
     seq = cfg.sequence
@@ -74,14 +76,13 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
     base, plus, minus = combine_4ramsey(ramsey_signals(
         seq, env, cfg.constants, seq.tau_wp))
     alpha0 = float((plus - minus) / (2.0 * delta_nu))
-    sens = psn_rotation_sensitivity(seq.detector, seq.tau_wp, seq.t2_dq)
-    if not (alpha0 != 0.0 and math.isfinite(alpha0) and math.isfinite(sens)):
+    if not (alpha0 != 0.0 and math.isfinite(alpha0)):
         raise ConfigError(
             f"{args.config}: [sequence]: tau_wp = {seq.tau_wp:g} s and "
             f"t2_dq = {seq.t2_dq:g} s leave no usable rotation signal: "
-            f"alpha0 = {alpha0:g} per Hz, shot-noise sensitivity "
-            f"{sens:g} Hz/rtHz")
-    return float(base), alpha0, sens
+            f"alpha0 = {alpha0:g} per Hz")
+    return (float(base), alpha0,
+            combined_sigma(seq) / abs(alpha0) * math.sqrt(seq.cycle_period))
 
 
 def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
@@ -228,6 +229,11 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         raise ConfigError(f"--epsilon: {exc}") from None
     overhead = max(seq.cycle_period / 4.0 - seq.tau_wp, 0.0)
     wp = select_working_point(seq.t2_dq, f_fringe, overhead)
+    try:
+        seq.check_delay(wp.tau_wp, "the snapped tau_wp")
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: [sequence]: the fringe at {f_fringe:g} Hz "
+                          f"has no null inside the cycle: {exc}") from None
 
     lines = [
         f"nvgyro budget (B = {env.B:.1f} G)",

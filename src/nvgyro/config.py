@@ -201,6 +201,8 @@ _REMOVED = {
     ("sequence", "tau"): "use tau_wp",
     ("sequence", "readout_window"): "the readout window is t_R in [detector]",
     ("detector", "T2star"): "the coherence time is t2_dq in [sequence]",
+    ("detector", "t_meas"): "the measurement time is [sequence] cycle_period / 4 "
+                             "(the paper's 1.92 ms is cycle_period = 7.68e-3)",
 }
 
 

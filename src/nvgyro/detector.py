@@ -1,4 +1,4 @@
-"""Fluorescence readout model and the photon-shot-noise budget.
+"""Fluorescence readout model and photon shot noise.
 
 Populations map to voltage between the low and high readout levels
 V_L = V0*(1 - C/2) and V_H = V0*(1 + C/2).  The readout distinguishes the
@@ -10,7 +10,10 @@ Shot noise is Gaussian (the detected photoelectron number is ~1e10 per
 readout); balanced detection doubles the photon shot-noise variance
 (sqrt(2) in amplitude) without adding signal.  Slow technical noise can
 be injected through NoiseHooks (white + random walk on the normalized
-signal) -- by default the floor is photoelectron shot noise only.
+signal) -- by default the floor is photoelectron shot noise only.  The
+rotation sensitivity follows from the per-readout noise here and the
+working point's slope alpha0: the `budget` command divides the combined
+sample's noise by |alpha0| and scales it by sqrt(cycle_period).
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ class DetectorConfig:
 
     V0: mean fluorescence voltage (V); G: transimpedance gain (V/A);
     contrast: full fringe contrast C; t_R: signal-bearing readout window
-    (s) inside the pump pulse; balanced: balanced photodiode flag;
-    t_meas: duration of one measurement (s).
+    (s) inside the pump pulse; balanced: balanced photodiode flag.  The
+    measurement time is not a detector setting: one 4-Ramsey cycle of
+    SequenceConfig.cycle_period holds four readouts.
     """
 
     V0: float = 15.0
@@ -41,14 +45,16 @@ class DetectorConfig:
     contrast: float = 0.015
     t_R: float = 17e-6
     balanced: bool = True
-    t_meas: float = 1.92e-3
 
     def __post_init__(self):
-        for name in ("V0", "G", "t_R", "t_meas"):
+        for name in ("V0", "G", "t_R"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 < self.contrast < 1.0:
             raise ValueError("contrast must be in (0, 1)")
+        if not 0.0 < (count := photoelectron_count(self)) < math.inf:
+            raise ValueError(f"V0, G and t_R give {count:g} photoelectrons per "
+                             f"readout; the shot noise needs a finite count > 0")
 
     @property
     def v_high(self) -> float:
@@ -123,31 +129,3 @@ def readout_signal(d: DetectorConfig, projection,
     noise += volts
     noise /= d.v_pump
     return noise
-
-
-def psn_rotation_sensitivity(d: DetectorConfig, tau: float,
-                             t2: float = DEFAULT_T2_DQ) -> float:
-    """Shot-noise-limited rotation sensitivity of the working-point
-    protocol, in Hz/sqrt(Hz):
-
-    delta_nu * sqrt(t) =
-        (1/2pi) * 1/(tau*exp(-tau/T2*)) * (1/C)
-        * sqrt(n_b * G * q_e / (V0 * t_R)) * sqrt(t_meas),
-
-    with T2* = t2, the DQ coherence time (SequenceConfig.t2_dq), q_e the
-    SI elementary charge, and n_b = 2 for balanced detection (1
-    otherwise).  The leading 1/2 converts the frequency uncertainty on the
-    DQ splitting into a rotation uncertainty (each |+-1> level shifts by
-    +-nu).  Degrees-per-root-second is the same number times 360.
-    """
-    if tau <= 0 or t2 <= 0:
-        raise ValueError("tau and t2 must be > 0")
-    noise_factor = 2.0 if d.balanced else 1.0
-    return (
-        (1.0 / (2.0 * math.pi))
-        * (1.0 / (tau * math.exp(-tau / t2)))
-        * (1.0 / d.contrast)
-        * math.sqrt(noise_factor * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R))
-        * math.sqrt(d.t_meas)
-    )
-

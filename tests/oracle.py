@@ -7,6 +7,11 @@ expm(-2*pi*i*H*tau) of the free Hamiltonian built from
 transition_frequencies, and each coherence rho[a, b] decays by its
 coherence order |m_a - m_b|: order 2 with t2_dq, order 1 with t2_sq.
 
+psn_rotation_sensitivity is the paper's closed-form shot-noise
+sensitivity of the working point, with the measurement time t_m an
+argument; nvgyro derives its own from the kernel's slope alpha0 and the
+cycle instead, and at t_m = cycle_period/4 the two must agree.
+
 fringe_fit solves the same weighted decaying-sine problem as
 fit_decaying_sine, but with all five parameters free in scipy's
 trust-region least_squares instead of by variable projection.
@@ -16,6 +21,7 @@ import enum
 import math
 
 import numpy as np
+from scipy.constants import e as ELEMENTARY_CHARGE
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
@@ -83,6 +89,22 @@ def bright_projections(cfg, env, c, tau: float) -> np.ndarray:
             read = pulse(rho, PulseKind.DQ_TWO_TONE, ph1, ph2, scale)
             out[j] += weight * (1.0 - read[1, 1].real)
     return out
+
+
+def psn_rotation_sensitivity(d, tau: float, t2: float, t_m: float) -> float:
+    """Shot-noise-limited rotation sensitivity (Hz/sqrt(Hz)) of a detector
+    d at delay tau with DQ coherence time t2 and measurement time t_m:
+
+        (1/2pi) * 1/(tau*exp(-tau/t2)) * (1/C) * sqrt(n_b*G*q_e/(V0*t_R)) * sqrt(t_m),
+
+    with n_b = 2 for balanced detection (1 otherwise) and q_e the SI
+    elementary charge, taken from scipy rather than from nvgyro.
+    """
+    if tau <= 0 or t2 <= 0:
+        raise ValueError("tau and t2 must be > 0")
+    n_b = 2.0 if d.balanced else 1.0
+    return (math.sqrt(n_b * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R) * t_m)
+            / (2 * math.pi * tau * math.exp(-tau / t2) * d.contrast))
 
 
 def fringe_fit(series) -> tuple[np.ndarray, np.ndarray]:

@@ -4,6 +4,7 @@ Each test prints one `criterion NN: PASS/FAIL` line (visible with -s or
 in captured output) and asserts the same condition.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from nvgyro import (
-    DetectorConfig,
     FieldEnvironment,
     LITERATURE_CONSTANTS,
     NoiseHooks,
@@ -27,13 +27,13 @@ from nvgyro import (
     fit_decaying_sine,
     linearity,
     power_spectrum,
-    psn_rotation_sensitivity,
     ramsey_signals,
     run_gyro_stream,
     snap_to_cos_null,
     sweep_fringes,
     transition_frequencies,
 )
+from nvgyro.cli import main
 from nvgyro.sequence import combined_sigma
 
 C = LITERATURE_CONSTANTS
@@ -143,9 +143,16 @@ def test_criterion_05_rotation_factor_of_two():
     _report(5, ok, f"nu = 1.000 Hz shifts fringe by {shift:.6f} Hz (2.000 +- 0.002)")
 
 
-def test_criterion_06_sensitivity_budget():
-    # budget formula with its own stated inputs (tau = 1.4 ms, T2* = 2.0 ms)
-    sens = psn_rotation_sensitivity(DetectorConfig(), 1.4e-3, t2=2.0e-3)
+def test_criterion_06_sensitivity_budget(tmp_path):
+    # the twin's own budget at the paper's inputs: tau_wp snapped to the
+    # null nearest 1.4 ms, T2* = 2.0 ms, 1.92 ms per Ramsey (cycle 7.68 ms)
+    tau_wp = snap_to_cos_null(1.4e-3, dq_splitting(482.0, C))
+    cfg = tmp_path / "paper.cfg"
+    cfg.write_text(f"[sequence]\ntau_wp = {tau_wp!r}\nt2_dq = 2.0e-3\n"
+                   f"cycle_period = 7.68e-3\n")
+    assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    budget = json.loads((tmp_path / "out" / "budget.json").read_text())
+    sens = budget["sensitivity_hz_per_rt_hz"]
     rel = abs(sens - 9.8e-3) / 9.8e-3
     conv = 13e-3 * 360.0
     ok = rel <= 0.02 and conv == pytest.approx(4.68, abs=1e-12)

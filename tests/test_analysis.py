@@ -8,11 +8,14 @@ import pytest
 
 import nvgyro.analysis
 from nvgyro import (
+    LITERATURE_CONSTANTS,
     AllanSeries,
+    FieldEnvironment,
     FitConvergenceError,
     FringeSeries,
     InsufficientSpanError,
     NonUniformGridError,
+    SequenceConfig,
     allan_deviation,
     calibration_from_fringes,
     calibration_from_slope,
@@ -203,6 +206,21 @@ class TestCalibration:
         bad_tau = snap_to_cos_null(1.4e-3, 2000.0) + 0.25 / (2 * 2000.0)
         with pytest.warns(WorkingPointWarning):
             calibration_from_fringes(fit, bad_tau)
+
+    def test_unsnapped_working_point_warning_names_the_fix(self):
+        # a hand-built SequenceConfig keeps the unsnapped default tau_wp;
+        # the warning names the snap, and taking it silences the warning
+        cfg, env = SequenceConfig(), FieldEnvironment(B=482.0)
+        taus = np.linspace(0.0, 5e-3, 5000)
+        fit = fit_decaying_sine(sweep_fringes(cfg, env, LITERATURE_CONSTANTS, taus))
+        with pytest.warns(WorkingPointWarning, match=(
+                r"default_config\(\) and load_config\(\) snap tau_wp .*"
+                r"use snap_to_cos_null\(tau_wp, 293\d\d\d\.?\d*\)")) as record:
+            calibration_from_fringes(fit, cfg.tau_wp)
+        f = float(str(record[0].message).rsplit(", ", 1)[1].rstrip(")"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calibration_from_fringes(fit, snap_to_cos_null(cfg.tau_wp, f))
 
     def test_slope_method_matches_fringe_method(self):
         # analytic slope of the same synthetic fringe at the working point

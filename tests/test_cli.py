@@ -228,6 +228,23 @@ class TestAllanCommand:
         )
         assert np.allclose(table["adev_dps"], table["adev_hz"] * 360.0)
 
+    @pytest.mark.parametrize("line", ["pump_fidelity = 0.7",
+                                      "rf_gradient = 0.5:0.8, 0.5:1.2"])
+    def test_prediction_tracks_arw_beyond_ideal_pulses(self, tmp_path, line):
+        # a weaker pump or an RF gradient shrinks alpha0; the prediction,
+        # combined_sigma/|alpha0|*sqrt(cycle_period), shrinks the slope
+        # with it, and is budget's sensitivity bit for bit
+        cfg = tmp_path / "imperfect.cfg"
+        cfg.write_text(f"[sequence]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["allan", "--config", str(cfg), "--duration", "600",
+                     "--out", str(out / "allan")]) == 0
+        assert main(["budget", "--config", str(cfg), "--out", str(out / "budget")]) == 0
+        summary = json.loads((out / "allan" / "summary.json").read_text())
+        budget = json.loads((out / "budget" / "budget.json").read_text())
+        assert summary["arw_hz_per_rt_hz"] == pytest.approx(
+            summary["psn_prediction_hz_per_rt_hz"], rel=0.10)
+        assert summary["psn_prediction_hz_per_rt_hz"] == budget["sensitivity_hz_per_rt_hz"]
 
     def test_too_short_run_writes_nothing(self, tmp_path, capsys):
         # 28 cycles pass the one-cycle duration check but are too few
@@ -256,7 +273,7 @@ class TestBudgetCommand:
     def test_report_values(self, capsys):
         assert main(["budget", "--epsilon", "1e-4"]) == 0
         text = capsys.readouterr().out
-        assert "mHz/rtHz" in text
+        assert "9.59 mHz/rtHz (3.45 deg/rts)" in text
         assert "dynamic range" in text
         assert "working point" in text
 
@@ -281,6 +298,18 @@ class TestBudgetCommand:
         turns = 4 * abs(detuning) * tau
         assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
         assert "snapped to cosine null 1.1250 ms" in capsys.readouterr().out
+
+    def test_snapped_null_outside_the_cycle(self, tmp_path, capsys):
+        # a 2e-9 Hz fringe has its first cosine null ~1e8 s out
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("[sequence]\nphase_reference = resonant\ndq_detuning = 1e-9\n")
+        out = tmp_path / "out"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [sequence]: the fringe at 2.09548e-09 Hz "
+                              f"has no null inside the cycle: ")
+        assert "cycle_period = 0.007 s" in err
+        assert not out.exists()
 
     def test_budget_reports_f_dq_at_the_drifted_field(self, tmp_path, capsys):
         cfg = tmp_path / "drift.cfg"
@@ -349,7 +378,8 @@ class TestCleanErrors:
         ("constants", "D = 0"),
         ("environment", "B = 1024"),  # f_DQ < 0 past the anticrossing
         ("detector", "V0 = inf"),
-        ("detector", "t_meas = inf"),
+        ("detector", "V0 = 1e-300\nG = 1e300"),  # 0 photoelectrons per readout
+        ("detector", "V0 = 1e300\nG = 1e-300"),  # inf photoelectrons per readout
         ("constants", "gamma_e = inf"),
         ("constants", "A_perp = -inf"),
         ("environment", "B = inf"),
@@ -372,12 +402,19 @@ class TestCleanErrors:
         assert err.startswith(f"error: {cfg}: [{section}]: ")
         assert "Traceback" not in err
 
+    def test_removed_t_meas_names_cycle_period(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("[detector]\nV0 = 15.0\nt_meas = inf\n")
+        assert main(["budget", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: key 't_meas' in [detector] was removed: ")
+        assert "cycle_period / 4" in err and "cycle_period = 7.68e-3" in err
+
     @pytest.mark.parametrize("command", ["allan", "gyro", "budget"])
     @pytest.mark.parametrize("t2_dq", ["2e-6", "5e-6", "1e-5", "2e-5"])
     def test_working_point_without_signal(self, tmp_path, capsys, command, t2_dq):
         # exp(-tau_wp/t2_dq) stays above 0, but the fringe term is below
-        # double precision next to the baseline, so alpha0 is exactly 0
-        # (and at 2e-6 the shot-noise sensitivity is inf).
+        # double precision next to the baseline, so alpha0 is exactly 0.
         cfg = tmp_path / "decayed.cfg"
         cfg.write_text(f"[sequence]\nt2_dq = {t2_dq}\n")
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]

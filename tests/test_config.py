@@ -229,6 +229,7 @@ class TestSchema:
         ("sequence", "tau", "tau_wp"),
         ("sequence", "readout_window", "t_R"),
         ("detector", "T2star", "t2_dq"),
+        ("detector", "t_meas", "cycle_period / 4"),
     ])
     def test_removed_key_names_its_replacement(self, tmp_path, section, key,
                                                replacement):

@@ -9,13 +9,17 @@ from nvgyro import (
     NoiseHooks,
     photoelectron_count,
     psn_fractional_uncertainty,
-    psn_rotation_sensitivity,
     readout_signal,
     signal_sigma,
 )
 from nvgyro.spin import DEG_PER_REV, ELEMENTARY_CHARGE
+from oracle import psn_rotation_sensitivity
 
 D = DetectorConfig()
+#: The paper's measurement time, the closed form's t_m where none is given.
+T_M = 1.92e-3
+#: DQ coherence time where none is given.
+T2 = 1.95e-3
 
 
 def volts(projection, rng=None):
@@ -109,9 +113,11 @@ class TestPsnFractionalUncertainty:
 
 
 class TestRotationSensitivity:
+    """The paper's closed form, tests/oracle.py's reference for `budget`."""
+
     def test_budget_value(self):
         # exact budget inputs: tau = 1.4 ms, T2* = 2.0 ms, defaults otherwise
-        sens = psn_rotation_sensitivity(D, 1.4e-3, t2=2.0e-3)
+        sens = psn_rotation_sensitivity(D, 1.4e-3, 2.0e-3, T_M)
         assert sens == pytest.approx(9.8e-3, rel=0.02)
 
     def test_unit_conversion(self):
@@ -119,12 +125,12 @@ class TestRotationSensitivity:
         assert 13e-3 * DEG_PER_REV == pytest.approx(4.68, abs=1e-12)
 
     def test_divergence_at_small_tau(self):
-        small = psn_rotation_sensitivity(D, 1e-9)
-        assert small > 1e3 * psn_rotation_sensitivity(D, 1.4e-3)
+        small = psn_rotation_sensitivity(D, 1e-9, T2, T_M)
+        assert small > 1e3 * psn_rotation_sensitivity(D, 1.4e-3, T2, T_M)
 
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
-            psn_rotation_sensitivity(D, 0.0)
+            psn_rotation_sensitivity(D, 0.0, T2, T_M)
 
     def test_optimum_tau_with_overhead(self):
         # duty-cycled sensitivity is minimal at the root of
@@ -133,8 +139,7 @@ class TestRotationSensitivity:
         t2 = 1.95e-3
 
         def duty_sens(tau):
-            return psn_rotation_sensitivity(D.replace(t_meas=tau + overhead), tau,
-                                            t2=t2)
+            return psn_rotation_sensitivity(D, tau, t2, tau + overhead)
 
         root = brentq(lambda t: 1 / t - 1 / t2 - 1 / (2 * (t + overhead)), 1e-4, 5e-3)
         taus = np.linspace(0.3e-3, 3.5e-3, 2001)
@@ -164,6 +169,13 @@ class TestDetectorConfig:
             DetectorConfig(contrast=1.0)
         with pytest.raises(ValueError):
             DetectorConfig(V0=-1.0)
+
+    @pytest.mark.parametrize("V0, G", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_photoelectron_count_must_be_finite_and_positive(self, V0, G):
+        # each field is in range, but the count underflows to 0 or
+        # overflows to inf, leaving no finite shot noise
+        with pytest.raises(ValueError, match="photoelectrons per readout"):
+            DetectorConfig(V0=V0, G=G)
 
     def test_levels(self):
         assert D.v_high == pytest.approx(15.1125)

@@ -38,7 +38,7 @@ def _digests(out: Path) -> dict[str, str]:
 GOLDEN = {
     "budget": {
         "budget.json":
-            "5eddf394d0cb9f410a7646485c307ddc5aeca0b94d7ea7955e611c8a517f0356",
+            "2514c4fecfb24682df7bf1bddec05b094ab0668e7bfbff23ed1ed9b21434ea4f",
     },
     "gyro": {
         "regression.json":
@@ -54,14 +54,14 @@ GOLDEN = {
         "allan.csv":
             "b731ede46dbacb47fe184b7bbba108a82442bf78e621085637eb74ec4897ad05",
         "summary.json":
-            "9a7e99e3e5a25cf998503acec103b0a7f532186976e2269dd065ff1b81b4ce42",
+            "214645ba9c1855a727aa1b2718febc7d2d96f9b5cbb2ce0ad06881e60734f943",
     },
     # 42,857 cycles: the stream crosses block boundaries.
     "allan-multiblock": {
         "allan.csv":
             "74820cba22caf572a3de1d1c14eb7d1c04ba22d4cc910eb9dee9d09a7ab2b931",
         "summary.json":
-            "5ee04cb74f529ea1f62e89acf8cbbb6b4357b24f8f0341f6616d09b1fec5c59d",
+            "fb27f1bfcd0f5b5081f5e7ad7cca173e2c4823a6e503a30e0ddc2eb6f5773ca2",
     },
     # 21,428 cycles through the rate table: stream and CSV row blocks.
     "gyro-multiblock": {

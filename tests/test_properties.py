@@ -6,7 +6,9 @@ ramsey_projections, and an environment of arrays must give the stack of
 its entries' scalar environments.  Seeded runs must repeat bit for bit,
 and the rate table must ramp toward each setpoint without overshoot and
 report an angle that is the integral of its rate.  The closed-form working point
-must zero the derivative of the merit it maximizes.  The block sizes of
+must zero the derivative of the merit it maximizes, and `budget`'s
+shot-noise sensitivity, taken from the kernel's slope, must be the
+paper's closed form (oracle) at a measurement time of cycle_period/4.  The block sizes of
 the working-point stream and of the CSV writer must not change a bit of
 their output, and the in-place Allan deviation must equal the textbook
 expression exactly.
@@ -14,6 +16,7 @@ expression exactly.
 
 import math
 import tempfile
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from nvgyro import (
     ABSOLUTE_FRAME,
+    DetectorConfig,
     LITERATURE_CONSTANTS,
     FieldEnvironment,
     NoiseHooks,
@@ -31,6 +35,7 @@ from nvgyro import (
     SequenceConfig,
     allan_deviation,
     combine_4ramsey,
+    default_config,
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
@@ -38,8 +43,9 @@ from nvgyro import (
 )
 from nvgyro import io, sequence
 from nvgyro.analysis import octave_m_values
+from nvgyro.cli import cmd_budget
 from nvgyro.spin import frame_detunings
-from oracle import bright_projections
+from oracle import bright_projections, psn_rotation_sensitivity
 
 C = LITERATURE_CONSTANTS
 TOL = 1e-12
@@ -269,6 +275,30 @@ def test_working_point_maximizes_merit(t2, ratio):
     assert abs(d_log_merit) <= 1e-9 / tau
     assert merit(tau) >= merit(tau * (1 + 1e-6))
     assert merit(tau) >= merit(tau * (1 - 1e-6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(detector=st.builds(DetectorConfig, V0=st.floats(1.0, 100.0),
+                          G=st.floats(1e4, 1e7), contrast=st.floats(1e-3, 0.5),
+                          t_R=st.floats(1e-6, 3e-4), balanced=st.booleans()),
+       cycle_period=st.floats(2e-3, 20e-3), fidelity=st.floats(0.05, 1.0))
+def test_budget_sensitivity_is_the_closed_form(detector, cycle_period, fidelity):
+    # Ideal pulses at the default snapped working point: the slope-derived
+    # sensitivity is the closed form at t_m = cycle_period/4, and a pump
+    # fidelity f scales the slope by f, so the sensitivity by 1/f.
+    cfg = default_config()
+    seq = cfg.sequence.replace(detector=detector, cycle_period=cycle_period)
+
+    def sensitivity(seq):
+        outputs, _ = cmd_budget(Namespace(config="<property>", epsilon=1e-4),
+                                cfg.replace(sequence=seq))
+        return outputs["budget.json"]["sensitivity_hz_per_rt_hz"]
+
+    sens = sensitivity(seq)
+    expected = psn_rotation_sensitivity(detector, seq.tau_wp, seq.t2_dq, cycle_period / 4)
+    assert sens == pytest.approx(expected, rel=1e-6)
+    assert sensitivity(seq.replace(pump_fidelity=fidelity)) == pytest.approx(
+        sens / fidelity, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
