@@ -10,8 +10,9 @@ phases in radians, angles in degrees only at the rate-table boundary.
 If tau_wp is not set explicitly it defaults to 1.428 ms snapped to the
 nearest fringe zero crossing of the configured operating mode, which is
 where the working-point protocol is linear and maximally sensitive.  The
-fringe is the kernel's: f_DQ at B + delta_B less the frame's DQ
-reference, of either sign (ExperimentConfig.fringe_frequency).
+fringe is the kernel's DQ rate at nu = 0, spin.dq_rate: f_DQ at
+B + delta_B less the frame's DQ reference, of either sign
+(ExperimentConfig.fringe_frequency).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .spin import (
     FieldEnvironment,
     PhysicalConstants,
     RotatingFrame,
-    dq_splitting,
+    dq_rate,
 )
 
 
@@ -64,9 +65,9 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
     def fringe_frequency(self) -> float:
-        """DQ fringe frequency of the configured mode at nu = 0."""
-        return _fringe_frequency(self.environment, self.constants,
-                                 self.sequence.frame)
+        """DQ fringe frequency of the configured mode at nu = 0 (spin.dq_rate)."""
+        return dq_rate(self.environment.replace(nu=0.0), self.constants,
+                       self.sequence.frame)
 
     def to_mapping(self) -> dict:
         """Snapshot of every settable key, by section (the manifest config)."""
@@ -78,13 +79,6 @@ class ExperimentConfig:
                for section, obj in objects.items()}
         out["sequence"].update(f1_ref=seq.frame.f1, f2_ref=seq.frame.f2)
         return out
-
-
-def _fringe_frequency(environment, constants, frame) -> float:
-    """DQ fringe frequency at nu = 0 in frame: the splitting at the field
-    the nucleus sees, B + delta_B, less the frame's DQ reference."""
-    return (dq_splitting(environment.B + environment.delta_B, constants)
-            - frame.dq_reference)
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +288,7 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     seq_kw = kw["sequence"]
     frame = _frame(origin, sections.get("sequence", {}), environment, constants)
     if "tau_wp" not in seq_kw:
-        f_fringe = abs(_fringe_frequency(environment, constants, frame))
+        f_fringe = abs(dq_rate(environment.replace(nu=0.0), constants, frame))
         if f_fringe > 100.0:
             seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
     sequence = _build(origin, "sequence", {

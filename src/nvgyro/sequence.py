@@ -18,11 +18,14 @@ of sub-ensembles with different common area scales; the detector reads
 the ensemble-averaged projection once per shot.
 
 Every experiment here is evaluated by one kernel, ramsey_projections:
-the noise-free bright projections of the four phase-table Ramseys,
-Tr(W_j rho(tau)) with W_j = U2_j^dag |0><0| U2_j, broadcast over arrays
-of delays and over the array fields of the FieldEnvironment (rotation
-rate, quadrupole shift, field drift).  Shot noise is added afterwards,
-one normal draw per (delay or cycle, phase entry) in C order, by
+the noise-free bright projections of the four phase-table Ramseys.  Free
+precession scales only the three coherences of rho, so each projection
+is a fixed affine function of the three coherence factors z of
+spin.coherence_factors, const_j - Re(coef_j . z), with const and coef
+built once per call from the pulses (_readout_terms); z broadcasts over
+arrays of delays and over the array fields of the FieldEnvironment
+(rotation rate, quadrupole shift, field drift).  Shot noise is added
+afterwards, one normal draw per (delay or cycle, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
 combine_4ramsey forms R from them; sweep_fringes, which `nvgyro
 fringes` runs, keeps the four records next to R.  The working-point
@@ -57,9 +60,9 @@ from .spin import (
     PhysicalConstants,
     RotatingFrame,
     check_finite,
+    coherence_factors,
     dq_pulse,
-    evolution_factor,
-    frame_detunings,
+    dq_rate,
     sq_pi_pulse,
 )
 
@@ -195,35 +198,32 @@ def _prepared_state(cfg: SequenceConfig, scale: float) -> np.ndarray:
     return u_dq @ rho @ u_dq.conj().T
 
 
-def _projection_operators(cfg: SequenceConfig, scale: float) -> np.ndarray:
-    """W[j] = U2_j^dag |0><0| U2_j for the 4 second-pulse phase entries."""
-    p0 = np.zeros((3, 3), dtype=complex)
-    p0[1, 1] = 1.0
-    out = np.empty((4, 3, 3), dtype=complex)
-    for j, (ph1, ph2) in enumerate(cfg.phase_table):
-        u2 = dq_pulse(ph1, ph2, area_scale=scale)
-        out[j] = u2.conj().T @ p0 @ u2
-    return out
+def _readout_terms(cfg: SequenceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(const, coef), shapes (4,) and (4, 3), averaged over rf_gradient:
+    with u the |0> row of phase entry j's second pulse, the |0> population
+    read out is sum_ab conj(u_a) u_b rho_ba, so the prepared populations
+    give const[j] and each coherence, with its Hermitian partner, twice
+    the real part of coef[j] times its factor."""
+    const = np.zeros(4)
+    coef = np.zeros((4, 3), dtype=complex)
+    for weight, scale in cfg.rf_gradient:
+        rho = _prepared_state(cfg, scale)
+        for j, (ph1, ph2) in enumerate(cfg.phase_table):
+            u = dq_pulse(ph1, ph2, area_scale=scale)[1]
+            const[j] += weight * (1.0 - np.dot(np.abs(u) ** 2, np.diag(rho).real))
+            coef[j] += (2.0 * weight * u.conj()[[1, 1, 2]] * u[[0, 2, 0]]
+                        * rho[[0, 2, 0], [1, 1, 2]])
+    return const, coef
 
 
 def ramsey_projections(cfg: SequenceConfig, env: FieldEnvironment,
                        c: PhysicalConstants, tau) -> np.ndarray:
-    """Noise-free bright projections of the four phase-table Ramseys.
-
-    tau (s) and the environment's array fields broadcast against each
-    other; the result has shape (..., 4) with their broadcast shape
-    leading.  Projections are averaged over the rf_gradient
-    sub-ensembles with their weights.
-    """
-    d1, d2 = frame_detunings(env, c, cfg.frame)
-    factor = evolution_factor(tau, d1, d2, cfg.t2_dq, cfg.effective_t2_sq)
-    pbar = 0.0
-    for weight, scale in cfg.rf_gradient:
-        p_zero = np.real(np.einsum("jab,ba,...ba->...j",
-                                   _projection_operators(cfg, scale),
-                                   _prepared_state(cfg, scale), factor))
-        pbar = pbar + weight * (1.0 - p_zero)
-    return pbar
+    """Noise-free bright projections of the four phase-table Ramseys,
+    averaged over rf_gradient: shape (..., 4), led by the broadcast shape
+    of tau (s) and the environment's array fields."""
+    z = coherence_factors(tau, env, c, cfg.frame, cfg.t2_dq, cfg.effective_t2_sq)
+    const, coef = _readout_terms(cfg)
+    return const - np.einsum("...k,jk->...j", z, coef).real
 
 
 def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
@@ -257,12 +257,19 @@ def sweep_fringes(cfg: SequenceConfig, env: FieldEnvironment,
                   c: PhysicalConstants, tau_grid: Sequence[float],
                   rng: np.random.Generator | None = None) -> FringeSeries:
     """One 4-Ramsey point per tau on a strictly increasing grid whose last
-    delay, tau_max, obeys check_delay; the series keeps the records it
-    combined and, with an rng, combined_sigma per point."""
+    delay, tau_max, obeys check_delay and whose largest step samples the
+    DQ fringe (spin.dq_rate) above its Nyquist rate; the series keeps the
+    records it combined and, with an rng, combined_sigma per point."""
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
     cfg.check_delay(taus[-1], "tau_max")
+    step = np.max(np.diff(taus), initial=0.0)
+    fringe = np.max(np.abs(dq_rate(env, c, cfg.frame)))
+    if not 2.0 * fringe * step < 1.0:
+        raise ValueError(f"the largest tau step, {step:g} s, aliases the DQ fringe at "
+                         f"{fringe:.6g} Hz: 2*|f|*step = {2.0 * fringe * step:.3g} must "
+                         f"be < 1 (use more points or a shorter tau_max)")
     records = ramsey_signals(cfg, env, c, taus, rng)
     sigma = None if rng is None else np.full(taus.shape, combined_sigma(cfg))
     return FringeSeries(taus=taus, values=combine_4ramsey(records),

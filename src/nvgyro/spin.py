@@ -14,9 +14,11 @@ this sign convention is recorded here, not asserted as a measured fact.
 
 Sample rotation at rate nu about the NV axis (clockwise positive) shifts
 the |+-1> levels by +-nu, so the DQ coherence precesses at f_DQ + 2*nu
-while the mid-level quadrupole shift (temperature) cancels out of it.
-All three reach the levels through one FieldEnvironment, whose
-perturbations may be arrays (one entry per delay or per cycle).
+(dq_rate) while the mid-level quadrupole shift (temperature) drops out of
+it exactly.  All three reach the levels through one FieldEnvironment,
+whose perturbations may be arrays (one entry per delay or per cycle).
+Free precession changes only the three coherences of rho, each by one
+factor (coherence_factors); populations stay as they are.
 
 RF pulses are hard pulses: instantaneous rotations characterized only by
 area and phase.  The sequence uses two, each one function returning its
@@ -224,37 +226,32 @@ def dq_pulse(phase_f1: float = 0.0, phase_f2: float = 0.0,
     )
 
 
-def frame_detunings(env: FieldEnvironment, c: PhysicalConstants,
-                    frame: RotatingFrame):
-    """Per-tone phase accumulation rates (Hz) including the rotation shift;
-    arrays when the environment holds arrays."""
-    f1, f2 = transition_frequencies(env, c)
-    return f1 + env.nu - frame.f1, f2 - env.nu - frame.f2
+def dq_rate(env: FieldEnvironment, c: PhysicalConstants, frame: RotatingFrame):
+    """Rate (Hz) at which the DQ coherence turns in frame: f_DQ at
+    B + delta_B plus 2*nu less the frame's DQ reference.  delta_Q does
+    not enter it.  An array when the environment holds arrays."""
+    return dq_splitting(env.B + env.delta_B, c) + 2.0 * env.nu - frame.dq_reference
 
 
-def evolution_factor(tau, delta1, delta2, t2_dq: float,
-                     t2_sq: float) -> np.ndarray:
-    """Elementwise factor that free precession for tau applies to rho.
+def coherence_factors(tau, env: FieldEnvironment, c: PhysicalConstants,
+                      frame: RotatingFrame, t2_dq: float, t2_sq: float) -> np.ndarray:
+    """Factors by which free precession for tau scales the three
+    coherences <+1|rho|0>, <-1|rho|0> and <+1|rho|-1>, shape (..., 3).
 
-    Populations are untouched.  The DQ coherence <+1|rho|-1> turns at
-    delta1 - delta2 and decays with t2_dq; the SQ coherences turn at
-    their own detunings and decay with t2_sq.  tau and the per-tone detunings broadcast against each other; their
-    broadcast shape leads the returned (..., 3, 3) array.
+    Populations are untouched.  The two SQ coherences turn at their
+    tone's detuning from the frame, shifted by +-nu, and decay with
+    t2_sq; the DQ coherence turns at dq_rate and decays with t2_dq.  tau
+    and the environment's array fields broadcast against each other;
+    their broadcast shape leads the result.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be >= 0")
     if t2_dq <= 0 or t2_sq <= 0:
         raise ValueError("coherence times must be > 0")
-    e1, e2 = np.broadcast_arrays(np.exp(-2j * np.pi * np.asarray(delta1) * tau),
-                                 np.exp(-2j * np.pi * np.asarray(delta2) * tau))
-    phases = np.stack([e1, np.ones_like(e1), e2], axis=-1)
-    damp_sq = np.exp(-tau / t2_sq)
-    damp_dq = np.exp(-tau / t2_dq)
-    one = np.ones_like(damp_sq)
-    decay = np.stack(
-        [one, damp_sq, damp_dq,
-         damp_sq, one, damp_sq,
-         damp_dq, damp_sq, one], axis=-1
-    ).reshape(tau.shape + (3, 3))
-    return phases[..., :, None] * phases[..., None, :].conj() * decay
+    f1, f2 = transition_frequencies(env, c)
+    rates = np.stack(np.broadcast_arrays(f1 + env.nu - frame.f1, f2 - env.nu - frame.f2,
+                                         dq_rate(env, c, frame)), axis=-1)
+    tau = tau[..., None]
+    decay = np.exp(-tau / np.array([t2_sq, t2_sq, t2_dq]))
+    return decay * np.exp(-2j * np.pi * rates * tau)

@@ -132,23 +132,27 @@ class TestFitDecayingSine:
 
 
 def cli_fringes(name: str, seed: int | None = None,
-                points: int | None = None) -> FringeSeries:
-    """The combined series `nvgyro fringes` fits for a shipped config."""
+                grid: dict | None = None) -> FringeSeries:
+    """The combined series `nvgyro fringes` fits for a shipped config,
+    with the grid fields in grid replaced."""
     cfg = load_config(CONFIGS / name)
-    grid = cfg.fringes if points is None else replace(cfg.fringes, points=points)
+    grid = replace(cfg.fringes, **(grid or {}))
     taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     return sweep_fringes(cfg.sequence, cfg.environment, cfg.constants, taus, rng)
 
 
-@pytest.mark.parametrize("name, seed, points", [
+@pytest.mark.parametrize("name, seed, grid", [
     ("default.cfg", 0, None), ("default.cfg", 1, None),
     ("default.cfg", 2, None), ("default.cfg", 3, None),
-    ("default.cfg", None, 200),          # the golden grids
-    ("sq_cancellation.cfg", None, 256),
+    # the golden grids
+    pytest.param("default.cfg", None, {"points": 200, "tau_max": 3e-4},
+                 id="default.cfg-None-200"),
+    pytest.param("sq_cancellation.cfg", None, {"points": 256},
+                 id="sq_cancellation.cfg-None-256"),
 ])
-def test_fit_matches_least_squares_oracle(name, seed, points):
-    series = cli_fringes(name, seed, points)
+def test_fit_matches_least_squares_oracle(name, seed, grid):
+    series = cli_fringes(name, seed, grid)
     fit = fit_decaying_sine(series)
     x, sig = fringe_fit(series)
     assert abs(fit.f - x[1]) <= 1e-4 * sig[1]

@@ -137,6 +137,18 @@ class TestFringesCommand:
         assert "period" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_aliased_grid_is_rejected_before_writing(self, tmp_path, capsys):
+        # B = 1024 G, next to the anticrossing, puts the DQ fringe at about
+        # -28 MHz, far past the Nyquist rate of the default 1 us grid step
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[environment]\nB = 1024\n")
+        out = tmp_path / "o"
+        assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [fringes]: the largest tau step, 1e-06 s, "
+                              f"aliases the DQ fringe at ")
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("[sequence]\nbogus_key = 1\n")
@@ -322,13 +334,31 @@ class TestBudgetCommand:
                                                                   abs=1e-6)
 
 
+@pytest.mark.parametrize("argv, files", [
+    (["allan", "--duration", "60"], ["allan.csv"]),
+    (["gyro", "--profile", str(TRIANGLE_CSV), "--duration", "20"],
+     ["signal.csv", "rotation.csv"]),
+], ids=["allan", "gyro"])
+def test_quadrupole_shift_leaves_data_bytes_unchanged(tmp_path, argv, files):
+    # delta_Q moves both carriers common-mode and does not enter the DQ
+    # rate, so a 10 kHz shift writes the same bytes as none
+    cfg = tmp_path / "shifted.cfg"
+    cfg.write_text("[environment]\ndelta_Q = 1e4\n")
+    base, shifted = tmp_path / "base", tmp_path / "shifted"
+    assert main(argv + ["--out", str(base)]) == 0
+    assert main(argv + ["--config", str(cfg), "--out", str(shifted)]) == 0
+    for name in files:
+        assert (shifted / name).read_bytes() == (base / name).read_bytes(), name
+
+
 def test_commands_run_without_scipy(tmp_path):
     # scipy is a test dependency only: a fresh interpreter that runs
     # budget and a 200-point fringes fit must never import it
     cfg = tmp_path / "small.cfg"
     text = (ROOT / "configs" / "default.cfg").read_text()
-    assert "points = 5000" in text
-    cfg.write_text(text.replace("points = 5000", "points = 200"))
+    assert "points = 5000" in text and "tau_max = 5e-3" in text
+    cfg.write_text(text.replace("points = 5000", "points = 200")
+                   .replace("tau_max = 5e-3", "tau_max = 3e-4"))
     fringes = ["fringes", "--config", str(cfg), "--out", str(tmp_path / "out")]
     code = (
         "import sys\n"

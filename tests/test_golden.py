@@ -18,12 +18,14 @@ from nvgyro.cli import main
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def _small_grid(tmp_path, name: str, points_line: str, points: int) -> Path:
-    """Shipped config with only its fringe grid size reduced."""
+def _small_grid(tmp_path, name: str, replacements: dict[str, str]) -> Path:
+    """Shipped config with only its fringe grid lines replaced."""
     text = (CONFIGS / name).read_text()
-    assert points_line in text
+    for old, new in replacements.items():
+        assert old in text
+        text = text.replace(old, new)
     path = tmp_path / name
-    path.write_text(text.replace(points_line, f"points = {points}"))
+    path.write_text(text)
     return path
 
 
@@ -38,89 +40,89 @@ def _digests(out: Path) -> dict[str, str]:
 GOLDEN = {
     "budget": {
         "budget.json":
-            "2514c4fecfb24682df7bf1bddec05b094ab0668e7bfbff23ed1ed9b21434ea4f",
+            "c3b2c9d7e2e49bf8bb1b70da44332a265c84ae25cc6fcbff9cd7aaf61790f5e4",
     },
     "gyro": {
         "regression.json":
-            "65db9d0c9648fdaec1821f273cb647fd3f215892bc8f82a8862bbd9cb3b3b4e3",
+            "708e7202e648d65515fc27b78e362f54fbc360f2f047ec47a22fad3563e968ef",
         "rotation.csv":
-            "c0ba73ea56e2c5b88ae5dcbee37669ec94f1e25edaeb998de72e6583830377aa",
+            "0fa7f5b96102dd9f49fa5bc3dae67bac0bc7a7b39e0ec4574b8d900c971ec783",
         "signal.csv":
-            "b557f38c24b05f78d138120064746ddd91c92ce9d621a48947e624dd7036b227",
+            "af4407289b9672c2e95d786658a9f9d40f3d933f88acfc98c131c82361e5d4f0",
         "telemetry.csv":
             "59f5b16c583912f781ed7d7e7f2b7a167e27c514b3532e484769038f0bde0ae6",
     },
     "allan": {
         "allan.csv":
-            "b731ede46dbacb47fe184b7bbba108a82442bf78e621085637eb74ec4897ad05",
+            "99addca9d1ceb0887f0948d8d91c354f0817c96d8838a6cdf1f5f62ec7c817c2",
         "summary.json":
-            "214645ba9c1855a727aa1b2718febc7d2d96f9b5cbb2ce0ad06881e60734f943",
+            "47c03a1a06e70eb9beb5c3d434512977a0c4176f27b0c1eb5c5dc68201de6723",
     },
     # 42,857 cycles: the stream crosses block boundaries.
     "allan-multiblock": {
         "allan.csv":
-            "74820cba22caf572a3de1d1c14eb7d1c04ba22d4cc910eb9dee9d09a7ab2b931",
+            "933581636a7458a2a69cfcca558670e7f98447658e0fb156c28fe2a4bc883216",
         "summary.json":
-            "fb27f1bfcd0f5b5081f5e7ad7cca173e2c4823a6e503a30e0ddc2eb6f5773ca2",
+            "bdd381b90e822f3908205bbb21a34902488a33a43ed75d624fbfeca57a90c136",
     },
     # 21,428 cycles through the rate table: stream and CSV row blocks.
     "gyro-multiblock": {
         "regression.json":
-            "9ff16b09d8277f0fe04add4679312f0f03161745a26ed37868eec95a97c7604d",
+            "70146cb3a77a5b18a40e39a02c5f73aa25868a039bd2032ca5bf549c32fba42b",
         "rotation.csv":
-            "fd0496d4095fae3b9d47dd3b9c63ead0357a5c7eccc1e93fb5419b9218673015",
+            "907971315b7f6c4de753f608c3d5744c0593ab5b3adcc875fb8624efc931ffd5",
         "signal.csv":
-            "b3483d0951ead386fdb97356f9c7ae56243c543976ccd6e2a9147c994142d70b",
+            "f8470eaa22bfed67bc2620106bd5d9a0a25a4f8ee7995d7917787ee6471040d3",
         "telemetry.csv":
             "59f5b16c583912f781ed7d7e7f2b7a167e27c514b3532e484769038f0bde0ae6",
     },
     "fringes-default": {
         "fit.json":
-            "2a6847e035061ff2b7ee4652bc2df9f036dfbccf644e4c371cc4b6bec9559090",
+            "3d59ca52ccec082e54e4a6dd9d7bea451296db3c10a1de5c9109b471383137bd",
         "fringes_combined.csv":
-            "334a7d33f42dbd373e5c20eabce245db078b5e19397395d7de12a7de563b6af0",
+            "01120c8817b05ec421ebcf1d4eca117e53657aa96f89054086064f3405d66641",
         "fringes_r1.csv":
-            "963d9d9753c609faabbdd8809a1046b6d32622cdc01094845dee7e1b5e5916a5",
+            "a73c426e2fac552b9de0d4cf89ae4dcaa5d961aabf7bc0a6f1480fcccb013d00",
         "fringes_r2.csv":
-            "22a4840194062dfdb83ea9111bf5aa5f8829a9c2c4db1777b3ca585548b1d2c4",
+            "786f80f4fb762492be6a40659a4edd1a967380394898475e2f609ecd4050dce3",
         "fringes_r3.csv":
-            "8764f963b9cb074e242c54ac3fae8e53741b425e2382ec54e4a79b25ad3b619c",
+            "97a4a8458499d3360fae7cc7ca79449569798e00eed7308bb505599cb6674589",
         "fringes_r4.csv":
-            "419fab6c0845bcdbaea9be8b4d21993148981ceac63bef93c48f7727f01c6433",
+            "c7c392211f371276b00d5c32745e79ae897a67a06da21df86688d9071682a8e6",
         "spectrum_combined.csv":
-            "ba97c2426fb4ed5978a5c6eaa3c48ef2c25ef6baf6f3dca5e386225fd5948e4d",
+            "d5a4c6178814cb3a1a85e1c9ebddbfbf9110862e252ec3cb2f7ed29a2d6a05ad",
         "spectrum_r1.csv":
-            "e73e4626ddb8f79d4862e41aebaa24a2400b655149873be1ac05ee8ac09fb342",
+            "a2a0cade8c49e4af01202ace018b49eb3d3d68c8c2b008345b44a6df72e36e07",
         "spectrum_r2.csv":
-            "3687ea0468ceaa9309e7b3c46af4184fd795a2bae5713e714cf8ec04beaf6e14",
+            "d4ebfbad423be0dd3600a364544b40ae512ef1244ea210810e145a57f55a9add",
         "spectrum_r3.csv":
-            "a8fc90b6cbb0fbcdfac25574a7af255ec0ffe3f42083e49f3a183970234010ed",
+            "b318880f49fa43be67de7ed74fda3d9e5364a96915b1fb142bd0fcd05644342d",
         "spectrum_r4.csv":
-            "18fb19b2f8b5f79b148d5c0d7cfcc916901773c8c0d343da2d55b777c9957c43",
+            "d21dc1f6cb98bd2a5ed6e7a23a453e85af9a950bea6d87886a3f11b1653225e1",
     },
     "fringes-sq": {
         "fit.json":
-            "150b13b06977ac056756fcffaae316ee08c73af6ca61102e5f9955b331cad378",
+            "bce5fac014de004825bc64870b185018dc0f93b3c3a26e1376a754e2b2fc10de",
         "fringes_combined.csv":
-            "34cef960da1e37afaf85810d4f66909b2f7b41dfb676916380e1daebcd93f74a",
+            "083bfe0903cc2ae7f13228290af1de0884fa646cf99b85284ca6b995eb83e3c8",
         "fringes_r1.csv":
-            "86491ffc2e548f6da7242af7f82ebbe6d49654666343b9cf52dde9dcc9035b7a",
+            "f6e63c0cd144e733edc84392bee9ae263d7acca1c1e865705c2265ce07c3f2ad",
         "fringes_r2.csv":
-            "15a45be6167b907e26703340e262da7ea31f8f8389bd53cc21435926c82a2263",
+            "d914112b4b89148fea9733ffe08da9a32517903c5671ebd3d9e7de782fec5be6",
         "fringes_r3.csv":
-            "6f86fa8fae3e106c71290fd501797cd72719f39b4c7fb3fbc87f10e08e2545a5",
+            "125958113464c7b6f02b1a6185bbc7ce4c78a69b487501e71ecbb6f2ce5bb9cc",
         "fringes_r4.csv":
-            "1abab0d68b00f7f8ccf33abb3a237274194b6163f363290c48abcd54f69f2ffa",
+            "0058b57943488c3dd7777cd729c24e088ac51f9254bf8211e8a0de6456f8ebb7",
         "spectrum_combined.csv":
-            "f9acc64b5c40c6b7c93a16e5ea33211221e91e7b840b8d0901a01655c8f5055a",
+            "aac9e7f062d9fa94d374e53a235e02897bd5cdf9eb132e14c09b002a4b43eb2b",
         "spectrum_r1.csv":
-            "e80392c6605fbe84ba7670e70fa275ec4dc27590c798b6ea656492804c1d8f50",
+            "a25a2749b19574bfb8901aacfc8b3054c7a6f6ca7ffcdab40b16c1d71c6a22d1",
         "spectrum_r2.csv":
-            "5a2f95ce20f7d2ed6c672b3dfa51ba9ad7b968b835b4b778fab57b7da00fc856",
+            "ce64acd30e796b068ad5ffac38fba1330dffdee3121dd9c28bbb531c8d178bf7",
         "spectrum_r3.csv":
-            "997836ead7ba599b9c1924b9c7939dfb4730c542ba94ec4c35d589b92599b703",
+            "a9b874e492b549bca80e6f2274e2ae5fe31e1f31c03ca7717abdfad49876f92f",
         "spectrum_r4.csv":
-            "270af9956af139b1b70686ff590cb13ee1d26e2db16948921d5bfd93a429c490",
+            "4c50f481d1329c11d9a125b9c3d0f6b87e13cf007a79db3f762a892c21284fa1",
     },
 }
 
@@ -136,9 +138,11 @@ def _argv(case: str, tmp_path: Path) -> list[str]:
         duration = "300" if case == "allan-multiblock" else "60"
         return ["allan", "--duration", duration]
     if case == "fringes-default":
-        cfg = _small_grid(tmp_path, "default.cfg", "points = 5000", 200)
+        # 200 points over 0.3 ms sample the 293.7 kHz fringe above Nyquist
+        cfg = _small_grid(tmp_path, "default.cfg", {"points = 5000": "points = 200",
+                                                    "tau_max = 5e-3": "tau_max = 3e-4"})
         return ["fringes", "--config", str(cfg)]
-    cfg = _small_grid(tmp_path, "sq_cancellation.cfg", "points = 4096", 256)
+    cfg = _small_grid(tmp_path, "sq_cancellation.cfg", {"points = 4096": "points = 256"})
     return ["fringes", "--config", str(cfg)]
 
 

@@ -199,7 +199,7 @@ class TestSweepFringes:
 
     def test_matches_pointwise_calls(self):
         cfg = sync_config()
-        taus = np.linspace(1e-6, 2e-3, 7)
+        taus = np.linspace(1e-6, 2e-3, 10)
         series = sweep_fringes(cfg, ENV, C, taus)
         direct = [combine_4ramsey(ramsey_signals(cfg, ENV, C, float(t))) for t in taus]
         assert np.allclose(series.values, direct, atol=0)
