@@ -362,6 +362,9 @@ def allan_deviation(values, tau0: float,
     return _allan_in_place(np.array(values, dtype=float), tau0, m_values)
 
 
+#: Fewest samples _allan_in_place accepts (allan --duration is held to it).
+ALLAN_MIN_SAMPLES = 32
+
 #: Second differences per leaf of the blocked sum in _allan_in_place: a
 #: 128 KiB buffer that stays in cache.
 _ALLAN_LEAF = 16_384
@@ -403,8 +406,9 @@ def _allan_in_place(y: np.ndarray, tau0: float,
     if y.ndim != 1:
         raise ValueError("values must be 1-D")
     n = len(y)
-    if n < 32:
-        raise InsufficientSpanError("need at least 32 samples for Allan analysis")
+    if n < ALLAN_MIN_SAMPLES:
+        raise InsufficientSpanError(
+            f"need at least {ALLAN_MIN_SAMPLES} samples for Allan analysis")
     if tau0 <= 0:
         raise ValueError("tau0 must be > 0")
     if m_values is None:

@@ -24,6 +24,7 @@ from numpy.random import default_rng
 
 from . import __version__
 from .analysis import (
+    ALLAN_MIN_SAMPLES,
     _allan_in_place,
     calibration_from_fringes,
     calibration_from_sweep,
@@ -35,7 +36,7 @@ from .analysis import (
     select_working_point,
 )
 from .config import ExperimentConfig, default_config, load_config
-from .errors import ConfigError, GyroSimError
+from .errors import ConfigError, GyroSimError, input_error
 from .io import write_json, write_table
 from .ratetable import RateTrajectory
 from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
@@ -50,14 +51,6 @@ def _load(args) -> ExperimentConfig:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = cfg.replace(seed=args.seed)
     return cfg
-
-
-def _n_cycles(cfg: ExperimentConfig, duration: float, prefix: str) -> int:
-    """cfg.sequence.n_cycles(duration), its ValueError a ConfigError after prefix."""
-    try:
-        return cfg.sequence.n_cycles(duration)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
@@ -88,11 +81,9 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
 def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     grid, seq = cfg.fringes, cfg.sequence
     taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
-    try:
+    with input_error(f"{args.config}: [fringes]: "):
         series = sweep_fringes(seq, cfg.environment, cfg.constants, taus,
                                default_rng(cfg.seed))
-    except ValueError as exc:
-        raise ConfigError(f"{args.config}: [fringes]: {exc}") from None
 
     outputs = {}
     for j, record in enumerate(series.records.T, start=1):
@@ -123,15 +114,18 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     traj = RateTrajectory.from_csv(args.profile)
+    seq = cfg.sequence
     duration = traj.t_end
-    _n_cycles(cfg, duration, f"{args.profile}: profile ")
+    with input_error(f"{args.profile}: profile "):
+        seq.n_cycles(duration)
     if args.duration is not None:
-        _n_cycles(cfg, args.duration, "--")
+        with input_error("--"):
+            seq.n_cycles(args.duration)
         duration = min(duration, args.duration)
     rng = default_rng(cfg.seed)
-    seq = cfg.sequence
     t = np.arange(seq.n_cycles(duration)) * seq.cycle_period
-    nu_true = traj.rate_at(t) / DEG_PER_REV  # deg/s -> Hz
+    table_rate = traj.rate_at(t)  # deg/s, written as the table evaluated it
+    nu_true = table_rate / DEG_PER_REV
 
     baseline, alpha0, _ = _working_point(args, cfg)
     signal = run_gyro_stream(seq, cfg.environment.replace(nu=nu_true),
@@ -164,8 +158,7 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                           traj.telemetry()),
         "signal.csv": (["t_s", "signal"], [t, signal]),
         "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                         [t, nu_hat, nu_hat * DEG_PER_REV,
-                          nu_true * DEG_PER_REV]),
+                         [t, nu_hat, nu_hat * DEG_PER_REV, table_rate]),
         "regression.json": report,
     }
     rms = float(np.sqrt(np.mean((nu_hat - nu_true) ** 2))) * DEG_PER_REV
@@ -174,7 +167,12 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
 
 
 def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
-    _n_cycles(cfg, args.duration, "--")
+    with input_error("--"):
+        n_cycles = cfg.sequence.n_cycles(args.duration)
+        if n_cycles < ALLAN_MIN_SAMPLES:
+            raise ValueError(f"duration {args.duration} s is {n_cycles} cycles of "
+                             f"{cfg.sequence.cycle_period} s; the Allan analysis needs "
+                             f"at least {ALLAN_MIN_SAMPLES}")
     baseline, alpha0, psn = _working_point(args, cfg)
     rng = default_rng(cfg.seed)
     env = cfg.environment.replace(nu=0.0)
@@ -219,21 +217,18 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         raise ConfigError(
             f"{args.config}: [environment]: B + delta_B = {env.B + env.delta_B:g} G "
             f"gives f_DQ = {f_dq:.6g} Hz and a fringe at {f_fringe:.6g} Hz; the "
-            f"budget needs both > 0 (0 < B below the ground-state anticrossing)")
+            f"budget needs both > 0 (f_DQ <= 0 just below the ground-state "
+            f"anticrossing at D/gamma_e = {cfg.constants.D / cfg.constants.gamma_e:.1f} G)")
     _, _, sens = _working_point(args, cfg)
     f1, f2 = transition_frequencies(env, cfg.constants)
     nu0 = one_rad_rotation_rate(seq.tau_wp)
-    try:
+    with input_error("--epsilon: "):
         dr = dynamic_range(args.epsilon, nu0)
-    except ValueError as exc:
-        raise ConfigError(f"--epsilon: {exc}") from None
     overhead = max(seq.cycle_period / 4.0 - seq.tau_wp, 0.0)
     wp = select_working_point(seq.t2_dq, f_fringe, overhead)
-    try:
+    with input_error(f"{args.config}: [sequence]: the fringe at {f_fringe:g} Hz "
+                     f"has no null inside the cycle: "):
         seq.check_delay(wp.tau_wp, "the snapped tau_wp")
-    except ValueError as exc:
-        raise ConfigError(f"{args.config}: [sequence]: the fringe at {f_fringe:g} Hz "
-                          f"has no null inside the cycle: {exc}") from None
 
     lines = [
         f"nvgyro budget (B = {env.B:.1f} G)",

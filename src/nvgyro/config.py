@@ -12,7 +12,10 @@ nearest fringe zero crossing of the configured operating mode, which is
 where the working-point protocol is linear and maximally sensitive.  The
 fringe is the kernel's DQ rate at nu = 0, spin.dq_rate: f_DQ at
 B + delta_B less the frame's DQ reference, of either sign
-(ExperimentConfig.fringe_frequency).
+(ExperimentConfig.fringe_frequency).  That fringe is evaluated for every
+config, so constants that overflow the level model fail as it loads.
+A value check raises ValueError, which errors.input_error reports
+against the file:line and key or the file and [section].
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 
 from .analysis import snap_to_cos_null
 from .detector import DetectorConfig, NoiseHooks
-from .errors import ConfigError
+from .errors import ConfigError, input_error
 from .io import _read_text
 from .sequence import SequenceConfig
 from .spin import (
@@ -113,33 +116,33 @@ def _parse_kv_text(text: str, origin: str) -> dict[str, dict[str, tuple[str, int
     return sections
 
 
-def _as_float(origin, lineno, key, value) -> float:
+def _as_float(value) -> float:
     try:
         number = float(value)
     except ValueError:
         number = math.nan
     if math.isnan(number):
-        raise ConfigError(f"{origin}:{lineno}: key {key!r}: {value!r} is not a number")
+        raise ValueError(f"{value!r} is not a number")
     return number
 
 
-def _as_int(origin, lineno, key, value) -> int:
+def _as_int(value) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{origin}:{lineno}: key {key!r}: {value!r} is not an integer") from None
+        raise ValueError(f"{value!r} is not an integer") from None
 
 
-def _as_bool(origin, lineno, key, value) -> bool:
+def _as_bool(value) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{origin}:{lineno}: key {key!r}: {value!r} is not a boolean")
+    raise ValueError(f"{value!r} is not a boolean")
 
 
-def _as_pairs(origin, lineno, key, value) -> tuple[tuple[float, float], ...]:
+def _as_pairs(value) -> tuple[tuple[float, float], ...]:
     """'a:b, a:b' or 'a,b; a,b' lists of float pairs."""
     sep, inner = (";", ",") if ";" in value else (",", ":")
     pairs = []
@@ -149,11 +152,10 @@ def _as_pairs(origin, lineno, key, value) -> tuple[tuple[float, float], ...]:
             continue
         parts = [p.strip() for p in chunk.split(inner)]
         if len(parts) != 2:
-            raise ConfigError(f"{origin}:{lineno}: key {key!r}: {chunk!r} is not a pair")
-        pairs.append((_as_float(origin, lineno, key, parts[0]),
-                      _as_float(origin, lineno, key, parts[1])))
+            raise ValueError(f"{chunk!r} is not a pair")
+        pairs.append((_as_float(parts[0]), _as_float(parts[1])))
     if not pairs:
-        raise ConfigError(f"{origin}:{lineno}: key {key!r}: no pairs given")
+        raise ValueError("no pairs given")
     return tuple(pairs)
 
 
@@ -223,19 +225,21 @@ def _check_known(origin, sections) -> None:
                                   f"section [{section}]")
 
 
-def _parse_section(origin, section, entries) -> dict:
-    """Typed values of the [section] keys that set dataclass fields."""
-    parsers = SCHEMA[section]
-    return {key: parsers[key](origin, lineno, key, value)
-            for key, (value, lineno) in entries.items() if key in parsers}
+def _parse(origin, parsers, entries) -> dict:
+    """Typed values of the entries whose keys parsers maps to a parser; a
+    parser's ValueError is reported against the entry's file:line and key."""
+    out = {}
+    for key, (text, lineno) in entries.items():
+        if key in parsers:
+            with input_error(f"{origin}:{lineno}: key {key!r}: "):
+                out[key] = parsers[key](text)
+    return out
 
 
 def _build(origin, section, kwargs):
     """Construct the [section] dataclass; its range checks become ConfigError."""
-    try:
+    with input_error(f"{origin}: [{section}]: "):
         return _SECTION_TYPES[section](**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: [{section}]: {exc}") from None
 
 
 def _frame(origin, entries, environment, constants) -> RotatingFrame:
@@ -243,15 +247,6 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame:
     (default, ABSOLUTE_FRAME) or resonant (with dq_detuning), or explicit
     f1_ref/f2_ref tone references, which replace the mode: they are
     rejected next to phase_reference = resonant or dq_detuning."""
-    def number(key, default=None):
-        if key not in entries:
-            return default
-        value, lineno = entries[key]
-        out = _as_float(origin, lineno, key, value)
-        if not math.isfinite(out):
-            raise ConfigError(f"{origin}:{lineno}: key {key!r} must be finite")
-        return out
-
     mode = "reset"
     if "phase_reference" in entries:
         value, lineno = entries["phase_reference"]
@@ -260,8 +255,13 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame:
             raise ConfigError(
                 f"{origin}:{lineno}: phase_reference must be 'reset' or 'resonant'"
             )
-    dq_detuning = number("dq_detuning", 0.0)
-    refs = [number("f1_ref"), number("f2_ref")]
+    numbers = _parse(origin, dict.fromkeys(("dq_detuning", "f1_ref", "f2_ref"), _as_float),
+                     entries)
+    for key, value in numbers.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{origin}:{entries[key][1]}: key {key!r} must be finite")
+    dq_detuning = numbers.get("dq_detuning", 0.0)
+    refs = [numbers.get("f1_ref"), numbers.get("f2_ref")]
     if refs != [None, None]:
         if None in refs:
             raise ConfigError(f"{origin}: f1_ref and f2_ref must be given together")
@@ -280,17 +280,18 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame:
 def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     """Assemble an ExperimentConfig from parsed sections (strings)."""
     _check_known(origin, sections)
-    kw = {section: _parse_section(origin, section, sections.get(section, {}))
+    kw = {section: _parse(origin, SCHEMA[section], sections.get(section, {}))
           for section in SCHEMA}
 
     constants = _build(origin, "constants", kw["constants"])
     environment = _build(origin, "environment", kw["environment"])
     seq_kw = kw["sequence"]
-    frame = _frame(origin, sections.get("sequence", {}), environment, constants)
-    if "tau_wp" not in seq_kw:
+    # The level model of [constants] at the configured field, for every config.
+    with input_error(f"{origin}: [constants]: "):
+        frame = _frame(origin, sections.get("sequence", {}), environment, constants)
         f_fringe = abs(dq_rate(environment.replace(nu=0.0), constants, frame))
-        if f_fringe > 100.0:
-            seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
+    if "tau_wp" not in seq_kw and f_fringe > 100.0:
+        seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
     sequence = _build(origin, "sequence", {
         **seq_kw, "frame": frame,
         "detector": _build(origin, "detector", kw["detector"]),

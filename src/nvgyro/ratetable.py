@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, input_error
 from .io import _read_text
 
 DEFAULT_RATE_LIMIT = 400.0  # deg/s
@@ -99,11 +99,9 @@ class RateTrajectory:
                 continue
             if len(row) != 3:
                 raise ConfigError(f"{path}:{lineno}: expected 3 columns")
-            try:
+            with input_error(f"{path}:{lineno}: "):
                 duration, rate, accel = map(float, row)
                 _check_row(duration, rate, accel)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
             rows.append((duration, rate, accel))
         if not rows:
             raise ConfigError(f"{path}: profile has no instructions")

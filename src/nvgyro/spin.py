@@ -146,17 +146,30 @@ def dq_splitting(B, c: PhysicalConstants = LITERATURE_CONSTANTS):
     """Splitting between |+1> and |-1> at bias field B (G). Array-friendly.
 
     Raises SingularSplittingError near the ground-state level anticrossing
-    where the denominator D**2 - (gamma_e*B)**2 vanishes.
+    where the denominator D**2 - (gamma_e*B)**2 vanishes, and ValueError
+    naming f_DQ where the constants overflow double precision at B (an
+    f_DQ that is not finite); it neither warns nor raises OverflowError.
     """
     B = np.asarray(B, dtype=float)
     if np.any(B < 0):
         raise ValueError("B must be >= 0")
-    denom = c.D**2 - (c.gamma_e * B) ** 2
-    if np.any(np.abs(denom) < 1e-6 * c.D**2):
-        raise SingularSplittingError(
-            "D**2 - (gamma_e*B)**2 is near zero (level anticrossing regime)"
-        )
-    out = 2.0 * B * c.gamma_n * (1.0 - (c.gamma_e / c.gamma_n) * c.A_perp**2 / denom)
+    # numpy scalars: an overflow gives inf (or nan), which the finite check reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.float64(c.D) ** 2
+        denom = d2 - (c.gamma_e * B) ** 2
+        if np.any(np.abs(denom) < 1e-6 * d2):
+            raise SingularSplittingError(
+                "D**2 - (gamma_e*B)**2 is near zero (level anticrossing regime)"
+            )
+        out = 2.0 * B * c.gamma_n * (1.0 - (c.gamma_e / c.gamma_n)
+                                     * np.float64(c.A_perp) ** 2 / denom)
+    if not np.isfinite(out).all():
+        i = np.argmin(np.isfinite(out))
+        raise ValueError(
+            f"f_DQ at B = {B.flat[i]:g} G is "
+            f"{out.flat[i]:g} Hz, not finite: gamma_e = {c.gamma_e:g}, gamma_n = "
+            f"{c.gamma_n:g}, D = {c.D:g} and A_perp = {c.A_perp:g} overflow the "
+            f"level model")
     return float(out) if out.ndim == 0 else out
 
 

@@ -369,6 +369,37 @@ class TestAllanDeviation:
     def test_series_invariants(self):
         with pytest.raises(ValueError):
             AllanSeries(np.array([2.0, 1.0]), np.array([1.0, 1.0]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="equal lengths"):
+            AllanSeries(np.array([1.0, 2.0]), np.array([1.0]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("values, tau0, m_values, message", [
+        (np.zeros((8, 8)), 1.0, None, "1-D"),
+        (np.zeros(64), 0.0, None, "tau0 must be > 0"),
+        (np.zeros(64), 1.0, [0], "m=0 needs more than 2m"),
+        (np.zeros(64), 1.0, [33], "m=33 needs more than 2m"),
+    ], ids=["2-D", "zero-tau0", "zero-m", "m-past-half"])
+    def test_argument_guards(self, values, tau0, m_values, message):
+        with pytest.raises(ValueError, match=message):
+            allan_deviation(values, tau0, m_values)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: snap_to_cos_null(0.0, 2000.0), "tau and f must be > 0"),
+    (lambda: snap_to_cos_null(1e-3, 0.0), "tau and f must be > 0"),
+    (lambda: select_working_point(0.0, 2000.0), "t2star, f_dq must be > 0"),
+    (lambda: select_working_point(1.95e-3, -1.0), "t2star, f_dq must be > 0"),
+    (lambda: select_working_point(1.95e-3, 2000.0, -1e-3), "overhead >= 0"),
+    (lambda: linearity(1.0, 0.0), "nu0 must be > 0"),
+    (lambda: one_rad_rotation_rate(0.0), "tau must be > 0"),
+    (lambda: dynamic_range(1e-4, 0.0), "nu0 must be > 0"),
+    (lambda: calibration_from_fringes(0.01, 0.0), "tau_wp must be > 0"),
+    (lambda: calibration_from_slope(1.0, 0.0, 293e3), "tau_wp and f_dq must be > 0"),
+    (lambda: calibration_from_slope(1.0, 1.4e-3, 0.0), "tau_wp and f_dq must be > 0"),
+], ids=["snap-tau", "snap-f", "wp-t2star", "wp-f", "wp-overhead", "linearity-nu0",
+        "nu0-tau", "range-nu0", "fringes-tau", "slope-tau", "slope-f"])
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestWorkingPoint:

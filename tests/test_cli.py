@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nvgyro import dq_splitting, load_config, sweep_fringes
+from nvgyro import RateTrajectory, dq_splitting, load_config, sweep_fringes
 from nvgyro.cli import main
 from nvgyro.io import write_table
 
@@ -259,12 +260,13 @@ class TestAllanCommand:
         assert summary["psn_prediction_hz_per_rt_hz"] == budget["sensitivity_hz_per_rt_hz"]
 
     def test_too_short_run_writes_nothing(self, tmp_path, capsys):
-        # 28 cycles pass the one-cycle duration check but are too few
-        # for the Allan analysis, which fails after the stream is run
+        # 28 cycles pass the one-cycle duration check but are too few for
+        # the Allan analysis: --duration is rejected before the stream runs
         out = tmp_path / "out"
         assert main(["allan", "--duration", "0.2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err == ("error: --duration 0.2 s is 28 cycles of 0.007 s; the Allan "
+                       "analysis needs at least 32\n")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -351,6 +353,47 @@ def test_quadrupole_shift_leaves_data_bytes_unchanged(tmp_path, argv, files):
         assert (shifted / name).read_bytes() == (base / name).read_bytes(), name
 
 
+def _hz_twin(name: str) -> str:
+    return name.replace("_dps_per_rt_s", "_hz_per_rt_hz").replace("dps", "hz")
+
+
+def test_one_hz_is_360_dps_in_every_output(tmp_path):
+    # Every degree figure of gyro, allan and budget is its Hz twin times
+    # 360 (divided by 360 per deg/s) bit for bit, and table_rate_dps is
+    # the rate table's own evaluation at each cycle time.
+    runs = {"gyro": ["gyro", "--profile", str(TRIANGLE_CSV), "--duration", "20"],
+            "allan": ["allan", "--duration", "60"],
+            "budget": ["budget"]}
+    fields = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        for path in out.iterdir():
+            if path.suffix == ".csv":
+                table = read_table(path)
+                fields.update({(path.name, key): table[key] for key in table.dtype.names})
+            elif path.name != "manifest.json":
+                fields.update({(path.name, key): value
+                               for key, value in json.loads(path.read_text()).items()})
+    checked = set()
+    for (file, key), value in fields.items():
+        if "dps" not in key or file == "telemetry.csv" or key == "table_rate_dps":
+            continue
+        hz = np.asarray(fields[file, _hz_twin(key)])
+        expected = hz / 360.0 if key.endswith("_per_dps") else hz * 360.0
+        assert np.array_equal(np.asarray(value), expected), (file, key)
+        checked.add(key)
+    assert checked == {"nu_hat_dps", "alpha0_per_dps", "alpha_per_dps",
+                       "alpha_stderr_per_dps", "adev_dps", "arw_dps_per_rt_s",
+                       "bias_stability_dps", "sensitivity_dps_per_rt_s",
+                       "dynamic_range_dps"}
+    rate_at = RateTrajectory.from_csv(TRIANGLE_CSV).rate_at
+    assert np.array_equal(fields["rotation.csv", "table_rate_dps"],
+                          rate_at(fields["rotation.csv", "t_s"]))
+    assert np.array_equal(fields["telemetry.csv", "rate_dps"],
+                          rate_at(fields["telemetry.csv", "t_s"]))
+
+
 def test_commands_run_without_scipy(tmp_path):
     # scipy is a test dependency only: a fresh interpreter that runs
     # budget and a 200-point fringes fit must never import it
@@ -423,6 +466,8 @@ class TestCleanErrors:
         ("sequence", "phase_table = 0:inf, 0:0, 0:0, 0:0"),
         ("noise", "white_sigma = inf"),
         ("fringes", "tau_max = inf"),
+        ("constants", "A_perp = 1e200"),  # f_DQ = -inf at 482 G
+        ("constants", "gamma_e = 1e300"),  # f_DQ = nan at 482 G
     ])
     def test_out_of_range_config_value(self, tmp_path, capsys, section, line):
         cfg = tmp_path / "bad.cfg"
@@ -431,6 +476,65 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: [{section}]: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
+    @pytest.mark.parametrize("line", ["A_perp = 1e200", "gamma_e = 1e300"])
+    def test_level_model_overflow_on_every_command(self, tmp_path, capsys, command, line):
+        # The constants overflow double precision at 482 G.  Loading the
+        # config evaluates f_DQ once and rejects it: no OverflowError, no
+        # RuntimeWarning, one error line, nothing written.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(f"[constants]\n{line}\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command == "allan":
+            argv += ["--duration", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [constants]: f_DQ at B = 482 G is ")
+        assert "not finite" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("[fringes]\npoints = 4\n", "", "[fringes]: fringes grid needs at least 8 points"),
+        ("[sequence\n", ":1", "malformed section header '[sequence'"),
+        ("[run]\n = 1\n", ":2", "empty key"),
+        ("[run]\nseed = 1.5\n", ":2", "key 'seed': '1.5' is not an integer"),
+        ("[detector]\nbalanced = maybe\n", ":2", "key 'balanced': 'maybe' is not a boolean"),
+        ("[sequence]\nrf_gradient = 1:1:1\n", ":2", "key 'rf_gradient': '1:1:1' is not a pair"),
+        ("[sequence]\nrf_gradient = ,\n", ":2", "key 'rf_gradient': no pairs given"),
+        ("[sequence]\nphase_reference = absolute\n", ":2",
+         "phase_reference must be 'reset' or 'resonant'"),
+        ("[sequence]\nt2_sq = 0\n", "", "[sequence]: t2_sq must be > 0 (inf: no SQ decay)"),
+    ], ids=["few-points", "open-header", "empty-key", "fractional-seed", "not-a-boolean",
+            "triple", "no-pairs", "unknown-reference", "zero-t2-sq"])
+    def test_rejected_config_line(self, tmp_path, capsys, text, where, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}{where}: {message}\n"
+        assert not out.exists()
+
+    def test_anticrossing_names_the_file(self, tmp_path, capsys):
+        # D/gamma_e = 1024.0856 G: the denominator of f_DQ vanishes
+        cfg = tmp_path / "gslac.cfg"
+        cfg.write_text("[environment]\nB = 1024.0856\n")
+        assert main(["budget", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [constants]: D**2 - (gamma_e*B)**2 is near zero "
+            f"(level anticrossing regime)\n")
+
+    def test_balanced_off_is_accepted(self, tmp_path):
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text("[detector]\nbalanced = off\n")
+        assert load_config(cfg).sequence.detector.balanced is False
+        assert main(["budget", "--config", str(cfg)]) == 0
 
     def test_removed_t_meas_names_cycle_period(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"

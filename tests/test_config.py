@@ -151,6 +151,11 @@ class TestDefaults:
         assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
         assert abs(cfg.fringe_frequency()) == pytest.approx(fringe, abs=1e-6)
 
+    def test_default_cfg_shows_every_default(self):
+        # configs/default.cfg documents every key with its default value
+        assert (load_config(CONFIGS / "default.cfg").to_mapping()
+                == default_config().to_mapping())
+
     def test_explicit_tau_wp_respected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[sequence]\ntau_wp = 1.111e-3\n")

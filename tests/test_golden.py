@@ -11,8 +11,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nvgyro import load_config, transition_frequencies
 from nvgyro.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -46,7 +48,7 @@ GOLDEN = {
         "regression.json":
             "708e7202e648d65515fc27b78e362f54fbc360f2f047ec47a22fad3563e968ef",
         "rotation.csv":
-            "0fa7f5b96102dd9f49fa5bc3dae67bac0bc7a7b39e0ec4574b8d900c971ec783",
+            "23895b8711f8b64ffcf1bfe9a242c4d9831b9e73dbd5fa60119d67774513a473",
         "signal.csv":
             "af4407289b9672c2e95d786658a9f9d40f3d933f88acfc98c131c82361e5d4f0",
         "telemetry.csv":
@@ -70,7 +72,7 @@ GOLDEN = {
         "regression.json":
             "70146cb3a77a5b18a40e39a02c5f73aa25868a039bd2032ca5bf549c32fba42b",
         "rotation.csv":
-            "907971315b7f6c4de753f608c3d5744c0593ab5b3adcc875fb8624efc931ffd5",
+            "4a841970183337ff7a9a79e91058e16d0c7699d71f20be5bf0b3c146da48c770",
         "signal.csv":
             "f8470eaa22bfed67bc2620106bd5d9a0a25a4f8ee7995d7917787ee6471040d3",
         "telemetry.csv":
@@ -100,29 +102,30 @@ GOLDEN = {
         "spectrum_r4.csv":
             "d21dc1f6cb98bd2a5ed6e7a23a453e85af9a950bea6d87886a3f11b1653225e1",
     },
+    # The shipped 4096-point grid (12.8 MHz sampling) resolves the SQ lines.
     "fringes-sq": {
         "fit.json":
-            "bce5fac014de004825bc64870b185018dc0f93b3c3a26e1376a754e2b2fc10de",
+            "1ebbfc284c4dd345f4c74fcd93e80a1c770f7269287251b85e6ec7c8376fe2b6",
         "fringes_combined.csv":
-            "083bfe0903cc2ae7f13228290af1de0884fa646cf99b85284ca6b995eb83e3c8",
+            "d49cf453fa0f52a0df0cf6b344984ee8c706947bb0fb99d9004f661cf189728e",
         "fringes_r1.csv":
-            "f6e63c0cd144e733edc84392bee9ae263d7acca1c1e865705c2265ce07c3f2ad",
+            "c6c586497465cab2e0b0927f7e69a0aa51ca28bf5eec924f3e7fa7e4515c7446",
         "fringes_r2.csv":
-            "d914112b4b89148fea9733ffe08da9a32517903c5671ebd3d9e7de782fec5be6",
+            "d2e331300da45f65b915dd7ad1093219c7a740eb1deb787637fa69504e96a422",
         "fringes_r3.csv":
-            "125958113464c7b6f02b1a6185bbc7ce4c78a69b487501e71ecbb6f2ce5bb9cc",
+            "1dd2a96e977c57cc73c53625e264116d9d441fdbd570f8af7474dc458c84f920",
         "fringes_r4.csv":
-            "0058b57943488c3dd7777cd729c24e088ac51f9254bf8211e8a0de6456f8ebb7",
+            "eaa4de6ab52e74792dbd46a4770ae300b51446da4935aaeab2c94512507a9142",
         "spectrum_combined.csv":
-            "aac9e7f062d9fa94d374e53a235e02897bd5cdf9eb132e14c09b002a4b43eb2b",
+            "41e43d94ea681cef83071dd8c262a827e40b72a2842222b2b11cca23ed329e8f",
         "spectrum_r1.csv":
-            "a25a2749b19574bfb8901aacfc8b3054c7a6f6ca7ffcdab40b16c1d71c6a22d1",
+            "55e6deda7d8bb2499f92faecdf5a3fb68314be454e92afe3562ff6705e0f8ef5",
         "spectrum_r2.csv":
-            "ce64acd30e796b068ad5ffac38fba1330dffdee3121dd9c28bbb531c8d178bf7",
+            "858911861e6f0e103463c7ae5f9686f782fd066351392cda0a75a9a0ba8551ef",
         "spectrum_r3.csv":
-            "a9b874e492b549bca80e6f2274e2ae5fe31e1f31c03ca7717abdfad49876f92f",
+            "9fc07b6bb8622f00ad4ea9bb3503aae4460bbce3b2f0d2b7f21170e275d48c43",
         "spectrum_r4.csv":
-            "4c50f481d1329c11d9a125b9c3d0f6b87e13cf007a79db3f762a892c21284fa1",
+            "3e4b7b5bdfdfb897e62bcbbf2267efdf9de20999706c5ec31eb1b9ff1b69c425",
     },
 }
 
@@ -142,8 +145,7 @@ def _argv(case: str, tmp_path: Path) -> list[str]:
         cfg = _small_grid(tmp_path, "default.cfg", {"points = 5000": "points = 200",
                                                     "tau_max = 5e-3": "tau_max = 3e-4"})
         return ["fringes", "--config", str(cfg)]
-    cfg = _small_grid(tmp_path, "sq_cancellation.cfg", {"points = 4096": "points = 256"})
-    return ["fringes", "--config", str(cfg)]
+    return ["fringes", "--config", str(CONFIGS / "sq_cancellation.cfg")]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -154,3 +156,20 @@ def test_outputs_match_golden_digests(case, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(GOLDEN[case])
     assert manifest["command"] == case.split("-")[0]
+
+
+def test_fringes_sq_case_resolves_the_sq_lines(tmp_path):
+    # The case exists to pin the SQ residuals at f1 and f2 and their
+    # cancellation: a bin lies within one bin width of each carrier, the
+    # single-Ramsey spectrum r1 shows the line there, and the 4-Ramsey
+    # combination holds it at least 1e3 times lower in power.
+    out = tmp_path / "out"
+    assert main(_argv("fringes-sq", tmp_path) + ["--out", str(out)]) == 0
+    cfg = load_config(CONFIGS / "sq_cancellation.cfg")
+    freq, r1 = np.loadtxt(out / "spectrum_r1.csv", delimiter=",", skiprows=1).T
+    _, combined = np.loadtxt(out / "spectrum_combined.csv", delimiter=",", skiprows=1).T
+    for f in transition_frequencies(cfg.environment, cfg.constants):
+        i = int(np.argmin(np.abs(freq - f)))
+        assert abs(freq[i] - f) <= freq[1]
+        near = slice(i - 2, i + 3)
+        assert r1[near].max() >= 1e3 * combined[near].max()

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,13 @@ def test_integer_extremes(tmp_path):
     small = np.arange(-3, 12, dtype=np.int8)
     columns = [i64, u64, small, np.linspace(-1, 1, len(i64))]
     assert _written(tmp_path, columns) == _expected(columns)
+
+
+def test_unequal_columns_are_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="equal lengths"):
+        io.write_table(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+    assert not path.exists()
 
 
 def test_tables_are_not_built_on_import():

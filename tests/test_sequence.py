@@ -245,6 +245,11 @@ class TestSweepFringes:
             with pytest.raises(ValueError, match="records"):
                 FringeSeries(taus=taus, values=np.zeros(8), records=np.zeros(shape))
 
+    def test_sigma_matches_taus(self):
+        taus = np.linspace(0.0, 1e-3, 8)
+        with pytest.raises(ValueError, match="sigma must match taus"):
+            FringeSeries(taus=taus, values=np.zeros(8), sigma=np.ones(7))
+
 
 class TestGyroStream:
     def wp_config(self, **kwargs):

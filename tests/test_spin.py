@@ -89,6 +89,13 @@ class TestDqSplitting:
         with pytest.raises(ValueError):
             dq_splitting(-1.0, C)
 
+    @pytest.mark.parametrize("constants, value", [
+        ({"A_perp": 1e200}, "-inf"), ({"gamma_e": 1e300}, "nan")])
+    def test_overflow_is_a_value_error_naming_f_dq(self, constants, value):
+        # under pytest's filterwarnings a numpy RuntimeWarning would fail this
+        with pytest.raises(ValueError, match=rf"^f_DQ at B = 400 G is {value} Hz, not finite"):
+            dq_splitting(np.array([400.0, 482.0]), C.replace(**constants))
+
 
 class TestTransitionFrequencies:
     def test_carrier_values(self):
