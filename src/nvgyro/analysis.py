@@ -452,11 +452,16 @@ def _allan_in_place(y: np.ndarray, tau0: float,
 # ---------------------------------------------------------------------------
 
 def snap_to_cos_null(tau: float, f: float) -> float:
-    """Nearest tau' > 0 with cos(2 pi f tau') = 0, i.e. (2n+1)/(4f)."""
-    if tau <= 0 or f <= 0:
-        raise ValueError("tau and f must be > 0")
-    n = max(round((4.0 * f * tau - 1.0) / 2.0), 0)
-    return (2.0 * n + 1.0) / (4.0 * f)
+    """Nearest tau' > 0 with cos(2 pi f tau') = 0, i.e. (2n+1)/(4f).
+
+    The factor 4 is applied last: 4 (f tau) and (2n+1)/f/4 equal 4 f tau
+    and (2n+1)/(4f) bit for bit, and neither overflows where 4 f does.
+    """
+    quarters = 4.0 * (f * tau)
+    if not (tau > 0 and f > 0 and quarters < math.inf):
+        raise ValueError("tau and f must be > 0, with 4 f tau finite")
+    n = max(round((quarters - 1.0) / 2.0), 0)
+    return (2.0 * n + 1.0) / f / 4.0
 
 
 @dataclass(frozen=True)

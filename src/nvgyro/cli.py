@@ -184,9 +184,8 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                              cfg.sequence.cycle_period)
 
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every
-    # series has), taken as np.median does: the mean of the middle pair.
-    first = np.sort(series.adev[:4] * np.sqrt(series.tau_avg[:4]))
-    arw = float((first[1] + first[2]) / 2.0)
+    # series has).
+    arw = float(np.median(series.adev[:4] * np.sqrt(series.tau_avg[:4])))
     i_min = int(np.argmin(series.adev))
     outputs = {
         "allan.csv": (["tau_s", "adev_hz", "adev_dps", "n_samples"],

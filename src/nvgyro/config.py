@@ -13,7 +13,9 @@ where the working-point protocol is linear and maximally sensitive.  The
 fringe is the kernel's DQ rate at nu = 0, spin.dq_rate: f_DQ at
 B + delta_B less the frame's DQ reference, of either sign
 (ExperimentConfig.fringe_frequency).  That fringe is evaluated for every
-config, so constants that overflow the level model fail as it loads.
+config, so constants that overflow the level model fail as it loads;
+so do carriers whose kernel phase overflows over one cycle_period, the
+longest delay a cycle allows.
 A value check raises ValueError, which errors.input_error reports
 against the file:line and key or the file and [section].
 """
@@ -23,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import snap_to_cos_null
 from .detector import DetectorConfig, NoiseHooks
@@ -34,7 +38,9 @@ from .spin import (
     FieldEnvironment,
     PhysicalConstants,
     RotatingFrame,
+    coherence_factors,
     dq_rate,
+    transition_frequencies,
 )
 
 
@@ -297,6 +303,16 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
         "detector": _build(origin, "detector", kw["detector"]),
         "noise": _build(origin, "noise", kw["noise"]),
     })
+    # The kernel's phases (-2j pi rate) tau at tau = cycle_period: a carrier
+    # near the float limit overflows them.
+    with input_error(f"{origin}: [constants]: "), \
+            np.errstate(over="ignore", invalid="ignore"):
+        z = coherence_factors(sequence.cycle_period, environment.replace(nu=0.0), constants,
+                              frame, sequence.t2_dq, sequence.effective_t2_sq)
+        if not np.all(np.isfinite(z)):
+            f1, f2 = transition_frequencies(environment, constants)
+            raise ValueError(f"the carriers f1 = {f1:g} Hz and f2 = {f2:g} Hz overflow "
+                             f"the phase of a {sequence.cycle_period:g} s cycle")
 
     if kw["run"].get("seed", 0) < 0:
         raise ConfigError(f"{origin}:{sections['run']['seed'][1]}: seed must be >= 0")

@@ -3,8 +3,8 @@
 Populations map to voltage between the low and high readout levels
 V_L = V0*(1 - C/2) and V_H = V0*(1 + C/2).  The readout distinguishes the
 |m_I = 0| population from the |+-1> manifold: projection = 1 - p_zero, so
-a freshly pumped |+1> ensemble reads bright (V_pump = V_H) and an ideal
-Ramsey fringe spans the full V_L..V_H range at tau = 0.
+a freshly pumped |+1> ensemble reads bright (V_H, DetectorConfig.v_pump)
+and an ideal Ramsey fringe spans the full V_L..V_H range at tau = 0.
 
 Shot noise is Gaussian (the detected photoelectron number is ~1e10 per
 readout); balanced detection doubles the photon shot-noise variance
@@ -57,17 +57,13 @@ class DetectorConfig:
                              f"readout; the shot noise needs a finite count > 0")
 
     @property
-    def v_high(self) -> float:
+    def v_pump(self) -> float:
+        """Bright level V_H = V0*(1 + C/2), read after optical pumping."""
         return self.V0 * (1.0 + self.contrast / 2.0)
 
     @property
     def v_low(self) -> float:
         return self.V0 * (1.0 - self.contrast / 2.0)
-
-    @property
-    def v_pump(self) -> float:
-        """Reference level after optical pumping (bright state)."""
-        return self.v_high
 
     def replace(self, **kwargs) -> "DetectorConfig":
         return replace(self, **kwargs)
@@ -119,13 +115,11 @@ def readout_signal(d: DetectorConfig, projection,
     included), receives the result in place of a new array.
     """
     volts = d.v_low + projection * d.V0 * d.contrast
-    if rng is None:
-        return np.divide(volts, d.v_pump, out=out)
-    if out is None:
-        out = np.empty(np.shape(projection))
-    # sigma * N(0, 1) is rng.normal(0, sigma) bit for bit.
-    noise = rng.standard_normal(out=out)
-    noise *= d.V0 * psn_fractional_uncertainty(d)
-    noise += volts
-    noise /= d.v_pump
-    return noise
+    if rng is not None:
+        if out is None:
+            out = np.empty(np.shape(projection))
+        # sigma * N(0, 1) is rng.normal(0, sigma) bit for bit.
+        noise = rng.standard_normal(out=out)
+        noise *= d.V0 * psn_fractional_uncertainty(d)
+        volts = np.add(noise, volts, out=out)
+    return np.divide(volts, d.v_pump, out=out)

@@ -6,10 +6,11 @@ piecewise linear in rate, so angles integrate exactly (trapezoid rule).
 Clockwise rotation is positive.
 
 A program is an ordered list of (duration_s, rate_dps, accel_dps2)
-instructions; each applies its setpoint and acceleration at its start
-and holds for its duration.  RateTrajectory is the executed program:
-built from those rows or from a profile CSV, it evaluates rate, angle
-and acceleration at any time (the pulse-sequence stream samples
+instructions; each ramps toward its setpoint at its acceleration, then
+holds the setpoint for what is left of its duration (a ramp the duration
+cuts short carries into the next row).  RateTrajectory is the executed
+program: built from those rows or from a profile CSV, it evaluates rate,
+angle and acceleration at any time (the pulse-sequence stream samples
 rate_at) and polls telemetry every DEFAULT_POLL seconds.
 """
 
@@ -57,29 +58,23 @@ class RateTrajectory:
             _check_row(duration, rate, accel)
             t0, r0 = t_edges[-1], r_edges[-1]
             gap = rate - r0
+            # Ramp toward the setpoint for min(t_ramp, duration), then hold
+            # for whatever time is left; an unfinished ramp carries on.
             t_ramp = abs(gap) / accel
-            if 0.0 < t_ramp < duration:
-                slopes.append(math.copysign(accel, gap))
-                t_edges.append(t0 + t_ramp)
-                r_edges.append(rate)
-                slopes.append(0.0)
-                t_edges.append(t0 + duration)
-                r_edges.append(rate)
-            elif t_ramp == 0.0:
-                slopes.append(0.0)
-                t_edges.append(t0 + duration)
-                r_edges.append(r0)
-            else:
-                # Still ramping when the instruction expires.
+            if t_ramp > 0.0:
                 slope = math.copysign(accel, gap)
                 slopes.append(slope)
+                t_edges.append(t0 + min(t_ramp, duration))
+                r_edges.append(rate if t_ramp < duration else r0 + slope * duration)
+            if t_ramp < duration:
+                slopes.append(0.0)
                 t_edges.append(t0 + duration)
-                r_edges.append(r0 + slope * duration)
+                r_edges.append(r_edges[-1])
         if not slopes:
             raise ValueError("profile must contain at least one instruction")
         self._t = np.array(t_edges)
         self._r = np.array(r_edges)
-        self._slope = np.array(slopes + [0.0])
+        self._slope = np.array(slopes)
         # Cumulative exact angle at segment edges (trapezoid per segment).
         seg_angle = 0.5 * (self._r[:-1] + self._r[1:]) * np.diff(self._t)
         self._angle = np.concatenate([[0.0], np.cumsum(seg_angle)])

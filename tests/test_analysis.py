@@ -386,6 +386,10 @@ class TestAllanDeviation:
 @pytest.mark.parametrize("call, message", [
     (lambda: snap_to_cos_null(0.0, 2000.0), "tau and f must be > 0"),
     (lambda: snap_to_cos_null(1e-3, 0.0), "tau and f must be > 0"),
+    (lambda: snap_to_cos_null(math.inf, 2000.0), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(1e-3, math.inf), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(math.nan, 2000.0), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(1e300, 1e10), "with 4 f tau finite"),
     (lambda: select_working_point(0.0, 2000.0), "t2star, f_dq must be > 0"),
     (lambda: select_working_point(1.95e-3, -1.0), "t2star, f_dq must be > 0"),
     (lambda: select_working_point(1.95e-3, 2000.0, -1e-3), "overhead >= 0"),
@@ -395,7 +399,8 @@ class TestAllanDeviation:
     (lambda: calibration_from_fringes(0.01, 0.0), "tau_wp must be > 0"),
     (lambda: calibration_from_slope(1.0, 0.0, 293e3), "tau_wp and f_dq must be > 0"),
     (lambda: calibration_from_slope(1.0, 1.4e-3, 0.0), "tau_wp and f_dq must be > 0"),
-], ids=["snap-tau", "snap-f", "wp-t2star", "wp-f", "wp-overhead", "linearity-nu0",
+], ids=["snap-tau", "snap-f", "snap-inf-tau", "snap-inf-f", "snap-nan-tau", "snap-4ftau",
+        "wp-t2star", "wp-f", "wp-overhead", "linearity-nu0",
         "nu0-tau", "range-nu0", "fringes-tau", "slope-tau", "slope-f"])
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):

@@ -468,6 +468,7 @@ class TestCleanErrors:
         ("fringes", "tau_max = inf"),
         ("constants", "A_perp = 1e200"),  # f_DQ = -inf at 482 G
         ("constants", "gamma_e = 1e300"),  # f_DQ = nan at 482 G
+        ("constants", "Q = 1e308"),  # the carriers' phases overflow
     ])
     def test_out_of_range_config_value(self, tmp_path, capsys, section, line):
         cfg = tmp_path / "bad.cfg"
@@ -497,6 +498,35 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: [constants]: f_DQ at B = 482 G is ")
         assert "not finite" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
+    @pytest.mark.parametrize("section, line", [
+        ("environment", "B = 1e305"),  # f_DQ is finite, f1 and f2 are +-3e307 Hz
+        ("constants", "Q = 1e308"),
+        ("environment", "delta_Q = 1e308"),
+    ])
+    def test_carrier_phase_overflow_on_every_command(self, tmp_path, capsys, command,
+                                                     section, line):
+        # The kernel's phase (-2j pi f) tau overflows for these carriers
+        # although f_DQ is finite.  Loading the config evaluates it once
+        # over a cycle and rejects it: no OverflowError from the tau_wp
+        # snap, no RuntimeWarning, one error line, nothing written.
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command == "allan":
+            argv += ["--duration", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [constants]: the carriers f1 = ")
+        assert "overflow the phase of a 0.007 s cycle" in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -56,6 +56,17 @@ class TestReadoutVoltage:
         out = readout_signal(D, np.array([0.0, 1.0]))
         assert out.shape == (2,)
 
+    def test_noisy_readout_into_its_own_projections(self):
+        # The time-varying stream passes its projections as out: the draws
+        # land in that buffer before the volts are added, bit for bit.
+        projection = np.linspace(0.0, 1.0, 9)
+        volts_ = D.v_low + projection * D.V0 * D.contrast
+        draws = np.random.default_rng(17).standard_normal(9)
+        expected = (draws * (D.V0 * psn_fractional_uncertainty(D)) + volts_) / D.v_pump
+        result = readout_signal(D, projection, np.random.default_rng(17), out=projection)
+        assert result is projection
+        np.testing.assert_array_equal(result, expected)
+
 
 class TestNormalizeContrast:
     """S = V / V_pump with a noiseless pump reference."""
@@ -178,6 +189,5 @@ class TestDetectorConfig:
             DetectorConfig(V0=V0, G=G)
 
     def test_levels(self):
-        assert D.v_high == pytest.approx(15.1125)
+        assert D.v_pump == pytest.approx(15.1125)
         assert D.v_low == pytest.approx(14.8875)
-        assert D.v_pump == D.v_high

@@ -76,6 +76,17 @@ class TestTrajectory:
         assert traj.rate_at(10.0) == pytest.approx(18.0, abs=1e-12)
         assert traj.rate_at(20.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_ramp_ending_at_the_instruction_end(self):
+        # t_ramp = 20/2 = 10 s is the row's duration: no hold segment, the
+        # setpoint exactly at 10 s, and the next row ramps on from it.
+        traj = RateTrajectory([(10.0, 20.0, 2.0), (5.0, 0.0, 2.0)])
+        np.testing.assert_array_equal(traj._t, [0.0, 10.0, 15.0])
+        assert traj.rate_at(10.0) == 20.0
+        assert traj.accel_at(10.0) == -2.0
+        assert traj.rate_at(12.5) == 15.0
+        assert traj.rate_at(15.0) == 10.0
+        assert traj.angle_at(15.0) == pytest.approx(100.0 + 75.0, rel=1e-15)
+
     def test_out_of_span_rejected(self):
         traj = RateTrajectory([(10.0, 5.0, 1.8)])
         with pytest.raises(ValueError):
