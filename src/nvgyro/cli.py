@@ -184,8 +184,10 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                              cfg.sequence.cycle_period)
 
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every
-    # series has).
-    arw = float(np.median(series.adev[:4] * np.sqrt(series.tau_avg[:4])))
+    # series has), the mean of the middle pair as np.median forms it,
+    # without the numpy.ma import np.median makes on its first call.
+    lo, hi = np.sort(series.adev[:4] * np.sqrt(series.tau_avg[:4]))[1:3]
+    arw = float((lo + hi) / 2.0)
     i_min = int(np.argmin(series.adev))
     outputs = {
         "allan.csv": (["tau_s", "adev_hz", "adev_dps", "n_samples"],

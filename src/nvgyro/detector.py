@@ -10,10 +10,14 @@ Shot noise is Gaussian (the detected photoelectron number is ~1e10 per
 readout); balanced detection doubles the photon shot-noise variance
 (sqrt(2) in amplitude) without adding signal.  Slow technical noise can
 be injected through NoiseHooks (white + random walk on the normalized
-signal) -- by default the floor is photoelectron shot noise only.  The
-rotation sensitivity follows from the per-readout noise here and the
-working point's slope alpha0: the `budget` command divides the combined
-sample's noise by |alpha0| and scales it by sqrt(cycle_period).
+signal) -- by default the floor is photoelectron shot noise only.  A
+fringe sweep draws the shot noise of every readout; the gyro stream,
+which keeps only the combined sample R = (R1 - R2 + R3 - R4)/4, draws
+R's shot noise, signal_sigma/2, once per cycle, then the white noise,
+then the random walk.  The rotation sensitivity follows from the
+per-readout noise here and the working point's slope alpha0: the
+`budget` command divides the combined sample's noise by |alpha0| and
+scales it by sqrt(cycle_period).
 """
 
 from __future__ import annotations

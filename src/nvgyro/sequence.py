@@ -25,15 +25,16 @@ spin.coherence_factors, const_j - Re(coef_j . z), with const and coef
 built once per call from the pulses (_readout_terms); z broadcasts over
 arrays of delays and over the array fields of the FieldEnvironment
 (rotation rate, quadrupole shift, field drift).  Shot noise is added
-afterwards, one normal draw per (delay or cycle, phase entry) in C order, by
+afterwards, one normal draw per (delay, phase entry) in C order, by
 ramsey_signals; a single Ramsey record is one of its four columns, and
 combine_4ramsey forms R from them; sweep_fringes, which `nvgyro
 fringes` runs, keeps the four records next to R.  The working-point
-stream of SequenceConfig.n_cycles(duration) cycles runs the same steps
-over fixed blocks of cycles, slicing the environment's per-cycle arrays
-block by block, so its memory holds one 8-byte word per cycle (the
-combined signal) plus one block; its output does not depend on the
-block size.
+stream of SequenceConfig.n_cycles(duration) cycles keeps only R, so it
+combines noise-free readouts and draws the shot noise of R itself, one
+N(0, combined_sigma) value per cycle; a varying environment runs in
+fixed blocks of cycles, slicing its per-cycle arrays block by block, so
+the stream's memory holds one 8-byte word per cycle (the combined
+signal) plus one block; its output does not depend on the block size.
 The test reference model, tests/oracle.py, computes the same projections
 one shot at a time from matrix exponentials of the pulse generators and
 of the free Hamiltonian, sharing no code with the kernel.
@@ -296,51 +297,54 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
 
     Each cycle is the 4-Ramsey sequence at tau_wp in env.  A field of
     env that holds an array has one entry per cycle, held constant over
-    that cycle; an environment of scalars is static and its projections
-    come from a single evaluation.  The cycles run in blocks of
-    _STREAM_BLOCK: each block slices the environment's arrays and gets
-    its projections, shot noise and 4-Ramsey combination, so the
-    (cycles x 4) signals exist one block at a time: a static run reads
-    every block out into one reused (block x 4) buffer, a varying one
-    into its projections, and combines it straight into the output.
-    Every step is elementwise and the draws are sequential, so the
-    output is the same bit for bit whatever the block size.  With an
-    rng, draw order is: photon shot noise (n_cycles x 4, block after
-    block), extra white noise (n_cycles), random-walk increments
-    (n_cycles).
+    that cycle; an environment of scalars is static, and its one
+    noise-free sample fills the output.  A varying environment runs in
+    blocks of _STREAM_BLOCK cycles: each block slices the environment's
+    arrays, reads its projections out in place and combines them straight
+    into the output, so its (cycles x 4) signals exist one block at a
+    time.  The shot noise of the four readouts of a cycle combines to
+    sigma_S * (n1 - n2 + n3 - n4)/4 with independent standard normals n,
+    which is N(0, combined_sigma(cfg)): one draw per combined sample.
+    With an rng, draw order is: photon shot noise (n_cycles), extra white
+    noise (n_cycles), random-walk increments (n_cycles), each drawn a
+    block at a time; every step is elementwise and the draws are
+    sequential, so the output is the same bit for bit whatever the block
+    size.
     """
     n = cfg.n_cycles(duration)
     varying = {name: values for name in ("nu", "delta_Q", "delta_B")
                if np.ndim(values := getattr(env, name))}
     if any(np.shape(values) != (n,) for values in varying.values()):
         raise ValueError(f"environment arrays must hold one entry per cycle ({n})")
-    if not varying:
-        proj = ramsey_projections(cfg, env, c, cfg.tau_wp)
-        signals = np.empty((min(n, _STREAM_BLOCK), 4))
     try:
         combined = np.empty(n)
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise MemoryError(f"a stream of {n} cycles needs {8 * n} bytes for its "
                           f"signal (8 per cycle), more than can be allocated") from None
-    for start in range(0, n, _STREAM_BLOCK):
-        stop = min(start + _STREAM_BLOCK, n)
-        if varying:
+    if not varying:
+        combined.fill(combine_4ramsey(readout_signal(
+            cfg.detector, ramsey_projections(cfg, env, c, cfg.tau_wp))))
+    else:
+        for start in range(0, n, _STREAM_BLOCK):
+            stop = min(start + _STREAM_BLOCK, n)
             block = env.replace(**{name: values[start:stop]
                                    for name, values in varying.items()})
-            proj = signals = ramsey_projections(cfg, block, c, cfg.tau_wp)
-        combine_4ramsey(readout_signal(cfg.detector, proj, rng,
-                                       out=signals[:stop - start]),
-                        out=combined[start:stop])
+            proj = ramsey_projections(cfg, block, c, cfg.tau_wp)
+            combine_4ramsey(readout_signal(cfg.detector, proj, out=proj),
+                            out=combined[start:stop])
+    if rng is None:
+        return combined
 
-    # The block buffer is freed first.  The technical noise is drawn a
-    # block at a time into a buffer of its own; the random walk carries
-    # its level from block to block, so its running sum is the whole-run
-    # np.cumsum's.
-    del proj, signals
-    if rng is not None and cfg.noise.white_sigma > 0:
-        for block, draws in _normal_blocks(rng, cfg.noise.white_sigma, combined):
-            block += draws
-    if rng is not None and cfg.noise.random_walk_sigma > 0:
+    # Each noise is drawn a block at a time into a buffer of its own,
+    # freed (with the loop's names) before the next one is made; the
+    # random walk carries its level from block to block, so its running
+    # sum is the whole-run np.cumsum's.
+    for sigma in (combined_sigma(cfg), cfg.noise.white_sigma):
+        if sigma > 0:
+            for block, draws in _normal_blocks(rng, sigma, combined):
+                block += draws
+            del block, draws
+    if cfg.noise.random_walk_sigma > 0:
         walk = cfg.noise.random_walk_sigma * math.sqrt(cfg.cycle_period)
         level = 0.0
         for block, steps in _normal_blocks(rng, walk, combined):

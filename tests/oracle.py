@@ -3,8 +3,8 @@
 bright_projections recomputes the 4-Ramsey bright projections one shot
 at a time and shares no code with the nvgyro kernel.  Pulses are matrix
 exponentials expm(-i*G) of their rotating-wave generators, free precession is
-expm(-2*pi*i*H*tau) of the free Hamiltonian built from
-transition_frequencies, and each coherence rho[a, b] decays by its
+expm(-2*pi*i*H*tau) of the free Hamiltonian built from dq_splitting and
+the quadrupole centre, and each coherence rho[a, b] decays by its
 coherence order |m_a - m_b|: order 2 with t2_dq, order 1 with t2_sq.
 
 psn_rotation_sensitivity is the paper's closed-form shot-noise
@@ -25,7 +25,7 @@ from scipy.constants import e as ELEMENTARY_CHARGE
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from nvgyro import transition_frequencies
+from nvgyro import dq_splitting
 from nvgyro.analysis import _decaying_sine, _initial_guess
 
 #: Nuclear spin projection m_I of each basis index.
@@ -65,9 +65,17 @@ def pulse(rho: np.ndarray, kind: PulseKind, phase_f1: float = 0.0,
 
 def free_precession(rho, tau, env, c, frame, t2_dq, t2_sq) -> np.ndarray:
     """Precession under H = diag(f1 + nu - frame.f1, 0, f2 - nu - frame.f2)
-    for tau seconds, then dephasing by coherence order."""
-    f1, f2 = transition_frequencies(env, c)
-    h = np.diag([f1 + env.nu - frame.f1, 0.0, f2 - env.nu - frame.f2])
+    for tau seconds, then dephasing by coherence order.
+
+    f1, f2 = centre +- f_DQ/2 are not formed: each detuning takes the
+    frame off the centre first, so in a rotating frame it does not carry
+    the rounding of a MHz carrier (up to ~5e-10 Hz, which over 4 ms moves
+    the DQ phase by ~1e-11 rad, more than the kernel check allows).
+    """
+    f_dq = dq_splitting(env.B + env.delta_B, c)
+    center = c.Q + env.delta_Q
+    h = np.diag([(center - frame.f1) + f_dq / 2.0 + env.nu, 0.0,
+                 (center - frame.f2) - f_dq / 2.0 - env.nu])
     u = expm(-2j * np.pi * h * tau)
     decay = np.array([1.0, math.exp(-tau / t2_sq), math.exp(-tau / t2_dq)])
     order = np.abs(M_I[:, None] - M_I[None, :])

@@ -417,6 +417,23 @@ def test_commands_run_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_allan_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, a cost of its own in
+    # a fresh interpreter; the ARW takes the middle pair without it
+    argv = ["allan", "--duration", "1", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from nvgyro.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestCleanErrors:
     """Bad input exits 1 with `error: ...` naming the flag or file:line."""
 

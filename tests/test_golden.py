@@ -46,35 +46,35 @@ GOLDEN = {
     },
     "gyro": {
         "regression.json":
-            "708e7202e648d65515fc27b78e362f54fbc360f2f047ec47a22fad3563e968ef",
+            "b3280bc73fc1a6f4f93965f9011308364ac029d9e179e07b31999aaf83f0790e",
         "rotation.csv":
-            "23895b8711f8b64ffcf1bfe9a242c4d9831b9e73dbd5fa60119d67774513a473",
+            "17ce975204ea18e46bf57ff21e9e0cc3bcb30bae663165fb48d8897d2cd5659d",
         "signal.csv":
-            "af4407289b9672c2e95d786658a9f9d40f3d933f88acfc98c131c82361e5d4f0",
+            "f523cf5b423540db455232c9d7404edd81fcd7b901baa812dd96e315e95a8173",
         "telemetry.csv":
             "59f5b16c583912f781ed7d7e7f2b7a167e27c514b3532e484769038f0bde0ae6",
     },
     "allan": {
         "allan.csv":
-            "99addca9d1ceb0887f0948d8d91c354f0817c96d8838a6cdf1f5f62ec7c817c2",
+            "70aacf95d6ade74343af89e6dfff290ef74b2259b0241fcb721916b490367c7c",
         "summary.json":
-            "47c03a1a06e70eb9beb5c3d434512977a0c4176f27b0c1eb5c5dc68201de6723",
+            "4267d004683a4428e8968c951b8b3fc6227d51c0e219de981c903f0b82b6af28",
     },
     # 42,857 cycles: the stream crosses block boundaries.
     "allan-multiblock": {
         "allan.csv":
-            "933581636a7458a2a69cfcca558670e7f98447658e0fb156c28fe2a4bc883216",
+            "d3f0889eae9e6e28ed2d6161f1e32cfc56ea727c839508044e81d550da9d1d40",
         "summary.json":
-            "bdd381b90e822f3908205bbb21a34902488a33a43ed75d624fbfeca57a90c136",
+            "42fd6b550963f901d5081429250254d5d7256dcf1560ce86f3c580d436ef6fb6",
     },
     # 21,428 cycles through the rate table: stream and CSV row blocks.
     "gyro-multiblock": {
         "regression.json":
-            "70146cb3a77a5b18a40e39a02c5f73aa25868a039bd2032ca5bf549c32fba42b",
+            "92654def7f245638c0a3f68947309073099305383d036dd5ad1a512e601785a5",
         "rotation.csv":
-            "4a841970183337ff7a9a79e91058e16d0c7699d71f20be5bf0b3c146da48c770",
+            "4cea87c7b79cb0ecc3e00de9bea68422c8bd082ae919248e7b07eee9f1ebd275",
         "signal.csv":
-            "f8470eaa22bfed67bc2620106bd5d9a0a25a4f8ee7995d7917787ee6471040d3",
+            "38893381c7eafc60e773c55e5271be87c3216399dc7fee10fc1dd315a3431f32",
         "telemetry.csv":
             "59f5b16c583912f781ed7d7e7f2b7a167e27c514b3532e484769038f0bde0ae6",
     },

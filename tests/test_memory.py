@@ -2,9 +2,9 @@
 
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts every array it allocates.  The working-point stream keeps
-one 8-byte word per cycle (the combined signal) plus one reused
-(block x 4) buffer, and a rate-table run adds the per-cycle rates its
-environment carries; the CSV writer keeps one block of rows; `allan`
+one 8-byte word per cycle (the combined signal) plus one block of noise
+draws, and a rate-table run adds the per-cycle rates its environment
+carries; the CSV writer keeps one block of rows; `allan`
 holds one word per cycle: the stream's signal becomes the rotation
 estimate and then the Allan phase series in place, and the second
 differences are summed one cache-sized leaf at a time.  Materialising
@@ -62,11 +62,11 @@ def test_stream_peak_is_a_few_words_per_cycle(rotating):
 
 @pytest.mark.parametrize("hooks", [False, True])
 def test_static_stream_block_buffer_is_one_block_of_signals(hooks):
-    # Beyond its output, a static run holds the reused (block x 4) signal
-    # buffer and under 128 KiB of small fixed arrays (measured: 70 KB);
-    # a fresh readout, noise and quotient array per block exceeds it.
-    # Technical noise is drawn a block at a time after that buffer is
-    # freed, never as a run-length array.
+    # Beyond its output, a static run holds one block of noise draws and
+    # under 128 KiB of small fixed arrays; a (block x 4) signal buffer, or
+    # a noise buffer kept alive while the next noise is drawn, exceeds
+    # it.  Each noise is drawn a block at a time, never as a run-length
+    # array.
     cfg = SequenceConfig()
     if hooks:
         cfg = cfg.replace(noise=NoiseHooks(white_sigma=1e-5, random_walk_sigma=1e-5))
@@ -78,7 +78,7 @@ def test_static_stream_block_buffer_is_one_block_of_signals(hooks):
     run(3)  # numpy's first-call set-up is not the stream's
     n = 8 * sequence._STREAM_BLOCK + 7
     peak = _traced_peak(lambda: run(n))
-    assert peak <= WORD * n + 4 * WORD * sequence._STREAM_BLOCK + 128 * 1024
+    assert peak <= WORD * n + WORD * sequence._STREAM_BLOCK + 128 * 1024
 
 
 def test_table_peak_does_not_grow_with_rows(tmp_path):

@@ -10,7 +10,8 @@ must zero the derivative of the merit it maximizes, and `budget`'s
 shot-noise sensitivity, taken from the kernel's slope, must be the
 paper's closed form (oracle) at a measurement time of cycle_period/4.  The block sizes of
 the working-point stream and of the CSV writer must not change a bit of
-their output, and the in-place Allan deviation must equal the textbook
+their output, the stream's shot noise must be one combined-sample draw
+per cycle, and the in-place Allan deviation must equal the textbook
 expression exactly.
 """
 
@@ -45,6 +46,7 @@ from nvgyro import (
 from nvgyro import io, sequence
 from nvgyro.analysis import octave_m_values
 from nvgyro.cli import cmd_budget
+from nvgyro.sequence import combined_sigma
 from oracle import bright_projections, psn_rotation_sensitivity
 
 C = LITERATURE_CONSTANTS
@@ -325,6 +327,27 @@ def test_stream_bytes_do_not_depend_on_block_size(cfg, env, seed, noise, data,
     whole, blocked = run(n), run(block)
     assert len(whole) == n
     assert np.array_equal(blocked, whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), seed=seeds,
+       duration=st.floats(7e-3, 0.3), data=st.data(), rotating=st.booleans())
+def test_stream_shot_noise_is_one_draw_per_cycle(cfg, env, seed, duration, data,
+                                                 rotating):
+    # The four readouts' shot noise enters R as sigma_S*(n1 - n2 + n3 - n4)/4,
+    # which is N(0, combined_sigma): the stream adds rng.normal(0,
+    # combined_sigma, n) to its noise-free samples, whatever the block size.
+    n = cfg.n_cycles(duration)
+    block = data.draw(st.integers(1, n + 1), label="block")
+    if rotating:
+        t = np.arange(n) * cfg.cycle_period
+        env = env.replace(nu=3.0 * np.sin(40.0 * t) + 0.25)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequence, "_STREAM_BLOCK", block)
+        got = run_gyro_stream(cfg, env, C, duration, np.random.default_rng(seed))
+        quiet = run_gyro_stream(cfg, env, C, duration)
+    expected = quiet + np.random.default_rng(seed).normal(0.0, combined_sigma(cfg), n)
+    assert np.array_equal(got, expected)
 
 
 cells = st.one_of(

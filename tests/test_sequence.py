@@ -26,7 +26,7 @@ from nvgyro import (
     transition_frequencies,
 )
 from nvgyro import sequence
-from nvgyro.sequence import _prepared_state
+from nvgyro.sequence import _prepared_state, combined_sigma
 
 C = LITERATURE_CONSTANTS
 ENV = FieldEnvironment(B=482.0)
@@ -343,6 +343,28 @@ class TestGyroStream:
         got = run_gyro_stream(cfg, ENV, C, 0.2, np.random.default_rng(4))
         assert n > 3 * 7
         assert np.array_equal(got, expected)
+
+    def test_one_draw_matches_the_four_readout_draws(self):
+        # The stream's noise around its noise-free samples and the
+        # combination of four independently drawn readouts must both have
+        # variance combined_sigma**2 (chi-squared, 99.9%), and each other's
+        # (F-test, 99.9%).
+        from scipy import stats
+        n = 200_000
+        cfg = self.wp_config()
+        duration = (n + 0.5) * cfg.cycle_period
+        stream = (run_gyro_stream(cfg, ENV, C, duration, np.random.default_rng(11))
+                  - run_gyro_stream(cfg, ENV, C, duration))
+        taus = np.full(n, cfg.tau_wp)
+        four = (combine_4ramsey(ramsey_signals(cfg, ENV, C, taus, np.random.default_rng(12)))
+                - combine_4ramsey(ramsey_signals(cfg, ENV, C, taus)))
+        var = combined_sigma(cfg) ** 2
+        lo, hi = stats.chi2.ppf([0.0005, 0.9995], n)
+        for noise in (stream, four):
+            assert len(noise) == n
+            assert lo <= np.sum(noise ** 2) / var <= hi
+        f_lo, f_hi = stats.f.ppf([0.0005, 0.9995], n, n)
+        assert f_lo <= np.mean(stream ** 2) / np.mean(four ** 2) <= f_hi
 
     def test_duration_validation(self):
         for duration in (0.0, 1e-3, math.inf):
