@@ -349,23 +349,10 @@ def octave_m_values(n: int) -> list[int]:
     return out
 
 
-def allan_deviation(values, tau0: float,
-                    m_values: list[int] | None = None) -> AllanSeries:
-    """Overlapping Allan deviation of a uniformly sampled series.
-
-    values are rate-like samples spaced tau0 seconds; the averaging
-    factors, integers m with 1 <= m and 2m <= N, default to octaves up
-    to N/4.  Each point reports the number of overlapping second
-    differences that entered the estimate.  values is left unchanged:
-    the phase series is built in one copy of it.
-    """
-    return _allan_in_place(np.array(values, dtype=float), tau0, m_values)
-
-
-#: Fewest samples _allan_in_place accepts (allan --duration is held to it).
+#: Fewest samples allan_deviation accepts (allan --duration is held to it).
 ALLAN_MIN_SAMPLES = 32
 
-#: Second differences per leaf of the blocked sum in _allan_in_place: a
+#: Second differences per leaf of the blocked sum in allan_deviation: a
 #: 128 KiB buffer that stays in cache.
 _ALLAN_LEAF = 16_384
 
@@ -389,20 +376,27 @@ def _pairwise_sum(fill, n: int, buf: np.ndarray) -> float:
     return float(node(0, n))
 
 
-def _allan_in_place(y: np.ndarray, tau0: float,
-                    m_values: list[int] | None = None) -> AllanSeries:
-    """allan_deviation of the float64 rate samples y, overwriting y with
-    their phase series.
+def allan_deviation(values, tau0: float, m_values: list[int] | None = None, *,
+                    overwrite: bool = False) -> AllanSeries:
+    """Overlapping Allan deviation of a uniformly sampled series.
+
+    values are rate-like samples spaced tau0 seconds; the averaging
+    factors, integers m with 1 <= m and 2m <= N, default to octaves up
+    to N/4.  Each point reports the number of overlapping second
+    differences that entered the estimate.
 
     The phase series (NIST SP 1065, Sec. 5.2) is x_k = tau0 * sum_{i<k}
     (y_i - mean y) for k = 0..n; the mean is removed first, since Allan
     variance is offset-invariant and the smaller running sum avoids
-    cancellation error on long records.  y becomes x_1..x_n in place and
-    x_0 = 0 stays implicit.  Each second difference x_{k+2m} - 2 x_{k+m}
+    cancellation error on long records.  x_1..x_n are built in one copy
+    of values, which is left unchanged, or with overwrite=True in values
+    itself when it is a float64 array, so the call holds no copy; x_0 = 0
+    stays implicit.  Each second difference x_{k+2m} - 2 x_{k+m}
     + x_k is formed with the same roundings as the whole-array
     expression, squared and summed leaf by leaf (_pairwise_sum), so no
     run-length difference array exists and the sum is np.sum's.
     """
+    y = np.asarray(values, dtype=float) if overwrite else np.array(values, dtype=float)
     if y.ndim != 1:
         raise ValueError("values must be 1-D")
     n = len(y)

@@ -3,12 +3,14 @@
 Each command only computes: it returns its outputs, a mapping from file
 name to a JSON dict or a (names, columns) table, and the text it prints.
 `main` alone writes them: after the command returns, and only with
---out, it creates the directory, writes every output, then writes a JSON
-manifest (command, config snapshot, seed, version, output list, bytes
-written, compute and write seconds, wall time).  A run that fails writes
-nothing.  Outputs are byte-reproducible for a fixed (config, seed); the
-manifest additionally records the timings.  Exit codes: 0 ok, 1 domain
-error, 2 usage error.
+--out, it creates the directory, writes every table in one pass
+(io.write_tables: tables that share a row count are written in lockstep
+and a column they share is formatted once), then every JSON output, then
+a JSON manifest (command, config snapshot, seed, version, output list,
+bytes written, compute and write seconds, wall time).  A run that fails
+writes nothing.  Outputs are byte-reproducible for a fixed (config,
+seed); the manifest additionally records the timings.  Exit codes: 0 ok,
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from numpy.random import default_rng
 from . import __version__
 from .analysis import (
     ALLAN_MIN_SAMPLES,
-    _allan_in_place,
+    allan_deviation,
     calibration_from_fringes,
     calibration_from_sweep,
     dynamic_range,
@@ -37,7 +39,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig, default_config, load_config
 from .errors import ConfigError, GyroSimError, input_error
-from .io import write_json, write_table
+from .io import write_json, write_tables
 from .ratetable import RateTrajectory
 from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
                        sweep_fringes)
@@ -180,8 +182,8 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     n_samples = len(signal)
     # The stream's buffer becomes the rotation estimate, then the Allan
     # phase series, in place: the Allan step holds one word per cycle.
-    series = _allan_in_place(rotation_from_signal(signal, alpha0, baseline, out=signal),
-                             cfg.sequence.cycle_period)
+    series = allan_deviation(rotation_from_signal(signal, alpha0, baseline, out=signal),
+                             cfg.sequence.cycle_period, overwrite=True)
 
     # ARW: median of the first four points (m = 1, 2, 4, 8, which every
     # series has), the mean of the middle pair as np.median forms it,
@@ -309,12 +311,11 @@ def main(argv=None) -> int:
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"--out {out}: {exc}") from None
+            write_tables({out / name: data for name, data in outputs.items()
+                          if not isinstance(data, dict)})
             for name, data in outputs.items():
                 if isinstance(data, dict):
                     write_json(out / name, data)
-                else:
-                    names, columns = data
-                    write_table(out / name, names, columns)
             t_write = time.monotonic()
             write_json(out / "manifest.json", {
                 "command": args.command,

@@ -1,9 +1,15 @@
 """Plot-ready CSV and JSON emission with byte-deterministic formatting,
 and the one reader of text input files.  A CSV float cell is repr's text,
-from one numpy kernel; an integer cell is str's, printed cell by cell."""
+from one numpy kernel; an integer cell is str's, printed cell by cell.
+
+A run's tables are written in one pass (write_tables): tables with the
+same row count are written in lockstep, one block of rows at a time, and
+a column that is bit-identical to another in its group (same dtype, same
+bytes) is formatted once and laid into every table that holds it."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from pathlib import Path
@@ -13,9 +19,10 @@ import numpy as np
 from .errors import ConfigError
 
 
-#: Rows formatted per write by write_table: bounds its working memory and
-#: leaves the bytes unchanged.
-_ROW_BLOCK = 1024
+#: Distinct cells formatted per kernel call by write_tables: bounds its
+#: working memory (about 230 bytes per cell) and leaves the bytes
+#: unchanged.
+_BLOCK_CELLS = 2048
 
 #: Cell layout, in 4-byte words: sign, up to 4 groups of 4 integer
 #: places, the point, 5 groups of 4 fraction places, and 2 words of
@@ -27,14 +34,16 @@ _LE = np.dtype("<u4")
 #: leading zeros as NUL, in full, and with its trailing zeros as NUL
 #: (but 0 as "0"), then "-", ".", the first word of "e%+03d" % e for
 #: each exponent e, and the fifth character of each exponent (or none)
-#: followed by "," or "\n".
+#: followed by ",".
 _GROUP = 10_000
 _FULL, _TRAIL = 1 + _GROUP, 1 + 2 * _GROUP
 _SIGN = 1 + 3 * _GROUP
 _POINT = _SIGN + 1
 _EXP_SPAN = 330  # exponents of the "e" notation lie within +-_EXP_SPAN
 _EXP1 = _POINT + 1 + _EXP_SPAN  # + e
-_EXP2 = _EXP1 + _EXP_SPAN + 1  # + 2 * (e + _EXP_SPAN + 1, or 0) + last
+_EXP2 = _EXP1 + _EXP_SPAN + 1  # + (e + _EXP_SPAN + 1, or 0)
+#: Turns the "," that ends a cell's last word into the "\n" that ends a row.
+_NEWLINE = np.uint32((ord(",") ^ ord("\n")) << 24)
 
 _U64 = np.uint64
 _M32 = _U64(0xFFFFFFFF)
@@ -80,7 +89,7 @@ def _tables():
     trail = ["0"] + [p.rstrip("0") for p in pairs[1:]]
     pairs, lead, trail = (np.frombuffer("".join(w.ljust(4, "\0") for w in ws).encode(), _LE)
                           for ws in (pairs, lead, trail))
-    # "e", the exponent's sign and digits, then "," or "\n".
+    # "e", the exponent's sign and digits, then ",".
     e = np.arange(-_EXP_SPAN, _EXP_SPAN + 1)
     a = np.abs(e)
     three = a >= 100
@@ -88,15 +97,15 @@ def _tables():
                            [a // 10, a % 10, np.full_like(a, -48)])
     exp1 = (ord("e") | np.where(e < 0, ord("-"), ord("+")) << 8
             | digits[0] << 16 | digits[1] << 24)
-    exp2 = np.concatenate([[0], digits[2]])[:, None] | np.array([ord(","), ord("\n")]) << 24
-    small = np.concatenate([[ord("-"), ord(".")], exp1, exp2.ravel()]).astype(_LE)
+    exp2 = np.concatenate([[0], digits[2]]) | ord(",") << 24
+    small = np.concatenate([[ord("-"), ord(".")], exp1, exp2]).astype(_LE)
     return g, (pairs, lead, trail), small
 
 
 def _word_table() -> np.ndarray:
     """The word table laid out at _GROUP.  Its 120 KB of group words are
-    built from the pair words for each table written and dropped after
-    it, so no memory is kept between writes."""
+    built from the pair words for each write_tables call and dropped
+    after it, so no memory is kept between writes."""
     _, (pairs, lead, trail), small = _tables()
     words = np.empty((3, 100, 100), _LE)  # [form, first pair, second pair]
     np.bitwise_or(lead[:, None], pairs << np.uint32(16), out=words[0])
@@ -211,8 +220,8 @@ def _float_fields(x):
     return neg, s, np.where(sci, n - 1, -k), sci, point - 1, rare
 
 
-def _words(neg, s, t, sci, exponent, k, table):
-    """(words, cells) text of cells in rows of k, NUL-padded.
+def _words(neg, s, t, sci, exponent, table):
+    """(word, cell) text of cells, NUL-padded, each ending in ",".
 
     s * 10**-t is split at the point into 4-digit groups, up to 4 before
     it and 5 after.  Groups before the first nonzero one print as NUL,
@@ -262,14 +271,14 @@ def _words(neg, s, t, sci, exponent, k, table):
     used[0] = neg * _SIGN
     used[p] = seen[p + 1] * _POINT
     used[p + 6] = sci * (_EXP1 + exponent)
-    used[p + 7] = _EXP2 + 2 * sci * (exponent + _EXP_SPAN + 1)
-    used[p + 7].reshape(-1, k)[:, -1] += 1
+    used[p + 7] = _EXP2 + sci * (exponent + _EXP_SPAN + 1)
     return table.take(used)
 
 
-def _format_rows(columns: list[np.ndarray], integer: list[bool], table) -> bytes:
-    """CSV text of equal-length columns: floats as repr(float), integers
-    as str(int), "," between cells and "\\n" after each row.
+def _cell_words(columns: list[np.ndarray], integer: list[bool], table) -> np.ndarray:
+    """(word, row, column) text of the cells of equal-length columns,
+    NUL-padded, each ending in ",": floats as repr(float), integers as
+    str(int).
 
     Every float cell goes through one numpy kernel: Schubfach digits,
     then a fixed-slot layout of 4-byte words from one table.  Integer
@@ -284,38 +293,85 @@ def _format_rows(columns: list[np.ndarray], integer: list[bool], table) -> bytes
     *layout, rare = _float_fields(x.reshape(-1))
     del x
     rare.reshape(rows, k)[:, integer] = True
-    out = _words(*layout, k, table)
+    out = _words(*layout, table)
     del layout
     for cell in np.flatnonzero(rare):
         i, j = divmod(int(cell), k)
         v = columns[j][i]
         text = str(int(v)) if integer[j] else repr(float(v))
-        # The last word keeps the separator of the placeholder 1.0.
+        # The last word keeps the "," of the placeholder 1.0.
         out[:-1, cell] = np.frombuffer(text.encode().ljust(4 * len(out) - 4, b"\0"), _LE)
-    return out.T.tobytes().translate(None, b"\0")
+    return out.reshape(-1, rows, k)
+
+
+def _rows(cells: np.ndarray, picks: list[int]) -> bytes:
+    """CSV rows of the columns picks of cells (see _cell_words): ","
+    between cells, "\\n" after each row."""
+    text = cells[:, :, picks]
+    text[-1, :, -1] ^= _NEWLINE
+    return text.transpose(1, 2, 0).tobytes().translate(None, b"\0")
+
+
+def _pick(distinct: list[np.ndarray], column: np.ndarray) -> int:
+    """Index of the column of distinct that is bit-identical to column
+    (same dtype, same bytes), appending column if none is; compared
+    _BLOCK_CELLS at a time."""
+    for j, other in enumerate(distinct):
+        if other is column or (other.dtype == column.dtype and all(
+                other[i:i + _BLOCK_CELLS].tobytes() == column[i:i + _BLOCK_CELLS].tobytes()
+                for i in range(0, len(column), _BLOCK_CELLS))):
+            return j
+    distinct.append(column)
+    return len(distinct) - 1
+
+
+def write_tables(tables: dict) -> None:
+    """Write each {path: (names, columns)} table as CSV with a header
+    row, cells as in write_table, in one pass.
+
+    Every table is checked before any file is opened.  Tables with the
+    same row count are written in lockstep, one block of rows at a time.
+    A column that is bit-identical to another of its group (same dtype,
+    same bytes) is formatted once: each block's distinct cells, at most
+    _BLOCK_CELLS of them, go through the kernel (_cell_words) once, and
+    each table's rows are put together from those words.  So memory does
+    not grow with the row count, and the bytes depend neither on the
+    block size nor on which tables are written together.
+    """
+    groups: dict[int, list] = {}
+    for path, (names, columns) in tables.items():
+        arrays = [np.asarray(col) for col in columns]
+        n = len(arrays[0])
+        if any(len(a) != n for a in arrays):
+            raise ValueError("columns must have equal lengths")
+        groups.setdefault(n, []).append((Path(path), names, arrays))
+    if not groups:
+        return  # a run with no tables (budget) builds no word table
+    table = _word_table()
+    for n, group in groups.items():
+        distinct: list[np.ndarray] = []
+        picks = [[_pick(distinct, a) for a in arrays] for _, _, arrays in group]
+        integer = [np.issubdtype(a.dtype, np.integer) for a in distinct]
+        step = max(1, _BLOCK_CELLS // len(distinct))
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(path.open("wb")) for path, _, _ in group]
+            for fh, (_, names, _) in zip(files, group):
+                fh.write((",".join(names) + "\n").encode())
+            for start in range(0, n, step):
+                cells = _cell_words([a[start:start + step] for a in distinct], integer, table)
+                for fh, pick in zip(files, picks):
+                    fh.write(_rows(cells, pick))
+                del cells  # before the next block is formatted
 
 
 def write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
     """CSV with a header row; floats use shortest round-trip repr.
 
     Integer columns are written as integers (str, cell by cell), every
-    other column as float (repr, by one numpy kernel).  Rows are
-    formatted _ROW_BLOCK at a time (see _format_rows), so memory does not
-    grow with the row count and the bytes do not depend on the block
-    size.
+    other column as float (repr, by one numpy kernel).  The one-table
+    case of write_tables.
     """
-    path = Path(path)
-    arrays = [np.asarray(col) for col in columns]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("columns must have equal lengths")
-    integer = [np.issubdtype(a.dtype, np.integer) for a in arrays]
-    table = _word_table()
-    with path.open("wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        for start in range(0, n, _ROW_BLOCK):
-            fh.write(_format_rows([a[start:start + _ROW_BLOCK] for a in arrays],
-                                  integer, table))
+    write_tables({path: (names, columns)})
 
 
 def write_json(path, payload: dict) -> None:

@@ -5,7 +5,9 @@ fixed-slot layout); these tests hold it to CPython's own text for every
 kind of double: random bit patterns, the irregular spacing at powers of
 two, powers of ten, the switch points of the "e" notation, integral
 values around 2**53, subnormals, signed zeros, nan and infinities, and
-the extremes of int64 and uint64.
+the extremes of int64 and uint64.  A run's tables go through the kernel
+once per distinct column of each row count: the shipped fringes and gyro
+runs pin how many cells that is.
 """
 
 import math
@@ -20,6 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvgyro import io
+from nvgyro.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _written(tmp_path, columns) -> str:
@@ -145,3 +150,26 @@ def test_round_to_odd_sticky_threshold():
                   for i in range(4))
     got = io._round_to_odd(limbs, np.array(cps, np.uint64))
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("argv, cells", [
+    # five tables share tau_s (5,000 rows) and five share freq_hz
+    # (10,001 rows): 95,006 of the 155,010 cells written
+    (["fringes", "--config", str(CONFIGS / "default.cfg")], 95_006),
+    # signal.csv and rotation.csv share t_s (71,428 rows): 423,808 of
+    # the 495,236 cells written
+    (["gyro", "--config", str(CONFIGS / "default.cfg"),
+      "--profile", str(CONFIGS / "triangle_profile.csv")], 423_808),
+])
+def test_kernel_formats_each_distinct_column_once(tmp_path, monkeypatch, argv, cells):
+    seen = []
+    cell_words = io._cell_words
+
+    def counted(columns, integer, table):
+        seen.append(len(columns) * len(columns[0]))
+        return cell_words(columns, integer, table)
+
+    monkeypatch.setattr(io, "_cell_words", counted)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sum(seen) == cells
+    assert max(seen) <= io._BLOCK_CELLS

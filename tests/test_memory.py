@@ -4,7 +4,8 @@ numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts every array it allocates.  The working-point stream keeps
 one 8-byte word per cycle (the combined signal) plus one block of noise
 draws, and a rate-table run adds the per-cycle rates its environment
-carries; the CSV writer keeps one block of rows; `allan`
+carries; the CSV writer keeps one block of rows, also when it writes
+several tables that share a column in lockstep; `allan`
 holds one word per cycle: the stream's signal becomes the rotation
 estimate and then the Allan phase series in place, and the second
 differences are summed one cache-sized leaf at a time.  Materialising
@@ -104,6 +105,27 @@ def test_four_column_table_peak_is_one_block(tmp_path):
         return _traced_peak(lambda: io.write_table(
             tmp_path / "t.csv", ["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
             columns))
+
+    p_small, p_large = peak(5_000), peak(40_000)
+    assert p_large <= p_small + 64 * 1024
+    assert p_large <= 2 * 1024 * 1024
+
+
+def test_fringes_group_peak_is_one_block(tmp_path):
+    # The shape of a fringes run's tables: five tables share tau_s and
+    # are written in lockstep, one block of distinct cells at a time.
+    rng = np.random.default_rng(6)
+    io.write_table(tmp_path / "t.csv", ["x"], [np.ones(3)])
+
+    def peak(rows):
+        taus = np.linspace(1e-6, 5e-3, rows)
+        tables = {tmp_path / f"fringes_r{j}.csv": (["tau_s", "signal"],
+                                                   [taus, rng.normal(0.5, 0.01, rows)])
+                  for j in range(1, 5)}
+        tables[tmp_path / "fringes_combined.csv"] = (
+            ["tau_s", "signal", "sigma"],
+            [taus, rng.normal(0.0, 0.01, rows), np.full(rows, 3e-4)])
+        return _traced_peak(lambda: io.write_tables(tables))
 
     p_small, p_large = peak(5_000), peak(40_000)
     assert p_large <= p_small + 64 * 1024

@@ -10,9 +10,9 @@ must zero the derivative of the merit it maximizes, and `budget`'s
 shot-noise sensitivity, taken from the kernel's slope, must be the
 paper's closed form (oracle) at a measurement time of cycle_period/4.  The block sizes of
 the working-point stream and of the CSV writer must not change a bit of
-their output, the stream's shot noise must be one combined-sample draw
-per cycle, and the in-place Allan deviation must equal the textbook
-expression exactly.
+their output, nor may writing tables together; the stream's shot noise
+must be one combined-sample draw per cycle, and the in-place Allan
+deviation must equal the textbook expression exactly.
 """
 
 import math
@@ -354,6 +354,7 @@ cells = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
 )
+float_cells = st.one_of(cells, st.sampled_from([5e-324, -1e-310, 2.225073858507201e-308]))
 
 
 def _reference_csv(names, columns) -> str:
@@ -377,13 +378,66 @@ def test_table_bytes_do_not_depend_on_row_block(rows, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "_ROW_BLOCK", block)
+            mp.setattr(io, "_BLOCK_CELLS", block)
             io.write_table(path, names, columns)
         blocked = path.read_bytes()
         io.write_table(path, names, columns)
         default = path.read_bytes()
     assert blocked == default
     assert blocked.decode() == _reference_csv(names, columns)
+
+
+@st.composite
+def table_groups(draw):
+    """{name: (names, columns)}: 1-4 tables over one or two row counts
+    (0-40 rows).  Columns are drawn, with repeats, from a pool per row
+    count: a float column (signed zeros, nan, inf and subnormals among
+    its cells), a copy of it, the same with every zero's sign flipped,
+    the int64 column with its bits, and an int64 column."""
+    pools = []
+    for n in draw(st.lists(st.integers(0, 40), min_size=1, max_size=2, unique=True)):
+        x = np.array(draw(st.lists(float_cells, min_size=n, max_size=n)), dtype=float)
+        i = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+        pools.append([x, x.copy(), np.where(x == 0.0, -x, x), x.view(np.int64), i])
+    tables = {}
+    for t in range(draw(st.integers(1, 4))):
+        pool = draw(st.sampled_from(pools))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+        tables[f"t{t}.csv"] = ([f"c{j}" for j in range(len(picks))], [pool[j] for j in picks])
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=table_groups(), block=st.integers(1, 64))
+def test_grouped_tables_match_each_table_alone(tables, block):
+    # write_tables gives each table the bytes write_table gives it alone
+    # and the row-at-a-time reference's, whatever the tables share and
+    # whatever the block size; the kernel sees each column once per row
+    # count exactly when another has its dtype and bytes.
+    seen = []
+    cell_words = io._cell_words
+
+    def counted(columns, integer, table):
+        seen.append(len(columns) * len(columns[0]))
+        return cell_words(columns, integer, table)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_BLOCK_CELLS", block)
+            mp.setattr(io, "_cell_words", counted)
+            io.write_tables({tmp / name: table for name, table in tables.items()})
+        for name, (names, columns) in tables.items():
+            together = (tmp / name).read_bytes()
+            io.write_table(tmp / "alone.csv", names, columns)
+            assert together == (tmp / "alone.csv").read_bytes()
+            assert together.decode() == _reference_csv(names, columns)
+    distinct: dict[int, set] = {}
+    for _, columns in tables.values():
+        for c in columns:
+            distinct.setdefault(len(c), set()).add((c.dtype.str, c.tobytes()))
+    assert sum(seen) == sum(n * len(keys) for n, keys in distinct.items())
 
 
 @settings(max_examples=100, deadline=None)
