@@ -14,11 +14,9 @@ from .analysis import (
     WorkingPoint,
     allan_deviation,
     calibration_from_fringes,
-    calibration_from_slope,
     calibration_from_sweep,
     dynamic_range,
     fit_decaying_sine,
-    linearity,
     one_rad_rotation_rate,
     power_spectrum,
     rotation_from_signal,

@@ -11,8 +11,9 @@ The calibration coefficient alpha converts the working-point signal to a
 rotation rate.  With A_wp the fringe amplitude *in the vicinity of the
 working point* (envelope included), alpha = 4*pi*tau_wp*A_wp per Hz of
 rotation; dividing by 360 gives the per-(deg/s) value.  The slope method
-alpha = 2*(tau_wp/f_DQ)*dS/dtau is algebraically identical at a fringe
-zero crossing; a rotation sweep measures the same number directly.
+alpha = 2*(tau_wp/f_DQ)*dS/dtau (a reference in the tests' oracle) is
+algebraically identical at a fringe zero crossing; a rotation sweep
+measures the same number directly.
 
 The overlapping Allan deviation is computed from the phase series,
 built in place in one float64 array (one 8-byte word per sample), and
@@ -278,15 +279,6 @@ def calibration_from_fringes(fit, tau_wp: float) -> float:
     return sign * 4.0 * math.pi * tau_wp * a_wp
 
 
-def calibration_from_slope(ds_dtau: float, tau_wp: float,
-                           f_dq: float) -> float:
-    """alpha = 2 * (tau_wp / f_DQ) * dS/dtau per Hz, with dS/dtau measured
-    at the working point."""
-    if tau_wp <= 0 or f_dq <= 0:
-        raise ValueError("tau_wp and f_dq must be > 0")
-    return 2.0 * (tau_wp / f_dq) * ds_dtau
-
-
 def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     """(alpha per Hz, its standard error, intercept): the least-squares
     line of the working-point signal against known rotation rates nu
@@ -482,20 +474,6 @@ def select_working_point(t2star: float, f_dq: float,
     tau_opt = (b + math.sqrt(b * b + 16.0 * t2star * overhead)) / 4.0
     return WorkingPoint(tau_optimal=tau_opt,
                         tau_wp=snap_to_cos_null(tau_opt, f_dq))
-
-
-def linearity(nu, nu0: float):
-    """Phase-wrapped response: nu_meas = nu0*sin(nu/nu0) and the
-    fractional deviation epsilon = (nu - nu_meas)/nu (0 at nu = 0)."""
-    if nu0 <= 0:
-        raise ValueError("nu0 must be > 0")
-    nu_arr = np.asarray(nu, dtype=float)
-    nu_meas = nu0 * np.sin(nu_arr / nu0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eps = np.where(nu_arr == 0.0, 0.0, (nu_arr - nu_meas) / nu_arr)
-    if nu_arr.ndim == 0:
-        return float(nu_meas), float(eps)
-    return nu_meas, eps
 
 
 def one_rad_rotation_rate(tau: float) -> float:

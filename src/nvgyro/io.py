@@ -2,6 +2,12 @@
 and the one reader of text input files.  A CSV float cell is repr's text,
 from one numpy kernel; an integer cell is str's, printed cell by cell.
 
+The kernel finds each double's shortest digits with Schubfach (Giulietti
+2020) at one exact 192-bit product per cell: the ends of its rounding
+interval are that product plus or minus a shift of the same g, one carry
+or borrow per word.  It then computes each 4-digit group in its row of a
+(word, cell) uint32 output and looks each row up in one word table.
+
 A run's tables are written in one pass (write_tables): tables with the
 same row count are written in lockstep, one block of rows at a time, and
 a column that is bit-identical to another in its group (same dtype, same
@@ -20,9 +26,9 @@ from .errors import ConfigError
 
 
 #: Distinct cells formatted per kernel call by write_tables: bounds its
-#: working memory (about 230 bytes per cell) and leaves the bytes
-#: unchanged.
-_BLOCK_CELLS = 2048
+#: working memory (about 140 bytes per cell at its peak, so about 420 KB)
+#: and leaves the bytes unchanged.
+_BLOCK_CELLS = 3072
 
 #: Cell layout, in 4-byte words: sign, up to 4 groups of 4 integer
 #: places, the point, 5 groups of 4 fraction places, and 2 words of
@@ -32,20 +38,18 @@ _WORDS = 13
 _LE = np.dtype("<u4")
 #: The word table (_word_table): NUL, then each 4-digit group with its
 #: leading zeros as NUL, in full, and with its trailing zeros as NUL
-#: (but 0 as "0"), then "-", ".", the first word of "e%+03d" % e for
-#: each exponent e, and the fifth character of each exponent (or none)
+#: (but 0 as "0"), then the first word of "e%+03d" % e for each
+#: exponent e, and the fifth character of each exponent (or none)
 #: followed by ",".
 _GROUP = 10_000
 _FULL, _TRAIL = 1 + _GROUP, 1 + 2 * _GROUP
-_SIGN = 1 + 3 * _GROUP
-_POINT = _SIGN + 1
 _EXP_SPAN = 330  # exponents of the "e" notation lie within +-_EXP_SPAN
-_EXP1 = _POINT + 1 + _EXP_SPAN  # + e
+_EXP1 = 1 + 3 * _GROUP + _EXP_SPAN  # + e
 _EXP2 = _EXP1 + _EXP_SPAN + 1  # + (e + _EXP_SPAN + 1, or 0)
 #: Turns the "," that ends a cell's last word into the "\n" that ends a row.
 _NEWLINE = np.uint32((ord(",") ^ ord("\n")) << 24)
 
-_U64 = np.uint64
+_U64, _U32 = np.uint64, np.uint32
 _M32 = _U64(0xFFFFFFFF)
 #: 10**0 .. 10**18, every power of ten that fits in int64.
 _P10 = np.array([10**i for i in range(19)], dtype=np.int64)
@@ -60,15 +64,20 @@ _SCALE = _P10[np.array([[min(max(t, 0), 18), max(-t, 0), min(max(t - 16, 0), 4),
 
 @functools.cache
 def _tables():
-    """(g, (pairs, lead, trail), small): Schubfach's g table, the two
-    digits of each number below 100 as a word in full, without a leading
-    zero and without a trailing zero, and the words after the groups in
-    the word table; about 30 KB, built on first use so that importing
-    the package does not pay for them.
+    """(g, steps, (pairs, lead, trail), small): Schubfach's g table, the
+    per-exponent steps of _shortest, the two digits of each number below
+    100 as a word in full, without a leading zero and without a trailing
+    zero, and the words after the groups in the word table; about 60 KB,
+    built on first use so that importing the package does not pay for
+    them.
 
-    g holds four 32-bit limbs, least significant first: entry e + 292 is
-    floor(10**e / 2**r) + 1 for e in [-292, 324], where r puts it in
-    [2**127, 2**128).
+    g is (617, 4) uint64: row e + 292 holds floor(10**e / 2**r) + 1 for
+    e in [-292, 324], where r puts it in [2**127, 2**128), as its two
+    64-bit words, least significant first, and then the high 32 bits of
+    each.  Entry 2 * be - closer of steps is (e + 292, h + 2, h + 1 -
+    closer) for a double of biased exponent be, where closer is set when
+    its significand bits are 0 and be > 1 (its lower neighbour is
+    closer); k = -e and h are Schubfach's.
     """
     tens = [1]
     for _ in range(324):
@@ -81,8 +90,15 @@ def _tables():
             gs.append((p >> (n - 128) if n >= 128 else p << (128 - n)) + 1)
         else:
             gs.append((1 << (127 + n)) // p + 1)
-    g = np.frombuffer(b"".join(x.to_bytes(16, "little") for x in gs), "<u4")
-    g = tuple(g.reshape(-1, 4).T.astype(_U64))
+    g = np.frombuffer(b"".join(x.to_bytes(16, "little") for x in gs), "<u8").reshape(-1, 2)
+    g = np.concatenate([g, g >> _U64(32)], axis=1)
+    be = np.arange(4096) + 1 >> 1
+    closer = (np.arange(4096) & 1) & (be > 1)
+    q = be - 1075
+    k = (q * 1262611 - closer * 524031) >> 22
+    h = q + ((-k * 1741647) >> 19) + 1
+    steps = np.empty(4096, [("e", np.int16), ("cp", np.uint8), ("lower", np.uint8)])
+    steps["e"], steps["cp"], steps["lower"] = 292 - k, h + 2, h + 1 - closer
     pairs = ["%02d" % i for i in range(100)]
     # Pairs without a leading or a trailing zero; 0 keeps one "0".
     lead = ["\0" + "0"] + [p.lstrip("0").rjust(2, "\0") for p in pairs[1:]]
@@ -98,15 +114,15 @@ def _tables():
     exp1 = (ord("e") | np.where(e < 0, ord("-"), ord("+")) << 8
             | digits[0] << 16 | digits[1] << 24)
     exp2 = np.concatenate([[0], digits[2]]) | ord(",") << 24
-    small = np.concatenate([[ord("-"), ord(".")], exp1, exp2]).astype(_LE)
-    return g, (pairs, lead, trail), small
+    small = np.concatenate([exp1, exp2]).astype(_LE)
+    return g, steps, (pairs, lead, trail), small
 
 
 def _word_table() -> np.ndarray:
     """The word table laid out at _GROUP.  Its 120 KB of group words are
     built from the pair words for each write_tables call and dropped
     after it, so no memory is kept between writes."""
-    _, (pairs, lead, trail), small = _tables()
+    *_, (pairs, lead, trail), small = _tables()
     words = np.empty((3, 100, 100), _LE)  # [form, first pair, second pair]
     np.bitwise_or(lead[:, None], pairs << np.uint32(16), out=words[0])
     words[0, 0] = lead << np.uint32(16)
@@ -116,70 +132,121 @@ def _word_table() -> np.ndarray:
     return np.concatenate([np.zeros(1, _LE), words.ravel(), small])
 
 
-def _round_to_odd(g, cp):
-    """floor(g * cp / 2**128), its lowest bit set when the 64 bits below
-    it exceed 1: Schubfach's rop().  g is 128-bit as four 32-bit limbs,
-    cp is below 2**60 and is overwritten; the 192-bit product is summed
-    column by column from 32 x 32-bit limb products, in place."""
-    g0, g1, g2, g3 = g
-    c1 = cp >> _U64(32)
-    c0 = cp
-    c0 &= _M32
-    col = g0 * c0
-    col >>= _U64(32)
-    t = g1 * c0
-    col += t & _M32
-    hi = t >> _U64(32)
-    np.multiply(g0, c1, out=t)
-    col += t & _M32
-    t >>= _U64(32)
-    hi += t
-    sticky = []  # bits 64-95 of the product above 1, bits 96-127 above 0
-    for a, b, floor in ((g2, g1, _U64(1)), (g3, g2, _U64(0))):
-        col >>= _U64(32)
-        col += hi
-        np.multiply(a, c0, out=t)
-        col += t & _M32
-        np.right_shift(t, _U64(32), out=hi)
-        np.multiply(b, c1, out=t)
-        col += t & _M32
+def _product(g, cp):
+    """X = g * cp as its three 64-bit words, least significant first.
+    g is (n, 4) as in _tables; cp is below 2**59 and is overwritten.
+    The high word of each 64 x 64-bit product is summed from 32 x 32-bit
+    limb products."""
+    w0, w1, w0_hi, w1_hi = g.T
+    b1 = cp >> _U64(32)
+    x0 = w0 * cp
+    x1 = w1 * cp
+    b0 = cp
+    b0 &= _M32
+
+    def high(w, a1):  # floor(w * cp / 2**64), w = a1 * 2**32 + a0
+        a0 = w & _M32
+        mid = a1 * b0
+        t = a0 * b0
         t >>= _U64(32)
-        hi += t
-        sticky.append((col & _M32) > floor)
-    col >>= _U64(32)
-    col += hi
-    np.multiply(g3, c1, out=t)
-    col += t
-    col |= sticky[0] | sticky[1]
-    return col
+        mid += t
+        np.multiply(a0, b1, out=t)
+        t += mid & _M32
+        t >>= _U64(32)
+        mid >>= _U64(32)
+        t += mid
+        np.multiply(a1, b1, out=mid)
+        t += mid
+        return t
+
+    carry = high(w0, w0_hi)
+    x1 += carry
+    x2 = high(w1, w1_hi)
+    x2 += x1 < carry
+    return x0, x1, x2
+
+
+def _rop(x1, x2):
+    """Schubfach's rop() of a product with words (x0, x1, x2): x2 =
+    floor(X / 2**128), its lowest bit set when x1, the 64 bits below it,
+    exceeds 1."""
+    return x2 | (x1 > _U64(1))
+
+
+def _shifted(lo, hi, s):
+    """g << s as three 64-bit words, least significant first, of g's
+    words lo and hi; s lies in [1, 63] and is overwritten."""
+    d0 = lo << s
+    d1 = hi << s
+    np.subtract(_U64(64), s, out=s)
+    d1 |= lo >> s
+    return d0, d1, hi >> s
+
+
+def _rop_minus(x, d):
+    """rop() of X - D, D <= X, from their words x and d, a borrow out of
+    each word; d is overwritten.  d's middle word is never all ones, so
+    adding a borrow to it does not wrap."""
+    x0, x1, x2 = x
+    d0, d1, d2 = d
+    d1 += x0 < d0
+    y1 = x1 - d1
+    np.subtract(x2, d2, out=d2)
+    d2 -= x1 < d1
+    return _rop(y1, d2)
+
+
+def _rop_plus(x, d):
+    """rop() of X + D, below 2**192, from their words x and d, a carry
+    out of each word; d is overwritten.  d's middle word is never all
+    ones, so adding a carry to it does not wrap."""
+    x0, x1, x2 = x
+    d0, d1, d2 = d
+    d0 += x0
+    d1 += d0 < x0
+    y1 = x1 + d1
+    d2 += x2
+    d2 += y1 < d1
+    return _rop(y1, d2)
 
 
 def _shortest(bits):
-    """Shortest round-trip decimal (s, k), value = s * 10**k, of normal
-    doubles given as their bits (Giulietti's Schubfach); s may end in
-    zeros."""
-    g = _tables()[0]
-    be = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
-    c = bits & _U64((1 << 52) - 1)
-    closer = (c == 0) & (be > 1)  # 2**q has its lower neighbour closer
-    c |= _U64(1 << 52)
-    q = be - 1075
-    k = (q * 1262611 - closer * 524031) >> 22
-    h = (q + ((-k * 1741647) >> 19) + 1).astype(_U64)
-    del be, q
-    # The interval ends and the value, scaled: one product for all three.
-    cp = np.empty((3,) + c.shape, _U64)
-    np.left_shift(c, _U64(2), out=cp[1])
-    cp[0] = cp[1] - _U64(2) + closer
-    cp[2] = cp[1] + _U64(2)
-    cp <<= h
-    del h, closer
-    e = 292 - k
-    lower, vb, upper = _round_to_odd(tuple(limb.take(e) for limb in g), cp)
+    """Shortest round-trip decimal (s, k), value = s * 10**k, of positive
+    normal doubles given as their bits (Giulietti's Schubfach); s may
+    end in zeros.
+
+    The value's scaled product X = g * (4c << h) is the one 192-bit
+    product per cell.  The interval ends are X - (g << (h + 1 - closer))
+    and X + (g << (h + 1)): exact shifts of g, so each end is X's words
+    plus one carry or borrow per word.  h lies in [1, 4], so every shift
+    of a 64-bit word of g lies in [1, 63].
+    """
+    g_table, steps = _tables()[:2]
+    # 2 * be - closer: bits - 1 lies one exponent lower where the
+    # significand bits are 0
+    key = bits - _U64(1)
+    key >>= _U64(52)
+    key += bits >> _U64(52)
+    steps = steps.take(key)
+    del key
+    g = g_table.take(steps["e"], axis=0)
+    cp = bits & _U64((1 << 52) - 1)
+    cp |= _U64(1 << 52)
+    cp <<= steps["cp"].astype(_U64)
+    x = _product(g, cp)
     del cp
-    odd = c & _U64(1)
+    lo, hi = g[:, 0], g[:, 1]
+    lower = _rop_minus(x, _shifted(lo, hi, steps["lower"].astype(_U64)))
+    shift = steps["cp"].astype(_U64)
+    shift -= _U64(1)
+    upper = _rop_plus(x, _shifted(lo, hi, shift))
+    del g, lo, hi, shift
+    vb = _rop(x[1], x[2])
+    del x
+    odd = bits & _U64(1)
     lower += odd
     upper -= odd
+    del odd
     # One digit fewer if exactly one of its two candidates lies in the
     # interval; else the one of s and s + 1 in it; else the nearer one,
     # ties to even.  s >= 10 holds for every normal double.
@@ -190,20 +257,23 @@ def _shortest(bits):
     short = up_in != wp_in
     u_in = lower <= vb & ~_U64(3)
     w_in = (vb | _U64(3)) + _U64(1) <= upper
-    up = np.where(u_in != w_in, w_in, (vb & _U64(3)) + (s & _U64(1)) > _U64(2))
+    near = (vb & _U64(3)) + (s & _U64(1)) > _U64(2)
+    u_in ^= w_in
+    up = (u_in & w_in) | (near & ~u_in)
     s = np.where(short, sp + wp_in, s + up)
-    return s.astype(np.int64), k + short
+    return s.view(np.int64), (np.int64(292) - steps["e"]) + short
 
 
 def _float_fields(x):
-    """Layout fields of float64 cells, as repr(float) prints them.
+    """Layout fields of float64 cells, as repr(float) prints them; x is
+    overwritten.
 
     Returns (neg, s, t, sci, exponent, rare): the cell prints s * 10**-t,
     with "e" + exponent and no ".0" where sci; rare marks the cells the
     kernel does not print (nan, inf, subnormal).  s may end in zeros:
     the layout drops them after the point.
     """
-    bits = x.view(_U64).copy()
+    bits = x.view(_U64)
     neg = bits >= _U64(1 << 63)
     bits &= _U64((1 << 63) - 1)
     zero = bits == 0
@@ -214,10 +284,22 @@ def _float_fields(x):
     del bits
     s[zero] = 0
     k[zero] = 0
-    n = np.searchsorted(_P10[1:], s, side="right") + 1
+    # Schubfach's s has 15-17 digits; 0 counts as 15, which lays it out
+    # as any count would.
+    n = 15 + (s >= _P10[15]) + (s >= _P10[16])
     point = n + k  # digits before the point, as in repr's decpt
     sci = (point < -3) | (point > 16)
     return neg, s, np.where(sci, n - 1, -k), sci, point - 1, rare
+
+
+def _groups(value, rows):
+    """Lay out value, int64 below 10**(4 * len(rows)), as 4-digit groups
+    in the uint32 rows, most significant first."""
+    for j in range(len(rows) - 1, 0, -1):
+        high = value // _GROUP
+        np.subtract(value, high * _GROUP, out=rows[j], casting="unsafe")
+        value = high
+    rows[0] = value
 
 
 def _words(neg, s, t, sci, exponent, table):
@@ -227,52 +309,55 @@ def _words(neg, s, t, sci, exponent, table):
     it and 5 after.  Groups before the first nonzero one print as NUL,
     the first in its leading-NUL form; after the point, groups past the
     last nonzero one print as NUL and the last in its trailing-NUL form,
-    with a "0" kept unless sci.  One lookup in table gives every word.
-    Only as many integer groups as the largest cell needs are laid out,
-    with the sign just before them.  Arrays are (word, cell), so each
+    with a "0" kept unless sci.  Only as many integer groups as the
+    largest cell needs are laid out, with the sign just before them.
+    Each group is computed in its output row, which one lookup in table
+    then turns into its word.  Arrays are (word, cell), so each
     operation runs along the cells.
     """
-    idx = np.empty((_WORDS, len(s)), np.intp)
-    split, raise_, spill, spill_up, top_up = _SCALE.take(t + 15, axis=1)
-    eight = np.empty((2, len(s)), np.int64)
-    eight[0] = s // split
-    f = s - eight[0] * split
-    eight[0] *= raise_
-    first = 3 - int(np.searchsorted(_P10[4:16:4], eight[0].max(), side="right"))
-    eight[1] = f // spill
-    idx[10] = (f - eight[1] * spill) * spill_up  # fraction digits 17-20
-    eight[1] *= top_up  # fraction digits 1-16
-    del f, split, raise_, spill, spill_up, top_up
-    # Integer groups are words 1-4, fraction groups words 6-10.
-    hi = eight // _P10[8]
-    eight -= hi * _P10[8]
-    idx[1:7:5] = hi // _GROUP
-    idx[2:8:5] = hi - idx[1:7:5] * _GROUP
-    idx[3:9:5] = eight // _GROUP
-    idx[4:10:5] = eight - idx[3:9:5] * _GROUP
-    del hi, eight
+    col = t + 15
+    whole, frac = np.divmod(s, _SCALE[0].take(col))
+    whole *= _SCALE[1].take(col)
+    first = 3 - int(np.searchsorted(_P10[4:16:4], whole.max(), side="right"))
+    p = 5 - first  # the point's word; the sign is word 0
+    out = np.empty((_WORDS - first, len(s)), _LE)
+    frac, rest = np.divmod(frac, _SCALE[2].take(col))
+    np.multiply(rest, _SCALE[3].take(col), out=out[p + 5], casting="unsafe")  # digits 17-20
+    del rest
+    frac *= _SCALE[4].take(col)  # fraction digits 1-16
+    del col
+    _groups(whole, out[1:p])
+    _groups(frac, out[p + 1:p + 5])
+    del whole, frac
 
     # seen: a nonzero group at or before it (integer part) or at or
     # after it (fraction).  A group that is not seen is 0, so adding
     # seen selects NUL, leading-NUL, full or trailing-NUL words.
-    used = idx[first:]  # the sign goes in word `first`, before the groups
-    seen = used != 0
-    p = 5 - first  # the point's word in used
+    seen = out != 0
     seen[p - 1] = True
     seen[p + 1] |= ~sci
     for j in range(2, p):
         seen[j] |= seen[j - 1]
     for j in range(p + 4, p, -1):
         seen[j] |= seen[j + 1]
-    used[1:p] += seen[1:p]
-    used[2:p] += seen[1:p - 1] * _GROUP
-    used[p + 1:p + 6] += seen[p + 1:p + 6] * _TRAIL
-    used[p + 1:p + 5] -= seen[p + 2:p + 6] * (_TRAIL - _FULL)
-    used[0] = neg * _SIGN
-    used[p] = seen[p + 1] * _POINT
-    used[p + 6] = sci * (_EXP1 + exponent)
-    used[p + 7] = _EXP2 + sci * (exponent + _EXP_SPAN + 1)
-    return table.take(used)
+    out[1:p] += seen[1:p]
+    out[2:p] += seen[1:p - 1] * _U32(_GROUP)
+    out[p + 1:p + 6] += seen[p + 1:p + 6] * _U32(_TRAIL)
+    out[p + 1:p + 5] -= seen[p + 2:p + 6] * _U32(_TRAIL - _FULL)
+    end = p + 6  # words looked up: the groups, and the exponent's if any
+    if sci.any():
+        np.multiply(sci, exponent + _EXP1, out=out[p + 6], casting="unsafe")
+        np.multiply(sci, exponent + (_EXP_SPAN + 1), out=out[p + 7], casting="unsafe")
+        out[p + 7] += _U32(_EXP2)
+        end += 2
+    else:
+        out[p + 6:] = table.take([[0], [_EXP2]])
+    for j in (*range(1, p), *range(p + 1, end)):
+        # every index is in range; "clip" skips the copy "raise" makes of out
+        table.take(out[j], out=out[j], mode="clip")
+    np.multiply(neg, _U32(ord("-")), out=out[0])
+    np.multiply(seen[p + 1], _U32(ord(".")), out=out[p])
+    return out
 
 
 def _cell_words(columns: list[np.ndarray], integer: list[bool], table) -> np.ndarray:
@@ -327,7 +412,9 @@ def _pick(distinct: list[np.ndarray], column: np.ndarray) -> int:
 
 def write_tables(tables: dict) -> None:
     """Write each {path: (names, columns)} table as CSV with a header
-    row, cells as in write_table, in one pass.
+    row, in one pass.  Integer columns are written as integers (str,
+    cell by cell), every other column as float (the shortest round-trip
+    repr, by one numpy kernel).
 
     Every table is checked before any file is opened.  Tables with the
     same row count are written in lockstep, one block of rows at a time.
@@ -365,12 +452,7 @@ def write_tables(tables: dict) -> None:
 
 
 def write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
-    """CSV with a header row; floats use shortest round-trip repr.
-
-    Integer columns are written as integers (str, cell by cell), every
-    other column as float (repr, by one numpy kernel).  The one-table
-    case of write_tables.
-    """
+    """write_tables({path: (names, columns)}): one table."""
     write_tables({path: (names, columns)})
 
 

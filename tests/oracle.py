@@ -12,6 +12,12 @@ sensitivity of the working point, with the measurement time t_m an
 argument; nvgyro derives its own from the kernel's slope alpha0 and the
 cycle instead, and at t_m = cycle_period/4 the two must agree.
 
+calibration_from_slope and linearity are the slope method of the
+calibration and the exact phase-wrapped response, which nothing in
+nvgyro computes: the CLI measures alpha by the fringe fit, the sweep
+regression and the kernel's alpha0, and dynamic_range keeps only the
+leading term of linearity's sine.
+
 fringe_fit solves the same weighted decaying-sine problem as
 fit_decaying_sine, but with all five parameters free in scipy's
 trust-region least_squares instead of by variable projection.
@@ -113,6 +119,29 @@ def psn_rotation_sensitivity(d, tau: float, t2: float, t_m: float) -> float:
     n_b = 2.0 if d.balanced else 1.0
     return (math.sqrt(n_b * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R) * t_m)
             / (2 * math.pi * tau * math.exp(-tau / t2) * d.contrast))
+
+
+def calibration_from_slope(ds_dtau: float, tau_wp: float,
+                           f_dq: float) -> float:
+    """alpha = 2 * (tau_wp / f_DQ) * dS/dtau per Hz, with dS/dtau measured
+    at the working point."""
+    if tau_wp <= 0 or f_dq <= 0:
+        raise ValueError("tau_wp and f_dq must be > 0")
+    return 2.0 * (tau_wp / f_dq) * ds_dtau
+
+
+def linearity(nu, nu0: float):
+    """Phase-wrapped response: nu_meas = nu0*sin(nu/nu0) and the
+    fractional deviation epsilon = (nu - nu_meas)/nu (0 at nu = 0)."""
+    if nu0 <= 0:
+        raise ValueError("nu0 must be > 0")
+    nu_arr = np.asarray(nu, dtype=float)
+    nu_meas = nu0 * np.sin(nu_arr / nu0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        eps = np.where(nu_arr == 0.0, 0.0, (nu_arr - nu_meas) / nu_arr)
+    if nu_arr.ndim == 0:
+        return float(nu_meas), float(eps)
+    return nu_meas, eps
 
 
 def fringe_fit(series) -> tuple[np.ndarray, np.ndarray]:

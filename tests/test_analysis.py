@@ -18,11 +18,9 @@ from nvgyro import (
     SequenceConfig,
     allan_deviation,
     calibration_from_fringes,
-    calibration_from_slope,
     calibration_from_sweep,
     dynamic_range,
     fit_decaying_sine,
-    linearity,
     load_config,
     one_rad_rotation_rate,
     power_spectrum,
@@ -33,7 +31,7 @@ from nvgyro import (
 )
 from nvgyro.analysis import WorkingPointWarning, _decaying_sine, spectrum_peak_frequency
 from nvgyro.spin import DEG_PER_REV
-from oracle import fringe_fit
+from oracle import calibration_from_slope, fringe_fit, linearity
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -125,6 +125,12 @@ def test_any_bit_pattern_prints_as_repr(tmp_path_factory, patterns):
     _check_floats(tmp_path_factory.mktemp("io"), values)
 
 
+def _g_rows(gs):
+    """Rows of io._tables()[0]'s layout for 128-bit integers gs."""
+    words = [(g & 2**64 - 1, g >> 64) for g in gs]
+    return np.array([[lo, hi, lo >> 32, hi >> 32] for lo, hi in words], np.uint64)
+
+
 def test_round_to_odd_sticky_threshold():
     # Schubfach's exact cases: for 0 <= e <= 22 the g table holds
     # G + 1 with G = 10**e * 2**(128 - n) exact, so the scaled value
@@ -132,12 +138,12 @@ def test_round_to_odd_sticky_threshold():
     # (g - G) * cp / 2**128: the g error alone decides the 64 bits below
     # the result.  Raising that error by delta puts those bits at w, and
     # the lowest bit is set only for w > 1.
-    g_limbs = io._tables()[0]
+    g_table = io._tables()[0]
     gs, cps, expected = [], [], []
     for e in range(23):
         n = (10**e).bit_length()
         big_g = 10**e << (128 - n)
-        assert sum(int(g_limbs[i][292 + e]) << (32 * i) for i in range(4)) == big_g + 1
+        assert g_table[292 + e].tolist() == _g_rows([big_g + 1])[0].tolist()
         for m in (2, 6, 10):
             cp = m << (n - e)
             for w in (0, 1, 2, 3):
@@ -146,10 +152,66 @@ def test_round_to_odd_sticky_threshold():
                 gs.append(big_g + delta)
                 cps.append(cp)
                 expected.append(m * 5**e + (w > 1))
-    limbs = tuple(np.array([(g >> (32 * i)) & 0xFFFFFFFF for g in gs], np.uint64)
-                  for i in range(4))
-    got = io._round_to_odd(limbs, np.array(cps, np.uint64))
-    assert got.tolist() == expected
+    _, x1, x2 = io._product(_g_rows(gs), np.array(cps, np.uint64))
+    assert io._rop(x1, x2).tolist() == expected
+
+
+def test_shifted_g_words_are_never_all_ones():
+    # _rop_minus and _rop_plus add a borrow or carry into the middle
+    # 64-bit word of g << s, s in [1, 5], without looking for a wrap
+    for lo, hi, *_ in io._tables()[0].tolist():
+        g = hi << 64 | lo
+        assert all((g << s) >> 64 & 2**64 - 1 != 2**64 - 1 for s in range(1, 6))
+
+
+def test_interval_ends_carry_and_borrow_between_words():
+    # X -+ (g << s) with the 64 bits below the result at 0-3 and at
+    # 2**64 - 1, and the low word borrowing or carrying or not: rop() of
+    # each end as exact integers give it.
+    rng = np.random.default_rng(22)
+    g_table = io._tables()[0]
+    rows = g_table[rng.integers(0, len(g_table), 40)]
+    cases = []
+    for row in rows.tolist():
+        g = row[1] << 64 | row[0]
+        for s in range(1, 6):
+            for y1 in (0, 1, 2, 3, 2**64 - 1):
+                for y0 in (0, 2**64 - 1, int(rng.integers(0, 2**63))):
+                    y = int(rng.integers(64, 2**55)) << 128 | y1 << 64 | y0
+                    cases.append((row, s, y, g << s))
+    want = [y >> 128 | ((y >> 64 & 2**64 - 1) > 1) for _, _, y, _ in cases]
+    g = np.array([row for row, *_ in cases], np.uint64)
+    shifts = np.array([s for _, s, _, _ in cases], np.uint64)
+
+    def words(values):
+        return tuple(np.array([v >> (64 * i) & 2**64 - 1 for v in values], np.uint64)
+                     for i in range(3))
+
+    for rop, x in ((io._rop_minus, [y + d for _, _, y, d in cases]),
+                   (io._rop_plus, [y - d for _, _, y, d in cases])):
+        d = io._shifted(g[:, 0], g[:, 1], shifts.copy())
+        assert [v.tolist() for v in d] == [w.tolist() for w in words([c[3] for c in cases])]
+        assert rop(words(x), d).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 2046), min_size=1, max_size=32), st.data())
+def test_schubfach_shifts_and_digit_counts(exponents, data):
+    # Every normal double's h lies in [1, 4], so _shortest shifts each
+    # 64-bit word of g by 1 to 63 places, and its s has 15-17 digits,
+    # which _float_fields counts with two comparisons.
+    fractions = data.draw(st.lists(st.sampled_from([0, 1, 2**52 - 1]) | st.integers(0, 2**52 - 1),
+                                   min_size=len(exponents), max_size=len(exponents)))
+    bits = np.array([be << 52 | f for be, f in zip(exponents, fractions)], np.uint64)
+    key = ((bits - np.uint64(1)) >> np.uint64(52)) + (bits >> np.uint64(52))
+    steps = io._tables()[1].take(key)
+    h = steps["cp"] - 2
+    assert ((1 <= h) & (h <= 4)).all()
+    assert (steps["lower"] >= 1).all()
+    s, k = io._shortest(bits)
+    assert ((10**14 <= s) & (s < 10**17)).all()
+    values = bits.view(np.float64)
+    assert [float(f"{a}e{b}") for a, b in zip(s.tolist(), k.tolist())] == values.tolist()
 
 
 @pytest.mark.parametrize("argv, cells", [

@@ -132,6 +132,19 @@ def test_fringes_group_peak_is_one_block(tmp_path):
     assert p_large <= 2 * 1024 * 1024
 
 
+def test_kernel_block_peak_is_bounded():
+    # One kernel call on a full block of float cells: about 133 bytes
+    # per cell at its peak, so _BLOCK_CELLS can grow only when the
+    # bytes per cell fall.
+    rng = np.random.default_rng(8)
+    table = io._word_table()
+    rows = io._BLOCK_CELLS // 4
+    columns = [np.arange(rows) * 0.007, rng.normal(size=rows),
+               360 * rng.normal(size=rows), 1e-3 * rng.normal(size=rows)]
+    peak = _traced_peak(lambda: io._cell_words(columns, [False] * 4, table))
+    assert peak <= 480 * 1024
+
+
 def test_allan_peak_is_a_few_words_per_cycle():
     cfg = cli.default_config()
 
