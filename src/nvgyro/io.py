@@ -26,7 +26,7 @@ from .errors import ConfigError
 
 
 #: Distinct cells formatted per kernel call by write_tables: bounds its
-#: working memory (about 140 bytes per cell at its peak, so about 420 KB)
+#: working memory (about 135 bytes per cell at its peak, so about 415 KB)
 #: and leaves the bytes unchanged.
 _BLOCK_CELLS = 3072
 
@@ -92,13 +92,25 @@ def _tables():
             gs.append((1 << (127 + n)) // p + 1)
     g = np.frombuffer(b"".join(x.to_bytes(16, "little") for x in gs), "<u8").reshape(-1, 2)
     g = np.concatenate([g, g >> _U64(32)], axis=1)
-    be = np.arange(4096) + 1 >> 1
-    closer = (np.arange(4096) & 1) & (be > 1)
-    q = be - 1075
-    k = (q * 1262611 - closer * 524031) >> 22
-    h = q + ((-k * 1741647) >> 19) + 1
+    # int32 and in place: a few 16 KB arrays at a time
+    q = np.arange(1, 4097, dtype=np.int32) >> 1  # be of entry 2 * be - closer
+    closer = np.arange(4096, dtype=np.int32) & (q > 1)
+    closer &= 1
+    q -= 1075
+    k = q * 1262611
+    k -= closer * 524031
+    k >>= 22
+    h = k * -1741647
+    h >>= 19
+    h += q
+    h += 1
     steps = np.empty(4096, [("e", np.int16), ("cp", np.uint8), ("lower", np.uint8)])
-    steps["e"], steps["cp"], steps["lower"] = 292 - k, h + 2, h + 1 - closer
+    steps["e"] = 292 - k
+    steps["cp"] = h + 2
+    h += 1
+    h -= closer
+    steps["lower"] = h
+    del q, closer, k, h
     pairs = ["%02d" % i for i in range(100)]
     # Pairs without a leading or a trailing zero; 0 keeps one "0".
     lead = ["\0" + "0"] + [p.lstrip("0").rjust(2, "\0") for p in pairs[1:]]

@@ -165,9 +165,9 @@ def test_shifted_g_words_are_never_all_ones():
 
 
 def test_interval_ends_carry_and_borrow_between_words():
-    # X -+ (g << s) with the 64 bits below the result at 0-3 and at
-    # 2**64 - 1, and the low word borrowing or carrying or not: rop() of
-    # each end as exact integers give it.
+    # X - (g << s) and X + (g << s) with the 64 bits below the result at
+    # 0-3 and at 2**64 - 1, with and without a borrow or carry out of the
+    # low word: each end's rop() is the one exact integers give.
     rng = np.random.default_rng(22)
     g_table = io._tables()[0]
     rows = g_table[rng.integers(0, len(g_table), 40)]

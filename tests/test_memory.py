@@ -133,7 +133,7 @@ def test_fringes_group_peak_is_one_block(tmp_path):
 
 
 def test_kernel_block_peak_is_bounded():
-    # One kernel call on a full block of float cells: about 133 bytes
+    # One kernel call on a full block of float cells: about 135 bytes
     # per cell at its peak, so _BLOCK_CELLS can grow only when the
     # bytes per cell fall.
     rng = np.random.default_rng(8)
