@@ -5,7 +5,7 @@ Fringes are modeled as A * exp(-tau/T2*) * sin(2*pi*f*tau + phi) + offset.
 The fit is variable-projection least squares in numpy: the model is linear
 in (A cos phi, A sin phi, offset), so only (f, T2*) are iterated, seeded
 from a zero-padded FFT peak (frequency) and a windowed RMS decay (T2*).
-The sensitivity-optimal working point has a closed form.
+In a fixed cycle the sensitivity-optimal delay is T2*, capped by the cycle.
 
 The calibration coefficient alpha converts the working-point signal to a
 rotation rate.  With A_wp the fringe amplitude *in the vicinity of the
@@ -456,24 +456,22 @@ class WorkingPoint:
     tau_wp: float
 
 
-def select_working_point(t2star: float, f_dq: float,
-                         overhead: float = 0.0) -> WorkingPoint:
-    """Sensitivity-optimal delay, then snapped to the nearest cosine null.
-
-    Maximizes tau * exp(-tau/T2*) / sqrt(tau + overhead): the numerator is
-    the fringe slope, the root the per-measurement duty cycle.  Setting
-    d ln(merit)/d tau = 1/tau - 1/T2* - 1/(2 (tau + overhead)) to zero
-    gives the positive root of 2 tau^2 - (T2* - 2 overhead) tau
-    - 2 T2* overhead = 0.  With zero overhead the optimum is T2*/2; the
-    per-shot slope alone would peak at T2*.  Both the raw optimum and the
-    snapped tau_wp are returned.
-    """
-    if t2star <= 0 or f_dq <= 0 or overhead < 0:
-        raise ValueError("t2star, f_dq must be > 0 and overhead >= 0")
-    b = t2star - 2.0 * overhead
-    tau_opt = (b + math.sqrt(b * b + 16.0 * t2star * overhead)) / 4.0
-    return WorkingPoint(tau_optimal=tau_opt,
-                        tau_wp=snap_to_cos_null(tau_opt, f_dq))
+def select_working_point(t2star: float, f_dq: float, tau_max: float) -> WorkingPoint:
+    """The optimum delay min(T2*, tau_max) in a fixed cycle and the last cosine null
+    at or below it: a cycle holds four Ramseys of any delay up to tau_max
+    (SequenceConfig.tau_wp_max) at a fixed noise per sample, so the merit is the
+    slope tau * exp(-tau/T2*), which rises up to T2*.  ValueError if no null fits."""
+    tau_opt = min(t2star, tau_max)
+    if not (t2star > 0 and f_dq > 0 and tau_max > 0 and 4.0 * (f_dq * tau_opt) < math.inf):
+        raise ValueError("t2star, f_dq must be > 0 and tau_max > 0, with 4 f_dq tau finite")
+    # Nulls (2n+1)/(4 f_dq); 4 f_dq tau may round across one, so try n + 1, n, n - 1.
+    n = math.floor((4.0 * (f_dq * tau_opt) - 1.0) / 2.0)
+    nulls = ((2.0 * k + 1.0) / f_dq / 4.0 for k in (n + 1, n, n - 1))
+    tau_wp = next(t for t in nulls if t <= tau_opt)
+    if not tau_wp > 0:
+        raise ValueError(f"no cosine null lies at or below min(t2star, tau_max) = {tau_opt:g} "
+                         f"s: the first, 1/(4 f_dq), is {1.0 / f_dq / 4.0:g} s")
+    return WorkingPoint(tau_optimal=tau_opt, tau_wp=tau_wp)
 
 
 def one_rad_rotation_rate(tau: float) -> float:

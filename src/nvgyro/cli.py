@@ -227,11 +227,10 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     nu0 = one_rad_rotation_rate(seq.tau_wp)
     with input_error("--epsilon: "):
         dr = dynamic_range(args.epsilon, nu0)
-    overhead = max(seq.cycle_period / 4.0 - seq.tau_wp, 0.0)
-    wp = select_working_point(seq.t2_dq, f_fringe, overhead)
-    with input_error(f"{args.config}: [sequence]: the fringe at {f_fringe:g} Hz "
-                     f"has no null inside the cycle: "):
-        seq.check_delay(wp.tau_wp, "the snapped tau_wp")
+    with input_error(f"{args.config}: [sequence]: the fringe at {f_fringe:g} Hz has no null "
+                     f"inside the cycle: with cycle_period = {seq.cycle_period:g} s and "
+                     f"t2_dq = {seq.t2_dq:g} s, "):
+        wp = select_working_point(seq.t2_dq, f_fringe, seq.tau_wp_max)
 
     lines = [
         f"nvgyro budget (B = {env.B:.1f} G)",
@@ -243,7 +242,7 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         f"  dynamic range at epsilon = {args.epsilon:.1e}: "
         f"+-{dr:.3f} Hz (+-{dr * DEG_PER_REV:.0f} deg/s)",
         f"  working point: optimum {wp.tau_optimal * 1e3:.4f} ms "
-        f"(overhead {overhead * 1e3:.3f} ms), "
+        f"(4 Ramseys in a {seq.cycle_period * 1e3:.3f} ms cycle), "
         f"snapped to cosine null {wp.tau_wp * 1e3:.4f} ms",
     ]
     outputs = {"budget.json": {
@@ -256,7 +255,6 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         "dynamic_range_dps": dr * DEG_PER_REV,
         "tau_optimal_s": wp.tau_optimal,
         "tau_wp_snapped_s": wp.tau_wp,
-        "overhead_s": overhead,
     }}
     return outputs, "\n".join(lines)
 

@@ -463,11 +463,6 @@ def write_tables(tables: dict) -> None:
                 del cells  # before the next block is formatted
 
 
-def write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
-    """write_tables({path: (names, columns)}): one table."""
-    write_tables({path: (names, columns)})
-
-
 def write_json(path, payload: dict) -> None:
     with Path(path).open("w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

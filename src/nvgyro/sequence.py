@@ -123,7 +123,11 @@ class SequenceConfig:
         if self.t2_sq is not None and not self.t2_sq > 0:
             raise ValueError("t2_sq must be > 0 (inf: no SQ decay)")
         check_finite(self, "cycle_period")
-        self.check_delay(self.tau_wp, "tau_wp")
+        if not 0.0 <= self.tau_wp <= self.tau_wp_max:
+            raise ValueError(
+                f"tau_wp = {self.tau_wp:g} s must be in [0, {self.tau_wp_max:g}] s: 4 * "
+                f"(pump_duration + tau_wp) <= cycle_period, with pump_duration = "
+                f"{self.pump_duration:g} s and cycle_period = {self.cycle_period:g} s")
         if not math.exp(-self.tau_wp / self.t2_dq) > 0.0:
             raise ValueError(
                 f"tau_wp = {self.tau_wp:g} s is {self.tau_wp / self.t2_dq:g} times "
@@ -141,9 +145,14 @@ class SequenceConfig:
                              f"cycle ({period} s), got {duration}")
         return int(math.floor(duration / period))
 
+    @property
+    def tau_wp_max(self) -> float:
+        """Longest working-point delay: a cycle holds four (pump, delay) Ramseys."""
+        return self.cycle_period / 4.0 - self.pump_duration
+
     def check_delay(self, delay: float, name: str) -> None:
-        """The timing rule of every Ramsey delay: 0 <= delay and
-        pump_duration + delay < cycle_period."""
+        """The timing rule of a fringe-sweep delay (each point is its own
+        experiment): 0 <= delay and pump_duration + delay < cycle_period."""
         if not (0.0 <= delay and self.pump_duration + delay < self.cycle_period):
             raise ValueError(
                 f"{name} = {delay:g} s must be >= 0 and, after the "

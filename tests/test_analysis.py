@@ -388,9 +388,10 @@ class TestAllanDeviation:
     (lambda: snap_to_cos_null(1e-3, math.inf), "with 4 f tau finite"),
     (lambda: snap_to_cos_null(math.nan, 2000.0), "with 4 f tau finite"),
     (lambda: snap_to_cos_null(1e300, 1e10), "with 4 f tau finite"),
-    (lambda: select_working_point(0.0, 2000.0), "t2star, f_dq must be > 0"),
-    (lambda: select_working_point(1.95e-3, -1.0), "t2star, f_dq must be > 0"),
-    (lambda: select_working_point(1.95e-3, 2000.0, -1e-3), "overhead >= 0"),
+    (lambda: select_working_point(0.0, 2000.0, 1.45e-3), "t2star, f_dq must be > 0"),
+    (lambda: select_working_point(1.95e-3, -1.0, 1.45e-3), "t2star, f_dq must be > 0"),
+    (lambda: select_working_point(1.95e-3, 2000.0, 0.0), "tau_max > 0"),
+    (lambda: select_working_point(1.95e-3, 2000.0, 1e-4), "no cosine null lies at or below"),
     (lambda: linearity(1.0, 0.0), "nu0 must be > 0"),
     (lambda: one_rad_rotation_rate(0.0), "tau must be > 0"),
     (lambda: dynamic_range(1e-4, 0.0), "nu0 must be > 0"),
@@ -398,7 +399,7 @@ class TestAllanDeviation:
     (lambda: calibration_from_slope(1.0, 0.0, 293e3), "tau_wp and f_dq must be > 0"),
     (lambda: calibration_from_slope(1.0, 1.4e-3, 0.0), "tau_wp and f_dq must be > 0"),
 ], ids=["snap-tau", "snap-f", "snap-inf-tau", "snap-inf-f", "snap-nan-tau", "snap-4ftau",
-        "wp-t2star", "wp-f", "wp-overhead", "linearity-nu0",
+        "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "linearity-nu0",
         "nu0-tau", "range-nu0", "fringes-tau", "slope-tau", "slope-f"])
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):
@@ -417,26 +418,38 @@ class TestWorkingPoint:
         spacing = 1.0 / (2 * f)
         assert abs(tau - 1.36e-3) <= spacing / 2 + 1e-15
 
-    def test_overhead_optimum_against_grid_oracle(self):
-        # independent dense-grid argmax of tau*exp(-tau/T2)/sqrt(tau+ovh)
-        t2, ovh = 1.95e-3, 0.52e-3
-        grid = np.linspace(1e-5, 8e-3, 800_001)
-        merit = grid * np.exp(-grid / t2) / np.sqrt(grid + ovh)
-        oracle = grid[np.argmax(merit)]
-        wp = select_working_point(t2, 293.332e3, ovh)
-        assert wp.tau_optimal == pytest.approx(oracle, abs=2e-8)
-        assert wp.tau_optimal == pytest.approx(1.26e-3, rel=0.01)
+    def test_fixed_cycle_optimum_against_grid_oracle(self):
+        # independent dense-grid argmax of the slope tau*exp(-tau/T2) over
+        # the delays (0, tau_max] that a fixed cycle holds
+        t2 = 1.95e-3
+        for tau_max in (1.45e-3, 4e-3):
+            grid = np.linspace(1e-5, tau_max, 800_001)
+            oracle = grid[np.argmax(grid * np.exp(-grid / t2))]
+            wp = select_working_point(t2, 293.332e3, tau_max)
+            assert wp.tau_optimal == pytest.approx(oracle, abs=2e-8)
 
-    def test_zero_overhead_optimum_is_half_t2(self):
-        # the stated merit function peaks at T2*/2 when overhead vanishes
-        # (the per-shot slope alone would peak at T2*)
-        wp = select_working_point(1.95e-3, 293.332e3, 0.0)
-        assert wp.tau_optimal == 1.95e-3 / 2
+    def test_optimum_is_min_of_t2_and_tau_max(self):
+        # the noise per sample of a fixed cycle does not depend on tau, so
+        # the slope alone is the merit, and it peaks at T2*
+        assert select_working_point(1.95e-3, 293.332e3, 1.45e-3).tau_optimal == 1.45e-3
+        assert select_working_point(1.95e-3, 293.332e3, 4e-3).tau_optimal == 1.95e-3
+
+    def test_optimum_on_a_null_or_one_ulp_below_it(self):
+        # 4 f tau rounds across the null in about 6% of these cases, either
+        # way; the working point is still the last null at or below tau_max
+        rng = np.random.default_rng(11)
+        for f, k in zip(rng.uniform(1.0, 1e6, 300), rng.integers(1, 1000, 300)):
+            null = (2 * k + 1) / f / 4
+            assert select_working_point(1.0, f, null).tau_wp == null
+            below = select_working_point(1.0, f, math.nextafter(null, 0.0)).tau_wp
+            assert below == (2 * k - 1) / f / 4
 
     def test_snapped_value_near_optimum(self):
-        wp = select_working_point(1.95e-3, 293.332e3, 0.52e-3)
-        assert abs(wp.tau_wp - wp.tau_optimal) < 1.0 / (2 * 293.332e3)
-        assert abs(math.cos(2 * math.pi * 293.332e3 * wp.tau_wp)) < 1e-6
+        # the last null at or below the optimum, within one spacing 1/(2f)
+        for tau_max in (1.45e-3, 4e-3):
+            wp = select_working_point(1.95e-3, 293.332e3, tau_max)
+            assert 0 <= wp.tau_optimal - wp.tau_wp < 1.0 / (2 * 293.332e3)
+            assert abs(math.cos(2 * math.pi * 293.332e3 * wp.tau_wp)) < 1e-6
 
 
 class TestLinearity:

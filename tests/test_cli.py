@@ -11,7 +11,8 @@ import pytest
 
 from nvgyro import RateTrajectory, dq_splitting, load_config, sweep_fringes
 from nvgyro.cli import main
-from nvgyro.io import write_table
+from nvgyro.io import write_tables
+from oracle import psn_rotation_sensitivity
 
 ROOT = Path(__file__).resolve().parents[1]
 TRIANGLE_CSV = ROOT / "configs" / "triangle_profile.csv"
@@ -119,10 +120,10 @@ class TestFringesCommand:
         ref = tmp_path / "ref"
         ref.mkdir()
         for j in range(4):
-            write_table(ref / f"fringes_r{j + 1}.csv", ["tau_s", "signal"],
-                        [taus, series.records[:, j]])
-        write_table(ref / "fringes_combined.csv", ["tau_s", "signal", "sigma"],
-                    [taus, series.values, series.sigma])
+            write_tables({ref / f"fringes_r{j + 1}.csv": (["tau_s", "signal"],
+                                                          [taus, series.records[:, j]])})
+        write_tables({ref / "fringes_combined.csv": (["tau_s", "signal", "sigma"],
+                                                     [taus, series.values, series.sigma])})
         for path in sorted(ref.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
@@ -311,7 +312,7 @@ class TestBudgetCommand:
         tau = json.loads((out / "budget.json").read_text())["tau_wp_snapped_s"]
         turns = 4 * abs(detuning) * tau
         assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
-        assert "snapped to cosine null 1.1250 ms" in capsys.readouterr().out
+        assert "snapped to cosine null 1.3750 ms" in capsys.readouterr().out
 
     def test_snapped_null_outside_the_cycle(self, tmp_path, capsys):
         # a 2e-9 Hz fringe has its first cosine null ~1e8 s out
@@ -324,6 +325,23 @@ class TestBudgetCommand:
                               f"has no null inside the cycle: ")
         assert "cycle_period = 0.007 s" in err
         assert not out.exists()
+
+    def test_working_point_is_the_oracle_optimum(self, tmp_path):
+        # The closed-form sensitivity at t_m = cycle_period/4, minimised
+        # over the cosine nulls tau whose four Ramseys fit the cycle,
+        # 4 * (pump_duration + tau) <= cycle_period.
+        default_cfg = ROOT / "configs" / "default.cfg"
+        out = tmp_path / "out"
+        assert main(["budget", "--config", str(default_cfg), "--out", str(out)]) == 0
+        budget = json.loads((out / "budget.json").read_text())
+        seq = load_config(default_cfg).sequence
+        f = budget["f_dq_hz"]
+        nulls = [(2 * k + 1) / (4 * f) for k in range(int(f * seq.cycle_period))]
+        nulls = [tau for tau in nulls if 4 * (seq.pump_duration + tau) <= seq.cycle_period]
+        best = min(nulls, key=lambda tau: psn_rotation_sensitivity(
+            seq.detector, tau, seq.t2_dq, seq.cycle_period / 4))
+        assert budget["tau_wp_snapped_s"] == pytest.approx(best, rel=1e-12)
+        assert budget["tau_wp_snapped_s"] == pytest.approx(1.4495e-3, abs=5e-8)
 
     def test_budget_reports_f_dq_at_the_drifted_field(self, tmp_path, capsys):
         cfg = tmp_path / "drift.cfg"
@@ -494,6 +512,23 @@ class TestCleanErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: [{section}]: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
+    def test_working_point_past_the_cycle_on_every_command(self, tmp_path, capsys, command):
+        # Four Ramseys at tau_wp = 5 ms take 4 * (0.3 + 5) = 21.2 ms of a
+        # 7 ms cycle: every command rejects the config before it writes.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("[sequence]\ntau_wp = 5e-3\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [sequence]: ")
+        assert "tau_wp" in err and "cycle_period" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
     @pytest.mark.parametrize("line", ["A_perp = 1e200", "gamma_e = 1e300"])

@@ -1,6 +1,6 @@
 """Byte identity of the CSV writer with repr(float) and str(int).
 
-write_table formats cells with a numpy kernel (Schubfach digits and a
+write_tables formats cells with a numpy kernel (Schubfach digits and a
 fixed-slot layout); these tests hold it to CPython's own text for every
 kind of double: random bit patterns, the irregular spacing at powers of
 two, powers of ten, the switch points of the "e" notation, integral
@@ -30,7 +30,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _written(tmp_path, columns) -> str:
     path = tmp_path / "t.csv"
     names = [f"c{j}" for j in range(len(columns))]
-    io.write_table(path, names, columns)
+    io.write_tables({path: (names, columns)})
     text = path.read_text()
     header, _, body = text.partition("\n")
     assert header == ",".join(names)
@@ -104,7 +104,7 @@ def test_integer_extremes(tmp_path):
 def test_unequal_columns_are_rejected(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="equal lengths"):
-        io.write_table(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+        io.write_tables({path: (["a", "b"], [np.zeros(3), np.zeros(2)])})
     assert not path.exists()
 
 

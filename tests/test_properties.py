@@ -266,30 +266,53 @@ def test_rate_ramps_to_each_setpoint_without_overshoot(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(t2=st.floats(1e-4, 0.1), ratio=st.floats(0.0, 10.0))
-def test_working_point_maximizes_merit(t2, ratio):
-    overhead = ratio * t2
-    tau = select_working_point(t2, 293.332e3, overhead).tau_optimal
+@given(t2=st.floats(1e-4, 0.1), tau_max=st.floats(1e-4, 0.1), f=st.floats(1.0, 1e6))
+def test_working_point_maximizes_merit(t2, tau_max, f):
+    # A fixed cycle holds four Ramseys of any delay up to its tau_wp_max,
+    # so the merit is the slope x*exp(-x/T2*): its maximum over the delays
+    # the cycle holds is min(T2*, tau_wp_max), and tau_wp is the last
+    # cosine null at or below it, which the cycle accepts to the last ulp.
+    seq = SequenceConfig(tau_wp=0.0, cycle_period=4 * (300e-6 + tau_max), t2_dq=t2)
+    opt = min(t2, seq.tau_wp_max)
+    if 1.0 / f / 4 > opt:  # the first null lies past the optimum
+        with pytest.raises(ValueError, match="no cosine null"):
+            select_working_point(t2, f, seq.tau_wp_max)
+        return
+    wp = select_working_point(t2, f, seq.tau_wp_max)
+    assert wp.tau_optimal == opt
 
     def merit(x):
-        return x * math.exp(-x / t2) / math.sqrt(x + overhead)
+        return x * math.exp(-x / t2)
 
-    d_log_merit = 1.0 / tau - 1.0 / t2 - 1.0 / (2.0 * (tau + overhead))
-    assert abs(d_log_merit) <= 1e-9 / tau
-    assert merit(tau) >= merit(tau * (1 + 1e-6))
-    assert merit(tau) >= merit(tau * (1 - 1e-6))
+    assert merit(opt) >= merit(opt * (1 - 1e-6))
+    assert opt < t2 or merit(opt) >= merit(opt * (1 + 1e-6))
+    odd = round(4 * f * wp.tau_wp)
+    assert odd % 2 == 1 and abs(4 * f * wp.tau_wp - odd) <= 1e-9 * odd
+    assert 0 < wp.tau_wp <= opt < (odd + 2) / f / 4  # the next null lies past it
+    assert seq.replace(tau_wp=wp.tau_wp).tau_wp == wp.tau_wp
+
+
+#: The shortest cycle that holds four Ramseys at the default snapped working
+#: point, 4 * (pump_duration + tau_wp).
+_DEFAULT_SEQUENCE = default_config().sequence
+_SHORTEST_CYCLE = 4 * (_DEFAULT_SEQUENCE.pump_duration + _DEFAULT_SEQUENCE.tau_wp)
 
 
 @settings(max_examples=100, deadline=None)
 @given(detector=st.builds(DetectorConfig, V0=st.floats(1.0, 100.0),
                           G=st.floats(1e4, 1e7), contrast=st.floats(1e-3, 0.5),
                           t_R=st.floats(1e-6, 3e-4), balanced=st.booleans()),
-       cycle_period=st.floats(2e-3, 20e-3), fidelity=st.floats(0.05, 1.0))
-def test_budget_sensitivity_is_the_closed_form(detector, cycle_period, fidelity):
+       cycle_period=st.floats(_SHORTEST_CYCLE, 20e-3), fidelity=st.floats(0.05, 1.0),
+       short_cycle=st.floats(2e-3, _SHORTEST_CYCLE, exclude_max=True))
+def test_budget_sensitivity_is_the_closed_form(detector, cycle_period, fidelity,
+                                               short_cycle):
     # Ideal pulses at the default snapped working point: the slope-derived
     # sensitivity is the closed form at t_m = cycle_period/4, and a pump
-    # fidelity f scales the slope by f, so the sensitivity by 1/f.
+    # fidelity f scales the slope by f, so the sensitivity by 1/f.  A
+    # cycle too short for four Ramseys at that point is rejected.
     cfg = default_config()
+    with pytest.raises(ValueError, match="^tau_wp = .*cycle_period"):
+        cfg.sequence.replace(cycle_period=short_cycle)
     seq = cfg.sequence.replace(detector=detector, cycle_period=cycle_period)
 
     def sensitivity(seq):
@@ -379,9 +402,9 @@ def test_table_bytes_do_not_depend_on_row_block(rows, block):
         path = Path(tmp) / "t.csv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_BLOCK_CELLS", block)
-            io.write_table(path, names, columns)
+            io.write_tables({path: (names, columns)})
         blocked = path.read_bytes()
-        io.write_table(path, names, columns)
+        io.write_tables({path: (names, columns)})
         default = path.read_bytes()
     assert blocked == default
     assert blocked.decode() == _reference_csv(names, columns)
@@ -411,7 +434,7 @@ def table_groups(draw):
 @settings(max_examples=150, deadline=None)
 @given(tables=table_groups(), block=st.integers(1, 64))
 def test_grouped_tables_match_each_table_alone(tables, block):
-    # write_tables gives each table the bytes write_table gives it alone
+    # write_tables gives each table the bytes it gives that table alone
     # and the row-at-a-time reference's, whatever the tables share and
     # whatever the block size; the kernel sees each column once per row
     # count exactly when another has its dtype and bytes.
@@ -430,7 +453,7 @@ def test_grouped_tables_match_each_table_alone(tables, block):
             io.write_tables({tmp / name: table for name, table in tables.items()})
         for name, (names, columns) in tables.items():
             together = (tmp / name).read_bytes()
-            io.write_table(tmp / "alone.csv", names, columns)
+            io.write_tables({tmp / "alone.csv": (names, columns)})
             assert together == (tmp / "alone.csv").read_bytes()
             assert together.decode() == _reference_csv(names, columns)
     distinct: dict[int, set] = {}
