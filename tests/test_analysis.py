@@ -445,7 +445,8 @@ class TestWorkingPoint:
             assert below == (2 * k - 1) / f / 4
 
     def test_snapped_value_near_optimum(self):
-        # the last null at or below the optimum, within one spacing 1/(2f)
+        # at these points the null below the optimum has the larger slope:
+        # it is the working point, within one spacing 1/(2f) of the optimum
         for tau_max in (1.45e-3, 4e-3):
             wp = select_working_point(1.95e-3, 293.332e3, tau_max)
             assert 0 <= wp.tau_optimal - wp.tau_wp < 1.0 / (2 * 293.332e3)

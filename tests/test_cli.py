@@ -314,6 +314,22 @@ class TestBudgetCommand:
         assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
         assert "snapped to cosine null 1.3750 ms" in capsys.readouterr().out
 
+    def test_working_point_may_be_the_null_above_t2(self, tmp_path, capsys):
+        # T2* = 1.3 ms lies below tau_wp_max = 1.45 ms, between the 2 kHz
+        # fringe's nulls at 1.125 and 1.375 ms; the upper one fits the cycle
+        # and has the larger slope tau*exp(-tau/T2*), and budget's own
+        # sensitivity there is the better one too.
+        base = "[sequence]\nphase_reference = resonant\ndq_detuning = 2000\nt2_dq = 1.3e-3\n"
+        cfg = tmp_path / "res.cfg"
+        cfg.write_text(base)
+        assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "snapped to cosine null 1.3750 ms" in capsys.readouterr().out
+        for tau, sens in (("1.375e-3", "13.79"), ("1.125e-3", "13.90")):
+            cfg.write_text(base + f"tau_wp = {tau}\n")
+            assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / tau)]) == 0
+            assert f"at tau_wp = {float(tau) * 1e3:.4f} ms: {sens} mHz/rtHz" in (
+                capsys.readouterr().out)
+
     def test_snapped_null_outside_the_cycle(self, tmp_path, capsys):
         # a 2e-9 Hz fringe has its first cosine null ~1e8 s out
         cfg = tmp_path / "slow.cfg"

@@ -127,8 +127,7 @@ def test_any_bit_pattern_prints_as_repr(tmp_path_factory, patterns):
 
 def _g_rows(gs):
     """Rows of io._tables()[0]'s layout for 128-bit integers gs."""
-    words = [(g & 2**64 - 1, g >> 64) for g in gs]
-    return np.array([[lo, hi, lo >> 32, hi >> 32] for lo, hi in words], np.uint64)
+    return np.array([(g & 2**64 - 1, g >> 64) for g in gs], np.uint64)
 
 
 def test_round_to_odd_sticky_threshold():

@@ -11,11 +11,17 @@ estimate and then the Allan phase series in place, and the second
 differences are summed one cache-sized leaf at a time.  Materialising
 the (cycles x 4) signals, whole columns as Python objects or text, a
 copy of the phase series or a run-length second difference breaks
-these bounds.
+these bounds.  tracemalloc does not see a buffer that is freed and
+allocated again for every block, so the writer's page faults are
+counted too.
 """
 
 import argparse
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,16 +141,46 @@ def test_fringes_group_peak_is_one_block(tmp_path):
 
 
 def test_kernel_block_peak_is_bounded():
-    # One kernel call on a full block of float cells: about 135 bytes
-    # per cell at its peak, so _BLOCK_CELLS can grow only when the
-    # bytes per cell fall.
+    # One kernel call on a full block of float cells, its workspace
+    # allocated inside the traced call: about 95 bytes per cell at its
+    # peak, so _BLOCK_CELLS can grow only when the bytes per cell fall.
     rng = np.random.default_rng(8)
     table = io._word_table()
     rows = io._BLOCK_CELLS // 4
     columns = [np.arange(rows) * 0.007, rng.normal(size=rows),
                360 * rng.normal(size=rows), 1e-3 * rng.normal(size=rows)]
-    peak = _traced_peak(lambda: io._cell_words(columns, [False] * 4, table))
+    peak = _traced_peak(lambda: io._cell_words(
+        columns, [False] * 4, io._Workspace(table, io._BLOCK_CELLS)))
     assert peak <= 480 * 1024
+
+
+def test_table_write_does_not_fault_per_block(tmp_path):
+    # Minor page faults of writing a rotation.csv-shaped table, each in
+    # its own fresh process: write_tables allocates its block-sized
+    # buffers once per call, so the count does not grow with the blocks
+    # (150 to 190 either way).  A buffer past glibc's 128 KiB mmap
+    # threshold that is allocated for every block faults its pages in
+    # again each time: thousands of faults at 40,000 rows.
+    pytest.importorskip("resource")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = """if True:
+        import resource, sys
+        import numpy as np
+        from nvgyro import io
+        rows = int(sys.argv[1])
+        rng = np.random.default_rng(4)
+        columns = [np.arange(rows) * 0.007, rng.normal(size=rows),
+                   360 * rng.normal(size=rows), 100 * rng.normal(size=rows)]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        io.write_tables({sys.argv[2]: (
+            ["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"], columns)})
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"""
+    for rows in (40_000, 160_000):
+        out = subprocess.run([sys.executable, "-c", code, str(rows), str(tmp_path / "t.csv")],
+                             capture_output=True, text=True, env=env, timeout=120, check=True)
+        assert int(out.stdout) < 1000, rows
 
 
 def test_allan_peak_is_a_few_words_per_cycle():

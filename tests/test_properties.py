@@ -270,11 +270,12 @@ def test_rate_ramps_to_each_setpoint_without_overshoot(rows):
 def test_working_point_maximizes_merit(t2, tau_max, f):
     # A fixed cycle holds four Ramseys of any delay up to its tau_wp_max,
     # so the merit is the slope x*exp(-x/T2*): its maximum over the delays
-    # the cycle holds is min(T2*, tau_wp_max), and tau_wp is the last
-    # cosine null at or below it, which the cycle accepts to the last ulp.
+    # the cycle holds is min(T2*, tau_wp_max), and tau_wp is the cosine
+    # null of highest merit that the cycle holds, one of the two around
+    # that optimum, which the cycle accepts to the last ulp.
     seq = SequenceConfig(tau_wp=0.0, cycle_period=4 * (300e-6 + tau_max), t2_dq=t2)
     opt = min(t2, seq.tau_wp_max)
-    if 1.0 / f / 4 > opt:  # the first null lies past the optimum
+    if 1.0 / f / 4 > seq.tau_wp_max:  # the first null lies past the cycle
         with pytest.raises(ValueError, match="no cosine null"):
             select_working_point(t2, f, seq.tau_wp_max)
         return
@@ -288,7 +289,11 @@ def test_working_point_maximizes_merit(t2, tau_max, f):
     assert opt < t2 or merit(opt) >= merit(opt * (1 + 1e-6))
     odd = round(4 * f * wp.tau_wp)
     assert odd % 2 == 1 and abs(4 * f * wp.tau_wp - odd) <= 1e-9 * odd
-    assert 0 < wp.tau_wp <= opt < (odd + 2) / f / 4  # the next null lies past it
+    assert 0 < wp.tau_wp <= seq.tau_wp_max
+    assert (odd - 2) / f / 4 <= opt < (odd + 2) / f / 4  # a null around the optimum
+    for other in ((odd - 2) / f / 4, (odd + 2) / f / 4):  # its neighbours that fit
+        if 0 < other <= seq.tau_wp_max:
+            assert merit(wp.tau_wp) >= merit(other)
     assert seq.replace(tau_wp=wp.tau_wp).tau_wp == wp.tau_wp
 
 
