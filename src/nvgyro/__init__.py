@@ -59,7 +59,6 @@ from .sequence import (
 )
 from .spin import (
     ABSOLUTE_FRAME,
-    LITERATURE_CONSTANTS,
     FieldEnvironment,
     PhysicalConstants,
     RotatingFrame,

@@ -10,10 +10,12 @@ In a fixed cycle the sensitivity-optimal delay is T2*, capped by the cycle.
 The calibration coefficient alpha converts the working-point signal to a
 rotation rate.  With A_wp the fringe amplitude *in the vicinity of the
 working point* (envelope included), alpha = 4*pi*tau_wp*A_wp per Hz of
-rotation; dividing by 360 gives the per-(deg/s) value.  The slope method
-alpha = 2*(tau_wp/f_DQ)*dS/dtau (a reference in the tests' oracle) is
-algebraically identical at a fringe zero crossing; a rotation sweep
-measures the same number directly.
+rotation, read off a fitted fringe; dividing by 360 gives the
+per-(deg/s) value.  The tests' oracle holds two references:
+calibration_from_amplitude, the same formula for a bare amplitude, and
+the slope method alpha = 2*(tau_wp/f_DQ)*dS/dtau, calibration_from_slope,
+which is algebraically identical at a fringe zero crossing; a rotation
+sweep measures the same number directly.
 
 The overlapping Allan deviation is computed from the phase series,
 built in place in one float64 array (one 8-byte word per sample), and
@@ -88,17 +90,19 @@ def _check_uniform(taus: np.ndarray) -> float:
     return float(dt[0])
 
 
-def power_spectrum(taus, values,
-                   zero_pad: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """(freqs, |FT|^2) of values on the uniform grid taus, mean removed.
+#: power_spectrum's FFT length in record lengths: bins a quarter of a raw bin.
+_ZERO_PAD = 4
 
-    zero_pad multiplies the FFT length for peak localization.  Raises
-    NonUniformGridError on irregular grids.
+
+def power_spectrum(taus, values) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, |FT|^2) of values on the uniform grid taus, mean removed,
+    zero-padded _ZERO_PAD times.  Raises NonUniformGridError on
+    irregular grids.
     """
     dt = _check_uniform(np.asarray(taus, dtype=float))
     values = np.asarray(values, dtype=float)
     y = values - np.mean(values)
-    n_fft = zero_pad * len(y)
+    n_fft = _ZERO_PAD * len(y)
     power = np.abs(np.fft.rfft(y, n=n_fft)) ** 2
     freqs = np.fft.rfftfreq(n_fft, d=dt)
     return freqs, power
@@ -250,33 +254,27 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
 # Calibration
 # ---------------------------------------------------------------------------
 
-def calibration_from_fringes(fit, tau_wp: float) -> float:
+def calibration_from_fringes(fit: FringeFit, tau_wp: float) -> float:
     """alpha = 4*pi*tau_wp*A_wp per Hz, from the fringe amplitude near tau_wp.
 
-    Accepts a FringeFit (the fitted envelope supplies A_wp and the fringe
-    phase supplies the slope sign; warns if tau_wp is off a zero crossing
-    by |sin| > 0.1) or a bare local amplitude (used as-is, positive slope).
+    The fitted envelope supplies A_wp and the fringe phase the slope
+    sign; warns if tau_wp is off a zero crossing by |sin| > 0.1.
     """
     if tau_wp <= 0:
         raise ValueError("tau_wp must be > 0")
-    if isinstance(fit, FringeFit):
-        a_wp = fit.amplitude_at(tau_wp)
-        arg = 2.0 * math.pi * fit.f * tau_wp + fit.phi
-        if abs(math.sin(arg)) > 0.1:
-            warnings.warn(
-                f"tau_wp={tau_wp:.6g} s is off the fringe zero crossing "
-                f"(|sin| = {abs(math.sin(arg)):.3f}); alpha is biased low. "
-                f"default_config() and load_config() snap tau_wp to a null; a "
-                f"hand-built SequenceConfig keeps its tau_wp: use "
-                f"snap_to_cos_null(tau_wp, {abs(fit.f):.6g})",
-                WorkingPointWarning,
-                stacklevel=2,
-            )
-        sign = 1.0 if math.cos(arg) >= 0 else -1.0
-    else:
-        a_wp = float(fit)
-        sign = 1.0
-    return sign * 4.0 * math.pi * tau_wp * a_wp
+    arg = 2.0 * math.pi * fit.f * tau_wp + fit.phi
+    if abs(math.sin(arg)) > 0.1:
+        warnings.warn(
+            f"tau_wp={tau_wp:.6g} s is off the fringe zero crossing "
+            f"(|sin| = {abs(math.sin(arg)):.3f}); alpha is biased low. "
+            f"default_config() and load_config() snap tau_wp to a null; a "
+            f"hand-built SequenceConfig keeps its tau_wp: use "
+            f"snap_to_cos_null(tau_wp, {abs(fit.f):.6g})",
+            WorkingPointWarning,
+            stacklevel=2,
+        )
+    sign = 1.0 if math.cos(arg) >= 0 else -1.0
+    return sign * 4.0 * math.pi * tau_wp * fit.amplitude_at(tau_wp)
 
 
 def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
@@ -438,17 +436,22 @@ def allan_deviation(values, tau0: float, m_values: list[int] | None = None, *,
 # Working point, linearity, dynamic range
 # ---------------------------------------------------------------------------
 
+def _cos_null(n: int, f: float) -> float:
+    """The n-th cosine null (2n+1)/(4f) of a fringe at f > 0, with the
+    factor 4 applied last: equal bit for bit, and finite where 4 f is not."""
+    return (2.0 * n + 1.0) / f / 4.0
+
+
 def snap_to_cos_null(tau: float, f: float) -> float:
     """Nearest tau' > 0 with cos(2 pi f tau') = 0, i.e. (2n+1)/(4f).
 
-    The factor 4 is applied last: 4 (f tau) and (2n+1)/f/4 equal 4 f tau
-    and (2n+1)/(4f) bit for bit, and neither overflows where 4 f does.
+    4 (f tau) equals 4 f tau bit for bit and does not overflow where
+    4 f does.
     """
     quarters = 4.0 * (f * tau)
     if not (tau > 0 and f > 0 and quarters < math.inf):
         raise ValueError("tau and f must be > 0, with 4 f tau finite")
-    n = max(round((quarters - 1.0) / 2.0), 0)
-    return (2.0 * n + 1.0) / f / 4.0
+    return _cos_null(max(round((quarters - 1.0) / 2.0), 0), f)
 
 
 @dataclass(frozen=True)
@@ -469,11 +472,11 @@ def select_working_point(t2star: float, f_dq: float, tau_max: float) -> WorkingP
         raise ValueError("t2star, f_dq must be > 0 and tau_max > 0, with 4 f_dq tau finite")
     # Nulls (2n+1)/(4 f_dq); 4 f_dq tau may round across one, so try n + 1, n, n - 1.
     n = math.floor((4.0 * (f_dq * tau_opt) - 1.0) / 2.0)
-    k = next(k for k in (n + 1, n, n - 1) if (2.0 * k + 1.0) / f_dq / 4.0 <= tau_opt)
-    nulls = [t for t in ((2.0 * j + 1.0) / f_dq / 4.0 for j in (k, k + 1)) if 0 < t <= tau_max]
+    k = next(k for k in (n + 1, n, n - 1) if _cos_null(k, f_dq) <= tau_opt)
+    nulls = [t for t in (_cos_null(k, f_dq), _cos_null(k + 1, f_dq)) if 0 < t <= tau_max]
     if not nulls:
         raise ValueError(f"no cosine null lies at or below tau_max = {tau_max:g} s: "
-                         f"the first, 1/(4 f_dq), is {1.0 / f_dq / 4.0:g} s")
+                         f"the first, 1/(4 f_dq), is {_cos_null(0, f_dq):g} s")
     tau_wp = max(nulls, key=lambda t: t * math.exp(-t / t2star))
     return WorkingPoint(tau_optimal=tau_opt, tau_wp=tau_wp)
 

@@ -64,7 +64,15 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
     measurement time of cycle_period/4 per Ramsey.  A working point whose
     alpha0 is zero or not finite carries no usable rotation signal and is
     a ConfigError naming tau_wp and t2_dq.
+
+    gyro, allan and budget all start from this working point, and none
+    of them reads [environment] nu, so a nonzero nu is a ConfigError.
     """
+    nu = cfg.environment.nu
+    if nu != 0.0:
+        raise ConfigError(
+            f"{args.config}: [environment]: nu = {nu:g} Hz is read only by fringes; "
+            f"gyro takes its rates from the profile, and allan and budget run at nu = 0")
     seq = cfg.sequence
     delta_nu = 0.01
     env = cfg.environment.replace(nu=np.array([0.0, delta_nu, -delta_nu]))
@@ -177,8 +185,7 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                              f"at least {ALLAN_MIN_SAMPLES}")
     baseline, alpha0, psn = _working_point(args, cfg)
     rng = default_rng(cfg.seed)
-    env = cfg.environment.replace(nu=0.0)
-    signal = run_gyro_stream(cfg.sequence, env, cfg.constants, args.duration, rng)
+    signal = run_gyro_stream(cfg.sequence, cfg.environment, cfg.constants, args.duration, rng)
     n_samples = len(signal)
     # The stream's buffer becomes the rotation estimate, then the Allan
     # phase series, in place: the Allan step holds one word per cycle.

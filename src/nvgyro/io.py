@@ -18,7 +18,8 @@ a column that is bit-identical to another in its group (same dtype, same
 bytes) is formatted once and laid into every table that holds it.  The
 kernel's workspace and the row text buffer are allocated once per call,
 and the text's NULs are dropped in chunks below malloc's mmap threshold,
-so a write faults its pages in once, not once per block."""
+so a write faults its pages in once, not once per block.  The word table
+and the digit tables are built once, on the first write, and kept."""
 
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ _CHUNK_WORDS = 16384
 #: output; the first character of a word is its lowest byte.
 _WORDS = 13
 _LE = np.dtype("<u4")
-#: The word table (_word_table): NUL, then each 4-digit group with its
+#: The word table (_tables): NUL, then each 4-digit group with its
 #: leading zeros as NUL, in full, and with its trailing zeros as NUL
 #: (but 0 as "0"), then the first word of "e%+03d" % e for each
 #: exponent e, and the fifth character of each exponent (or none)
@@ -77,12 +78,9 @@ _SCALE = _P10[np.array([[min(max(t, 0), 18), max(-t, 0), min(max(t - 16, 0), 4),
 
 @functools.cache
 def _tables():
-    """(g, steps, (pairs, lead, trail), small): Schubfach's g table, the
-    per-exponent steps of _shortest, the two digits of each number below
-    100 as a word in full, without a leading zero and without a trailing
-    zero, and the words after the groups in the word table; about 33 KB,
-    built on first use so that importing the package does not pay for
-    them.
+    """(g, steps, table): Schubfach's g table, the per-exponent steps of
+    _shortest and the word table laid out at _GROUP; about 150 KB, built
+    on first use so that importing the package does not pay for them.
 
     g is (617, 2) uint64: row e + 292 holds floor(10**e / 2**r) + 1 for
     e in [-292, 324], where r puts it in [2**127, 2**128), as its two
@@ -90,6 +88,8 @@ def _tables():
     steps is (e + 292, h + 2, h + 1 - closer) for a double of biased
     exponent be, where closer is set when its significand bits are 0 and
     be > 1 (its lower neighbour is closer); k = -e and h are Schubfach's.
+    The group words join the two digits of each number below 100 as a
+    word in full, without a leading zero and without a trailing zero.
     """
     tens = [1]
     for _ in range(324):
@@ -139,21 +139,13 @@ def _tables():
             | digits[0] << 16 | digits[1] << 24)
     exp2 = np.concatenate([[0], digits[2]]) | ord(",") << 24
     small = np.concatenate([exp1, exp2]).astype(_LE)
-    return g, steps, (pairs, lead, trail), small
-
-
-def _word_table() -> np.ndarray:
-    """The word table laid out at _GROUP.  Its 120 KB of group words are
-    built from the pair words for each write_tables call and dropped
-    after it, so no memory is kept between writes."""
-    *_, (pairs, lead, trail), small = _tables()
     words = np.empty((3, 100, 100), _LE)  # [form, first pair, second pair]
     np.bitwise_or(lead[:, None], pairs << np.uint32(16), out=words[0])
     words[0, 0] = lead << np.uint32(16)
     np.bitwise_or(pairs[:, None], pairs << np.uint32(16), out=words[1])
     np.bitwise_or(pairs[:, None], trail << np.uint32(16), out=words[2])
     words[2, :, 0] = trail
-    return np.concatenate([np.zeros(1, _LE), words.ravel(), small])
+    return g, steps, np.concatenate([np.zeros(1, _LE), words.ravel(), small])
 
 
 class _Workspace:
@@ -166,9 +158,8 @@ class _Workspace:
     column index in word rows 11 and 12 (tail) until the exponent's words
     go there, and its group sums in wide (wide32)."""
 
-    def __init__(self, table: np.ndarray, cells: int):
+    def __init__(self, cells: int):
         cells += -cells % 2  # two word rows make one aligned 64-bit row
-        self.table = table
         self.words = np.empty((_WORDS, cells), _LE)
         flat = self.words.reshape(-1)
         self.low = flat[:12 * cells].view(_U64).reshape(6, cells)
@@ -177,14 +168,14 @@ class _Workspace:
         self.wide32 = self.wide.reshape(-1).view(_LE).reshape(6, cells)
 
 
-def _product(g, cp, rows=None):
+def _product(g, cp, rows):
     """X = g * cp as its three 64-bit words, least significant first.
     g is (n, 2) as in _tables; cp is below 2**59 and is overwritten.  The
-    words go in rows[:3] and rows[3:6] are scratch: six rows of n, made
-    if rows is None.  The high word of each 64 x 64-bit product is summed
-    from 32 x 32-bit limb products."""
+    words go in rows[:3] and rows[3:6] are scratch: six uint64 rows of n.
+    The high word of each 64 x 64-bit product is summed from 32 x 32-bit
+    limb products."""
     lo, hi = g.T
-    x0, x1, x2, b1, t, u = np.empty((6, len(cp)), _U64) if rows is None else rows
+    x0, x1, x2, b1, t, u = rows
     np.right_shift(cp, _U64(32), out=b1)
     np.multiply(lo, cp, out=x0)
     np.multiply(hi, cp, out=x1)
@@ -224,11 +215,10 @@ def _rop(x1, x2, out=None):
     return np.bitwise_or(x2, x1 > _U64(1), out=out)
 
 
-def _shifted(lo, hi, s, d=None):
+def _shifted(lo, hi, s, d):
     """g << s as three 64-bit words, least significant first, of g's
-    words lo and hi, in the three rows d (made if None); s lies in
-    [1, 63]."""
-    d0, d1, d2 = np.empty((3, len(lo)), _U64) if d is None else d
+    words lo and hi, in the three uint64 rows d; s lies in [1, 63]."""
+    d0, d1, d2 = d
     np.left_shift(lo, s, out=d0)
     np.left_shift(hi, s, out=d1)
     s = np.subtract(64, s, dtype=s.dtype)
@@ -266,11 +256,12 @@ def _rop_plus(x, d):
     return _rop(d0, d2, out=d2)
 
 
-def _shortest(bits, work=None):
+def _shortest(bits, work):
     """Shortest round-trip decimal (s, k), value = s * 10**k, of positive
     normal doubles given as their bits (Giulietti's Schubfach); s may
-    end in zeros.  The rows of work (a _Workspace, made if None) are the
-    scratch, bits among them if it is wide[0]; s is a view of wide[1].
+    end in zeros.  The rows of work, a _Workspace of at least len(bits)
+    cells, are the scratch, bits among them if it is wide[0]; s is a
+    view of wide[1].
 
     The value's scaled product X = g * (4c << h) is the one 192-bit
     product per cell.  The interval ends are X - (g << (h + 1 - closer))
@@ -280,8 +271,6 @@ def _shortest(bits, work=None):
     """
     g_table, steps = _tables()[:2]
     n = len(bits)
-    if work is None:
-        work = _Workspace(None, n)
     # r[0] and r[1] are wide[1:], r[2:] are low; g is r[3:5] and X r[5:]
     r = [row[:n] for row in (*work.wide[1:], *work.low)]
     # 2 * be - closer: bits - 1 lies one exponent lower where the
@@ -397,8 +386,8 @@ def _words(neg, s, t, sci, exponent, work):
     last nonzero one print as NUL and the last in its trailing-NUL form,
     with a "0" kept unless sci.  Only as many integer groups as the
     largest cell needs are laid out, with the sign just before them.
-    Each group is computed in its output row, which one lookup in
-    work.table then turns into its word.  Arrays are (word, cell), so
+    Each group is computed in its output row, which one lookup in the
+    word table then turns into its word.  Arrays are (word, cell), so
     each operation runs along the cells.
 
     Word rows are fixed: the sign goes in row first (0-4), the integer
@@ -406,6 +395,7 @@ def _words(neg, s, t, sci, exponent, work):
     groups in rows 6-10 and the exponent's words in rows 11 and 12.
     """
     n = len(s)
+    table = _tables()[2]
     out = work.words[:, :n]
     col = work.tail[:n]  # t + 15, until the exponent's words replace it
     np.add(t, 15, out=col)
@@ -463,11 +453,11 @@ def _words(neg, s, t, sci, exponent, work):
         out[12] += _U32(_EXP2)
         end = 13
     else:
-        out[11:] = work.table.take([[0], [_EXP2]])
+        out[11:] = table.take([[0], [_EXP2]])
     index = work.wide[0, :n].view(np.int64)
     for j in (*range(first + 1, 5), *range(6, end)):
         index[:] = out[j]
-        work.table.take(index, out=out[j], mode="clip")
+        table.take(index, out=out[j], mode="clip")
     np.multiply(neg, _U32(ord("-")), out=out[first])
     return out[first:]
 
@@ -561,8 +551,7 @@ def write_tables(tables: dict) -> None:
         distinct: list[np.ndarray] = []
         picks = [[_pick(distinct, a) for a in arrays] for _, _, arrays in group]
         plans.append((n, group, distinct, picks, max(1, _BLOCK_CELLS // len(distinct))))
-    work = _Workspace(_word_table(), max(min(n, step) * len(distinct)
-                                         for n, _, distinct, _, step in plans))
+    work = _Workspace(max(min(n, step) * len(distinct) for n, _, distinct, _, step in plans))
     text = np.empty(_WORDS * max(min(n, step) * max(map(len, picks))
                                  for n, _, _, picks, step in plans), _LE)
     for n, group, distinct, picks, step in plans:

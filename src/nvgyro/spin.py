@@ -54,10 +54,12 @@ def check_finite(obj, *names: str) -> None:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Literature constants of the NV / 14N system.
+    """Literature constants of the NV / 14N system; PhysicalConstants()
+    is the default profile.
 
     gamma_e, gamma_n in Hz/G, D (zero-field splitting), A_perp (transverse
-    hyperfine) and Q (quadrupole splitting) in Hz.
+    hyperfine) and Q (quadrupole splitting) in Hz; Q is back-derived from
+    the ~5.089/4.796 MHz carrier pair at 482 G.
     """
 
     gamma_e: float = 2.8025e6
@@ -76,11 +78,6 @@ class PhysicalConstants:
 
     def replace(self, **kwargs) -> "PhysicalConstants":
         return replace(self, **kwargs)
-
-
-#: Default constants profile (overridable; Q back-derived from the
-#: ~5.089/4.796 MHz carrier pair at 482 G).
-LITERATURE_CONSTANTS = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ class RotatingFrame:
 ABSOLUTE_FRAME = RotatingFrame(0.0, 0.0)
 
 
-def dq_splitting(B, c: PhysicalConstants = LITERATURE_CONSTANTS):
+def dq_splitting(B, c: PhysicalConstants):
     """Splitting between |+1> and |-1> at bias field B (G). Array-friendly.
 
     Raises SingularSplittingError near the ground-state level anticrossing
@@ -173,8 +170,7 @@ def dq_splitting(B, c: PhysicalConstants = LITERATURE_CONSTANTS):
     return float(out) if out.ndim == 0 else out
 
 
-def transition_frequencies(env: FieldEnvironment,
-                           c: PhysicalConstants = LITERATURE_CONSTANTS):
+def transition_frequencies(env: FieldEnvironment, c: PhysicalConstants):
     """(f1, f2) of the |0><->|+1| and |0><->|-1| transitions in Hz.
 
     f1 - f2 equals dq_splitting at B + delta_B; (f1 + f2)/2 = Q + delta_Q,

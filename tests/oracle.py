@@ -12,7 +12,8 @@ sensitivity of the working point, with the measurement time t_m an
 argument; nvgyro derives its own from the kernel's slope alpha0 and the
 cycle instead, and at t_m = cycle_period/4 the two must agree.
 
-calibration_from_slope and linearity are the slope method of the
+calibration_from_amplitude, calibration_from_slope and linearity are
+the fringe calibration of a bare amplitude, the slope method of the
 calibration and the exact phase-wrapped response, which nothing in
 nvgyro computes: the CLI measures alpha by the fringe fit, the sweep
 regression and the kernel's alpha0, and dynamic_range keeps only the
@@ -119,6 +120,14 @@ def psn_rotation_sensitivity(d, tau: float, t2: float, t_m: float) -> float:
     n_b = 2.0 if d.balanced else 1.0
     return (math.sqrt(n_b * d.G * ELEMENTARY_CHARGE / (d.V0 * d.t_R) * t_m)
             / (2 * math.pi * tau * math.exp(-tau / t2) * d.contrast))
+
+
+def calibration_from_amplitude(a_wp: float, tau_wp: float) -> float:
+    """alpha = 4*pi*tau_wp*A_wp per Hz, with A_wp the local fringe
+    amplitude at the working point and a positive slope."""
+    if tau_wp <= 0:
+        raise ValueError("tau_wp must be > 0")
+    return 4.0 * math.pi * tau_wp * a_wp
 
 
 def calibration_from_slope(ds_dtau: float, tau_wp: float,

@@ -14,8 +14,8 @@ import pytest
 
 from nvgyro import (
     FieldEnvironment,
-    LITERATURE_CONSTANTS,
     NoiseHooks,
+    PhysicalConstants,
     RateTrajectory,
     RotatingFrame,
     SequenceConfig,
@@ -34,9 +34,9 @@ from nvgyro import (
 )
 from nvgyro.cli import main
 from nvgyro.sequence import combined_sigma
-from oracle import calibration_from_slope, linearity
+from oracle import calibration_from_amplitude, calibration_from_slope, linearity
 
-C = LITERATURE_CONSTANTS
+C = PhysicalConstants()
 ENV = FieldEnvironment(B=482.0)
 TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
 
@@ -162,7 +162,7 @@ def test_criterion_06_sensitivity_budget(tmp_path):
 
 def test_criterion_07_calibration_agreement():
     # formula value with the quoted fringe amplitude
-    cal_quoted = calibration_from_fringes(1.32, 1.428e-3)
+    cal_quoted = calibration_from_amplitude(1.32, 1.428e-3)
     quoted_ok = abs(cal_quoted / 360.0 - 6.56e-5) / 6.56e-5 <= 0.02
 
     # three estimators on the simulated instrument (absolute mode)

@@ -8,13 +8,13 @@ import pytest
 
 import nvgyro.analysis
 from nvgyro import (
-    LITERATURE_CONSTANTS,
     AllanSeries,
     FieldEnvironment,
     FitConvergenceError,
     FringeSeries,
     InsufficientSpanError,
     NonUniformGridError,
+    PhysicalConstants,
     SequenceConfig,
     allan_deviation,
     calibration_from_fringes,
@@ -31,7 +31,7 @@ from nvgyro import (
 )
 from nvgyro.analysis import WorkingPointWarning, _decaying_sine, spectrum_peak_frequency
 from nvgyro.spin import DEG_PER_REV
-from oracle import calibration_from_slope, fringe_fit, linearity
+from oracle import calibration_from_amplitude, calibration_from_slope, fringe_fit, linearity
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -163,7 +163,7 @@ class TestPowerSpectrum:
     def test_pure_sine_peak_within_one_bin(self):
         taus = np.linspace(0, 1e-2, 1000)
         y = np.sin(2 * np.pi * 2345.0 * taus)
-        freqs, power = power_spectrum(taus, y, zero_pad=1)
+        freqs, power = power_spectrum(taus, y)
         raw_bin = 1.0 / (taus[-1] - taus[0])
         assert abs(spectrum_peak_frequency(freqs, power) - 2345.0) <= raw_bin
 
@@ -182,13 +182,13 @@ class TestPowerSpectrum:
 class TestCalibration:
     def test_fringe_amplitude_formula(self):
         # alpha = 4*pi*tau_wp*A: A = 1.32 % at tau_wp = 1.428 ms
-        cal = calibration_from_fringes(1.32, 1.428e-3)
+        cal = calibration_from_amplitude(1.32, 1.428e-3)
         assert cal == pytest.approx(2.36e-2, rel=0.01)
         assert cal / DEG_PER_REV == pytest.approx(6.56e-5, rel=0.01)
 
     def test_linear_in_amplitude(self):
-        one = calibration_from_fringes(1.0, 1.428e-3)
-        two = calibration_from_fringes(2.0, 1.428e-3)
+        one = calibration_from_amplitude(1.0, 1.428e-3)
+        two = calibration_from_amplitude(2.0, 1.428e-3)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_from_fit_applies_envelope_and_sign(self):
@@ -214,7 +214,7 @@ class TestCalibration:
         # the warning names the snap, and taking it silences the warning
         cfg, env = SequenceConfig(), FieldEnvironment(B=482.0)
         taus = np.linspace(0.0, 5e-3, 5000)
-        fit = fit_decaying_sine(sweep_fringes(cfg, env, LITERATURE_CONSTANTS, taus))
+        fit = fit_decaying_sine(sweep_fringes(cfg, env, PhysicalConstants(), taus))
         with pytest.warns(WorkingPointWarning, match=(
                 r"default_config\(\) and load_config\(\) snap tau_wp .*"
                 r"use snap_to_cos_null\(tau_wp, 293\d\d\d\.?\d*\)")) as record:
@@ -395,12 +395,14 @@ class TestAllanDeviation:
     (lambda: linearity(1.0, 0.0), "nu0 must be > 0"),
     (lambda: one_rad_rotation_rate(0.0), "tau must be > 0"),
     (lambda: dynamic_range(1e-4, 0.0), "nu0 must be > 0"),
-    (lambda: calibration_from_fringes(0.01, 0.0), "tau_wp must be > 0"),
+    (lambda: calibration_from_fringes(fit_decaying_sine(synth(DENSE)), 0.0),
+     "tau_wp must be > 0"),
+    (lambda: calibration_from_amplitude(0.01, 0.0), "tau_wp must be > 0"),
     (lambda: calibration_from_slope(1.0, 0.0, 293e3), "tau_wp and f_dq must be > 0"),
     (lambda: calibration_from_slope(1.0, 1.4e-3, 0.0), "tau_wp and f_dq must be > 0"),
 ], ids=["snap-tau", "snap-f", "snap-inf-tau", "snap-inf-f", "snap-nan-tau", "snap-4ftau",
         "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "linearity-nu0",
-        "nu0-tau", "range-nu0", "fringes-tau", "slope-tau", "slope-f"])
+        "nu0-tau", "range-nu0", "fringes-tau", "amplitude-tau", "slope-tau", "slope-f"])
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgyro import RateTrajectory, dq_splitting, load_config, sweep_fringes
+from nvgyro import PhysicalConstants, RateTrajectory, dq_splitting, load_config, sweep_fringes
 from nvgyro.cli import main
 from nvgyro.io import write_tables
 from oracle import psn_rotation_sensitivity
@@ -365,7 +365,7 @@ class TestBudgetCommand:
         out = tmp_path / "out"
         assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
         budget = json.loads((out / "budget.json").read_text())
-        assert budget["f_dq_hz"] == dq_splitting(482.0 + 0.1)
+        assert budget["f_dq_hz"] == dq_splitting(482.0 + 0.1, PhysicalConstants())
         assert budget["f1_hz"] - budget["f2_hz"] == pytest.approx(budget["f_dq_hz"],
                                                                   abs=1e-6)
 
@@ -660,6 +660,41 @@ class TestCleanErrors:
         assert "tau_wp" in err and "t2_dq" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gyro", "allan", "budget"])
+    def test_rotation_rate_is_rejected_where_it_is_not_read(self, tmp_path, capsys, command):
+        # Only fringes reads [environment] nu: gyro takes its rates from
+        # the profile, and allan and budget run at nu = 0.  The other
+        # three reject a nonzero nu rather than ignore it.
+        cfg = tmp_path / "nu.cfg"
+        cfg.write_text("[environment]\nnu = 5\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command != "budget":
+            argv += ["--duration", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [environment]: nu = 5 Hz is read only by "
+                              f"fringes; ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fringes_honours_the_rotation_rate(self, tmp_path, capsys):
+        # nu = 5 Hz moves the DQ fringe by 2 nu = 10 Hz; the same seed
+        # draws the same noise, so the fits differ by 10 Hz to well
+        # within their sigma.
+        fits = []
+        for nu in (0, 5):
+            cfg = tmp_path / f"nu{nu}.cfg"
+            cfg.write_text(f"[environment]\nnu = {nu}\n")
+            out = tmp_path / f"out{nu}"
+            assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 0
+            fits.append(json.loads((out / "fit.json").read_text()))
+        still, rotating = fits
+        assert rotating["f_hz"] - still["f_hz"] == pytest.approx(
+            10.0, abs=still["f_sigma_hz"])
 
     def test_infinite_mode_key(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"

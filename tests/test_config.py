@@ -7,6 +7,7 @@ import pytest
 from nvgyro import (
     ABSOLUTE_FRAME,
     ConfigError,
+    PhysicalConstants,
     build_config,
     default_config,
     dq_splitting,
@@ -138,7 +139,7 @@ class TestDefaults:
         assert cfg.sequence.tau_wp == pytest.approx(1.428e-3, rel=1e-3)
 
     @pytest.mark.parametrize("text, fringe", [
-        ("[environment]\ndelta_B = 0.1\n", dq_splitting(482.0 + 0.1)),
+        ("[environment]\ndelta_B = 0.1\n", dq_splitting(482.0 + 0.1, PhysicalConstants())),
         ("[sequence]\nphase_reference = resonant\ndq_detuning = -2000.0\n", 2000.0),
     ], ids=["drifted-field", "negative-detuning"])
     def test_default_tau_wp_snaps_to_the_kernel_fringe(self, tmp_path, text, fringe):

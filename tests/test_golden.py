@@ -21,7 +21,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _small_grid(tmp_path, name: str, replacements: dict[str, str]) -> Path:
-    """Shipped config with only its fringe grid lines replaced."""
+    """Shipped config with only the given lines replaced."""
     text = (CONFIGS / name).read_text()
     for old, new in replacements.items():
         assert old in text
@@ -102,6 +102,36 @@ GOLDEN = {
         "spectrum_r4.csv":
             "d21dc1f6cb98bd2a5ed6e7a23a453e85af9a950bea6d87886a3f11b1653225e1",
     },
+    # The resonant frame at a 2 kHz DQ detuning: the fringe sits at
+    # dq_detuning, and budget snaps to the cosine null at 1.3750 ms.
+    "budget-resonant": {
+        "budget.json":
+            "6ee88ed389ab1653b7152f47045b1903006664e2fc98e25674acf509052b99ee",
+    },
+    "fringes-resonant": {
+        "fit.json":
+            "20bda02d37d888aed17ff7649938282ae924dc415fdf45a8e58912957d245911",
+        "fringes_combined.csv":
+            "0f9943714ec78e4305de3c2ac7be6e47aa47c4491cb66ed036b15efe6fb46721",
+        "fringes_r1.csv":
+            "83323b2c8c4c7988b880e7797c715900b0090cb8be0bebb3b118fbb1ec9635e0",
+        "fringes_r2.csv":
+            "70201c0fe27acb91eccb47e1cc08139aa801ad961bf55762691b338c6e05c225",
+        "fringes_r3.csv":
+            "27bd2ffbd5d3ce8c1586fee861ad519edbc196486bf6c663170537ffa3eabe1b",
+        "fringes_r4.csv":
+            "59be6aa5c10c04e3dcbff902530a0dde128b0f47ebe86b00410aa1ff87339177",
+        "spectrum_combined.csv":
+            "78b04e1f6e4920189ebd1146781abe06b4fff83b76dedfc0f05456ef0e38fea0",
+        "spectrum_r1.csv":
+            "b5d88ef57aa9f698a4d1a0b7550885f8d8f215b51d7fe22398d86d3772c6ee1c",
+        "spectrum_r2.csv":
+            "ba1fd14f669bc4f7f676683aeb5e120b646a020051ddf9f9477795c8b54d653c",
+        "spectrum_r3.csv":
+            "d39abfb3ed518501ff87f5c838d3cf1ee20fcea95fe703098e33b874f2ad56a2",
+        "spectrum_r4.csv":
+            "519344831c9f9a2fabf0807707c720eb2bb8f3d4590f969fd38ad2345930ad6e",
+    },
     # The shipped 4096-point grid (12.8 MHz sampling) resolves the SQ lines.
     "fringes-sq": {
         "fit.json":
@@ -131,6 +161,12 @@ GOLDEN = {
 
 
 def _argv(case: str, tmp_path: Path) -> list[str]:
+    if case.endswith("-resonant"):
+        cfg = _small_grid(tmp_path, "default.cfg", {
+            "phase_reference = reset ": "phase_reference = resonant",
+            "# dq_detuning = 0.0 ": "dq_detuning = 2000.0",
+            "points = 5000": "points = 200"})
+        return [case.split("-")[0], "--config", str(cfg)]
     if case == "budget":
         return ["budget", "--config", str(CONFIGS / "default.cfg")]
     if case.startswith("gyro"):

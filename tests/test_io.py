@@ -151,7 +151,8 @@ def test_round_to_odd_sticky_threshold():
                 gs.append(big_g + delta)
                 cps.append(cp)
                 expected.append(m * 5**e + (w > 1))
-    _, x1, x2 = io._product(_g_rows(gs), np.array(cps, np.uint64))
+    _, x1, x2 = io._product(_g_rows(gs), np.array(cps, np.uint64),
+                            np.empty((6, len(cps)), np.uint64))
     assert io._rop(x1, x2).tolist() == expected
 
 
@@ -188,7 +189,7 @@ def test_interval_ends_carry_and_borrow_between_words():
 
     for rop, x in ((io._rop_minus, [y + d for _, _, y, d in cases]),
                    (io._rop_plus, [y - d for _, _, y, d in cases])):
-        d = io._shifted(g[:, 0], g[:, 1], shifts.copy())
+        d = io._shifted(g[:, 0], g[:, 1], shifts.copy(), np.empty((3, len(g)), np.uint64))
         assert [v.tolist() for v in d] == [w.tolist() for w in words([c[3] for c in cases])]
         assert rop(words(x), d).tolist() == want
 
@@ -207,7 +208,7 @@ def test_schubfach_shifts_and_digit_counts(exponents, data):
     h = steps["cp"] - 2
     assert ((1 <= h) & (h <= 4)).all()
     assert (steps["lower"] >= 1).all()
-    s, k = io._shortest(bits)
+    s, k = io._shortest(bits, io._Workspace(len(bits)))
     assert ((10**14 <= s) & (s < 10**17)).all()
     values = bits.view(np.float64)
     assert [float(f"{a}e{b}") for a, b in zip(s.tolist(), k.tolist())] == values.tolist()

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvgyro import (LITERATURE_CONSTANTS, FieldEnvironment, NoiseHooks, SequenceConfig,
+from nvgyro import (FieldEnvironment, NoiseHooks, PhysicalConstants, SequenceConfig,
                     run_gyro_stream)
 from nvgyro import cli, io, sequence
 
@@ -58,7 +58,7 @@ def test_stream_peak_is_a_few_words_per_cycle(rotating):
             t = np.arange(n) * cfg.cycle_period
             run_env = env.replace(nu=0.5 * np.sin(t))
             del t
-        run_gyro_stream(cfg, run_env, LITERATURE_CONSTANTS,
+        run_gyro_stream(cfg, run_env, PhysicalConstants(),
                         (n + 0.5) * cfg.cycle_period, np.random.default_rng(5))
 
     small, large = CYCLES
@@ -79,7 +79,7 @@ def test_static_stream_block_buffer_is_one_block_of_signals(hooks):
         cfg = cfg.replace(noise=NoiseHooks(white_sigma=1e-5, random_walk_sigma=1e-5))
 
     def run(n):
-        run_gyro_stream(cfg, FieldEnvironment(B=482.0), LITERATURE_CONSTANTS,
+        run_gyro_stream(cfg, FieldEnvironment(B=482.0), PhysicalConstants(),
                         (n + 0.5) * cfg.cycle_period, np.random.default_rng(5))
 
     run(3)  # numpy's first-call set-up is not the stream's
@@ -144,13 +144,14 @@ def test_kernel_block_peak_is_bounded():
     # One kernel call on a full block of float cells, its workspace
     # allocated inside the traced call: about 95 bytes per cell at its
     # peak, so _BLOCK_CELLS can grow only when the bytes per cell fall.
+    # The tables are built once per process, before the trace.
     rng = np.random.default_rng(8)
-    table = io._word_table()
+    io._tables()
     rows = io._BLOCK_CELLS // 4
     columns = [np.arange(rows) * 0.007, rng.normal(size=rows),
                360 * rng.normal(size=rows), 1e-3 * rng.normal(size=rows)]
     peak = _traced_peak(lambda: io._cell_words(
-        columns, [False] * 4, io._Workspace(table, io._BLOCK_CELLS)))
+        columns, [False] * 4, io._Workspace(io._BLOCK_CELLS)))
     assert peak <= 480 * 1024
 
 

@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 from nvgyro import (
     ABSOLUTE_FRAME,
     DetectorConfig,
-    LITERATURE_CONSTANTS,
     FieldEnvironment,
     NoiseHooks,
+    PhysicalConstants,
     RateTrajectory,
     RotatingFrame,
     SequenceConfig,
@@ -49,7 +49,7 @@ from nvgyro.cli import cmd_budget
 from nvgyro.sequence import combined_sigma
 from oracle import bright_projections, psn_rotation_sensitivity
 
-C = LITERATURE_CONSTANTS
+C = PhysicalConstants()
 TOL = 1e-12
 
 taus = st.floats(0.0, 5e-3)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from nvgyro import (
-    LITERATURE_CONSTANTS,
     FieldEnvironment,
     FringeSeries,
     NoiseHooks,
+    PhysicalConstants,
     RateTrajectory,
     RotatingFrame,
     SequenceConfig,
@@ -28,7 +28,7 @@ from nvgyro import (
 from nvgyro import sequence
 from nvgyro.sequence import _prepared_state, combined_sigma
 
-C = LITERATURE_CONSTANTS
+C = PhysicalConstants()
 ENV = FieldEnvironment(B=482.0)
 TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
 F_DQ = dq_splitting(482.0, C)

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 from nvgyro import (
     ABSOLUTE_FRAME,
-    LITERATURE_CONSTANTS,
     FieldEnvironment,
     PhysicalConstants,
     RotatingFrame,
@@ -21,7 +20,7 @@ from nvgyro.sequence import _prepared_state
 from nvgyro.spin import coherence_factors
 from oracle import PulseKind, two_tone_generator
 
-C = LITERATURE_CONSTANTS
+C = PhysicalConstants()
 ENV = FieldEnvironment(B=482.0)
 
 # Density matrices over (m_I = +1, 0, -1).
