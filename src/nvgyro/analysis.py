@@ -280,17 +280,56 @@ def calibration_from_fringes(fit: FringeFit, tau_wp: float) -> float:
 def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     """(alpha per Hz, its standard error, intercept): the least-squares
     line of the working-point signal against known rotation rates nu
-    (Hz), as a rate-table sweep measures it; ValueError if nu has no spread."""
+    (Hz), as a rate-table sweep measures it; ValueError if nu has no spread.
+
+    Every sum is the whole-array formula's np.sum, bit for bit, formed
+    leaf by leaf (_sum_of), so no run-length temporary exists.
+    """
     nu, signal = np.asarray(nu, dtype=float), np.asarray(signal, dtype=float)
-    dev = nu - np.mean(nu)
-    if not np.sum(dev**2) > 0:
+    if nu.shape != signal.shape:
+        raise ValueError("nu and signal must have equal lengths")
+    n = len(nu)
+    mean_nu, mean_s = np.mean(nu), np.mean(signal)
+    sxx = _squared_deviation_sum(nu, mean_nu)
+    if not sxx > 0:
         raise ValueError("the rates nu have no spread: the slope is undefined")
-    slope = float(np.sum(dev * (signal - np.mean(signal))) / np.sum(dev**2))
-    intercept = float(np.mean(signal) - slope * np.mean(nu))
-    resid = signal - (slope * nu + intercept)
-    stderr = float(np.sqrt(np.sum(resid**2) / max(len(signal) - 2, 1)
-                           / np.sum(dev**2)))
+
+    def cross(i, j, out):  # (nu - mean nu) * (signal - mean signal)
+        np.subtract(nu[i:j], mean_nu, out=out)
+        out *= signal[i:j] - mean_s
+        return out
+
+    slope = float(_sum_of(cross, n) / sxx)
+    intercept = float(mean_s - slope * mean_nu)
+
+    def residual_squared(i, j, out):  # (signal - (slope * nu + intercept))**2
+        np.multiply(nu[i:j], slope, out=out)
+        out += intercept
+        np.subtract(signal[i:j], out, out=out)
+        out *= out
+        return out
+
+    stderr = math.sqrt(_sum_of(residual_squared, n) / max(n - 2, 1) / sxx)
     return slope, stderr, intercept
+
+
+def rate_spread(nu) -> float:
+    """np.std(nu) of rates nu, bit for bit, summed leaf by leaf."""
+    nu = np.asarray(nu, dtype=float)
+    return math.sqrt(_squared_deviation_sum(nu, np.mean(nu)) / len(nu))
+
+
+def rotation_rms_error(signal, alpha_per_hz: float, baseline: float, nu) -> float:
+    """RMS in Hz of the calibrated rotation estimate of signal against
+    the true rates nu: np.sqrt(np.mean((rotation_from_signal(signal,
+    alpha_per_hz, baseline) - nu)**2)) bit for bit, summed leaf by leaf."""
+    def fill(i, j, out):
+        rotation_from_signal(signal[i:j], alpha_per_hz, baseline, out=out)
+        out -= nu[i:j]
+        out *= out
+        return out
+
+    return math.sqrt(_sum_of(fill, len(signal)) / len(signal))
 
 
 def rotation_from_signal(signal, alpha_per_hz: float, baseline: float,
@@ -347,24 +386,44 @@ ALLAN_MIN_SAMPLES = 32
 #: take fewer numpy calls; the sum is np.sum's at any leaf size.
 _ALLAN_LEAF = 65_536
 
+#: Elements per leaf of the calibration's and the gyro report's sums
+#: (_sum_of): a 64 KiB buffer, below malloc's mmap threshold.
+_SUM_LEAF = 8192
 
-def _pairwise_sum(fill, n: int, buf: np.ndarray) -> float:
+
+def _pairwise_sum(fill, n: int, buf: np.ndarray, start: int = 0) -> float:
     """np.sum of the length-n array whose elements [i, j) fill(i, j, out)
-    writes into out, without forming it.
+    writes into out, without forming it; its elements start at index
+    start of fill's.
 
     numpy sums a contiguous float64 array along a pairwise tree that
     splits n at n//2 rounded down to a multiple of 8; the subtrees of at
     most len(buf) elements are formed in buf and summed by np.add.reduce,
-    so the result is np.sum's, bit for bit.
+    so the result is np.sum's, bit for bit.  The recursion is this
+    function's own, not a nested closure's, which would refer to itself
+    and so keep fill, buf and every array fill reads alive until the
+    cyclic garbage collector runs.
     """
-    def node(start: int, size: int) -> float:
-        if size <= len(buf):
-            return np.add.reduce(fill(start, start + size, buf[:size]))
-        half = size // 2
-        half -= half % 8
-        return node(start, half) + node(start + half, size - half)
+    if n <= len(buf):
+        return float(np.add.reduce(fill(start, start + n, buf[:n])))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(fill, half, buf, start) + _pairwise_sum(fill, n - half, buf, start + half)
 
-    return float(node(0, n))
+
+def _sum_of(fill, n: int) -> float:
+    """_pairwise_sum of fill over n elements, in leaves of _SUM_LEAF."""
+    return _pairwise_sum(fill, n, np.empty(min(n, _SUM_LEAF)))
+
+
+def _squared_deviation_sum(x: np.ndarray, mean) -> float:
+    """np.sum((x - mean)**2) of a float64 array x, bit for bit."""
+    def fill(i, j, out):
+        np.subtract(x[i:j], mean, out=out)
+        out *= out
+        return out
+
+    return _sum_of(fill, len(x))
 
 
 def allan_deviation(values, tau0: float, m_values: list[int] | None = None, *,
@@ -465,18 +524,21 @@ def select_working_point(t2star: float, f_dq: float, tau_max: float) -> WorkingP
     two cosine nulls around it: a cycle holds four Ramseys of any delay up to
     tau_max (SequenceConfig.tau_wp_max) at a fixed noise per sample, so the merit
     is the slope tau * exp(-tau/T2*), which rises up to T2* and falls after it.
-    The null above the optimum is a candidate only if it is <= tau_max.
-    ValueError if no null fits."""
+    The null above the optimum is a candidate only if it is <= tau_max and
+    the signal exp(-tau/T2*) there is not 0 (SequenceConfig's rule for
+    tau_wp).  ValueError if no null fits."""
     tau_opt = min(t2star, tau_max)
     if not (t2star > 0 and f_dq > 0 and tau_max > 0 and 4.0 * (f_dq * tau_opt) < math.inf):
         raise ValueError("t2star, f_dq must be > 0 and tau_max > 0, with 4 f_dq tau finite")
     # Nulls (2n+1)/(4 f_dq); 4 f_dq tau may round across one, so try n + 1, n, n - 1.
     n = math.floor((4.0 * (f_dq * tau_opt) - 1.0) / 2.0)
     k = next(k for k in (n + 1, n, n - 1) if _cos_null(k, f_dq) <= tau_opt)
-    nulls = [t for t in (_cos_null(k, f_dq), _cos_null(k + 1, f_dq)) if 0 < t <= tau_max]
+    nulls = [t for t in (_cos_null(k, f_dq), _cos_null(k + 1, f_dq))
+             if 0 < t <= tau_max and math.exp(-t / t2star) > 0]
     if not nulls:
-        raise ValueError(f"no cosine null lies at or below tau_max = {tau_max:g} s: "
-                         f"the first, 1/(4 f_dq), is {_cos_null(0, f_dq):g} s")
+        raise ValueError(f"no cosine null lies at or below tau_max = {tau_max:g} s with "
+                         f"a signal exp(-tau/T2*) > 0: the first, 1/(4 f_dq), is "
+                         f"{_cos_null(0, f_dq):g} s")
     tau_wp = max(nulls, key=lambda t: t * math.exp(-t / t2star))
     return WorkingPoint(tau_optimal=tau_opt, tau_wp=tau_wp)
 

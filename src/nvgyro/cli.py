@@ -2,13 +2,16 @@
 
 Each command only computes: it returns its outputs, a mapping from file
 name to a JSON dict or a (names, columns) table, and the text it prints.
-`main` alone writes them: after the command returns, and only with
---out, it creates the directory, writes every table in one pass
+A table column is an array or an io.Producer, which makes its cells one
+write block at a time: gyro holds only its per-cycle rates and signal
+whole.  `main` alone writes them: after the command returns, and only
+with --out, it creates the directory, writes every table in one pass
 (io.write_tables: tables that share a row count are written in lockstep
 and a column they share is formatted once), then every JSON output, then
-a JSON manifest (command, config snapshot, seed, version, output list,
-bytes written, compute and write seconds, wall time).  A run that fails
-writes nothing.  Outputs are byte-reproducible for a fixed (config,
+a JSON manifest (command, config snapshot, version, output list, bytes
+written, compute and write seconds, wall time, and the seed of the
+commands that draw random numbers; budget takes no --seed).  A run that
+fails writes nothing.  Outputs are byte-reproducible for a fixed (config,
 seed); the manifest additionally records the timings.  Exit codes: 0 ok,
 1 domain error, 2 usage error.
 """
@@ -34,21 +37,27 @@ from .analysis import (
     fit_decaying_sine,
     one_rad_rotation_rate,
     power_spectrum,
+    rate_spread,
     rotation_from_signal,
+    rotation_rms_error,
     select_working_point,
 )
 from .config import ExperimentConfig, default_config, load_config
 from .errors import ConfigError, GyroSimError, input_error
-from .io import write_json, write_tables
+from .io import Producer, write_json, write_tables
 from .ratetable import RateTrajectory
 from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
                        sweep_fringes)
 from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
 
+#: Cycles per block in which gyro evaluates the rate table into its
+#: per-cycle rates: each block's temporaries stay below 64 KiB apiece.
+_RATE_BLOCK = 8192
+
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = cfg.replace(seed=args.seed)
@@ -133,9 +142,18 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
             seq.n_cycles(args.duration)
         duration = min(duration, args.duration)
     rng = default_rng(cfg.seed)
-    t = np.arange(seq.n_cycles(duration)) * seq.cycle_period
-    table_rate = traj.rate_at(t)  # deg/s, written as the table evaluated it
-    nu_true = table_rate / DEG_PER_REV
+    n = seq.n_cycles(duration)
+
+    def times(start, stop):  # cycle k starts at k * cycle_period
+        return np.arange(start, stop) * seq.cycle_period
+
+    def table_rate(start, stop):  # deg/s, written as the table evaluated it
+        return traj.rate_at(times(start, stop))
+
+    nu_true = np.empty(n)
+    for start in range(0, n, _RATE_BLOCK):
+        stop = min(start + _RATE_BLOCK, n)
+        np.divide(table_rate(start, stop), DEG_PER_REV, out=nu_true[start:stop])
 
     baseline, alpha0, _ = _working_point(args, cfg)
     signal = run_gyro_stream(seq, cfg.environment.replace(nu=nu_true),
@@ -145,10 +163,10 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         "alpha0_per_hz": alpha0,
         "alpha0_per_dps": alpha0 / DEG_PER_REV,
         "baseline": baseline,
-        "n_samples": len(signal),
+        "n_samples": n,
     }
     # Regress S against the table rate when the profile actually sweeps.
-    if np.std(nu_true) > 1e-4:
+    if rate_spread(nu_true) > 1e-4:
         slope, stderr, intercept = calibration_from_sweep(nu_true, signal)
         report.update({
             "alpha_per_hz": slope,
@@ -161,18 +179,27 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     else:
         alpha_used, baseline_used = alpha0, baseline
     report["alpha_used_per_hz"] = alpha_used
+    rms = rotation_rms_error(signal, alpha_used, baseline_used, nu_true) * DEG_PER_REV
 
-    nu_hat = rotation_from_signal(signal, alpha_used, baseline_used)
+    def nu_hat(start, stop):
+        return rotation_from_signal(signal[start:stop], alpha_used, baseline_used)
+
+    def nu_hat_dps(start, stop):
+        return nu_hat(start, stop) * DEG_PER_REV
+
+    # Only nu_true (freed on return) and signal are held whole; main's
+    # writer makes the other columns one block at a time.
+    t_s = Producer(n, times)
     outputs = {
         "telemetry.csv": (["t_s", "angle_deg", "rate_dps", "accel_dps2"],
                           traj.telemetry()),
-        "signal.csv": (["t_s", "signal"], [t, signal]),
+        "signal.csv": (["t_s", "signal"], [t_s, signal]),
         "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                         [t, nu_hat, nu_hat * DEG_PER_REV, table_rate]),
+                         [t_s, Producer(n, nu_hat), Producer(n, nu_hat_dps),
+                          Producer(n, table_rate)]),
         "regression.json": report,
     }
-    rms = float(np.sqrt(np.mean((nu_hat - nu_true) ** 2))) * DEG_PER_REV
-    return outputs, (f"gyro: {len(signal)} samples over {duration:.1f} s, "
+    return outputs, (f"gyro: {n} samples over {duration:.1f} s, "
                      f"table-vs-gyro RMS {rms:.3f} deg/s -> {args.out}")
 
 
@@ -274,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p, out_required=True, seeded=True):
         p.add_argument("--config", help="experiment config file")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+        if seeded:
+            p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("fringes", help="phase-cycled fringe sweeps, spectra, fit")
@@ -296,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_allan)
 
     p = sub.add_parser("budget", help="sensitivity / dynamic-range report")
-    common(p, out_required=False)
+    common(p, out_required=False, seeded=False)  # budget draws no random numbers
     p.add_argument("--epsilon", type=float, default=1e-4,
                    help="linearity tolerance for the dynamic range (default 1e-4)")
     p.set_defaults(func=cmd_budget)
@@ -325,7 +353,8 @@ def main(argv=None) -> int:
             write_json(out / "manifest.json", {
                 "command": args.command,
                 "version": __version__,
-                "seed": cfg.seed,
+                # only the commands that draw random numbers take a seed
+                **({"seed": cfg.seed} if "seed" in args else {}),
                 "config": cfg.to_mapping(),
                 "outputs": sorted(outputs),
                 "bytes_written": sum((out / name).stat().st_size for name in outputs),

@@ -12,13 +12,16 @@ about 95 bytes per cell at its peak: each stage's scratch lies in memory
 that the next stage reuses, the 64-bit rows of the product in the word
 rows that the layout fills afterwards.
 
-A run's tables are written in one pass (write_tables): tables with the
-same row count are written in lockstep, one block of rows at a time, and
-a column that is bit-identical to another in its group (same dtype, same
-bytes) is formatted once and laid into every table that holds it.  The
-kernel's workspace and the row text buffer are allocated once per call,
-and the text's NULs are dropped in chunks below malloc's mmap threshold,
-so a write faults its pages in once, not once per block.  The word table
+A run's tables are written in one pass (write_tables).  A table column
+is an array or a Producer, which makes its cells one write block at a
+time; an array is the producer that slices itself.  Tables with the same
+row count are written in lockstep, one block of rows at a time, and a
+column that is bit-identical to another in its group (same dtype, same
+bytes), or the same Producer object, is formatted once and laid into
+every table that holds it.  The kernel's workspace and the row text
+buffer are allocated once per call, and the text's NULs are dropped in
+chunks below malloc's mmap threshold, so a write faults its pages in
+once, not once per block.  The word table
 and the digit tables are built once, on the first write, and kept."""
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def _product(g, cp, rows):
     return x0, x1, x2
 
 
-def _rop(x1, x2, out=None):
+def _rop(x1, x2, out):
     """Schubfach's rop() of a product with words (x0, x1, x2): x2 =
     floor(X / 2**128), its lowest bit set when x1, the 64 bits below it,
     exceeds 1."""
@@ -508,60 +511,92 @@ def _write_rows(fh, cells: np.ndarray, picks: list[int], text: np.ndarray) -> No
                       for start in range(0, rows, step)))
 
 
-def _pick(distinct: list[np.ndarray], column: np.ndarray) -> int:
-    """Index of the column of distinct that is bit-identical to column
-    (same dtype, same bytes), appending column if none is; compared
-    _BLOCK_CELLS at a time."""
+class Producer:
+    """A table column of n cells made one write block at a time:
+    make(start, stop) returns cells [start, stop) as an array.  The cells
+    must not depend on where the blocks start and stop."""
+
+    __slots__ = ("n", "make")
+
+    def __init__(self, n: int, make):
+        self.n, self.make = n, make
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def _pick(distinct: list, column) -> int:
+    """Index of the column of distinct that is column itself or, for
+    arrays, bit-identical to it (same dtype, same bytes), appending
+    column if none is; arrays are compared _BLOCK_CELLS at a time."""
     for j, other in enumerate(distinct):
-        if other is column or (other.dtype == column.dtype and all(
-                other[i:i + _BLOCK_CELLS].tobytes() == column[i:i + _BLOCK_CELLS].tobytes()
-                for i in range(0, len(column), _BLOCK_CELLS))):
+        if other is column or (
+                isinstance(other, np.ndarray) and isinstance(column, np.ndarray)
+                and other.dtype == column.dtype and all(
+                    other[i:i + _BLOCK_CELLS].tobytes() == column[i:i + _BLOCK_CELLS].tobytes()
+                    for i in range(0, len(column), _BLOCK_CELLS))):
             return j
     distinct.append(column)
     return len(distinct) - 1
 
 
+def _producer(column) -> Producer:
+    """column as a Producer: an array is the producer of its own slices."""
+    if isinstance(column, Producer):
+        return column
+    return Producer(len(column), lambda start, stop: column[start:stop])
+
+
 def write_tables(tables: dict) -> None:
     """Write each {path: (names, columns)} table as CSV with a header
-    row, in one pass.  Integer columns are written as integers (str,
-    cell by cell), every other column as float (the shortest round-trip
-    repr, by one numpy kernel).
+    row, in one pass.  A column is an array or a Producer, whose cells
+    are made one block at a time.  Integer cells are written as integers
+    (str, cell by cell), every other cell as float (the shortest
+    round-trip repr, by one numpy kernel).
 
-    Every table is checked before any file is opened.  Tables with the
-    same row count are written in lockstep, one block of rows at a time.
-    A column that is bit-identical to another of its group (same dtype,
-    same bytes) is formatted once: each block's distinct cells, at most
-    _BLOCK_CELLS of them, go through the kernel (_cell_words) once, and
-    each table's rows are put together from those words.  The kernel's
-    _Workspace and the row text buffer are allocated once per call, so
-    memory does not grow with the row count, and the bytes depend neither
-    on the block size nor on which tables are written together.
+    Every table's row counts are checked before any file is opened.
+    Tables with the same row count are written in lockstep, one block of
+    rows at a time.  An array column that is bit-identical to another of
+    its group (same dtype, same bytes), or a Producer that another table
+    of the group also holds, is formatted once: each block's distinct
+    cells, at most _BLOCK_CELLS of them, are made and go through the
+    kernel (_cell_words) once, and each table's rows are put together
+    from those words.  The kernel's _Workspace and the row text buffer
+    are allocated once per call, so memory does not grow with the row
+    count, and the bytes depend neither on the block size nor on which
+    columns merge.
     """
     groups: dict[int, list] = {}
     for path, (names, columns) in tables.items():
-        arrays = [np.asarray(col) for col in columns]
-        n = len(arrays[0])
-        if any(len(a) != n for a in arrays):
+        columns = [col if isinstance(col, Producer) else np.asarray(col) for col in columns]
+        n = len(columns[0])
+        if any(len(col) != n for col in columns):
             raise ValueError("columns must have equal lengths")
-        groups.setdefault(n, []).append((Path(path), names, arrays))
+        groups.setdefault(n, []).append((Path(path), names, columns))
     if not groups:
         return  # a run with no tables (budget) builds no word table
     plans = []
     for n, group in groups.items():
-        distinct: list[np.ndarray] = []
-        picks = [[_pick(distinct, a) for a in arrays] for _, _, arrays in group]
-        plans.append((n, group, distinct, picks, max(1, _BLOCK_CELLS // len(distinct))))
+        distinct: list = []
+        picks = [[_pick(distinct, col) for col in columns] for _, _, columns in group]
+        plans.append((n, group, [_producer(col) for col in distinct], picks,
+                      max(1, _BLOCK_CELLS // len(distinct))))
     work = _Workspace(max(min(n, step) * len(distinct) for n, _, distinct, _, step in plans))
     text = np.empty(_WORDS * max(min(n, step) * max(map(len, picks))
                                  for n, _, _, picks, step in plans), _LE)
     for n, group, distinct, picks, step in plans:
-        integer = [np.issubdtype(a.dtype, np.integer) for a in distinct]
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(path.open("wb")) for path, _, _ in group]
             for fh, (_, names, _) in zip(files, group):
                 fh.write((",".join(names) + "\n").encode())
             for start in range(0, n, step):
-                cells = _cell_words([a[start:start + step] for a in distinct], integer, work)
+                stop = min(start + step, n)
+                blocks = [np.asarray(col.make(start, stop)) for col in distinct]
+                if any(len(block) != stop - start for block in blocks):
+                    raise ValueError(f"a producer made {[len(b) for b in blocks]} cells "
+                                     f"for rows [{start}, {stop})")
+                integer = [block.dtype.kind in "iu" for block in blocks]
+                cells = _cell_words(blocks, integer, work)
                 for fh, pick in zip(files, picks):
                     _write_rows(fh, cells, pick, text)
 

@@ -110,8 +110,9 @@ class RateTrajectory:
         t = np.asarray(t, dtype=float)
         if np.any(t < self._t[0] - 1e-12) or np.any(t > self._t[-1] + 1e-12):
             raise ValueError("time outside the profile span")
-        return np.clip(np.searchsorted(self._t, t, side="right") - 1, 0,
-                       len(self._t) - 2), t
+        # the last segment start at or before t, clipped to the segments:
+        # the number of interior edges at or before t
+        return np.searchsorted(self._t[1:-1], t, side="right"), t
 
     def rate_at(self, t):
         i, t = self._segment(t)

@@ -67,9 +67,11 @@ from .spin import (
     sq_pi_pulse,
 )
 
-#: Cycles per block of run_gyro_stream: bounds its working memory and
-#: leaves its output bytes unchanged.
-_STREAM_BLOCK = 16_384
+#: Cycles per block of run_gyro_stream: bounds its working memory (a
+#: rotating block's coherence factors and projections, about 150 bytes
+#: per cycle at their peak, so about 1.2 MB) and leaves its output bytes
+#: unchanged.
+_STREAM_BLOCK = 8192
 
 #: Second-pulse (phase_f1, phase_f2) table; signs in the combination are +,-,+,-.
 DEFAULT_PHASE_TABLE = (
@@ -341,6 +343,7 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
             proj = ramsey_projections(cfg, block, c, cfg.tau_wp)
             combine_4ramsey(readout_signal(cfg.detector, proj, out=proj),
                             out=combined[start:stop])
+            del block, proj  # freed before the next block's are made
     if rng is None:
         return combined
 

@@ -19,6 +19,12 @@ nvgyro computes: the CLI measures alpha by the fringe fit, the sweep
 regression and the kernel's alpha0, and dynamic_range keeps only the
 leading term of linearity's sine.
 
+calibration_from_sweep, rate_spread and rotation_rms_error are the
+whole-array formulas of the rate-table regression, the np.std gate on
+the rates and the table-vs-gyro RMS, each holding run-length
+temporaries; nvgyro forms the same sums leaf by leaf and must match them
+bit for bit.
+
 fringe_fit solves the same weighted decaying-sine problem as
 fit_decaying_sine, but with all five parameters free in scipy's
 trust-region least_squares instead of by variable projection.
@@ -151,6 +157,27 @@ def linearity(nu, nu0: float):
     if nu_arr.ndim == 0:
         return float(nu_meas), float(eps)
     return nu_meas, eps
+
+
+def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
+    """(slope, its standard error, intercept) of the least-squares line
+    of signal against nu, as whole-array expressions."""
+    dev = nu - np.mean(nu)
+    slope = float(np.sum(dev * (signal - np.mean(signal))) / np.sum(dev**2))
+    intercept = float(np.mean(signal) - slope * np.mean(nu))
+    resid = signal - (slope * nu + intercept)
+    stderr = float(np.sqrt(np.sum(resid**2) / max(len(signal) - 2, 1)
+                           / np.sum(dev**2)))
+    return slope, stderr, intercept
+
+
+def rate_spread(nu) -> float:
+    return float(np.std(nu))
+
+
+def rotation_rms_error(signal, alpha_per_hz: float, baseline: float, nu) -> float:
+    """RMS of the calibrated estimate (signal - baseline)/alpha against nu."""
+    return float(np.sqrt(np.mean(((signal - baseline) / alpha_per_hz - nu) ** 2)))
 
 
 def fringe_fit(series) -> tuple[np.ndarray, np.ndarray]:

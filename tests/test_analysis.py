@@ -392,6 +392,8 @@ class TestAllanDeviation:
     (lambda: select_working_point(1.95e-3, -1.0, 1.45e-3), "t2star, f_dq must be > 0"),
     (lambda: select_working_point(1.95e-3, 2000.0, 0.0), "tau_max > 0"),
     (lambda: select_working_point(1.95e-3, 2000.0, 1e-4), "no cosine null lies at or below"),
+    # the only null, 1/12 s, is 833 T2*: exp(-833) is 0, no signal is left
+    (lambda: select_working_point(1e-4, 3.0, 0.09375), "with a signal exp"),
     (lambda: linearity(1.0, 0.0), "nu0 must be > 0"),
     (lambda: one_rad_rotation_rate(0.0), "tau must be > 0"),
     (lambda: dynamic_range(1e-4, 0.0), "nu0 must be > 0"),
@@ -401,7 +403,7 @@ class TestAllanDeviation:
     (lambda: calibration_from_slope(1.0, 0.0, 293e3), "tau_wp and f_dq must be > 0"),
     (lambda: calibration_from_slope(1.0, 1.4e-3, 0.0), "tau_wp and f_dq must be > 0"),
 ], ids=["snap-tau", "snap-f", "snap-inf-tau", "snap-inf-f", "snap-nan-tau", "snap-4ftau",
-        "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "linearity-nu0",
+        "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "wp-no-signal", "linearity-nu0",
         "nu0-tau", "range-nu0", "fringes-tau", "amplitude-tau", "slope-tau", "slope-f"])
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):

@@ -299,7 +299,16 @@ class TestBudgetCommand:
         assert budget["dynamic_range_hz"] == pytest.approx(1.4, rel=0.05)
         assert budget["sensitivity_hz_per_rt_hz"] == pytest.approx(10.0e-3, rel=0.05)
         assert budget["f_dq_hz"] == pytest.approx(293.73e3, rel=1e-4)
-        assert json.loads((out / "manifest.json").read_text())["command"] == "budget"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "budget"
+        assert "seed" not in manifest  # budget draws no random numbers
+
+    def test_budget_takes_no_seed(self, capsys):
+        # --seed would change no byte of budget's output: a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main(["budget", "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("detuning", [2000.0, -2000.0])
     def test_resonant_budget_snaps_to_its_fringe(self, tmp_path, capsys, detuning):
@@ -475,7 +484,7 @@ class TestCleanErrors:
         (["allan", "--duration", "-5"], "--duration"),
         (["allan", "--duration", "nan"], "--duration"),
         (["gyro", "--duration", "-1"], "--duration"),
-        (["budget", "--seed", "-1"], "--seed"),
+        (["allan", "--seed", "-1"], "--seed"),
         (["budget", "--epsilon", "-1"], "--epsilon"),
     ])
     def test_bad_flag_values(self, tmp_path, capsys, argv, flag):

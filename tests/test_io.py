@@ -101,11 +101,44 @@ def test_integer_extremes(tmp_path):
     assert _written(tmp_path, columns) == _expected(columns)
 
 
+@pytest.mark.parametrize("rows", [3, 2500])
+def test_shared_producer_is_made_once_per_block(tmp_path, rows):
+    # The shape of gyro's tables: t_s, a Producer, is shared by two
+    # tables written in lockstep and made once per block of rows, fewer
+    # rows than one block or several blocks of them; the bytes are the
+    # arrays'.
+    t = np.arange(rows) * 7e-3
+    signal = np.random.default_rng(9).normal(0.4, 1e-3, rows)
+    calls = []
+
+    def times(start, stop):
+        calls.append((start, stop))
+        return np.arange(start, stop) * 7e-3
+
+    t_s = io.Producer(rows, times)
+    io.write_tables({tmp_path / "signal.csv": (["t_s", "signal"], [t_s, signal]),
+                     tmp_path / "rotation.csv": (["t_s", "x"], [t_s, signal * 360])})
+    io.write_tables({tmp_path / "ref-signal.csv": (["t_s", "signal"], [t, signal]),
+                     tmp_path / "ref-rotation.csv": (["t_s", "x"], [t, signal * 360])})
+    for name in ("signal.csv", "rotation.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+    step = io._BLOCK_CELLS // 3  # t_s, signal and signal * 360
+    assert calls == [(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def test_producer_of_the_wrong_length_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="a producer made"):
+        io.write_tables({tmp_path / "t.csv": (
+            ["a"], [io.Producer(5, lambda start, stop: np.zeros(2))])})
+
+
 def test_unequal_columns_are_rejected(tmp_path):
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="equal lengths"):
-        io.write_tables({path: (["a", "b"], [np.zeros(3), np.zeros(2)])})
-    assert not path.exists()
+    for columns in ([np.zeros(3), np.zeros(2)],
+                    [np.zeros(3), io.Producer(2, lambda start, stop: np.zeros(stop - start))]):
+        with pytest.raises(ValueError, match="equal lengths"):
+            io.write_tables({path: (["a", "b"], columns)})
+        assert not path.exists()
 
 
 def test_tables_are_not_built_on_import():
@@ -153,7 +186,7 @@ def test_round_to_odd_sticky_threshold():
                 expected.append(m * 5**e + (w > 1))
     _, x1, x2 = io._product(_g_rows(gs), np.array(cps, np.uint64),
                             np.empty((6, len(cps)), np.uint64))
-    assert io._rop(x1, x2).tolist() == expected
+    assert io._rop(x1, x2, np.empty_like(x2)).tolist() == expected
 
 
 def test_shifted_g_words_are_never_all_ones():

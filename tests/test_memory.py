@@ -11,9 +11,11 @@ estimate and then the Allan phase series in place, and the second
 differences are summed one cache-sized leaf at a time.  Materialising
 the (cycles x 4) signals, whole columns as Python objects or text, a
 copy of the phase series or a run-length second difference breaks
-these bounds.  tracemalloc does not see a buffer that is freed and
-allocated again for every block, so the writer's page faults are
-counted too.
+these bounds.  `gyro` holds two words per cycle, its per-cycle rates
+and its signal: its other columns are made one write block at a time
+and its regression and RMS are summed leaf by leaf.  tracemalloc does
+not see a buffer that is freed and allocated again for every block, so
+the writer's page faults are counted too.
 """
 
 import argparse
@@ -32,6 +34,7 @@ from nvgyro import cli, io, sequence
 
 WORD = 8
 CYCLES = (100_000, 400_000)
+TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
 
 
 def _traced_peak(fn) -> int:
@@ -194,3 +197,19 @@ def test_allan_peak_is_a_few_words_per_cycle():
 
     small, large = CYCLES
     assert (peak(large) - peak(small)) / (large - small) <= 1.5 * WORD
+
+
+def test_gyro_peak_is_three_words_per_cycle(tmp_path, capsys):
+    # The whole command, writes included, on the triangle profile: its
+    # rates and its signal are the only run-length arrays, so the peak
+    # grows by two words per cycle (one more is the allowance).  Whole
+    # time, rate or estimate columns, a run-length temporary in the
+    # regression, or a stream block kept alive into the next breaks it.
+    argv = ["gyro", "--profile", str(TRIANGLE_CSV), "--out", str(tmp_path)]
+    assert cli.main(argv + ["--duration", "1"]) == 0  # the kernel's tables
+
+    def peak(duration):
+        return _traced_peak(lambda: cli.main(argv + ["--duration", str(duration)]))
+
+    small, large = (cli.default_config().sequence.n_cycles(d) for d in (100, 400))
+    assert (peak(400) - peak(100)) / (large - small) <= 3 * WORD

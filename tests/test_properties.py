@@ -10,7 +10,9 @@ must zero the derivative of the merit it maximizes, and `budget`'s
 shot-noise sensitivity, taken from the kernel's slope, must be the
 paper's closed form (oracle) at a measurement time of cycle_period/4.  The block sizes of
 the working-point stream and of the CSV writer must not change a bit of
-their output, nor may writing tables together; the stream's shot noise
+their output, nor may writing tables together or giving a column as a
+Producer of its blocks; gyro's blockwise calibration, spread and RMS
+must equal the whole-array formulas bit for bit; the stream's shot noise
 must be one combined-sample draw per cycle, and the in-place Allan
 deviation must equal the textbook expression exactly.
 """
@@ -43,10 +45,11 @@ from nvgyro import (
     run_gyro_stream,
     select_working_point,
 )
-from nvgyro import io, sequence
+from nvgyro import analysis, io, sequence
 from nvgyro.analysis import octave_m_values
 from nvgyro.cli import cmd_budget
 from nvgyro.sequence import combined_sigma
+import oracle
 from oracle import bright_projections, psn_rotation_sensitivity
 
 C = PhysicalConstants()
@@ -275,7 +278,11 @@ def test_working_point_maximizes_merit(t2, tau_max, f):
     # that optimum, which the cycle accepts to the last ulp.
     seq = SequenceConfig(tau_wp=0.0, cycle_period=4 * (300e-6 + tau_max), t2_dq=t2)
     opt = min(t2, seq.tau_wp_max)
-    if 1.0 / f / 4 > seq.tau_wp_max:  # the first null lies past the cycle
+    first = 1.0 / f / 4
+    # The first null lies past the cycle, or so far past T2* that the
+    # signal there is 0, which SequenceConfig rejects as tau_wp; a null at
+    # or below the optimum, <= T2*, always keeps a signal.
+    if first > seq.tau_wp_max or not math.exp(-first / t2) > 0:
         with pytest.raises(ValueError, match="no cosine null"):
             select_working_point(t2, f, seq.tau_wp_max)
         return
@@ -466,6 +473,71 @@ def test_grouped_tables_match_each_table_alone(tables, block):
         for c in columns:
             distinct.setdefault(len(c), set()).add((c.dtype.str, c.tobytes()))
     assert sum(seen) == sum(n * len(keys) for n, keys in distinct.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=table_groups(), blocks=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+       data=st.data())
+def test_producer_columns_write_the_bytes_of_arrays(tables, blocks, data):
+    # Any column may be a Producer of its slices instead of the array:
+    # every table keeps its bytes at each block size (and at the default,
+    # larger than any drawn table), and a Producer that several tables
+    # hold is made once per block, so once per row in all.
+    producers: dict[int, io.Producer] = {}
+    made: dict[int, int] = {}
+
+    def producer(a):
+        key = id(a)
+        if key not in producers:
+            def make(start, stop):
+                made[key] += stop - start
+                return a[start:stop]
+            producers[key] = io.Producer(len(a), make)
+        return producers[key]
+
+    chosen = {id(c): data.draw(st.booleans(), label="producer")
+              for _, columns in tables.values() for c in columns}
+    mixed = {name: (names, [producer(c) if chosen[id(c)] else c for c in columns])
+             for name, (names, columns) in tables.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        io.write_tables({tmp / f"array-{name}": table for name, table in tables.items()})
+        for block in [*blocks, io._BLOCK_CELLS]:
+            made.update(dict.fromkeys(producers, 0))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(io, "_BLOCK_CELLS", block)
+                io.write_tables({tmp / name: table for name, table in mixed.items()})
+            for name in tables:
+                assert (tmp / name).read_bytes() == (tmp / f"array-{name}").read_bytes()
+            assert all(made[key] == len(p) for key, p in producers.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 2500), seed=seeds, leaf=st.sampled_from([128, 136, 1000, 8192]),
+       scale=st.floats(1e-6, 1e3), offset=st.floats(-1e3, 1e3),
+       alpha=st.floats(1e-6, 1.0), noise=st.floats(0.0, 1e-2))
+def test_blockwise_sums_are_the_whole_array_formulas(n, seed, leaf, scale, offset,
+                                                     alpha, noise):
+    # gyro's calibration, its np.std gate and its RMS are summed leaf by
+    # leaf along np.sum's pairwise tree, so they equal the whole-array
+    # formulas (oracle) bit for bit at any leaf size; numpy sums up to
+    # 128 elements without splitting them, the smallest leaf drawn.
+    rng = np.random.default_rng(seed)
+    nu = offset + scale * np.sin(rng.uniform(0.0, 50.0) * np.linspace(0.0, 1.0, n))
+    signal = 0.4 + alpha * nu + rng.normal(0.0, noise, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_SUM_LEAF", leaf)
+        spread = analysis.rate_spread(nu)
+        assert spread == oracle.rate_spread(nu)
+        if spread > 0:  # the regression needs a spread of rates
+            fit = analysis.calibration_from_sweep(nu, signal)
+            assert fit == oracle.calibration_from_sweep(nu, signal)
+            slope, _, intercept = fit
+            if slope != 0:
+                assert (analysis.rotation_rms_error(signal, slope, intercept, nu)
+                        == oracle.rotation_rms_error(signal, slope, intercept, nu))
+        assert (analysis.rotation_rms_error(signal, alpha, 0.4, nu)
+                == oracle.rotation_rms_error(signal, alpha, 0.4, nu))
 
 
 @settings(max_examples=100, deadline=None)
