@@ -72,10 +72,6 @@ class FringeFit:
         """Local fringe amplitude |A| * exp(-tau/T2star)."""
         return abs(self.A) * math.exp(-tau / self.T2star)
 
-    def model(self, taus) -> np.ndarray:
-        return _decaying_sine(np.asarray(taus, dtype=float), self.A, self.f,
-                              self.phi, self.T2star, self.offset)
-
 
 def _decaying_sine(tau, a, f, phi, t2, offset):
     return a * np.exp(-tau / t2) * np.sin(2.0 * np.pi * f * tau + phi) + offset

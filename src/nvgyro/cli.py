@@ -7,13 +7,14 @@ write block at a time: gyro holds only its per-cycle rates and signal
 whole.  `main` alone writes them: after the command returns, and only
 with --out, it creates the directory, writes every table in one pass
 (io.write_tables: tables that share a row count are written in lockstep
-and a column they share is formatted once), then every JSON output, then
-a JSON manifest (command, config snapshot, version, output list, bytes
-written, compute and write seconds, wall time, and the seed of the
-commands that draw random numbers; budget takes no --seed).  A run that
-fails writes nothing.  Outputs are byte-reproducible for a fixed (config,
-seed); the manifest additionally records the timings.  Exit codes: 0 ok,
-1 domain error, 2 usage error.
+and a column object they share, such as fringes' tau_s and its one
+spectrum axis or gyro's t_s, is formatted once), then every JSON
+output, then a JSON manifest (command, config snapshot, version, output
+list, bytes written, compute and write seconds, wall time, and the seed
+of the commands that draw random numbers; budget takes no --seed).  A
+run that fails writes nothing.  Outputs are byte-reproducible for a
+fixed (config, seed); the manifest additionally records the timings.
+Exit codes: 0 ok, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -99,19 +100,27 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
 
 def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     grid, seq = cfg.fringes, cfg.sequence
+    for key in ("white_sigma", "random_walk_sigma"):
+        if (value := getattr(seq.noise, key)) != 0.0:
+            raise ConfigError(
+                f"{args.config}: [noise]: {key} = {value:g} is read only by gyro and "
+                f"allan; fringes draws the photon shot noise of each readout alone")
     taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
     with input_error(f"{args.config}: [fringes]: "):
         series = sweep_fringes(seq, cfg.environment, cfg.constants, taus,
                                default_rng(cfg.seed))
 
+    # The five tables of each length share one axis object, tau_s or
+    # freq_hz, which the writer formats once.
+    freqs, power = power_spectrum(taus, series.values)
     outputs = {}
     for j, record in enumerate(series.records.T, start=1):
         outputs[f"fringes_r{j}.csv"] = (["tau_s", "signal"], [taus, record])
-        outputs[f"spectrum_r{j}.csv"] = (["freq_hz", "power"], power_spectrum(taus, record))
+        outputs[f"spectrum_r{j}.csv"] = (["freq_hz", "power"],
+                                         [freqs, power_spectrum(taus, record)[1]])
     outputs["fringes_combined.csv"] = (["tau_s", "signal", "sigma"],
                                        [taus, series.values, series.sigma])
-    outputs["spectrum_combined.csv"] = (["freq_hz", "power"],
-                                        power_spectrum(taus, series.values))
+    outputs["spectrum_combined.csv"] = (["freq_hz", "power"], [freqs, power])
 
     fit = fit_decaying_sine(series)
     sig = fit.sigmas

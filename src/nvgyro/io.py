@@ -16,12 +16,11 @@ A run's tables are written in one pass (write_tables).  A table column
 is an array or a Producer, which makes its cells one write block at a
 time; an array is the producer that slices itself.  Tables with the same
 row count are written in lockstep, one block of rows at a time, and a
-column that is bit-identical to another in its group (same dtype, same
-bytes), or the same Producer object, is formatted once and laid into
-every table that holds it.  The kernel's workspace and the row text
-buffer are allocated once per call, and the text's NULs are dropped in
-chunks below malloc's mmap threshold, so a write faults its pages in
-once, not once per block.  The word table
+column object (an array or a Producer) that several tables of the group
+hold is formatted once and laid into every table that holds it.  The
+kernel's workspace and the row text buffer are allocated once per call,
+and the text's NULs are dropped in chunks below malloc's mmap threshold,
+so a write faults its pages in once, not once per block.  The word table
 and the digit tables are built once, on the first write, and kept."""
 
 from __future__ import annotations
@@ -526,15 +525,9 @@ class Producer:
 
 
 def _pick(distinct: list, column) -> int:
-    """Index of the column of distinct that is column itself or, for
-    arrays, bit-identical to it (same dtype, same bytes), appending
-    column if none is; arrays are compared _BLOCK_CELLS at a time."""
+    """Index of column itself in distinct, appending it if absent."""
     for j, other in enumerate(distinct):
-        if other is column or (
-                isinstance(other, np.ndarray) and isinstance(column, np.ndarray)
-                and other.dtype == column.dtype and all(
-                    other[i:i + _BLOCK_CELLS].tobytes() == column[i:i + _BLOCK_CELLS].tobytes()
-                    for i in range(0, len(column), _BLOCK_CELLS))):
+        if other is column:
             return j
     distinct.append(column)
     return len(distinct) - 1
@@ -556,15 +549,15 @@ def write_tables(tables: dict) -> None:
 
     Every table's row counts are checked before any file is opened.
     Tables with the same row count are written in lockstep, one block of
-    rows at a time.  An array column that is bit-identical to another of
-    its group (same dtype, same bytes), or a Producer that another table
-    of the group also holds, is formatted once: each block's distinct
-    cells, at most _BLOCK_CELLS of them, are made and go through the
-    kernel (_cell_words) once, and each table's rows are put together
-    from those words.  The kernel's _Workspace and the row text buffer
-    are allocated once per call, so memory does not grow with the row
-    count, and the bytes depend neither on the block size nor on which
-    columns merge.
+    rows at a time.  A column is matched by identity: one array or
+    Producer object that several tables of the group hold is formatted
+    once, while equal arrays that are separate objects are formatted
+    once each.  Each block's distinct cells, at most _BLOCK_CELLS of
+    them, are made and go through the kernel (_cell_words) once, and
+    each table's rows are put together from those words.  The kernel's
+    _Workspace and the row text buffer are allocated once per call, so
+    memory does not grow with the row count, and the bytes depend
+    neither on the block size nor on which columns merge.
     """
     groups: dict[int, list] = {}
     for path, (names, columns) in tables.items():

@@ -24,11 +24,12 @@ is a fixed affine function of the three coherence factors z of
 spin.coherence_factors, const_j - Re(coef_j . z), with const and coef
 built once per call from the pulses (_readout_terms); z broadcasts over
 arrays of delays and over the array fields of the FieldEnvironment
-(rotation rate, quadrupole shift, field drift).  Shot noise is added
-afterwards, one normal draw per (delay, phase entry) in C order, by
-ramsey_signals; a single Ramsey record is one of its four columns, and
-combine_4ramsey forms R from them; sweep_fringes, which `nvgyro
-fringes` runs, keeps the four records next to R.  The working-point
+(rotation rate, quadrupole shift, field drift).  Every path reads them
+out in place through ramsey_signals, which with an rng adds shot noise,
+one normal draw per (delay, phase entry) in C order; a single Ramsey
+record is one of its four columns, and combine_4ramsey forms R from
+them; sweep_fringes, which `nvgyro fringes` runs, keeps the four
+records next to R.  The working-point
 stream of SequenceConfig.n_cycles(duration) cycles keeps only R, so it
 combines noise-free readouts and draws the shot noise of R itself, one
 N(0, combined_sigma) value per cycle; a varying environment runs in
@@ -243,10 +244,12 @@ def ramsey_signals(cfg: SequenceConfig, env: FieldEnvironment,
                    rng: np.random.Generator | None = None) -> np.ndarray:
     """Signals S of the four phase-table Ramseys, shape (..., 4).
 
-    Broadcasts like ramsey_projections; with an rng each (delay, phase
-    entry) gets its own shot-noise draw.
+    Broadcasts like ramsey_projections, and reads out in place into the
+    projections' buffer; with an rng each (delay, phase entry) gets its
+    own shot-noise draw.
     """
-    return readout_signal(cfg.detector, ramsey_projections(cfg, env, c, tau), rng)
+    proj = ramsey_projections(cfg, env, c, tau)
+    return readout_signal(cfg.detector, proj, rng, out=proj)
 
 
 def combine_4ramsey(signals, out=None) -> np.ndarray:
@@ -311,11 +314,12 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     that cycle; an environment of scalars is static, and its one
     noise-free sample fills the output.  A varying environment runs in
     blocks of _STREAM_BLOCK cycles: each block slices the environment's
-    arrays, reads its projections out in place and combines them straight
-    into the output, so its (cycles x 4) signals exist one block at a
-    time.  The shot noise of the four readouts of a cycle combines to
-    sigma_S * (n1 - n2 + n3 - n4)/4 with independent standard normals n,
-    which is N(0, combined_sigma(cfg)): one draw per combined sample.
+    arrays, reads out its noise-free signals (ramsey_signals) and
+    combines them straight into the output, so its (cycles x 4) signals
+    exist one block at a time.  The shot noise of the four readouts of a
+    cycle combines to sigma_S * (n1 - n2 + n3 - n4)/4 with independent
+    standard normals n, which is N(0, combined_sigma(cfg)): one draw per
+    combined sample.
     With an rng, draw order is: photon shot noise (n_cycles), extra white
     noise (n_cycles), random-walk increments (n_cycles), each drawn a
     block at a time; every step is elementwise and the draws are
@@ -333,17 +337,14 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
         raise MemoryError(f"a stream of {n} cycles needs {8 * n} bytes for its "
                           f"signal (8 per cycle), more than can be allocated") from None
     if not varying:
-        combined.fill(combine_4ramsey(readout_signal(
-            cfg.detector, ramsey_projections(cfg, env, c, cfg.tau_wp))))
+        combined.fill(combine_4ramsey(ramsey_signals(cfg, env, c, cfg.tau_wp)))
     else:
         for start in range(0, n, _STREAM_BLOCK):
             stop = min(start + _STREAM_BLOCK, n)
             block = env.replace(**{name: values[start:stop]
                                    for name, values in varying.items()})
-            proj = ramsey_projections(cfg, block, c, cfg.tau_wp)
-            combine_4ramsey(readout_signal(cfg.detector, proj, out=proj),
+            combine_4ramsey(ramsey_signals(cfg, block, c, cfg.tau_wp),
                             out=combined[start:stop])
-            del block, proj  # freed before the next block's are made
     if rng is None:
         return combined
 

@@ -690,6 +690,21 @@ class TestCleanErrors:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["white_sigma", "random_walk_sigma"])
+    def test_stream_noise_is_rejected_by_fringes(self, tmp_path, capsys, key):
+        # [noise] is added by the gyro and allan stream only; the sweep
+        # draws each readout's photon shot noise, so fringes rejects a
+        # nonzero value rather than ignore it, and writes nothing.
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(f"[noise]\n{key} = 1e-3\n")
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [noise]: {key} = 0.001 is read only by "
+                              f"gyro and allan; ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_fringes_honours_the_rotation_rate(self, tmp_path, capsys):
         # nu = 5 Hz moves the DQ fringe by 2 nu = 10 Hz; the same seed
         # draws the same noise, so the fits differ by 10 Hz to well

@@ -6,8 +6,8 @@ kind of double: random bit patterns, the irregular spacing at powers of
 two, powers of ten, the switch points of the "e" notation, integral
 values around 2**53, subnormals, signed zeros, nan and infinities, and
 the extremes of int64 and uint64.  A run's tables go through the kernel
-once per distinct column of each row count: the shipped fringes and gyro
-runs pin how many cells that is.
+once per distinct column object of each row count: the shipped fringes
+and gyro runs pin how many cells that is.
 """
 
 import math
@@ -124,6 +124,31 @@ def test_shared_producer_is_made_once_per_block(tmp_path, rows):
         assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
     step = io._BLOCK_CELLS // 3  # t_s, signal and signal * 360
     assert calls == [(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def test_columns_are_shared_by_identity(tmp_path, monkeypatch):
+    # One array object in two tables is formatted once; an equal array
+    # that is a separate object is formatted as a column of its own.  The
+    # bytes are the same either way.
+    seen = []
+    cell_words = io._cell_words
+
+    def counted(columns, integer, work):
+        seen.append(len(columns))
+        return cell_words(columns, integer, work)
+
+    monkeypatch.setattr(io, "_cell_words", counted)
+    t = np.linspace(0.0, 1e-3, 7)
+    y = np.cos(t)
+    written = {}
+    for label, other in (("shared", t), ("equal", t.copy())):
+        seen.clear()
+        io.write_tables({tmp_path / f"{label}-a.csv": (["t", "y"], [t, y]),
+                         tmp_path / f"{label}-b.csv": (["t", "y"], [other, y])})
+        written[label] = [(tmp_path / f"{label}-{x}.csv").read_bytes() for x in "ab"]
+        assert seen == [2 if other is t else 3]
+    assert written["shared"] == written["equal"]
+    assert written["shared"][0] == written["shared"][1]
 
 
 def test_producer_of_the_wrong_length_is_rejected(tmp_path):

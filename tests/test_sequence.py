@@ -262,15 +262,17 @@ class TestGyroStream:
         assert np.ptp(signal) == 0.0
 
     def test_matches_scalar_4ramsey(self):
-        # per-cycle rates in the environment reach the kernel cycle by cycle
+        # per-cycle rates in the environment reach the kernel cycle by
+        # cycle: over two and a half stream blocks the stream is the
+        # whole-array readout of ramsey_signals, bit for bit
         cfg = self.wp_config()
-        t = np.arange(cfg.n_cycles(0.25)) * cfg.cycle_period
+        duration = 2.5 * sequence._STREAM_BLOCK * cfg.cycle_period
+        t = np.arange(cfg.n_cycles(duration)) * cfg.cycle_period
         nu = 20.0 * np.sin(3 * t) / 360.0
-        signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, 0.25)
-        direct = [combine_4ramsey(ramsey_signals(
-                      cfg, ENV.replace(nu=float(v)), C, cfg.tau_wp))
-                  for v in nu]
-        assert np.allclose(signal, direct, atol=1e-15)
+        signal = run_gyro_stream(cfg, ENV.replace(nu=nu), C, duration)
+        direct = combine_4ramsey(ramsey_signals(cfg, ENV.replace(nu=nu), C, cfg.tau_wp))
+        assert len(signal) > 2 * sequence._STREAM_BLOCK
+        assert np.array_equal(signal, direct)
 
     def test_constant_rotation_offset_matches_calibration(self):
         # S offset at 10 deg/s equals alpha * 10 deg/s within 1%
