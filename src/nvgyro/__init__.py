@@ -42,9 +42,6 @@ from .errors import (
     ConfigError,
     FitConvergenceError,
     GyroSimError,
-    InsufficientSpanError,
-    NonUniformGridError,
-    SingularSplittingError,
 )
 from .ratetable import RateTrajectory
 from .sequence import (

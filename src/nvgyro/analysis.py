@@ -35,11 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FitConvergenceError,
-    InsufficientSpanError,
-    NonUniformGridError,
-)
+from .errors import FitConvergenceError
 from .sequence import FringeSeries
 
 
@@ -80,9 +76,9 @@ def _decaying_sine(tau, a, f, phi, t2, offset):
 def _check_uniform(taus: np.ndarray) -> float:
     dt = np.diff(taus)
     if dt.size == 0:
-        raise NonUniformGridError("need at least two samples")
+        raise ValueError("need at least two samples")
     if np.max(np.abs(dt - dt[0])) > 1e-6 * abs(dt[0]):
-        raise NonUniformGridError("tau grid is not uniform")
+        raise ValueError("tau grid is not uniform")
     return float(dt[0])
 
 
@@ -92,8 +88,7 @@ _ZERO_PAD = 4
 
 def power_spectrum(taus, values) -> tuple[np.ndarray, np.ndarray]:
     """(freqs, |FT|^2) of values on the uniform grid taus, mean removed,
-    zero-padded _ZERO_PAD times.  Raises NonUniformGridError on
-    irregular grids.
+    zero-padded _ZERO_PAD times.  Raises ValueError on irregular grids.
     """
     dt = _check_uniform(np.asarray(taus, dtype=float))
     values = np.asarray(values, dtype=float)
@@ -107,7 +102,7 @@ def power_spectrum(taus, values) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_peak_frequency(freqs: np.ndarray, power: np.ndarray) -> float:
     """Frequency of the largest non-DC spectral bin."""
     if len(freqs) < 2:
-        raise InsufficientSpanError("spectrum too short for a peak search")
+        raise ValueError("spectrum too short for a peak search")
     i = 1 + int(np.argmax(power[1:]))
     return float(freqs[i])
 
@@ -116,12 +111,12 @@ def _initial_guess(taus, values) -> tuple[float, float]:
     """Seed (f, T2*) from the FFT peak and the RMS decay between halves."""
     y = values - np.mean(values)
     if np.max(np.abs(y)) == 0.0:
-        raise InsufficientSpanError("constant series has no fringe to fit")
+        raise ValueError("constant series has no fringe to fit")
     freqs, power = power_spectrum(taus, values)
     f0 = spectrum_peak_frequency(freqs, power)
     span = taus[-1] - taus[0]
     if f0 <= 0 or span * f0 < 1.0:
-        raise InsufficientSpanError(
+        raise ValueError(
             f"data span {span:.3g} s covers {span * max(f0, 0.0):.2f} "
             "oscillation periods; need >= 1"
         )
@@ -191,14 +186,14 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     five-parameter Jacobian at the solution, scaled by the reduced
     chi-square (per-point sigmas are used as weights when present).
 
-    Raises InsufficientSpanError for short/degenerate data and
+    Raises ValueError for short/degenerate data and
     FitConvergenceError if the loop has not stopped after
     MAX_FIT_ITERATIONS steps.
     """
     taus = series.taus
     values = series.values
     if len(taus) < 8:
-        raise InsufficientSpanError("need at least 8 points")
+        raise ValueError("need at least 8 points")
     theta0 = np.array(_initial_guess(taus, values))
     if series.sigma is not None and np.all(series.sigma > 0):
         weights = 1.0 / series.sigma
@@ -447,7 +442,7 @@ def allan_deviation(values, tau0: float, m_values: list[int] | None = None, *,
         raise ValueError("values must be 1-D")
     n = len(y)
     if n < ALLAN_MIN_SAMPLES:
-        raise InsufficientSpanError(
+        raise ValueError(
             f"need at least {ALLAN_MIN_SAMPLES} samples for Allan analysis")
     if tau0 <= 0:
         raise ValueError("tau0 must be > 0")

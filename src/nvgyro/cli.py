@@ -106,23 +106,25 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                 f"{args.config}: [noise]: {key} = {value:g} is read only by gyro and "
                 f"allan; fringes draws the photon shot noise of each readout alone")
     taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
+    # A grid that the sweep, the spectra or the fit cannot use is an error
+    # of [fringes].  The five tables of each length share one axis
+    # object, tau_s or freq_hz, which the writer formats once.
+    outputs = {}
     with input_error(f"{args.config}: [fringes]: "):
         series = sweep_fringes(seq, cfg.environment, cfg.constants, taus,
                                default_rng(cfg.seed))
-
-    # The five tables of each length share one axis object, tau_s or
-    # freq_hz, which the writer formats once.
-    freqs, power = power_spectrum(taus, series.values)
-    outputs = {}
-    for j, record in enumerate(series.records.T, start=1):
-        outputs[f"fringes_r{j}.csv"] = (["tau_s", "signal"], [taus, record])
-        outputs[f"spectrum_r{j}.csv"] = (["freq_hz", "power"],
-                                         [freqs, power_spectrum(taus, record)[1]])
+        freqs, power = power_spectrum(taus, series.values)
+        for j, record in enumerate(series.records.T, start=1):
+            outputs[f"fringes_r{j}.csv"] = (["tau_s", "signal"], [taus, record])
+            outputs[f"spectrum_r{j}.csv"] = (["freq_hz", "power"],
+                                             [freqs, power_spectrum(taus, record)[1]])
+        fit = fit_decaying_sine(series)
     outputs["fringes_combined.csv"] = (["tau_s", "signal", "sigma"],
                                        [taus, series.values, series.sigma])
     outputs["spectrum_combined.csv"] = (["freq_hz", "power"], [freqs, power])
 
-    fit = fit_decaying_sine(series)
+    with input_error(f"{args.config}: [sequence]: "):
+        alpha = calibration_from_fringes(fit, seq.tau_wp)
     sig = fit.sigmas
     outputs["fit.json"] = {
         "model": "A*exp(-tau/T2star)*sin(2*pi*f*tau + phi) + offset",
@@ -133,7 +135,7 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         "offset": fit.offset, "offset_sigma": sig[4],
         "residual_rms": fit.residual_rms,
         "covariance": fit.covariance.tolist(),
-        "alpha_per_hz": calibration_from_fringes(fit, seq.tau_wp),
+        "alpha_per_hz": alpha,
         "tau_wp_s": seq.tau_wp,
     }
     return outputs, (f"fringes: {len(taus)} points, fitted f = {fit.f:.3f} Hz, "
@@ -189,22 +191,21 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         alpha_used, baseline_used = alpha0, baseline
     report["alpha_used_per_hz"] = alpha_used
     rms = rotation_rms_error(signal, alpha_used, baseline_used, nu_true) * DEG_PER_REV
-
-    def nu_hat(start, stop):
-        return rotation_from_signal(signal[start:stop], alpha_used, baseline_used)
+    # nu_true is not read again: its buffer becomes the rotation estimate.
+    nu_hat_hz = rotation_from_signal(signal, alpha_used, baseline_used, out=nu_true)
 
     def nu_hat_dps(start, stop):
-        return nu_hat(start, stop) * DEG_PER_REV
+        return nu_hat_hz[start:stop] * DEG_PER_REV
 
-    # Only nu_true (freed on return) and signal are held whole; main's
-    # writer makes the other columns one block at a time.
+    # Only nu_hat_hz and signal are held whole; main's writer makes the
+    # other columns one block at a time.
     t_s = Producer(n, times)
     outputs = {
         "telemetry.csv": (["t_s", "angle_deg", "rate_dps", "accel_dps2"],
                           traj.telemetry()),
         "signal.csv": (["t_s", "signal"], [t_s, signal]),
         "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                         [t_s, Producer(n, nu_hat), Producer(n, nu_hat_dps),
+                         [t_s, nu_hat_hz, Producer(n, nu_hat_dps),
                           Producer(n, table_rate)]),
         "regression.json": report,
     }

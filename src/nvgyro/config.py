@@ -250,9 +250,10 @@ def _build(origin, section, kwargs):
 
 def _frame(origin, entries, environment, constants) -> RotatingFrame:
     """Rotating frame of the sequence mode keys: phase_reference = reset
-    (default, ABSOLUTE_FRAME) or resonant (with dq_detuning), or explicit
-    f1_ref/f2_ref tone references, which replace the mode: they are
-    rejected next to phase_reference = resonant or dq_detuning."""
+    (default, ABSOLUTE_FRAME) or resonant, which needs a nonzero
+    dq_detuning (its fringe frequency), or explicit f1_ref/f2_ref tone
+    references, which replace the mode: they are rejected next to
+    phase_reference = resonant or dq_detuning."""
     mode = "reset"
     if "phase_reference" in entries:
         value, lineno = entries["phase_reference"]
@@ -276,6 +277,10 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame:
                               f"be combined with phase_reference = resonant or dq_detuning")
         return RotatingFrame(*refs)
     if mode == "resonant":
+        if not dq_detuning:
+            raise ConfigError(f"{origin}: phase_reference = resonant needs a nonzero "
+                              f"dq_detuning: at 0 Hz the frame follows the DQ line and "
+                              f"leaves no fringe")
         nominal = FieldEnvironment(B=environment.B)
         return RotatingFrame.dq_detuned(nominal, constants, dq_detuning)
     if dq_detuning:

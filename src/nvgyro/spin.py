@@ -36,8 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularSplittingError
-
 # Elementary charge in A*s, used by the photodetector shot-noise budget.
 ELEMENTARY_CHARGE = 1.602176634e-19
 
@@ -142,10 +140,12 @@ ABSOLUTE_FRAME = RotatingFrame(0.0, 0.0)
 def dq_splitting(B, c: PhysicalConstants):
     """Splitting between |+1> and |-1> at bias field B (G). Array-friendly.
 
-    Raises SingularSplittingError near the ground-state level anticrossing
-    where the denominator D**2 - (gamma_e*B)**2 vanishes, and ValueError
-    naming f_DQ where the constants overflow double precision at B (an
-    f_DQ that is not finite); it neither warns nor raises OverflowError.
+    Raises ValueError near the ground-state level anticrossing, where the
+    denominator D**2 - (gamma_e*B)**2 vanishes, and naming f_DQ where the
+    constants overflow double precision at B (an f_DQ that is not
+    finite); it neither warns nor raises OverflowError.  Both are value
+    checks of the field and constants, so input_error reports them
+    against the input that set them.
     """
     B = np.asarray(B, dtype=float)
     if np.any(B < 0):
@@ -155,7 +155,7 @@ def dq_splitting(B, c: PhysicalConstants):
         d2 = np.float64(c.D) ** 2
         denom = d2 - (c.gamma_e * B) ** 2
         if np.any(np.abs(denom) < 1e-6 * d2):
-            raise SingularSplittingError(
+            raise ValueError(
                 "D**2 - (gamma_e*B)**2 is near zero (level anticrossing regime)"
             )
         out = 2.0 * B * c.gamma_n * (1.0 - (c.gamma_e / c.gamma_n)

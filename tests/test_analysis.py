@@ -12,8 +12,6 @@ from nvgyro import (
     FieldEnvironment,
     FitConvergenceError,
     FringeSeries,
-    InsufficientSpanError,
-    NonUniformGridError,
     PhysicalConstants,
     SequenceConfig,
     allan_deviation,
@@ -65,19 +63,19 @@ class TestFitDecayingSine:
 
     def test_constant_series_rejected(self):
         taus = np.linspace(0, 1e-3, 64)
-        with pytest.raises(InsufficientSpanError):
+        with pytest.raises(ValueError, match="constant series has no fringe to fit"):
             fit_decaying_sine(FringeSeries(taus=taus, values=np.ones(64)))
 
     def test_too_few_points_rejected(self):
         taus = np.linspace(0, 1e-3, 6)
         series = FringeSeries(taus=taus, values=np.sin(taus * 1e4))
-        with pytest.raises(InsufficientSpanError):
+        with pytest.raises(ValueError, match="need at least 8 points"):
             fit_decaying_sine(series)
 
     def test_under_one_period_rejected(self):
         taus = np.linspace(0, 1e-4, 50)
         y = _decaying_sine(taus, 1.0, 3e3, 0.0, 1e6, 0.0)  # 0.3 periods
-        with pytest.raises(InsufficientSpanError):
+        with pytest.raises(ValueError, match=r"covers 0\.\d\d oscillation periods; need >= 1"):
             fit_decaying_sine(FringeSeries(taus=taus, values=y))
 
     def test_amplitude_normalized_positive(self):
@@ -176,7 +174,7 @@ class TestPowerSpectrum:
 
     def test_non_uniform_grid_rejected(self):
         taus = np.array([0.0, 1e-4, 3e-4, 4e-4, 5e-4, 6e-4, 7e-4, 8e-4])
-        with pytest.raises(NonUniformGridError):
+        with pytest.raises(ValueError, match="tau grid is not uniform"):
             power_spectrum(taus, np.sin(taus * 1e4))
 
 
@@ -313,7 +311,7 @@ class TestAllanDeviation:
         assert np.all(series.adev < 1e-12)  # zero up to mean-rounding residue
 
     def test_too_short_rejected(self):
-        with pytest.raises(InsufficientSpanError):
+        with pytest.raises(ValueError, match="need at least 32 samples for Allan analysis"):
             allan_deviation(np.zeros(31), tau0=1.0)
 
     def test_octave_spacing_and_counts(self):

@@ -128,15 +128,16 @@ class TestFringesCommand:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_coarse_grid_error_surfaces(self, tmp_path, capsys):
+        # 1 us of the ~293.7 kHz fringe is under one period: the fit has
+        # no seed, and the error names the file and [fringes]
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "[sequence]\nphase_reference = resonant\ndq_detuning = 100.0\n"
-            "[fringes]\ntau_min = 1e-6\ntau_max = 2e-3\npoints = 12\n"
-        )
+        cfg.write_text("[fringes]\ntau_min = 1e-6\ntau_max = 2e-6\npoints = 16\n")
         out = tmp_path / "o"
         rc = main(["fringes", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
-        assert "period" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: [fringes]: data span 1e-06 s covers 0.")
+        assert err.endswith(" oscillation periods; need >= 1\n")
         assert not out.exists()
 
     def test_aliased_grid_is_rejected_before_writing(self, tmp_path, capsys):
@@ -556,6 +557,27 @@ class TestCleanErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
+    def test_resonant_frame_needs_a_detuning_on_every_command(self, tmp_path, capsys,
+                                                              command):
+        # On resonance with no dq_detuning the DQ fringe sits at 0 Hz:
+        # every command rejects the frame when the config loads, naming
+        # dq_detuning rather than the working point or the fringe span.
+        cfg = tmp_path / "resonant.cfg"
+        cfg.write_text("[sequence]\nphase_reference = resonant\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command == "allan":
+            argv += ["--duration", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: phase_reference = resonant needs a nonzero "
+                              f"dq_detuning: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
     @pytest.mark.parametrize("line", ["A_perp = 1e200", "gamma_e = 1e300"])
     def test_level_model_overflow_on_every_command(self, tmp_path, capsys, command, line):
         # The constants overflow double precision at 482 G.  Loading the
@@ -669,6 +691,17 @@ class TestCleanErrors:
         assert "tau_wp" in err and "t2_dq" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_fringes_calibration_needs_a_delay(self, tmp_path, capsys):
+        # tau_wp = 0 keeps the cycle rule, but alpha = 4 pi tau_wp A_wp
+        # has no working point: fit.json's calibration names [sequence]
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[sequence]\ntau_wp = 0\n"
+                       "[fringes]\ntau_min = 1e-6\ntau_max = 6.4e-5\npoints = 64\n")
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: [sequence]: tau_wp must be > 0\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gyro", "allan", "budget"])
     def test_rotation_rate_is_rejected_where_it_is_not_read(self, tmp_path, capsys, command):

@@ -173,6 +173,17 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="resonant"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["phase_reference = resonant",
+                                      "phase_reference = resonant\ndq_detuning = 0.0",
+                                      "phase_reference = resonant\ndq_detuning = -0.0"])
+    def test_resonant_requires_a_detuning(self, tmp_path, text):
+        # a rule on the keys: the resonant frame's own fringe is a
+        # rounding residue, not exactly 0 Hz
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[sequence]\n{text}\n")
+        with pytest.raises(ConfigError, match="resonant needs a nonzero dq_detuning"):
+            load_config(path)
+
     def test_explicit_refs_must_pair(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[sequence]\nf1_ref = 5.089e6\n")
