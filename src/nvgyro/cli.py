@@ -3,8 +3,10 @@
 Each command only computes: it returns its outputs, a mapping from file
 name to a JSON dict or a (names, columns) table, and the text it prints.
 A table column is an array or an io.Producer, which makes its cells one
-write block at a time: gyro holds only its per-cycle rates and signal
-whole.  `main` alone writes them: after the command returns, and only
+write block at a time: gyro holds its per-cycle rates and its signal
+whole while it streams, and from its RMS onward the signal alone; its
+rotation estimate and its telemetry are made per write block.  `main`
+alone writes them: after the command returns, and only
 with --out, it creates the directory, writes every table in one pass
 (io.write_tables: tables that share a row count are written in lockstep
 and a column object they share, such as fringes' tau_s and its one
@@ -20,6 +22,7 @@ Exit codes: 0 ok, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -191,21 +194,24 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         alpha_used, baseline_used = alpha0, baseline
     report["alpha_used_per_hz"] = alpha_used
     rms = rotation_rms_error(signal, alpha_used, baseline_used, nu_true) * DEG_PER_REV
-    # nu_true is not read again: its buffer becomes the rotation estimate.
-    nu_hat_hz = rotation_from_signal(signal, alpha_used, baseline_used, out=nu_true)
+    del nu_true  # from here on the signal is the one run-length array
+
+    # Each write block's estimate is formed once, for both its columns.
+    @functools.lru_cache(maxsize=1)
+    def nu_hat_hz(start, stop):
+        return rotation_from_signal(signal[start:stop], alpha_used, baseline_used)
 
     def nu_hat_dps(start, stop):
-        return nu_hat_hz[start:stop] * DEG_PER_REV
+        return nu_hat_hz(start, stop) * DEG_PER_REV
 
-    # Only nu_hat_hz and signal are held whole; main's writer makes the
-    # other columns one block at a time.
+    # main's writer makes every column but the signal one block at a time.
     t_s = Producer(n, times)
     outputs = {
         "telemetry.csv": (["t_s", "angle_deg", "rate_dps", "accel_dps2"],
                           traj.telemetry()),
         "signal.csv": (["t_s", "signal"], [t_s, signal]),
         "rotation.csv": (["t_s", "nu_hat_hz", "nu_hat_dps", "table_rate_dps"],
-                         [t_s, nu_hat_hz, Producer(n, nu_hat_dps),
+                         [t_s, Producer(n, nu_hat_hz), Producer(n, nu_hat_dps),
                           Producer(n, table_rate)]),
         "regression.json": report,
     }

@@ -296,6 +296,9 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
 
     constants = _build(origin, "constants", kw["constants"])
     environment = _build(origin, "environment", kw["environment"])
+    with input_error(f"{origin}: [environment]: "):
+        if (total := environment.B + environment.delta_B) < 0.0:
+            raise ValueError(f"B + delta_B = {total:g} G must be >= 0")
     seq_kw = kw["sequence"]
     # The level model of [constants] at the configured field, for every config.
     with input_error(f"{origin}: [constants]: "):

@@ -11,7 +11,8 @@ holds the setpoint for what is left of its duration (a ramp the duration
 cuts short carries into the next row).  RateTrajectory is the executed
 program: built from those rows or from a profile CSV, it evaluates rate,
 angle and acceleration at any time (the pulse-sequence stream samples
-rate_at) and polls telemetry every DEFAULT_POLL seconds.
+rate_at) and polls telemetry every DEFAULT_POLL seconds, one write
+block at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, input_error
-from .io import _read_text
+from .io import Producer, _read_text
 
 DEFAULT_RATE_LIMIT = 400.0  # deg/s
 DEFAULT_POLL = 30e-3  # s
@@ -130,8 +131,19 @@ class RateTrajectory:
         out = self._angle[i] + self._r[i] * dt + 0.5 * self._slope[i] * dt * dt
         return float(out) if out.ndim == 0 else out
 
-    def telemetry(self) -> tuple[np.ndarray, ...]:
+    def telemetry(self) -> tuple[Producer, ...]:
         """(t, angle, rate, accel) polled every DEFAULT_POLL seconds from
-        t = 0 to the end of the program, the logger's telemetry fields."""
-        ts = np.arange(int(math.floor(self.t_end / DEFAULT_POLL)) + 1) * DEFAULT_POLL
-        return ts, self.angle_at(ts), self.rate_at(ts), self.accel_at(ts)
+        t = 0 to the end of the program, the logger's telemetry fields, as
+        io.Producers over one poll grid (row k at k * DEFAULT_POLL): each
+        make(start, stop) evaluates rows [start, stop) alone, so no column
+        is held whole, and make(0, n) is the whole column."""
+        n = int(math.floor(self.t_end / DEFAULT_POLL)) + 1
+
+        def times(start, stop):
+            return np.arange(start, stop) * DEFAULT_POLL
+
+        def polled(at):
+            return Producer(n, lambda start, stop: at(times(start, stop)))
+
+        return (Producer(n, times), polled(self.angle_at), polled(self.rate_at),
+                polled(self.accel_at))

@@ -70,9 +70,9 @@ from .spin import (
 
 #: Cycles per block of run_gyro_stream: bounds its working memory (a
 #: rotating block's coherence factors and projections, about 150 bytes
-#: per cycle at their peak, so about 1.2 MB) and leaves its output bytes
+#: per cycle at their peak, so about 0.6 MB) and leaves its output bytes
 #: unchanged.
-_STREAM_BLOCK = 8192
+_STREAM_BLOCK = 4096
 
 #: Second-pulse (phase_f1, phase_f2) table; signs in the combination are +,-,+,-.
 DEFAULT_PHASE_TABLE = (

@@ -255,7 +255,7 @@ def test_criterion_09_dynamic_range():
 def test_criterion_10_rate_table_kinematics():
     accel, target = 1.8, 180.0
     traj = RateTrajectory([(150.0, target, accel)])
-    t, _, rate, _ = traj.telemetry()
+    t, _, rate, _ = (col.make(0, len(col)) for col in traj.telemetry())
     dt = 0.03
     polled_at_dt = np.max(np.abs(np.diff(t) - dt)) < 1e-12
     # completion time: the ramp ends inside the poll interval that first reads 180

@@ -723,6 +723,21 @@ class TestCleanErrors:
         assert "Traceback" not in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fringes", "gyro", "allan", "budget"])
+    def test_negative_total_field_is_an_environment_error(self, tmp_path, capsys, command):
+        # delta_B drives B + delta_B below zero: the level model cannot
+        # evaluate it, and the keys that set it are in [environment].
+        cfg = tmp_path / "field.cfg"
+        cfg.write_text("[environment]\nB = 1\ndelta_B = -2\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [environment]: B + delta_B = -1 G must be >= 0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["white_sigma", "random_walk_sigma"])
     def test_stream_noise_is_rejected_by_fringes(self, tmp_path, capsys, key):
         # [noise] is added by the gyro and allan stream only; the sweep

@@ -11,9 +11,11 @@ estimate and then the Allan phase series in place, and the second
 differences are summed one cache-sized leaf at a time.  Materialising
 the (cycles x 4) signals, whole columns as Python objects or text, a
 copy of the phase series or a run-length second difference breaks
-these bounds.  `gyro` holds two words per cycle, its per-cycle rates
-and its signal: its other columns are made one write block at a time
-and its regression and RMS are summed leaf by leaf.  tracemalloc does
+these bounds.  `gyro` holds two words per cycle while it streams, its
+per-cycle rates and its signal, and from its RMS onward one, the
+signal: its other columns, its rotation estimate and its telemetry
+included, are made one write block at a time, and its regression and
+RMS are summed leaf by leaf.  tracemalloc does
 not see a buffer that is freed and allocated again for every block, so
 the writer's page faults are counted too.
 """
@@ -213,3 +215,29 @@ def test_gyro_peak_is_three_words_per_cycle(tmp_path, capsys):
 
     small, large = (cli.default_config().sequence.n_cycles(d) for d in (100, 400))
     assert (peak(400) - peak(100)) / (large - small) <= 3 * WORD
+
+
+def test_gyro_holds_its_signal_alone_when_it_returns(tmp_path):
+    # What cmd_gyro hands main to write, on the triangle profile: the
+    # signal is its one run-length array, and the rotation estimate and
+    # the telemetry are producers made per write block.  A whole
+    # estimate (or the rates' buffer kept for it) adds a word per cycle,
+    # and whole telemetry columns 0.53 MB that grow with the profile.
+    cfg = cli.default_config()
+    assert cli.cmd_gyro(argparse.Namespace(profile=str(TRIANGLE_CSV), duration=1.0,
+                                           config=None, out=None), cfg)
+
+    def held(duration):
+        args = argparse.Namespace(profile=str(TRIANGLE_CSV), duration=duration,
+                                  config=None, out=None)
+        tracemalloc.start()
+        try:
+            outputs = cli.cmd_gyro(args, cfg)  # alive while it is measured
+            return tracemalloc.get_traced_memory()[0] if outputs else None
+        finally:
+            tracemalloc.stop()
+
+    small, large = (cfg.sequence.n_cycles(d) for d in (100, 400))
+    h_small, h_large = held(100), held(400)
+    assert (h_large - h_small) / (large - small) <= 1.5 * WORD
+    assert h_small <= WORD * small + 256 * 1024

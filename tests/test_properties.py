@@ -5,7 +5,8 @@ exponentials that shares no code with the kernel, is the reference for
 ramsey_projections, and an environment of arrays must give the stack of
 its entries' scalar environments.  Seeded runs must repeat bit for bit,
 and the rate table must ramp toward each setpoint without overshoot and
-report an angle that is the integral of its rate.  The closed-form working point
+report an angle that is the integral of its rate, and its telemetry
+made block by block must be its evaluators on the whole poll grid.  The closed-form working point
 must zero the derivative of the merit it maximizes, and `budget`'s
 shot-noise sensitivity, taken from the kernel's slope, must be the
 paper's closed form (oracle) at a measurement time of cycle_period/4.  The block sizes of
@@ -48,6 +49,7 @@ from nvgyro import (
 from nvgyro import analysis, io, sequence
 from nvgyro.analysis import octave_m_values
 from nvgyro.cli import cmd_budget
+from nvgyro.ratetable import DEFAULT_POLL
 from nvgyro.sequence import combined_sigma
 import oracle
 from oracle import bright_projections, psn_rotation_sensitivity
@@ -266,6 +268,28 @@ def test_rate_ramps_to_each_setpoint_without_overshoot(rows):
             r0 + math.copysign(accel * t_reach, gap), abs=1e-9)
         t0 += duration
         r0 = traj.rate_at(t0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(instructions, min_size=1, max_size=6), data=st.data())
+def test_telemetry_blocks_are_the_whole_grid_bit_for_bit(rows, data):
+    # The writer makes each telemetry column one block at a time; the
+    # blocks joined must be the evaluators on the whole poll grid, also
+    # when a block ends at a poll inside a ramp.
+    traj = RateTrajectory(rows)
+    columns = traj.telemetry()
+    n = len(columns[0])
+    t = np.arange(n) * DEFAULT_POLL
+    cuts = set(data.draw(st.lists(st.integers(0, n), max_size=8)))
+    ramp = np.flatnonzero(traj.accel_at(t) != 0.0)
+    if len(ramp):
+        cuts.add(int(data.draw(st.sampled_from(ramp))))
+    edges = sorted(cuts | {0, n})
+    whole = [t, traj.angle_at(t), traj.rate_at(t), traj.accel_at(t)]
+    for column, expected in zip(columns, whole, strict=True):
+        assert len(column) == n
+        got = np.concatenate([column.make(a, b) for a, b in zip(edges, edges[1:])])
+        assert got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,11 @@ from nvgyro import ConfigError, RateTrajectory
 TRIANGLE_CSV = Path(__file__).resolve().parents[1] / "configs" / "triangle_profile.csv"
 
 
+def _telemetry(traj):
+    """The four telemetry columns whole: each producer's make(0, n)."""
+    return [col.make(0, len(col)) for col in traj.telemetry()]
+
+
 class TestJog:
     def test_setpoint_equal_to_rate_is_a_noop_ramp(self):
         # reach 50 deg/s, then a 1 s instruction with the same setpoint
@@ -56,7 +61,7 @@ class TestStep:
                                                      rel=1e-12)
 
     def test_never_overshoots_setpoint(self):
-        _, _, rate, _ = RateTrajectory([(90.0, 37.0, 1.8)]).telemetry()
+        _, _, rate, _ = _telemetry(RateTrajectory([(90.0, 37.0, 1.8)]))
         assert np.all(rate <= 37.0 + 1e-12)
         assert np.all(np.abs(np.diff(rate)) <= 1.8 * 0.03 + 1e-12)
         assert rate[-1] == 37.0
@@ -95,19 +100,19 @@ class TestTrajectory:
 
 class TestRunProfile:
     def test_empty_hold_profile_zero_rate(self):
-        _, angle, rate, _ = RateTrajectory([(5.0, 0.0, 1.8)]).telemetry()
+        _, angle, rate, _ = _telemetry(RateTrajectory([(5.0, 0.0, 1.8)]))
         assert np.all(rate == 0.0)
         assert np.all(angle == 0.0)
 
     def test_poll_spacing_and_monotonicity(self):
-        t, _, _, _ = RateTrajectory([(2.0, 10.0, 1.8)]).telemetry()
+        t, _, _, _ = _telemetry(RateTrajectory([(2.0, 10.0, 1.8)]))
         d = np.diff(t)
         assert np.all(d > 0)
         assert np.max(np.abs(d - 30e-3)) < 1e-12
 
     def test_triangle_sweep_covers_plus_minus_180(self):
         traj = RateTrajectory.from_csv(TRIANGLE_CSV)
-        _, _, rate, _ = traj.telemetry()
+        _, _, rate, _ = _telemetry(traj)
         # the apex is instantaneous; polled samples are within accel*poll of it
         assert rate.max() == pytest.approx(180.0, abs=1.8 * 30e-3)
         assert rate.min() == pytest.approx(-180.0, abs=1.8 * 30e-3)
@@ -123,7 +128,7 @@ class TestRunProfile:
             assert traj.rate_at(t - 1e-9) == pytest.approx(sp, abs=1e-9)
 
     def test_telemetry_reports_accel(self):
-        t, _, _, accel = RateTrajectory([(20.0, 9.0, 1.8)]).telemetry()
+        t, _, _, accel = _telemetry(RateTrajectory([(20.0, 9.0, 1.8)]))
         ramp = t < 5.0 - 1e-9
         assert np.all(accel[ramp] == 1.8)
         assert np.all(accel[~ramp] == 0.0)
@@ -131,7 +136,7 @@ class TestRunProfile:
     def test_telemetry_samples_the_trajectory(self):
         # polls from 0 to the end of the program, each field its evaluator's
         traj = RateTrajectory([(10.0, 5.0, 1.8), (4.51, -3.0, 2.0)])
-        t, angle, rate, accel = traj.telemetry()
+        t, angle, rate, accel = _telemetry(traj)
         assert len(t) == int(14.51 / 30e-3) + 1 and t[-1] <= traj.t_end
         assert np.array_equal(angle, traj.angle_at(t))
         assert np.array_equal(rate, traj.rate_at(t))
