@@ -91,14 +91,10 @@ def summarize(runs: list[dict], spec: dict) -> dict:
     return summary
 
 
-def _git(*argv: str) -> str:
-    return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def _export(rev: str, dest: Path) -> str:
     """Export rev's committed files into dest; return its short hash."""
-    sha = _git("rev-parse", "--short", f"{rev}^{{commit}}")
+    sha = subprocess.run(["git", "rev-parse", "--short", f"{rev}^{{commit}}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
     dest.mkdir()
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
                              capture_output=True).stdout
