@@ -5,6 +5,9 @@ Fringes are modeled as A * exp(-tau/T2*) * sin(2*pi*f*tau + phi) + offset.
 The fit is variable-projection least squares in numpy: the model is linear
 in (A cos phi, A sin phi, offset), so only (f, T2*) are iterated, seeded
 from a zero-padded FFT peak (frequency) and a windowed RMS decay (T2*).
+Its linear solves are one thin QR (modified Gram-Schmidt, _thin_qr) per
+projection, per Gauss-Newton step and for the covariance, with no LAPACK
+call: numpy.linalg is reached only by an exactly singular covariance.
 In a fixed cycle the sensitivity-optimal delay is T2*, capped by the cycle.
 
 The calibration coefficient alpha converts the working-point signal to a
@@ -137,13 +140,57 @@ def _initial_guess(taus, values) -> tuple[float, float]:
 MAX_FIT_ITERATIONS = 500
 
 
+def _thin_qr(columns: np.ndarray, rcond: float | None = None):
+    """Thin QR of the n x k matrix whose k columns are the rows of columns.
+
+    Modified Gram-Schmidt, each column orthogonalised twice, in numpy
+    alone: (q, r) with the matrix = q.T @ r, q's rows orthonormal and r
+    upper triangular.  A column whose pivot r_jj is at most rcond times
+    the largest pivot (rcond=None: eps*max(n, k), np.linalg.lstsq's rule)
+    is dependent: its column is zeroed and the QR made again, so its q
+    row and pivot are 0 and the rest is the QR of the other columns.
+    """
+    q = np.array(columns, dtype=float)
+    k, n = q.shape
+    r = np.zeros((k, k))
+    for j in range(k):
+        for _ in range(2):
+            for i in range(j):
+                c = q[i] @ q[j]
+                r[i, j] += c
+                q[j] -= c * q[i]
+        r[j, j] = math.sqrt(q[j] @ q[j])
+        if r[j, j] > 0:
+            q[j] /= r[j, j]
+    if rcond is None:
+        rcond = np.finfo(float).eps * max(n, k)
+    pivots = np.diagonal(r)
+    dependent = pivots <= rcond * pivots.max()
+    if np.any(pivots[dependent] > 0):
+        return _thin_qr(np.where(dependent[:, None], 0.0, columns), rcond)
+    return q, r
+
+
+def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with r @ x = y for upper-triangular r, where x_j = 0 wherever
+    the pivot r_jj is 0; y is a vector or has one column per right side.
+    With _thin_qr's (q, r) of a matrix M, _back_substitute(r, q @ b) is
+    the least-squares solution of M x = b, 0 at each dependent column."""
+    x = np.zeros_like(y)
+    for j in reversed(range(len(r))):
+        if r[j, j] > 0:
+            x[j] = (y[j] - r[j, j + 1:] @ x[j + 1:]) / r[j, j]
+    return x
+
+
 class _Projection:
     """Variable-projection view of the fringe model at fixed (f, T2*).
 
     The model is linear in (A cos phi, A sin phi, offset) over the basis
-    exp(-tau/T2*) * (sin 2 pi f tau, cos 2 pi f tau, 1); np.linalg.lstsq
-    gives those three, and the residual left over is a function of
-    theta = (f, T2*) alone.  Basis, residuals and derivatives are weighted.
+    exp(-tau/T2*) * (sin 2 pi f tau, cos 2 pi f tau, 1), held as rows;
+    one thin QR of the basis (_thin_qr) gives those three, and the
+    residual left over is a function of theta = (f, T2*) alone.  Basis,
+    residuals and derivatives are weighted.
     """
 
     def __init__(self, taus, values, weights, theta):
@@ -151,26 +198,27 @@ class _Projection:
         f, t2 = theta
         arg = 2.0 * np.pi * f * taus
         env = np.exp(-taus / t2) * weights
-        self.basis = np.column_stack([env * np.sin(arg), env * np.cos(arg), weights])
-        self.coef = np.linalg.lstsq(self.basis, values * weights, rcond=None)[0]
-        self.residuals = self.basis @ self.coef - values * weights
+        self.basis = np.stack([env * np.sin(arg), env * np.cos(arg), weights])
+        self.q, r = _thin_qr(self.basis)
+        self.coef = _back_substitute(r, self.q @ (values * weights))
+        self.residuals = self.coef @ self.basis - values * weights
         self.cost = float(self.residuals @ self.residuals)
 
     def derivatives(self) -> np.ndarray:
-        """Derivatives of the model in (f, T2*) at the solved coefficients."""
+        """Derivatives of the model in (f, T2*) at the solved coefficients,
+        one row each."""
         a1, a2, _ = self.coef
-        env_sin, env_cos = self.basis[:, 0], self.basis[:, 1]
+        env_sin, env_cos = self.basis[0], self.basis[1]
         t2 = self.theta[1]
-        return np.column_stack([
+        return np.stack([
             2.0 * np.pi * self.taus * (a1 * env_cos - a2 * env_sin),
             self.taus / t2 / t2 * (a1 * env_sin + a2 * env_cos),
         ])
 
     def jacobian(self) -> np.ndarray:
-        """Kaufman's Jacobian of the residuals in (f, T2*): the derivatives
-        with their part in the span of the basis projected out."""
-        d = self.derivatives()
-        return d - self.basis @ np.linalg.lstsq(self.basis, d, rcond=None)[0]
+        """Kaufman's Jacobian of the residuals in (f, T2*), one row each:
+        the derivatives less their part in the span of the basis, d - Q(Q^T d)."""
+        return np.stack([d - (self.q @ d) @ self.q for d in self.derivatives()])
 
 
 def fit_decaying_sine(series: FringeSeries) -> FringeFit:
@@ -182,9 +230,12 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     alone, within f >= 0 and T2* >= span/1e4, from the FFT-peak and
     windowed-RMS-decay seed.  It halves each step until the cost falls,
     and stops when the relative step is below 1e-10 or the cost falls by
-    less than 1e-12 of itself.  The covariance comes from the full
-    five-parameter Jacobian at the solution, scaled by the reduced
-    chi-square (per-point sigmas are used as weights when present).
+    less than 1e-12 of itself.  Every linear solve is a thin QR in numpy
+    (_thin_qr), with no LAPACK call.  The covariance comes from the R
+    factor of the full five-parameter Jacobian at the solution,
+    R^-1 R^-T, scaled by the reduced chi-square (per-point sigmas are
+    used as weights when present); only a Jacobian with an exactly zero
+    pivot falls back to np.linalg.pinv of J^T J.
 
     Raises ValueError for short/degenerate data and
     FitConvergenceError if the loop has not stopped after
@@ -204,7 +255,8 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
 
     proj = _Projection(taus, values, weights, theta0)
     for _ in range(MAX_FIT_ITERATIONS):
-        step = -np.linalg.lstsq(proj.jacobian(), proj.residuals, rcond=None)[0]
+        q, r = _thin_qr(proj.jacobian())
+        step = -_back_substitute(r, q @ proj.residuals)
         while True:
             trial = _Projection(taus, values, weights,
                                 np.maximum(proj.theta + step, lower))
@@ -225,14 +277,16 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     (a1, a2, offset), (f, t2) = proj.coef, proj.theta
     a = math.hypot(a1, a2)
     phi = math.atan2(a2, a1) % (2.0 * math.pi)
-    env_sin, env_cos, weight = proj.basis.T
-    d_f, d_t2 = proj.derivatives().T
-    jac = np.column_stack([math.cos(phi) * env_sin + math.sin(phi) * env_cos,
-                           d_f, a1 * env_cos - a2 * env_sin, d_t2, weight])
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jac.T @ jac)
+    env_sin, env_cos, weight = proj.basis
+    d_f, d_t2 = proj.derivatives()
+    jac = np.stack([math.cos(phi) * env_sin + math.sin(phi) * env_cos,
+                    d_f, a1 * env_cos - a2 * env_sin, d_t2, weight])
+    _, r = _thin_qr(jac, rcond=0.0)
+    if np.all(np.diagonal(r) > 0):
+        r_inv = _back_substitute(r, np.eye(len(r)))
+        cov = np.einsum("ik,jk->ij", r_inv, r_inv)
+    else:
+        cov = np.linalg.pinv(jac @ jac.T)
     dof = max(len(taus) - 5, 1)
     cov = cov * (proj.cost / dof)
     res_unweighted = _decaying_sine(taus, a, f, phi, t2, offset) - values

@@ -259,7 +259,7 @@ def cmd_allan(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     }
     return outputs, (f"allan: {n_samples} samples, ARW {arw * 1e3:.2f} mHz/rtHz, "
                      f"floor {series.adev[i_min] * 1e3:.3f} mHz at "
-                     f"{series.tau_avg[i_min]:.0f} s -> {args.out}")
+                     f"{series.tau_avg[i_min]:g} s -> {args.out}")
 
 
 def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:

@@ -261,6 +261,17 @@ class TestAllanCommand:
             summary["psn_prediction_hz_per_rt_hz"], rel=0.10)
         assert summary["psn_prediction_hz_per_rt_hz"] == budget["sensitivity_hz_per_rt_hz"]
 
+    def test_summary_line_prints_the_floor_tau(self, tmp_path, capsys):
+        # a one-second run has its floor below 1 s: the printed tau is the
+        # summary's, not rounded to whole seconds
+        out = tmp_path / "out"
+        assert main(["allan", "--duration", "1", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        line = capsys.readouterr().out
+        floor = line.split(" mHz at ")[1].split(" s -> ")[0]
+        assert summary["bias_stability_at_s"] < 1
+        assert float(floor) == pytest.approx(summary["bias_stability_at_s"], rel=1e-5)
+
     def test_too_short_run_writes_nothing(self, tmp_path, capsys):
         # 28 cycles pass the one-cycle duration check but are too few for
         # the Allan analysis: --duration is rejected before the stream runs

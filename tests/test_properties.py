@@ -15,7 +15,9 @@ their output, nor may writing tables together or giving a column as a
 Producer of its blocks; gyro's blockwise calibration, spread and RMS
 must equal the whole-array formulas bit for bit; the stream's shot noise
 must be one combined-sample draw per cycle, and the in-place Allan
-deviation must equal the textbook expression exactly.
+deviation must equal the textbook expression exactly.  The fringe fit's
+thin-QR least squares must agree with np.linalg.lstsq on the
+column-equilibrated matrix, and give an exactly zero column coefficient 0.
 """
 
 import math
@@ -599,3 +601,30 @@ def test_long_allan_deviation_is_the_whole_array_formula_bit_for_bit(n, seed, da
         tau = m * tau0
         assert count == d.size
         assert adev == math.sqrt(np.sum(d * d) / (2.0 * tau * tau * d.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 5), extra=st.integers(0, 60), seed=seeds, data=st.data())
+def test_thin_qr_least_squares_matches_lstsq(k, extra, seed, data):
+    # The fringe fit's solves (analysis._thin_qr, then _back_substitute)
+    # against np.linalg.lstsq on columns scaled over twelve decades.
+    # lstsq's SVD is not column-scale invariant, so the oracle solves the
+    # equilibrated matrix, and the two are compared normwise in its units.
+    # An exactly zero column is dependent: its coefficient is 0 and the
+    # others solve the remaining columns.
+    n = 3 * k + 5 + extra
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-6.0, 6.0, k)
+    b = rng.normal(size=n)
+    zero = data.draw(st.none() | st.integers(0, k - 1), label="zero column")
+    if zero is not None:
+        a[:, zero] = 0.0
+    keep = [j for j in range(k) if j != zero]
+    q, r = analysis._thin_qr(a.T)
+    x = analysis._back_substitute(r, q @ b)
+    if zero is not None:
+        assert x[zero] == 0.0
+    if keep:
+        norms = np.sqrt(np.sum(a[:, keep] ** 2, axis=0))
+        y = np.linalg.lstsq(a[:, keep] / norms, b, rcond=None)[0]
+        assert np.linalg.norm(x[keep] * norms - y) <= 1e-10 * np.linalg.norm(y)
