@@ -144,43 +144,51 @@ def _thin_qr(columns: np.ndarray, rcond: float | None = None):
     """Thin QR of the n x k matrix whose k columns are the rows of columns.
 
     Modified Gram-Schmidt, each column orthogonalised twice, in numpy
-    alone: (q, r) with the matrix = q.T @ r, q's rows orthonormal and r
-    upper triangular.  A column whose pivot r_jj is at most rcond times
-    the largest pivot (rcond=None: eps*max(n, k), np.linalg.lstsq's rule)
-    is dependent: its column is zeroed and the QR made again, so its q
-    row and pivot are 0 and the rest is the QR of the other columns.
+    alone: (q, r) with the matrix = q.T @ r, q's rows orthonormal and r,
+    a k x k list of rows, upper triangular.  A column whose pivot r_jj is
+    at most rcond times the largest pivot (rcond=None: eps*max(n, k),
+    np.linalg.lstsq's rule) is dependent: its column is zeroed and the QR
+    made again, so its q row and pivot are 0 and the rest is the QR of
+    the other columns.  For k <= 5, r in Python floats takes fewer numpy
+    calls than an array would.
     """
     q = np.array(columns, dtype=float)
     k, n = q.shape
-    r = np.zeros((k, k))
-    for j in range(k):
+    rows = list(q)
+    r = [[0.0] * k for _ in range(k)]
+    for j, qj in enumerate(rows):
         for _ in range(2):
             for i in range(j):
-                c = q[i] @ q[j]
-                r[i, j] += c
-                q[j] -= c * q[i]
-        r[j, j] = math.sqrt(q[j] @ q[j])
-        if r[j, j] > 0:
-            q[j] /= r[j, j]
+                c = float(rows[i] @ qj)
+                r[i][j] += c
+                qj -= c * rows[i]
+        r[j][j] = pivot = math.sqrt(qj @ qj)
+        if pivot > 0:
+            qj /= pivot
     if rcond is None:
         rcond = np.finfo(float).eps * max(n, k)
-    pivots = np.diagonal(r)
-    dependent = pivots <= rcond * pivots.max()
-    if np.any(pivots[dependent] > 0):
-        return _thin_qr(np.where(dependent[:, None], 0.0, columns), rcond)
+    pivots = [r[j][j] for j in range(k)]
+    tol = rcond * max(pivots)
+    if any(0 < p <= tol for p in pivots):
+        dependent = np.array(pivots)[:, None] <= tol
+        return _thin_qr(np.where(dependent, 0.0, columns), rcond)
     return q, r
 
 
-def _back_substitute(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x with r @ x = y for upper-triangular r, where x_j = 0 wherever
-    the pivot r_jj is 0; y is a vector or has one column per right side.
+def _back_substitute(r, y) -> np.ndarray:
+    """x with r @ x = y for upper-triangular r (rows of Python floats, as
+    _thin_qr gives it), where x_j = 0 wherever the pivot r_jj is 0.
     With _thin_qr's (q, r) of a matrix M, _back_substitute(r, q @ b) is
     the least-squares solution of M x = b, 0 at each dependent column."""
-    x = np.zeros_like(y)
+    y = list(map(float, y))
+    x = [0.0] * len(r)
     for j in reversed(range(len(r))):
-        if r[j, j] > 0:
-            x[j] = (y[j] - r[j, j + 1:] @ x[j + 1:]) / r[j, j]
-    return x
+        if r[j][j] > 0:
+            s = y[j]
+            for i in range(j + 1, len(r)):
+                s -= r[j][i] * x[i]
+            x[j] = s / r[j][j]
+    return np.array(x)
 
 
 class _Projection:
@@ -282,9 +290,10 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     jac = np.stack([math.cos(phi) * env_sin + math.sin(phi) * env_cos,
                     d_f, a1 * env_cos - a2 * env_sin, d_t2, weight])
     _, r = _thin_qr(jac, rcond=0.0)
-    if np.all(np.diagonal(r) > 0):
-        r_inv = _back_substitute(r, np.eye(len(r)))
-        cov = np.einsum("ik,jk->ij", r_inv, r_inv)
+    if all(r[j][j] > 0 for j in range(len(r))):
+        # row i is R^-1 e_i, column i of R^-1
+        r_inv_t = np.array([_back_substitute(r, e) for e in np.eye(len(r))])
+        cov = np.einsum("ki,kj->ij", r_inv_t, r_inv_t)
     else:
         cov = np.linalg.pinv(jac @ jac.T)
     dof = max(len(taus) - 5, 1)

@@ -80,7 +80,7 @@ GOLDEN = {
     },
     "fringes-default": {
         "fit.json":
-            "f6e88fcb374aae2759fa753ff2a21e8c2c89c1790b1441e1936afaa5edf9031a",
+            "e806d5cbfafd4302b6e1313a1cffd1c89bf991066af1f846674ab434dc9233ff",
         "fringes_combined.csv":
             "01120c8817b05ec421ebcf1d4eca117e53657aa96f89054086064f3405d66641",
         "fringes_r1.csv":
@@ -110,7 +110,7 @@ GOLDEN = {
     },
     "fringes-resonant": {
         "fit.json":
-            "dc6d126d5fa10665bcd8052c3704c0c37c2e3372e1329cae17c5dd27d26487f8",
+            "81e61852fa4b9247d4cea2c21173bfa66a603a35a6947ef21012d80dbfd8ca43",
         "fringes_combined.csv":
             "0f9943714ec78e4305de3c2ac7be6e47aa47c4491cb66ed036b15efe6fb46721",
         "fringes_r1.csv":
@@ -135,7 +135,7 @@ GOLDEN = {
     # The shipped 4096-point grid (12.8 MHz sampling) resolves the SQ lines.
     "fringes-sq": {
         "fit.json":
-            "ca2f0c62a3549a04fd40dc270edb38b197433ea565bc485e36acdcb1eb28e1c6",
+            "fad613c9338f8faf11d718a8366338c6a3e4999f993178c64a373970c72e509b",
         "fringes_combined.csv":
             "d49cf453fa0f52a0df0cf6b344984ee8c706947bb0fb99d9004f661cf189728e",
         "fringes_r1.csv":
