@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitConvergenceError
+from .io import Producer, _producer
 from .sequence import FringeSeries
 
 
@@ -337,19 +338,20 @@ def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     (Hz), as a rate-table sweep measures it; ValueError if nu has no spread.
 
     Every sum is the whole-array formula's np.sum, bit for bit, formed
-    leaf by leaf (_sum_of), so no run-length temporary exists.
+    leaf by leaf (_sum_of), so no run-length temporary exists; nu, like
+    the rates of rate_spread and rotation_rms_error, is an array or an
+    io.Producer, read one leaf at a time.
     """
-    nu, signal = np.asarray(nu, dtype=float), np.asarray(signal, dtype=float)
-    if nu.shape != signal.shape:
+    nu, signal = _producer(nu), np.asarray(signal, dtype=float)
+    if signal.shape != (len(nu),):
         raise ValueError("nu and signal must have equal lengths")
     n = len(nu)
-    mean_nu, mean_s = np.mean(nu), np.mean(signal)
-    sxx = _squared_deviation_sum(nu, mean_nu)
+    (mean_nu, sxx), mean_s = _mean_and_squared_deviation_sum(nu), np.mean(signal)
     if not sxx > 0:
         raise ValueError("the rates nu have no spread: the slope is undefined")
 
     def cross(i, j, out):  # (nu - mean nu) * (signal - mean signal)
-        np.subtract(nu[i:j], mean_nu, out=out)
+        np.subtract(nu.make(i, j), mean_nu, out=out)
         out *= signal[i:j] - mean_s
         return out
 
@@ -357,7 +359,7 @@ def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     intercept = float(mean_s - slope * mean_nu)
 
     def residual_squared(i, j, out):  # (signal - (slope * nu + intercept))**2
-        np.multiply(nu[i:j], slope, out=out)
+        np.multiply(nu.make(i, j), slope, out=out)
         out += intercept
         np.subtract(signal[i:j], out, out=out)
         out *= out
@@ -369,8 +371,7 @@ def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
 
 def rate_spread(nu) -> float:
     """np.std(nu) of rates nu, bit for bit, summed leaf by leaf."""
-    nu = np.asarray(nu, dtype=float)
-    return math.sqrt(_squared_deviation_sum(nu, np.mean(nu)) / len(nu))
+    return math.sqrt(_mean_and_squared_deviation_sum(_producer(nu))[1] / len(nu))
 
 
 def rotation_rms_error(signal, alpha_per_hz: float, baseline: float, nu) -> float:
@@ -379,7 +380,7 @@ def rotation_rms_error(signal, alpha_per_hz: float, baseline: float, nu) -> floa
     alpha_per_hz, baseline) - nu)**2)) bit for bit, summed leaf by leaf."""
     def fill(i, j, out):
         rotation_from_signal(signal[i:j], alpha_per_hz, baseline, out=out)
-        out -= nu[i:j]
+        out -= _producer(nu).make(i, j)
         out *= out
         return out
 
@@ -470,14 +471,17 @@ def _sum_of(fill, n: int) -> float:
     return _pairwise_sum(fill, n, np.empty(min(n, _SUM_LEAF)))
 
 
-def _squared_deviation_sum(x: np.ndarray, mean) -> float:
-    """np.sum((x - mean)**2) of a float64 array x, bit for bit."""
+def _mean_and_squared_deviation_sum(x: Producer) -> tuple[float, float]:
+    """(np.mean(x), np.sum((x - np.mean(x))**2)) of the column x, as
+    float64, bit for bit."""
+    mean = _sum_of(lambda i, j, out: np.positive(x.make(i, j), out=out), len(x)) / len(x)
+
     def fill(i, j, out):
-        np.subtract(x[i:j], mean, out=out)
+        np.subtract(x.make(i, j), mean, out=out)
         out *= out
         return out
 
-    return _sum_of(fill, len(x))
+    return mean, _sum_of(fill, len(x))
 
 
 def allan_deviation(values, tau0: float, m_values: list[int] | None = None, *,

@@ -3,11 +3,10 @@
 Each command only computes: it returns its outputs, a mapping from file
 name to a JSON dict or a (names, columns) table, and the text it prints.
 A table column is an array or an io.Producer, which makes its cells one
-write block at a time: gyro holds its per-cycle rates and its signal
-whole while it streams, and from its RMS onward the signal alone; its
-rotation estimate and its telemetry are made per write block.  `main`
-alone writes them: after the command returns, and only
-with --out, it creates the directory, writes every table in one pass
+write block at a time.  gyro holds one run-length array, its signal: its
+rates, rotation estimate and telemetry are Producers, made per block.
+`main` alone writes them: after the command returns, and only with
+--out, it creates the directory, writes every table in one pass
 (io.write_tables: tables that share a row count are written in lockstep
 and a column object they share, such as fringes' tau_s and its one
 spectrum axis or gyro's t_s, is formatted once), then every JSON
@@ -53,10 +52,6 @@ from .ratetable import RateTrajectory
 from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
                        sweep_fringes)
 from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
-
-#: Cycles per block in which gyro evaluates the rate table into its
-#: per-cycle rates: each block's temporaries stay below 64 KiB apiece.
-_RATE_BLOCK = 8192
 
 
 def _load(args) -> ExperimentConfig:
@@ -164,13 +159,10 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     def table_rate(start, stop):  # deg/s, written as the table evaluated it
         return traj.rate_at(times(start, stop))
 
-    nu_true = np.empty(n)
-    for start in range(0, n, _RATE_BLOCK):
-        stop = min(start + _RATE_BLOCK, n)
-        np.divide(table_rate(start, stop), DEG_PER_REV, out=nu_true[start:stop])
-
+    # The table's rates in Hz, made a block at a time wherever they are read.
+    nu = Producer(n, lambda start, stop: table_rate(start, stop) / DEG_PER_REV)
     baseline, alpha0, _ = _working_point(args, cfg)
-    signal = run_gyro_stream(seq, cfg.environment.replace(nu=nu_true),
+    signal = run_gyro_stream(seq, cfg.environment.replace(nu=nu),
                              cfg.constants, duration, rng)
 
     report: dict = {
@@ -180,8 +172,8 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         "n_samples": n,
     }
     # Regress S against the table rate when the profile actually sweeps.
-    if rate_spread(nu_true) > 1e-4:
-        slope, stderr, intercept = calibration_from_sweep(nu_true, signal)
+    if rate_spread(nu) > 1e-4:
+        slope, stderr, intercept = calibration_from_sweep(nu, signal)
         report.update({
             "alpha_per_hz": slope,
             "alpha_stderr_per_hz": stderr,
@@ -193,8 +185,7 @@ def cmd_gyro(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     else:
         alpha_used, baseline_used = alpha0, baseline
     report["alpha_used_per_hz"] = alpha_used
-    rms = rotation_rms_error(signal, alpha_used, baseline_used, nu_true) * DEG_PER_REV
-    del nu_true  # from here on the signal is the one run-length array
+    rms = rotation_rms_error(signal, alpha_used, baseline_used, nu) * DEG_PER_REV
 
     # Each write block's estimate is formed once, for both its columns.
     @functools.lru_cache(maxsize=1)

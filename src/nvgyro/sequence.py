@@ -33,9 +33,10 @@ records next to R.  The working-point
 stream of SequenceConfig.n_cycles(duration) cycles keeps only R, so it
 combines noise-free readouts and draws the shot noise of R itself, one
 N(0, combined_sigma) value per cycle; a varying environment runs in
-fixed blocks of cycles, slicing its per-cycle arrays block by block, so
-the stream's memory holds one 8-byte word per cycle (the combined
-signal) plus one block; its output does not depend on the block size.
+fixed blocks of cycles, making each per-cycle field (an array or an
+io.Producer) block by block, so the stream's memory holds one 8-byte
+word per cycle (the combined signal) plus one block; its output does
+not depend on the block size.
 The test reference model, tests/oracle.py, computes the same projections
 one shot at a time from matrix exponentials of the pulse generators and
 of the free Hamiltonian, sharing no code with the kernel.
@@ -56,6 +57,7 @@ from .detector import (
     readout_signal,
     signal_sigma,
 )
+from .io import Producer, _producer
 from .spin import (
     ABSOLUTE_FRAME,
     FieldEnvironment,
@@ -310,16 +312,16 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     cfg.n_cycles(duration) cycles; cycle k starts at k * cycle_period.
 
     Each cycle is the 4-Ramsey sequence at tau_wp in env.  A field of
-    env that holds an array has one entry per cycle, held constant over
-    that cycle; an environment of scalars is static, and its one
-    noise-free sample fills the output.  A varying environment runs in
-    blocks of _STREAM_BLOCK cycles: each block slices the environment's
-    arrays, reads out its noise-free signals (ramsey_signals) and
-    combines them straight into the output, so its (cycles x 4) signals
-    exist one block at a time.  The shot noise of the four readouts of a
-    cycle combines to sigma_S * (n1 - n2 + n3 - n4)/4 with independent
-    standard normals n, which is N(0, combined_sigma(cfg)): one draw per
-    combined sample.
+    env that holds an array or an io.Producer has one entry per cycle,
+    held constant over that cycle; an environment of scalars is static,
+    and its one noise-free sample fills the output.  A varying
+    environment runs in blocks of _STREAM_BLOCK cycles: each block makes
+    its fields' entries (io._producer), reads out its noise-free signals
+    (ramsey_signals) and combines them straight into the output, so its
+    (cycles x 4) signals exist one block at a time.  The shot noise of
+    the four readouts of a cycle combines to sigma_S * (n1 - n2 + n3 -
+    n4)/4 with independent standard normals n, which is N(0,
+    combined_sigma(cfg)): one draw per combined sample.
     With an rng, draw order is: photon shot noise (n_cycles), extra white
     noise (n_cycles), random-walk increments (n_cycles), each drawn a
     block at a time; every step is elementwise and the draws are
@@ -328,9 +330,9 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     """
     n = cfg.n_cycles(duration)
     varying = {name: values for name in ("nu", "delta_Q", "delta_B")
-               if np.ndim(values := getattr(env, name))}
-    if any(np.shape(values) != (n,) for values in varying.values()):
-        raise ValueError(f"environment arrays must hold one entry per cycle ({n})")
+               if isinstance(values := getattr(env, name), Producer) or np.ndim(values)}
+    if any(len(values) != n or np.ndim(values) > 1 for values in varying.values()):
+        raise ValueError(f"varying environment fields must hold one entry per cycle ({n})")
     try:
         combined = np.empty(n)
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
@@ -341,7 +343,7 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     else:
         for start in range(0, n, _STREAM_BLOCK):
             stop = min(start + _STREAM_BLOCK, n)
-            block = env.replace(**{name: values[start:stop]
+            block = env.replace(**{name: _producer(values).make(start, stop)
                                    for name, values in varying.items()})
             combine_4ramsey(ramsey_signals(cfg, block, c, cfg.tau_wp),
                             out=combined[start:stop])

@@ -36,6 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .io import Producer
+
 # Elementary charge in A*s, used by the photodetector shot-noise budget.
 ELEMENTARY_CHARGE = 1.602176634e-19
 
@@ -86,9 +88,9 @@ class FieldEnvironment:
     positive); delta_Q: quadrupole perturbation (Hz, temperature drift
     proxy); delta_B: bias-field drift (G).  B is a scalar; nu, delta_Q
     and delta_B may be arrays (a sequence becomes a float numpy array),
-    which broadcast against the delays of the Ramsey kernel (one entry
-    per cycle in run_gyro_stream).  An environment holding arrays is
-    unhashable.
+    which broadcast against the delays of the Ramsey kernel, or, in
+    run_gyro_stream, io.Producers, made and checked one block at a time
+    (one entry per cycle).  An environment holding arrays is unhashable.
     """
 
     B: float = 482.0
@@ -102,7 +104,8 @@ class FieldEnvironment:
         for name in ("nu", "delta_Q", "delta_B"):
             if np.ndim(value := getattr(self, name)):
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
-        check_finite(self, "nu", "delta_Q", "delta_B")
+            if not isinstance(value, Producer):  # the stream checks each block
+                check_finite(self, name)
 
     def replace(self, **kwargs) -> "FieldEnvironment":
         return replace(self, **kwargs)

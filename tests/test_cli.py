@@ -283,17 +283,6 @@ class TestAllanCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_unallocatable_duration_names_cycles_and_bytes(self, tmp_path, capsys):
-        # 1e12 s is 142,857,142,857,142 cycles: 1.02 PiB of signal, which
-        # numpy refuses before touching any memory.
-        out = tmp_path / "out"
-        assert main(["allan", "--duration", "1e12", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "142857142857142 cycles" in err
-        assert f"{8 * 142857142857142} bytes" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
 
 class TestBudgetCommand:
@@ -406,6 +395,28 @@ def test_quadrupole_shift_leaves_data_bytes_unchanged(tmp_path, argv, files):
     assert main(argv + ["--config", str(cfg), "--out", str(shifted)]) == 0
     for name in files:
         assert (shifted / name).read_bytes() == (base / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["allan", "gyro"])
+def test_unallocatable_run_names_cycles_and_bytes(tmp_path, capsys, command):
+    # 1e12 s is 142,857,142,857,142 cycles: 1.02 PiB of signal, past the
+    # 2**47-byte address space, so the allocation fails before touching
+    # any memory.  The stream's signal is gyro's one run-length array too
+    # (its rates are made per block), so both commands reach its line.
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command == "gyro":
+        profile = tmp_path / "long.csv"
+        profile.write_text("duration_s,rate_dps,accel_dps2\n1e12,10,100\n")
+        argv += ["--profile", str(profile)]
+    else:
+        argv += ["--duration", "1e12"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: out of memory: a stream of 142857142857142 cycles needs "
+        f"{8 * 142857142857142} bytes for its signal (8 per cycle), more than "
+        f"can be allocated\n")
+    assert not out.exists()
 
 
 def _hz_twin(name: str) -> str:

@@ -3,19 +3,19 @@
 numpy reports its data buffers to tracemalloc, so the traced peak of a
 call counts every array it allocates.  The working-point stream keeps
 one 8-byte word per cycle (the combined signal) plus one block of noise
-draws, and a rate-table run adds the per-cycle rates its environment
-carries; the CSV writer keeps one block of rows, also when it writes
+draws, also when its environment's rates are an io.Producer made one
+block at a time; the CSV writer keeps one block of rows, also when it writes
 several tables that share a column in lockstep; `allan`
 holds one word per cycle: the stream's signal becomes the rotation
 estimate and then the Allan phase series in place, and the second
 differences are summed one cache-sized leaf at a time.  Materialising
 the (cycles x 4) signals, whole columns as Python objects or text, a
 copy of the phase series or a run-length second difference breaks
-these bounds.  `gyro` holds two words per cycle while it streams, its
-per-cycle rates and its signal, and from its RMS onward one, the
-signal: its other columns, its rotation estimate and its telemetry
-included, are made one write block at a time, and its regression and
-RMS are summed leaf by leaf.  tracemalloc does
+these bounds.  `gyro` holds one word per cycle, its signal, in every
+phase: its rates are made one stream block or sum leaf at a time, its
+other columns, its rotation estimate and its telemetry included, one
+write block at a time, and its regression and RMS are summed leaf by
+leaf.  tracemalloc does
 not see a buffer that is freed and allocated again for every block, so
 the writer's page faults are counted too.
 """
@@ -50,19 +50,18 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("rotating", [False, True])
 def test_stream_peak_is_a_few_words_per_cycle(rotating):
-    # A static run keeps only the combined signal; a rotating run also
-    # holds the rates it builds, inside the traced call, for its
-    # environment, and their timestamps while it builds them.
+    # The combined signal is the one run-length array: a rotating run
+    # gives its rates as an io.Producer, which the stream makes one
+    # block at a time, so it is held to the static run's bound.
     cfg = SequenceConfig()
     env = FieldEnvironment(B=482.0)
-    words = 4 if rotating else 2
+    words = 2
 
     def run(n):
         run_env = env
         if rotating:
-            t = np.arange(n) * cfg.cycle_period
-            run_env = env.replace(nu=0.5 * np.sin(t))
-            del t
+            run_env = env.replace(nu=io.Producer(n, lambda start, stop: 0.5 * np.sin(
+                np.arange(start, stop) * cfg.cycle_period)))
         run_gyro_stream(cfg, run_env, PhysicalConstants(),
                         (n + 0.5) * cfg.cycle_period, np.random.default_rng(5))
 
@@ -201,12 +200,12 @@ def test_allan_peak_is_a_few_words_per_cycle():
     assert (peak(large) - peak(small)) / (large - small) <= 1.5 * WORD
 
 
-def test_gyro_peak_is_three_words_per_cycle(tmp_path, capsys):
+def test_gyro_peak_is_one_word_per_cycle(tmp_path, capsys):
     # The whole command, writes included, on the triangle profile: its
-    # rates and its signal are the only run-length arrays, so the peak
-    # grows by two words per cycle (one more is the allowance).  Whole
-    # time, rate or estimate columns, a run-length temporary in the
-    # regression, or a stream block kept alive into the next breaks it.
+    # signal is the one run-length array, so the peak grows by one word
+    # per cycle (a quarter more is the allowance).  Whole rates, time or
+    # estimate columns, a run-length temporary in the regression, or a
+    # stream block kept alive into the next breaks it.
     argv = ["gyro", "--profile", str(TRIANGLE_CSV), "--out", str(tmp_path)]
     assert cli.main(argv + ["--duration", "1"]) == 0  # the kernel's tables
 
@@ -214,7 +213,7 @@ def test_gyro_peak_is_three_words_per_cycle(tmp_path, capsys):
         return _traced_peak(lambda: cli.main(argv + ["--duration", str(duration)]))
 
     small, large = (cli.default_config().sequence.n_cycles(d) for d in (100, 400))
-    assert (peak(400) - peak(100)) / (large - small) <= 3 * WORD
+    assert (peak(400) - peak(100)) / (large - small) <= 1.25 * WORD
 
 
 def test_gyro_holds_its_signal_alone_when_it_returns(tmp_path):

@@ -11,11 +11,12 @@ must zero the derivative of the merit it maximizes, and `budget`'s
 shot-noise sensitivity, taken from the kernel's slope, must be the
 paper's closed form (oracle) at a measurement time of cycle_period/4.  The block sizes of
 the working-point stream and of the CSV writer must not change a bit of
-their output, nor may writing tables together or giving a column as a
-Producer of its blocks; gyro's blockwise calibration, spread and RMS
-must equal the whole-array formulas bit for bit; the stream's shot noise
-must be one combined-sample draw per cycle, and the in-place Allan
-deviation must equal the textbook expression exactly.  The fringe fit's
+their output, nor may writing tables together or giving a column or a
+per-cycle environment field as a Producer of its blocks; gyro's
+blockwise calibration, spread and RMS, of rates given as an array or as
+a Producer, must equal the whole-array formulas bit for bit; the
+stream's shot noise must be one combined-sample draw per cycle, and the
+in-place Allan deviation must equal the textbook expression exactly.  The fringe fit's
 thin-QR least squares must agree with np.linalg.lstsq on the
 column-equilibrated matrix, and give an exactly zero column coefficient 0.
 """
@@ -392,6 +393,41 @@ def test_stream_bytes_do_not_depend_on_block_size(cfg, env, seed, noise, data,
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=sequence_configs(), env=environments(), seed=seeds,
+       noise=st.builds(NoiseHooks, st.floats(1e-7, 1e-4), st.floats(1e-7, 1e-4)),
+       data=st.data(), noisy=st.booleans(),
+       fields=st.sets(st.sampled_from(["nu", "delta_Q", "delta_B"]), min_size=1))
+def test_producer_environment_streams_the_bytes_of_arrays(cfg, env, seed, noise, data,
+                                                          noisy, fields):
+    # A varying field given as an io.Producer of its entries gives the
+    # array environment's stream bit for bit, at any stream block, and
+    # each Producer is made once per block.
+    cfg = cfg.replace(noise=noise)
+    n = data.draw(st.integers(1, 40), label="cycles")
+    block = data.draw(st.integers(1, n + 1), label="block")
+    duration = (n + 0.5) * cfg.cycle_period
+    t = np.arange(n) * cfg.cycle_period
+    arrays = {"nu": 3.0 * np.sin(40.0 * t) + 0.25, "delta_Q": 5e3 * np.cos(30.0 * t),
+              "delta_B": 1e-3 * np.sin(20.0 * t)}
+    arrays = {name: arrays[name] for name in fields}
+    made = dict.fromkeys(fields, 0)
+
+    def producer(name):
+        def make(start, stop):
+            made[name] += 1
+            return arrays[name][start:stop].copy()
+        return io.Producer(n, make)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequence, "_STREAM_BLOCK", block)
+        streams = [run_gyro_stream(cfg, env.replace(**varying), C, duration,
+                                   np.random.default_rng(seed) if noisy else None)
+                   for varying in (arrays, {name: producer(name) for name in arrays})]
+    assert np.array_equal(*streams)
+    assert all(count == -(-n // block) for count in made.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=sequence_configs(), env=environments(), seed=seeds,
        duration=st.floats(7e-3, 0.3), data=st.data(), rotating=st.booleans())
 def test_stream_shot_noise_is_one_draw_per_cycle(cfg, env, seed, duration, data,
                                                  rotating):
@@ -542,28 +578,31 @@ def test_producer_columns_write_the_bytes_of_arrays(tables, blocks, data):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(3, 2500), seed=seeds, leaf=st.sampled_from([128, 136, 1000, 8192]),
        scale=st.floats(1e-6, 1e3), offset=st.floats(-1e3, 1e3),
-       alpha=st.floats(1e-6, 1.0), noise=st.floats(0.0, 1e-2))
+       alpha=st.floats(1e-6, 1.0), noise=st.floats(0.0, 1e-2), produced=st.booleans())
 def test_blockwise_sums_are_the_whole_array_formulas(n, seed, leaf, scale, offset,
-                                                     alpha, noise):
+                                                     alpha, noise, produced):
     # gyro's calibration, its np.std gate and its RMS are summed leaf by
     # leaf along np.sum's pairwise tree, so they equal the whole-array
-    # formulas (oracle) bit for bit at any leaf size; numpy sums up to
-    # 128 elements without splitting them, the smallest leaf drawn.
+    # formulas (oracle) bit for bit at any leaf size, with the rates as
+    # an array or as an io.Producer of copies of its slices, as gyro
+    # gives them; numpy sums up to 128 elements without splitting them,
+    # the smallest leaf drawn.
     rng = np.random.default_rng(seed)
     nu = offset + scale * np.sin(rng.uniform(0.0, 50.0) * np.linspace(0.0, 1.0, n))
     signal = 0.4 + alpha * nu + rng.normal(0.0, noise, n)
+    rates = io.Producer(n, lambda start, stop: nu[start:stop].copy()) if produced else nu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_SUM_LEAF", leaf)
-        spread = analysis.rate_spread(nu)
+        spread = analysis.rate_spread(rates)
         assert spread == oracle.rate_spread(nu)
         if spread > 0:  # the regression needs a spread of rates
-            fit = analysis.calibration_from_sweep(nu, signal)
+            fit = analysis.calibration_from_sweep(rates, signal)
             assert fit == oracle.calibration_from_sweep(nu, signal)
             slope, _, intercept = fit
             if slope != 0:
-                assert (analysis.rotation_rms_error(signal, slope, intercept, nu)
+                assert (analysis.rotation_rms_error(signal, slope, intercept, rates)
                         == oracle.rotation_rms_error(signal, slope, intercept, nu))
-        assert (analysis.rotation_rms_error(signal, alpha, 0.4, nu)
+        assert (analysis.rotation_rms_error(signal, alpha, 0.4, rates)
                 == oracle.rotation_rms_error(signal, alpha, 0.4, nu))
 
 

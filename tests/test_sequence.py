@@ -26,6 +26,7 @@ from nvgyro import (
     transition_frequencies,
 )
 from nvgyro import sequence
+from nvgyro.io import Producer
 from nvgyro.sequence import _prepared_state, combined_sigma
 
 C = PhysicalConstants()
@@ -374,10 +375,17 @@ class TestGyroStream:
                 run_gyro_stream(self.wp_config(), ENV, C, duration)
 
     def test_environment_arrays_hold_one_entry_per_cycle(self):
+        # Producers are held to their length; an array to its shape, so
+        # an (n, 1) column is rejected, not broadcast.
         cfg = self.wp_config()
         n = cfg.n_cycles(0.1)
+
+        def zeros(cells):
+            return Producer(cells, lambda start, stop: np.zeros(stop - start))
+
         for env in (ENV.replace(nu=np.zeros(n - 1)), ENV.replace(delta_Q=np.zeros(n + 1)),
-                    ENV.replace(delta_B=np.zeros((n, 1)))):
+                    ENV.replace(delta_B=np.zeros((n, 1))), ENV.replace(nu=zeros(n - 1)),
+                    ENV.replace(delta_B=zeros(n + 1))):
             with pytest.raises(ValueError, match="one entry per cycle"):
                 run_gyro_stream(cfg, env, C, 0.1)
 
