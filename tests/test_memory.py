@@ -55,7 +55,6 @@ def test_stream_peak_is_a_few_words_per_cycle(rotating):
     # block at a time, so it is held to the static run's bound.
     cfg = SequenceConfig()
     env = FieldEnvironment(B=482.0)
-    words = 2
 
     def run(n):
         run_env = env
@@ -67,8 +66,8 @@ def test_stream_peak_is_a_few_words_per_cycle(rotating):
 
     small, large = CYCLES
     p_small, p_large = (_traced_peak(lambda: run(n)) for n in CYCLES)
-    assert (p_large - p_small) / (large - small) <= words * WORD
-    assert p_small <= words * WORD * small + 512 * sequence._STREAM_BLOCK
+    assert (p_large - p_small) / (large - small) <= 2 * WORD
+    assert p_small <= 2 * WORD * small + 512 * sequence._STREAM_BLOCK
 
 
 @pytest.mark.parametrize("hooks", [False, True])
