@@ -342,9 +342,7 @@ def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     the rates of rate_spread and rotation_rms_error, is an array or an
     io.Producer, read one leaf at a time.
     """
-    nu, signal = _producer(nu), np.asarray(signal, dtype=float)
-    if signal.shape != (len(nu),):
-        raise ValueError("nu and signal must have equal lengths")
+    nu, signal = _rates_and_signal(nu, signal)
     n = len(nu)
     (mean_nu, sxx), mean_s = _mean_and_squared_deviation_sum(nu), np.mean(signal)
     if not sxx > 0:
@@ -369,6 +367,15 @@ def calibration_from_sweep(nu, signal) -> tuple[float, float, float]:
     return slope, stderr, intercept
 
 
+def _rates_and_signal(nu, signal) -> tuple[Producer, np.ndarray]:
+    """(nu as an io Producer, signal as a float array) for one rate of nu
+    per sample of signal; ValueError otherwise."""
+    nu, signal = _producer(nu), np.asarray(signal, dtype=float)
+    if signal.shape != (len(nu),):
+        raise ValueError("nu and signal must have equal lengths")
+    return nu, signal
+
+
 def rate_spread(nu) -> float:
     """np.std(nu) of rates nu, bit for bit, summed leaf by leaf."""
     return math.sqrt(_mean_and_squared_deviation_sum(_producer(nu))[1] / len(nu))
@@ -377,10 +384,13 @@ def rate_spread(nu) -> float:
 def rotation_rms_error(signal, alpha_per_hz: float, baseline: float, nu) -> float:
     """RMS in Hz of the calibrated rotation estimate of signal against
     the true rates nu: np.sqrt(np.mean((rotation_from_signal(signal,
-    alpha_per_hz, baseline) - nu)**2)) bit for bit, summed leaf by leaf."""
+    alpha_per_hz, baseline) - nu)**2)) bit for bit, summed leaf by leaf;
+    ValueError unless nu holds one rate per sample."""
+    nu, signal = _rates_and_signal(nu, signal)
+
     def fill(i, j, out):
         rotation_from_signal(signal[i:j], alpha_per_hz, baseline, out=out)
-        out -= _producer(nu).make(i, j)
+        out -= nu.make(i, j)
         out *= out
         return out
 

@@ -14,7 +14,10 @@ rows that the layout fills afterwards.
 
 A run's tables are written in one pass (write_tables).  A table column
 is an array or a Producer, which makes its cells one write block at a
-time; an array is the producer that slices itself.  Tables with the same
+time; an array is the producer that slices itself.  Every reader of a
+column, this writer, the gyro stream and analysis's leafwise sums, makes
+its blocks through _producer, the one place that holds a block to the
+length asked for.  Tables with the same
 row count are written in lockstep, one block of rows at a time, and a
 column object (an array or a Producer) that several tables of the group
 hold is formatted once and laid into every table that holds it.  The
@@ -511,9 +514,11 @@ def _write_rows(fh, cells: np.ndarray, picks: list[int], text: np.ndarray) -> No
 
 
 class Producer:
-    """A table column of n cells made one write block at a time:
-    make(start, stop) returns cells [start, stop) as an array.  The cells
-    must not depend on where the blocks start and stop."""
+    """A column of n cells made one block at a time: make(start, stop)
+    returns cells [start, stop) as an array of stop - start cells.  The
+    cells must not depend on where the blocks start and stop.  Every
+    reader makes its blocks through _producer, which holds each block to
+    that length."""
 
     __slots__ = ("n", "make")
 
@@ -534,16 +539,26 @@ def _pick(distinct: list, column) -> int:
 
 
 def _producer(column) -> Producer:
-    """column as a Producer: an array is the producer of its own slices."""
-    if isinstance(column, Producer):
-        return column
-    return Producer(len(column), lambda start, stop: column[start:stop])
+    """column as a Producer of checked blocks: an array is the producer
+    of its own slices, and a block that does not hold stop - start cells
+    is a ValueError."""
+    make = column.make if isinstance(column, Producer) else (
+        lambda start, stop: column[start:stop])
+
+    def checked(start, stop):
+        block = np.asarray(make(start, stop))
+        if len(block) != stop - start:
+            raise ValueError(f"a producer made {len(block)} cells for rows [{start}, {stop})")
+        return block
+
+    return Producer(len(column), checked)
 
 
 def write_tables(tables: dict) -> None:
     """Write each {path: (names, columns)} table as CSV with a header
     row, in one pass.  A column is an array or a Producer, whose cells
-    are made one block at a time.  Integer cells are written as integers
+    are made one block at a time (_producer checks each block's length).
+    Integer cells are written as integers
     (str, cell by cell), every other cell as float (the shortest
     round-trip repr, by one numpy kernel).
 
@@ -584,10 +599,7 @@ def write_tables(tables: dict) -> None:
                 fh.write((",".join(names) + "\n").encode())
             for start in range(0, n, step):
                 stop = min(start + step, n)
-                blocks = [np.asarray(col.make(start, stop)) for col in distinct]
-                if any(len(block) != stop - start for block in blocks):
-                    raise ValueError(f"a producer made {[len(b) for b in blocks]} cells "
-                                     f"for rows [{start}, {stop})")
+                blocks = [col.make(start, stop) for col in distinct]
                 integer = [block.dtype.kind in "iu" for block in blocks]
                 cells = _cell_words(blocks, integer, work)
                 for fh, pick in zip(files, picks):

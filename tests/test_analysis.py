@@ -27,7 +27,12 @@ from nvgyro import (
     snap_to_cos_null,
     sweep_fringes,
 )
-from nvgyro.analysis import WorkingPointWarning, _decaying_sine, spectrum_peak_frequency
+from nvgyro.analysis import (
+    WorkingPointWarning,
+    _decaying_sine,
+    rotation_rms_error,
+    spectrum_peak_frequency,
+)
 from nvgyro.cli import main
 from nvgyro.spin import DEG_PER_REV
 from oracle import calibration_from_amplitude, calibration_from_slope, fringe_fit, linearity
@@ -447,9 +452,15 @@ class TestAllanDeviation:
     (lambda: calibration_from_amplitude(0.01, 0.0), "tau_wp must be > 0"),
     (lambda: calibration_from_slope(1.0, 0.0, 293e3), "tau_wp and f_dq must be > 0"),
     (lambda: calibration_from_slope(1.0, 1.4e-3, 0.0), "tau_wp and f_dq must be > 0"),
+    # one rate per sample: 1 or 30 rates against a 20-sample signal
+    *[(call, "nu and signal must have equal lengths")
+      for nu in (np.linspace(-1.0, 1.0, 1), np.linspace(-1.0, 1.0, 30))
+      for call in (lambda nu=nu: calibration_from_sweep(nu, np.linspace(0.1, 0.3, 20)),
+                   lambda nu=nu: rotation_rms_error(np.linspace(0.1, 0.3, 20), 1.0, 0.0, nu))],
 ], ids=["snap-tau", "snap-f", "snap-inf-tau", "snap-inf-f", "snap-nan-tau", "snap-4ftau",
         "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "wp-no-signal", "linearity-nu0",
-        "nu0-tau", "range-nu0", "fringes-tau", "amplitude-tau", "slope-tau", "slope-f"])
+        "nu0-tau", "range-nu0", "fringes-tau", "amplitude-tau", "slope-tau", "slope-f",
+        "sweep-1-rate", "rms-1-rate", "sweep-30-rates", "rms-30-rates"])
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()

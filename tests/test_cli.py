@@ -15,7 +15,8 @@ from nvgyro.io import write_tables
 from oracle import psn_rotation_sensitivity
 
 ROOT = Path(__file__).resolve().parents[1]
-TRIANGLE_CSV = ROOT / "configs" / "triangle_profile.csv"
+CONFIGS = ROOT / "configs"
+TRIANGLE_CSV = CONFIGS / "triangle_profile.csv"
 
 
 def read_table(path) -> np.ndarray:
@@ -303,6 +304,15 @@ class TestBudgetCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "budget"
         assert "seed" not in manifest  # budget draws no random numbers
+
+    @pytest.mark.parametrize("argv", [[], ["--config", str(CONFIGS / "sq_cancellation.cfg")]],
+                             ids=["defaults", "sq_cancellation"])
+    def test_budget_prints_its_report(self, capsys, argv):
+        # with no flags, and on the shipped config that `budget --config
+        # configs/default.cfg` and the golden digests do not cover
+        assert main(["budget", *argv]) == 0
+        text = capsys.readouterr().out
+        assert "dynamic range" in text and "working point" in text
 
     def test_budget_takes_no_seed(self, capsys):
         # --seed would change no byte of budget's output: a usage error

@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvgyro import io
+from nvgyro import FieldEnvironment, PhysicalConstants, SequenceConfig, io
+from nvgyro.analysis import calibration_from_sweep, rate_spread, rotation_rms_error
 from nvgyro.cli import main
+from nvgyro.sequence import run_gyro_stream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -151,10 +153,31 @@ def test_columns_are_shared_by_identity(tmp_path, monkeypatch):
     assert written["shared"][0] == written["shared"][1]
 
 
-def test_producer_of_the_wrong_length_is_rejected(tmp_path):
-    with pytest.raises(ValueError, match="a producer made"):
-        io.write_tables({tmp_path / "t.csv": (
-            ["a"], [io.Producer(5, lambda start, stop: np.zeros(2))])})
+def _making(n: int, cells: int) -> io.Producer:
+    """A Producer of n cells whose every block holds cells cells."""
+    return io.Producer(n, lambda start, stop: np.full(cells, 0.3))
+
+
+_SIGNAL = np.linspace(0.1, 0.3, 20)
+
+#: Every reader of a Producer makes its blocks through io._producer,
+#: which holds each block to the rows asked for.
+_READERS = {
+    "write_tables": lambda tmp_path: io.write_tables(
+        {tmp_path / "t.csv": (["a"], [_making(5, 2)])}),
+    **{f"run_gyro_stream-{cells}": lambda tmp_path, cells=cells: run_gyro_stream(
+        SequenceConfig(), FieldEnvironment(nu=_making(14, cells)), PhysicalConstants(), 0.1)
+       for cells in (1, 2)},
+    "calibration_from_sweep": lambda tmp_path: calibration_from_sweep(_making(20, 1), _SIGNAL),
+    "rate_spread": lambda tmp_path: rate_spread(_making(20, 1)),
+    "rotation_rms_error": lambda tmp_path: rotation_rms_error(_SIGNAL, 1.0, 0.0, _making(20, 1)),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_producer_of_the_wrong_length_is_rejected(tmp_path, reader):
+    with pytest.raises(ValueError, match=r"a producer made .+ cells for rows \[0, \d+\)"):
+        _READERS[reader](tmp_path)
 
 
 def test_unequal_columns_are_rejected(tmp_path):
