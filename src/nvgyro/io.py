@@ -15,16 +15,16 @@ rows that the layout fills afterwards.
 A run's tables are written in one pass (write_tables).  A table column
 is an array or a Producer, which makes its cells one write block at a
 time; an array is the producer that slices itself.  Every reader of a
-column, this writer, the gyro stream and analysis's leafwise sums, makes
-its blocks through _producer, the one place that holds a block to the
-length asked for.  Tables with the same
-row count are written in lockstep, one block of rows at a time, and a
-column object (an array or a Producer) that several tables of the group
-hold is formatted once and laid into every table that holds it.  The
-kernel's workspace and the row text buffer are allocated once per call,
-and the text's NULs are dropped in chunks below malloc's mmap threshold,
-so a write faults its pages in once, not once per block.  The word table
-and the digit tables are built once, on the first write, and kept."""
+column (this writer, the gyro stream and analysis's leafwise sums)
+makes its blocks through _producer, the one place that holds a block to
+the length asked for.  Tables with the same row count are written in
+lockstep, one block of rows at a time, and a column object (an array or
+a Producer) that several tables of the group hold is formatted once and
+laid into every table that holds it.  The kernel's workspace and the
+row text buffer are allocated once per call, and the text's NULs are
+dropped in chunks below malloc's mmap threshold, so a write faults its
+pages in once, not once per block.  The word table and the digit tables
+are built once, on the first write, and kept."""
 
 from __future__ import annotations
 
@@ -558,9 +558,9 @@ def write_tables(tables: dict) -> None:
     """Write each {path: (names, columns)} table as CSV with a header
     row, in one pass.  A column is an array or a Producer, whose cells
     are made one block at a time (_producer checks each block's length).
-    Integer cells are written as integers
-    (str, cell by cell), every other cell as float (the shortest
-    round-trip repr, by one numpy kernel).
+    Integer cells are written as integers (str, cell by cell), every
+    other cell as float (the shortest round-trip repr, by one numpy
+    kernel).
 
     Every table's row counts are checked before any file is opened.
     Tables with the same row count are written in lockstep, one block of

@@ -316,10 +316,9 @@ def run_gyro_stream(cfg: SequenceConfig, env: FieldEnvironment,
     held constant over that cycle; an environment of scalars is static,
     and its one noise-free sample fills the output.  A varying
     environment runs in blocks of _STREAM_BLOCK cycles: each block makes
-    its fields' entries (io._producer, which checks each block's
-    length), reads out its noise-free signals (ramsey_signals) and
-    combines them straight into the output, so its (cycles x 4) signals
-    exist one block at a time.  The shot noise of
+    its fields' entries (io._producer), reads out its noise-free signals
+    (ramsey_signals) and combines them straight into the output, so its
+    (cycles x 4) signals exist one block at a time.  The shot noise of
     the four readouts of a cycle combines to sigma_S * (n1 - n2 + n3 -
     n4)/4 with independent standard normals n, which is N(0,
     combined_sigma(cfg)): one draw per combined sample.

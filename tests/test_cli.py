@@ -308,8 +308,8 @@ class TestBudgetCommand:
     @pytest.mark.parametrize("argv", [[], ["--config", str(CONFIGS / "sq_cancellation.cfg")]],
                              ids=["defaults", "sq_cancellation"])
     def test_budget_prints_its_report(self, capsys, argv):
-        # with no flags, and on the shipped config that `budget --config
-        # configs/default.cfg` and the golden digests do not cover
+        # with no flags, and on the one shipped config that no other
+        # budget test reads
         assert main(["budget", *argv]) == 0
         text = capsys.readouterr().out
         assert "dynamic range" in text and "working point" in text
