@@ -31,7 +31,8 @@ def test_summary_rebuilds_hand_written_medians_and_wins(name):
         assert summary[key]["change_median"] == stored["change_median"], key
 
 
-@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json"])
+@pytest.mark.parametrize("name", ["BENCH_30.json", "BENCH_31.json", "BENCH_32.json",
+                                  "BENCH_34.json"])
 def test_summary_of_a_written_file_rebuilds_whole(name):
     path = ROOT / name
     data = json.loads(path.read_text())
