@@ -174,8 +174,14 @@ _READERS = {
 }
 
 
+def test_producer_of_the_wrong_length_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"a producer made 2 cells for rows \[0, 5\)"):
+        io.write_tables({tmp_path / "t.csv": (
+            ["a"], [io.Producer(5, lambda start, stop: np.zeros(2))])})
+
+
 @pytest.mark.parametrize("reader", _READERS)
-def test_producer_of_the_wrong_length_is_rejected(tmp_path, reader):
+def test_every_reader_rejects_a_producer_of_the_wrong_length(tmp_path, reader):
     with pytest.raises(ValueError, match=r"a producer made .+ cells for rows \[0, \d+\)"):
         _READERS[reader](tmp_path)
 
