@@ -38,11 +38,7 @@ from .detector import (
     readout_signal,
     signal_sigma,
 )
-from .errors import (
-    ConfigError,
-    FitConvergenceError,
-    GyroSimError,
-)
+from .errors import ConfigError
 from .ratetable import RateTrajectory
 from .sequence import (
     DEFAULT_PHASE_TABLE,

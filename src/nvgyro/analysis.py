@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitConvergenceError
 from .io import Producer, _producer
 from .sequence import FringeSeries
 
@@ -246,9 +245,8 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
     used as weights when present); only a Jacobian with an exactly zero
     pivot falls back to np.linalg.pinv of J^T J.
 
-    Raises ValueError for short/degenerate data and
-    FitConvergenceError if the loop has not stopped after
-    MAX_FIT_ITERATIONS steps.
+    Raises ValueError for short/degenerate data and if the loop has not
+    stopped after MAX_FIT_ITERATIONS steps.
     """
     taus = series.taus
     values = series.values
@@ -280,8 +278,7 @@ def fit_decaying_sine(series: FringeSeries) -> FringeFit:
         if small or gain <= ftol * proj.cost:
             break
     else:
-        raise FitConvergenceError(
-            f"fringe fit did not converge in {MAX_FIT_ITERATIONS} iterations")
+        raise ValueError(f"fringe fit did not converge in {MAX_FIT_ITERATIONS} iterations")
 
     (a1, a2, offset), (f, t2) = proj.coef, proj.theta
     a = math.hypot(a1, a2)

@@ -15,7 +15,8 @@ list, bytes written, compute and write seconds, wall time, and the seed
 of the commands that draw random numbers; budget takes no --seed).  A
 run that fails writes nothing.  Outputs are byte-reproducible for a
 fixed (config, seed); the manifest additionally records the timings.
-Exit codes: 0 ok, 1 domain error, 2 usage error.
+Exit codes: 0 ok, 1 ConfigError (a bad config, profile, flag or the
+data they give) or out of memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .analysis import (
     select_working_point,
 )
 from .config import ExperimentConfig, default_config, load_config
-from .errors import ConfigError, GyroSimError, input_error
+from .errors import ConfigError, input_error
 from .io import Producer, write_json, write_tables
 from .ratetable import RateTrajectory
 from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
@@ -57,9 +58,8 @@ from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg = cfg.replace(seed=args.seed)
+        with input_error("--"):  # "--" + "seed must be >= 0, ..." names the flag
+            cfg = cfg.replace(seed=args.seed)
     return cfg
 
 
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
                 "timings_s": {"compute": t_compute - t0, "write": t_write - t_compute},
                 "wall_time_s": time.monotonic() - t0,
             })
-    except GyroSimError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -7,9 +7,12 @@ hard errors with file:line diagnostics so a typo in a physics constant
 cannot pass silently.  Units: SI seconds/Hz/volts, field in gauss,
 phases in radians, angles in degrees only at the rate-table boundary.
 
-If tau_wp is not set explicitly it defaults to 1.428 ms snapped to the
-nearest fringe zero crossing of the configured operating mode, which is
-where the working-point protocol is linear and maximally sensitive.  The
+The [sequence] keys that set the rotating frame's numbers choose it
+(_frame): none for the phase-reset frame, a nonzero dq_detuning for the
+resonant frame, or f1_ref with f2_ref.  If tau_wp is not set explicitly
+it defaults to 1.428 ms snapped to the nearest fringe zero crossing of
+the configured frame, which is where the working-point protocol is
+linear and maximally sensitive.  The
 fringe is the kernel's DQ rate at nu = 0, spin.dq_rate: f_DQ at
 B + delta_B less the frame's DQ reference, of either sign
 (ExperimentConfig.fringe_frequency).  That fringe is evaluated for every
@@ -70,11 +73,15 @@ class ExperimentConfig:
     fringes: FringeScanConfig = field(default_factory=FringeScanConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)
 
     def fringe_frequency(self) -> float:
-        """DQ fringe frequency of the configured mode at nu = 0 (spin.dq_rate)."""
+        """DQ fringe frequency of the configured frame at nu = 0 (spin.dq_rate)."""
         return dq_rate(self.environment.replace(nu=0.0), self.constants,
                        self.sequence.frame)
 
@@ -176,7 +183,7 @@ _SECTION_TYPES = {
     "run": ExperimentConfig,
 }
 
-# Fields that hold another section, or (frame) are set by the mode keys.
+# Fields that hold another section, or (frame) are set by the frame keys.
 _NESTED = {"frame", "detector", "noise", *_SECTION_TYPES}
 
 # Value parser for each field annotation.
@@ -194,14 +201,16 @@ SCHEMA = {
     for section, cls in _SECTION_TYPES.items()
 }
 
-# Sequence keys that choose the rotating frame instead of setting a field.
-_MODE_KEYS = {"phase_reference", "dq_detuning", "f1_ref", "f2_ref"}
+# Sequence keys that set the rotating frame's numbers instead of a field.
+_MODE_KEYS = {"dq_detuning", "f1_ref", "f2_ref"}
 
 # Keys that no longer exist, with what replaces them.
 _REMOVED = {
     ("constants", "q_e"): "the elementary charge is a fixed SI constant",
     ("sequence", "tau"): "use tau_wp",
     ("sequence", "readout_window"): "the readout window is t_R in [detector]",
+    ("sequence", "phase_reference"): "a nonzero dq_detuning selects the resonant "
+                                     "frame; without it the frame is the phase reset",
     ("detector", "T2star"): "the coherence time is t2_dq in [sequence]",
     ("detector", "t_meas"): "the measurement time is [sequence] cycle_period / 4 "
                              "(the paper's 1.92 ms is cycle_period = 7.68e-3)",
@@ -249,43 +258,30 @@ def _build(origin, section, kwargs):
 
 
 def _frame(origin, entries, environment, constants) -> RotatingFrame:
-    """Rotating frame of the sequence mode keys: phase_reference = reset
-    (default, ABSOLUTE_FRAME) or resonant, which needs a nonzero
-    dq_detuning (its fringe frequency), or explicit f1_ref/f2_ref tone
-    references, which replace the mode: they are rejected next to
-    phase_reference = resonant or dq_detuning."""
-    mode = "reset"
-    if "phase_reference" in entries:
-        value, lineno = entries["phase_reference"]
-        mode = value.lower()
-        if mode not in ("reset", "resonant"):
-            raise ConfigError(
-                f"{origin}:{lineno}: phase_reference must be 'reset' or 'resonant'"
-            )
-    numbers = _parse(origin, dict.fromkeys(("dq_detuning", "f1_ref", "f2_ref"), _as_float),
-                     entries)
+    """Rotating frame of the [sequence] keys that set its numbers: none
+    gives the phase-reset frame (ABSOLUTE_FRAME), a nonzero dq_detuning
+    the resonant frame whose DQ fringe turns at that detuning, and f1_ref
+    with f2_ref explicit tone references, which exclude dq_detuning."""
+    numbers = _parse(origin, dict.fromkeys(_MODE_KEYS, _as_float), entries)
     for key, value in numbers.items():
         if not math.isfinite(value):
             raise ConfigError(f"{origin}:{entries[key][1]}: key {key!r} must be finite")
-    dq_detuning = numbers.get("dq_detuning", 0.0)
+    detuning = numbers.get("dq_detuning")
     refs = [numbers.get("f1_ref"), numbers.get("f2_ref")]
     if refs != [None, None]:
         if None in refs:
             raise ConfigError(f"{origin}: f1_ref and f2_ref must be given together")
-        if mode == "resonant" or "dq_detuning" in entries:
-            raise ConfigError(f"{origin}: f1_ref and f2_ref replace the mode: they cannot "
-                              f"be combined with phase_reference = resonant or dq_detuning")
+        if detuning is not None:
+            raise ConfigError(f"{origin}: f1_ref and f2_ref set the frame: they cannot "
+                              f"be combined with dq_detuning")
         return RotatingFrame(*refs)
-    if mode == "resonant":
-        if not dq_detuning:
-            raise ConfigError(f"{origin}: phase_reference = resonant needs a nonzero "
-                              f"dq_detuning: at 0 Hz the frame follows the DQ line and "
-                              f"leaves no fringe")
-        nominal = FieldEnvironment(B=environment.B)
-        return RotatingFrame.dq_detuned(nominal, constants, dq_detuning)
-    if dq_detuning:
-        raise ConfigError(f"{origin}: dq_detuning requires phase_reference = resonant")
-    return ABSOLUTE_FRAME
+    if detuning is None:
+        return ABSOLUTE_FRAME
+    if not detuning:
+        raise ConfigError(f"{origin}:{entries['dq_detuning'][1]}: key 'dq_detuning' must "
+                          f"be nonzero: at 0 Hz the resonant frame follows the DQ line and "
+                          f"leaves no fringe; omit the key for the phase-reset frame")
+    return RotatingFrame.dq_detuned(FieldEnvironment(B=environment.B), constants, detuning)
 
 
 def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
@@ -322,8 +318,6 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
             raise ValueError(f"the carriers f1 = {f1:g} Hz and f2 = {f2:g} Hz overflow "
                              f"the phase of a {sequence.cycle_period:g} s cycle")
 
-    if kw["run"].get("seed", 0) < 0:
-        raise ConfigError(f"{origin}:{sections['run']['seed'][1]}: seed must be >= 0")
     return _build(origin, "run", {
         **kw["run"], "constants": constants, "environment": environment,
         "sequence": sequence, "fringes": _build(origin, "fringes", kw["fringes"]),

@@ -1,19 +1,15 @@
-"""Exception hierarchy shared across the package, and the input-error rule.
+"""The one domain error, ConfigError, and the input-error rule.
 
 Every value check, of a config, a profile row, a flag or the data a
 fit or the level model is given, raises ValueError; input_error reports
-it against its source.  FitConvergenceError is the one algorithm failure.
+it against its source as ConfigError.
 """
 
 from contextlib import contextmanager
 
 
-class GyroSimError(Exception):
-    """Base class for all domain errors raised by nvgyro."""
-
-
-class ConfigError(GyroSimError):
-    """Invalid configuration file or configuration values."""
+class ConfigError(Exception):
+    """Invalid input: a config, profile, flag or the data a run derives from them."""
 
 
 @contextmanager
@@ -23,7 +19,3 @@ def input_error(source: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{source}{exc}") from None
-
-
-class FitConvergenceError(GyroSimError):
-    """Nonlinear least squares failed to converge."""

@@ -10,7 +10,6 @@ import nvgyro.analysis
 from nvgyro import (
     AllanSeries,
     FieldEnvironment,
-    FitConvergenceError,
     FringeSeries,
     PhysicalConstants,
     SequenceConfig,
@@ -121,7 +120,7 @@ class TestFitDecayingSine:
         # a noisy fringe needs more than one Gauss-Newton step
         monkeypatch.setattr(nvgyro.analysis, "MAX_FIT_ITERATIONS", 1)
         series = synth(DENSE, sigma=2e-4, rng=np.random.default_rng(77))
-        with pytest.raises(FitConvergenceError, match="did not converge in 1 iter"):
+        with pytest.raises(ValueError, match="did not converge in 1 iter"):
             fit_decaying_sine(series)
 
     def test_spectrum_fit_agreement_within_one_bin(self):
@@ -190,7 +189,7 @@ def test_noise_only_fits_stay_finite(n):
         series = FringeSeries(taus=taus, values=np.random.default_rng(seed).normal(size=n))
         try:
             fit = fit_decaying_sine(series)
-        except (ValueError, FitConvergenceError):
+        except ValueError:
             continue
         assert np.all(np.isfinite([fit.A, fit.f, fit.phi, fit.T2star, fit.offset]))
         assert np.all(np.isfinite(fit.covariance))

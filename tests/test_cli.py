@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nvgyro.analysis
 from nvgyro import PhysicalConstants, RateTrajectory, dq_splitting, load_config, sweep_fringes
 from nvgyro.cli import main
 from nvgyro.io import write_tables
@@ -25,7 +26,6 @@ def read_table(path) -> np.ndarray:
 # small, fast configs for the CLI round trips
 FRINGES_CFG = """\
 [sequence]
-phase_reference = resonant
 dq_detuning = 2000.0
 
 [fringes]
@@ -127,6 +127,17 @@ class TestFringesCommand:
                                                      [taus, series.values, series.sigma])})
         for path in sorted(ref.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_fit_at_its_iteration_cap_names_the_file(self, tmp_path, fringes_cfg, capsys,
+                                                     monkeypatch):
+        # the fit runs inside the [fringes] block, so its cap is an input
+        # error of the grid like the fit's other data checks
+        monkeypatch.setattr(nvgyro.analysis, "MAX_FIT_ITERATIONS", 1)
+        out = tmp_path / "out"
+        assert main(["fringes", "--config", str(fringes_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {fringes_cfg}: [fringes]: fringe fit did not converge in 1 iterations\n")
+        assert not out.exists()
 
     def test_coarse_grid_error_surfaces(self, tmp_path, capsys):
         # 1 us of the ~293.7 kHz fringe is under one period: the fit has
@@ -325,8 +336,7 @@ class TestBudgetCommand:
     def test_resonant_budget_snaps_to_its_fringe(self, tmp_path, capsys, detuning):
         # a 2 kHz fringe has its cosine nulls at odd multiples of 1/(4 * 2 kHz)
         cfg = tmp_path / "res.cfg"
-        cfg.write_text(f"[sequence]\nphase_reference = resonant\n"
-                       f"dq_detuning = {detuning!r}\n")
+        cfg.write_text(f"[sequence]\ndq_detuning = {detuning!r}\n")
         out = tmp_path / "out"
         assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
         tau = json.loads((out / "budget.json").read_text())["tau_wp_snapped_s"]
@@ -339,7 +349,7 @@ class TestBudgetCommand:
         # fringe's nulls at 1.125 and 1.375 ms; the upper one fits the cycle
         # and has the larger slope tau*exp(-tau/T2*), and budget's own
         # sensitivity there is the better one too.
-        base = "[sequence]\nphase_reference = resonant\ndq_detuning = 2000\nt2_dq = 1.3e-3\n"
+        base = "[sequence]\ndq_detuning = 2000\nt2_dq = 1.3e-3\n"
         cfg = tmp_path / "res.cfg"
         cfg.write_text(base)
         assert main(["budget", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -353,7 +363,7 @@ class TestBudgetCommand:
     def test_snapped_null_outside_the_cycle(self, tmp_path, capsys):
         # a 2e-9 Hz fringe has its first cosine null ~1e8 s out
         cfg = tmp_path / "slow.cfg"
-        cfg.write_text("[sequence]\nphase_reference = resonant\ndq_detuning = 1e-9\n")
+        cfg.write_text("[sequence]\ndq_detuning = 1e-9\n")
         out = tmp_path / "out"
         assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -534,7 +544,10 @@ class TestCleanErrors:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("[run]\nseed = -1\n")
         assert main(["budget", "--config", str(cfg)]) == 1
-        assert f"{cfg}:2" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}: [run]: seed must be >= 0, got -1\n"
+        # the flag is checked by the same rule
+        assert main(["allan", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("section, line", [
         ("detector", "V0 = -1"),
@@ -591,11 +604,11 @@ class TestCleanErrors:
     @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
     def test_resonant_frame_needs_a_detuning_on_every_command(self, tmp_path, capsys,
                                                               command):
-        # On resonance with no dq_detuning the DQ fringe sits at 0 Hz:
-        # every command rejects the frame when the config loads, naming
+        # The resonant frame at dq_detuning = 0 puts the DQ fringe at 0 Hz:
+        # every command rejects the key when the config loads, naming
         # dq_detuning rather than the working point or the fringe span.
         cfg = tmp_path / "resonant.cfg"
-        cfg.write_text("[sequence]\nphase_reference = resonant\n")
+        cfg.write_text("[sequence]\ndq_detuning = 0\n")
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if command == "gyro":
@@ -604,8 +617,8 @@ class TestCleanErrors:
             argv += ["--duration", "1"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: phase_reference = resonant needs a nonzero "
-                              f"dq_detuning: ")
+        assert err.startswith(f"error: {cfg}:2: key 'dq_detuning' must be nonzero: ")
+        assert err.endswith("; omit the key for the phase-reset frame\n")
         assert "Traceback" not in err and err.count("\n") == 1
         assert not out.exists()
 
@@ -670,7 +683,8 @@ class TestCleanErrors:
         ("[sequence]\nrf_gradient = 1:1:1\n", ":2", "key 'rf_gradient': '1:1:1' is not a pair"),
         ("[sequence]\nrf_gradient = ,\n", ":2", "key 'rf_gradient': no pairs given"),
         ("[sequence]\nphase_reference = absolute\n", ":2",
-         "phase_reference must be 'reset' or 'resonant'"),
+         "key 'phase_reference' in [sequence] was removed: a nonzero dq_detuning "
+         "selects the resonant frame; without it the frame is the phase reset"),
         ("[sequence]\nt2_sq = 0\n", "", "[sequence]: t2_sq must be > 0 (inf: no SQ decay)"),
     ], ids=["few-points", "open-header", "empty-key", "fractional-seed", "not-a-boolean",
             "triple", "no-pairs", "unknown-reference", "zero-t2-sq"])
@@ -802,9 +816,9 @@ class TestCleanErrors:
 
     def test_infinite_mode_key(self, tmp_path, capsys):
         cfg = tmp_path / "inf.cfg"
-        cfg.write_text("[sequence]\nphase_reference = resonant\ndq_detuning = inf\n")
+        cfg.write_text("[sequence]\ndq_detuning = inf\n")
         assert main(["budget", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: key 'dq_detuning'")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: key 'dq_detuning'")
 
     def test_infinite_t2_sq_means_no_sq_decay(self, tmp_path, capsys):
         cfg = tmp_path / "nosq.cfg"

@@ -7,7 +7,9 @@ import pytest
 from nvgyro import (
     ABSOLUTE_FRAME,
     ConfigError,
+    FieldEnvironment,
     PhysicalConstants,
+    RotatingFrame,
     build_config,
     default_config,
     dq_splitting,
@@ -17,7 +19,7 @@ from nvgyro.cli import main
 from nvgyro.config import SCHEMA, _parse_kv_text, accepted_keys
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-MODE_KEYS = {"phase_reference", "dq_detuning", "f1_ref", "f2_ref"}
+MODE_KEYS = {"dq_detuning", "f1_ref", "f2_ref"}
 
 
 FULL = """\
@@ -40,7 +42,6 @@ pump_fidelity = 0.98
 rf_gradient = 0.5:0.9, 0.5:1.1
 phase_table = 0,0; 3.141592653589793,0; 3.141592653589793,3.141592653589793; 0,3.141592653589793
 t2_dq = 1.95e-3
-phase_reference = resonant
 dq_detuning = 2000.0
 
 [detector]
@@ -140,7 +141,7 @@ class TestDefaults:
 
     @pytest.mark.parametrize("text, fringe", [
         ("[environment]\ndelta_B = 0.1\n", dq_splitting(482.0 + 0.1, PhysicalConstants())),
-        ("[sequence]\nphase_reference = resonant\ndq_detuning = -2000.0\n", 2000.0),
+        ("[sequence]\ndq_detuning = -2000.0\n", 2000.0),
     ], ids=["drifted-field", "negative-detuning"])
     def test_default_tau_wp_snaps_to_the_kernel_fringe(self, tmp_path, text, fringe):
         # the fringe turns at f_DQ(B + delta_B) less the frame's DQ
@@ -167,22 +168,28 @@ class TestDefaults:
         payload = json.dumps(default_config().to_mapping())
         assert "gamma_e" in payload
 
-    def test_dq_detuning_requires_resonant(self, tmp_path):
+    def test_dq_detuning_alone_selects_the_resonant_frame(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("[sequence]\ndq_detuning = 100.0\n")
-        with pytest.raises(ConfigError, match="resonant"):
-            load_config(path)
+        for detuning in (2000.0, -2000.0):
+            path.write_text(f"[sequence]\ndq_detuning = {detuning!r}\n")
+            cfg = load_config(path)
+            assert cfg.sequence.frame == RotatingFrame.dq_detuned(
+                FieldEnvironment(B=cfg.environment.B), cfg.constants, detuning)
 
     @pytest.mark.parametrize("text", ["phase_reference = resonant",
                                       "phase_reference = resonant\ndq_detuning = 0.0",
-                                      "phase_reference = resonant\ndq_detuning = -0.0"])
+                                      "phase_reference = resonant\ndq_detuning = -0.0",
+                                      "dq_detuning = 0.0",
+                                      "dq_detuning = -0.0"])
     def test_resonant_requires_a_detuning(self, tmp_path, text):
         # a rule on the keys: the resonant frame's own fringe is a
-        # rounding residue, not exactly 0 Hz
+        # rounding residue, not exactly 0 Hz.  The removed phase_reference
+        # key, its old spelling, names dq_detuning too.
         path = tmp_path / "exp.cfg"
         path.write_text(f"[sequence]\n{text}\n")
-        with pytest.raises(ConfigError, match="resonant needs a nonzero dq_detuning"):
+        with pytest.raises(ConfigError, match=r"exp\.cfg:2: key '\w+'.*nonzero") as exc:
             load_config(path)
+        assert "dq_detuning" in str(exc.value)
 
     def test_explicit_refs_must_pair(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -190,23 +197,20 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="together"):
             load_config(path)
 
-    @pytest.mark.parametrize("mode", ["phase_reference = resonant\ndq_detuning = 2000.0",
-                                      "phase_reference = resonant",
-                                      "dq_detuning = 0.0"])
+    @pytest.mark.parametrize("mode", ["dq_detuning = 2000.0", "dq_detuning = 0.0"])
     def test_explicit_refs_reject_the_resonant_mode(self, tmp_path, capsys, mode):
-        # otherwise the refs would silently win over the mode keys
+        # otherwise the refs would silently win over dq_detuning
         path = tmp_path / "exp.cfg"
         path.write_text(f"[sequence]\n{mode}\nf1_ref = 5.0953e6\nf2_ref = 4.8e6\n")
-        with pytest.raises(ConfigError, match=r"f1_ref and f2_ref .* "
-                                              r"phase_reference = resonant or dq_detuning"):
+        with pytest.raises(ConfigError, match=r"f1_ref and f2_ref .* with dq_detuning$"):
             load_config(path)
         assert main(["budget", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: f1_ref and f2_ref")
 
     def test_explicit_refs_accept_reset(self, tmp_path):
+        # the refs alone, without dq_detuning, set the frame
         path = tmp_path / "exp.cfg"
-        path.write_text("[sequence]\nphase_reference = reset\n"
-                        "f1_ref = 5.0953e6\nf2_ref = 4.8e6\n")
+        path.write_text("[sequence]\nf1_ref = 5.0953e6\nf2_ref = 4.8e6\n")
         frame = load_config(path).sequence.frame
         assert (frame.f1, frame.f2) == (5.0953e6, 4.8e6)
 
@@ -245,6 +249,7 @@ class TestSchema:
         ("constants", "q_e", "fixed SI constant"),
         ("sequence", "tau", "tau_wp"),
         ("sequence", "readout_window", "t_R"),
+        ("sequence", "phase_reference", "dq_detuning"),
         ("detector", "T2star", "t2_dq"),
         ("detector", "t_meas", "cycle_period / 4"),
     ])

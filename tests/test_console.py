@@ -35,7 +35,8 @@ COMMANDS = {
 }
 
 #: name: (config text, the commands that reject it, the pattern its one
-#: line matches after "error: CONFIG: ").
+#: line matches after "error: CONFIG: " or, for one line of it,
+#: "error: CONFIG:LINE: ").
 REJECTED = {
     # A level model or carrier phase that overflows, or a working point
     # whose four Ramseys overrun the cycle, fails on every command.
@@ -43,8 +44,15 @@ REJECTED = {
     "field-overflow": ("[environment]\nB = 1e305\n", COMMANDS, r"\[constants\]: "),
     "q-overflow": ("[constants]\nQ = 1e308\n", COMMANDS, r"\[constants\]: "),
     "long-tau_wp": ("[sequence]\ntau_wp = 5e-3\n", COMMANDS, r"\[sequence\]: "),
-    # resonant without a dq_detuning puts the DQ fringe at 0 Hz
-    "resonant": ("[sequence]\nphase_reference = resonant\n", COMMANDS, r".*dq_detuning"),
+    # the removed phase_reference key, in either of its old values, names
+    # dq_detuning, the one key of the resonant frame
+    "resonant": ("[sequence]\nphase_reference = resonant\n", COMMANDS,
+                 r"key 'phase_reference' .*dq_detuning"),
+    "phase-reference": ("[sequence]\nphase_reference = reset\n", COMMANDS,
+                        r"key 'phase_reference' .*dq_detuning"),
+    # the resonant frame at a zero detuning puts the DQ fringe at 0 Hz
+    "zero-detuning": ("[sequence]\ndq_detuning = 0\n", COMMANDS,
+                      r"key 'dq_detuning' must be nonzero"),
     # a field that delta_B makes negative is an error of [environment]
     "negative-field": ("[environment]\nB = 1\ndelta_B = -2\n", COMMANDS,
                        r"\[environment\]: B \+ delta_B = "),
@@ -106,7 +114,8 @@ def test_rejected_config_is_one_error_line(tmp_path, name, command):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
-    assert re.match(f"error: {re.escape(str(cfg))}: {pattern}", proc.stderr), proc.stderr
+    assert re.match(rf"error: {re.escape(str(cfg))}(:\d+)?: {pattern}", proc.stderr), \
+        proc.stderr
     assert not out.exists()
 
 

@@ -163,8 +163,7 @@ GOLDEN = {
 def _argv(case: str, tmp_path: Path) -> list[str]:
     if case.endswith("-resonant"):
         cfg = _small_grid(tmp_path, "default.cfg", {
-            "phase_reference = reset ": "phase_reference = resonant",
-            "# dq_detuning = 0.0 ": "dq_detuning = 2000.0",
+            "# dq_detuning = 2000.0 ": "dq_detuning = 2000.0 ",
             "points = 5000": "points = 200"})
         return [case.split("-")[0], "--config", str(cfg)]
     if case == "budget":
