@@ -35,8 +35,8 @@ COMMANDS = {
 }
 
 #: name: (config text, the commands that reject it, the pattern its one
-#: line matches after "error: CONFIG: " or, for one line of it,
-#: "error: CONFIG:LINE: ").
+#: line matches after "error: CONFIG: ", or "error: CONFIG:LINE: " when
+#: the cause is one line).
 REJECTED = {
     # A level model or carrier phase that overflows, or a working point
     # whose four Ramseys overrun the cycle, fails on every command.
