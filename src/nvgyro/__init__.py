@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .analysis import (
     AllanSeries,
     FringeFit,
-    WorkingPoint,
     allan_deviation,
     calibration_from_fringes,
     calibration_from_sweep,
@@ -20,7 +19,6 @@ from .analysis import (
     one_rad_rotation_rate,
     power_spectrum,
     rotation_from_signal,
-    select_working_point,
     snap_to_cos_null,
 )
 from .config import (

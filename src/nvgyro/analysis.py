@@ -319,9 +319,9 @@ def calibration_from_fringes(fit: FringeFit, tau_wp: float) -> float:
         warnings.warn(
             f"tau_wp={tau_wp:.6g} s is off the fringe zero crossing "
             f"(|sin| = {abs(math.sin(arg)):.3f}); alpha is biased low. "
-            f"default_config() and load_config() snap tau_wp to a null; a "
+            f"load_config() snaps only a tau_wp that the file leaves unset, and a "
             f"hand-built SequenceConfig keeps its tau_wp: use "
-            f"snap_to_cos_null(tau_wp, {abs(fit.f):.6g})",
+            f"snap_to_cos_null(tau_wp, {abs(fit.f):.6g}, tau_wp_max)",
             WorkingPointWarning,
             stacklevel=2,
         )
@@ -566,46 +566,23 @@ def _cos_null(n: int, f: float) -> float:
     return (2.0 * n + 1.0) / f / 4.0
 
 
-def snap_to_cos_null(tau: float, f: float) -> float:
-    """Nearest tau' > 0 with cos(2 pi f tau') = 0, i.e. (2n+1)/(4f).
-
-    4 (f tau) equals 4 f tau bit for bit and does not overflow where
-    4 f does.
-    """
+def snap_to_cos_null(tau: float, f: float, tau_max: float) -> float:
+    """The cosine null (2n+1)/(4f) nearest tau among those at or below
+    tau_max: a fringe's working point in a cycle that holds delays up to
+    tau_max (SequenceConfig.tau_wp_max); ValueError, naming the first null,
+    if none fits.  4 (f tau) is 4 f tau bit for bit, finite where 4 f is not."""
     quarters = 4.0 * (f * tau)
     if not (tau > 0 and f > 0 and quarters < math.inf):
         raise ValueError("tau and f must be > 0, with 4 f tau finite")
-    return _cos_null(max(round((quarters - 1.0) / 2.0), 0), f)
-
-
-@dataclass(frozen=True)
-class WorkingPoint:
-    tau_optimal: float
-    tau_wp: float
-
-
-def select_working_point(t2star: float, f_dq: float, tau_max: float) -> WorkingPoint:
-    """The optimum delay min(T2*, tau_max) in a fixed cycle and the better of the
-    two cosine nulls around it: a cycle holds four Ramseys of any delay up to
-    tau_max (SequenceConfig.tau_wp_max) at a fixed noise per sample, so the merit
-    is the slope tau * exp(-tau/T2*), which rises up to T2* and falls after it.
-    The null above the optimum is a candidate only if it is <= tau_max and
-    the signal exp(-tau/T2*) there is not 0 (SequenceConfig's rule for
-    tau_wp).  ValueError if no null fits."""
-    tau_opt = min(t2star, tau_max)
-    if not (t2star > 0 and f_dq > 0 and tau_max > 0 and 4.0 * (f_dq * tau_opt) < math.inf):
-        raise ValueError("t2star, f_dq must be > 0 and tau_max > 0, with 4 f_dq tau finite")
-    # Nulls (2n+1)/(4 f_dq); 4 f_dq tau may round across one, so try n + 1, n, n - 1.
-    n = math.floor((4.0 * (f_dq * tau_opt) - 1.0) / 2.0)
-    k = next(k for k in (n + 1, n, n - 1) if _cos_null(k, f_dq) <= tau_opt)
-    nulls = [t for t in (_cos_null(k, f_dq), _cos_null(k + 1, f_dq))
-             if 0 < t <= tau_max and math.exp(-t / t2star) > 0]
-    if not nulls:
-        raise ValueError(f"no cosine null lies at or below tau_max = {tau_max:g} s with "
-                         f"a signal exp(-tau/T2*) > 0: the first, 1/(4 f_dq), is "
-                         f"{_cos_null(0, f_dq):g} s")
-    tau_wp = max(nulls, key=lambda t: t * math.exp(-t / t2star))
-    return WorkingPoint(tau_optimal=tau_opt, tau_wp=tau_wp)
+    if not _cos_null(0, f) <= tau_max:
+        raise ValueError(f"no cosine null lies at or below tau_max = {tau_max:g} s: "
+                         f"the first, 1/(4 f), is {_cos_null(0, f):g} s")
+    n = max(round((quarters - 1.0) / 2.0), 0)
+    if _cos_null(n, f) > tau_max:  # the last that fits; 4 f tau_max may round across one
+        n = math.floor((4.0 * (f * tau_max) - 1.0) / 2.0) + 1
+        while _cos_null(n, f) > tau_max:
+            n -= 1
+    return _cos_null(n, f)
 
 
 def one_rad_rotation_rate(tau: float) -> float:

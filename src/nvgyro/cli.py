@@ -44,15 +44,15 @@ from .analysis import (
     rate_spread,
     rotation_from_signal,
     rotation_rms_error,
-    select_working_point,
+    snap_to_cos_null,
 )
-from .config import ExperimentConfig, default_config, load_config
+from .config import ExperimentConfig, default_config, load_config, no_null_in_cycle
 from .errors import ConfigError, input_error
 from .io import Producer, write_json, write_tables
 from .ratetable import RateTrajectory
 from .sequence import (combine_4ramsey, combined_sigma, ramsey_signals, run_gyro_stream,
                        sweep_fringes)
-from .spin import DEG_PER_REV, dq_splitting, transition_frequencies
+from .spin import ABSOLUTE_FRAME, DEG_PER_REV, dq_splitting, transition_frequencies
 
 
 def _load(args) -> ExperimentConfig:
@@ -71,7 +71,9 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
     cycle_period with rate noise combined_sigma/|alpha0|, i.e. a
     measurement time of cycle_period/4 per Ramsey.  A working point whose
     alpha0 is zero or not finite carries no usable rotation signal and is
-    a ConfigError naming tau_wp and t2_dq.
+    a ConfigError naming tau_wp and t2_dq.  So is a fringe so fast that
+    the rounding of its rate, |fringe| * 2**-53 against delta_nu, exceeds
+    1e-6 of alpha0 (|fringe| > ~9.0e7 Hz), naming the fringe and what set it.
 
     gyro, allan and budget all start from this working point, and none
     of them reads [environment] nu, so a nonzero nu is a ConfigError.
@@ -81,9 +83,18 @@ def _working_point(args, cfg: ExperimentConfig) -> tuple[float, float, float]:
         raise ConfigError(
             f"{args.config}: [environment]: nu = {nu:g} Hz is read only by fringes; "
             f"gyro takes its rates from the profile, and allan and budget run at nu = 0")
-    seq = cfg.sequence
+    seq, env = cfg.sequence, cfg.environment
     delta_nu = 0.01
-    env = cfg.environment.replace(nu=np.array([0.0, delta_nu, -delta_nu]))
+    fringe = cfg.fringe_frequency()
+    if (rounding := abs(fringe) * 2.0**-53 / delta_nu) > 1e-6:
+        source = (f"[environment]: B + delta_B = {env.B + env.delta_B:g} G"
+                  if seq.frame == ABSOLUTE_FRAME
+                  else "[sequence]: dq_detuning (or f1_ref and f2_ref)")
+        raise ConfigError(
+            f"{args.config}: {source} puts the DQ fringe at {fringe:g} Hz, too fast "
+            f"for alpha0 from +-{delta_nu:g} Hz: its rate rounds at {rounding:.2g} of "
+            f"the shift, more than 1e-06 (|fringe| <= {1e-6 * delta_nu * 2.0**53:.3g} Hz)")
+    env = env.replace(nu=np.array([0.0, delta_nu, -delta_nu]))
     base, plus, minus = combine_4ramsey(ramsey_signals(
         seq, env, cfg.constants, seq.tau_wp))
     alpha0 = float((plus - minus) / (2.0 * delta_nu))
@@ -103,7 +114,15 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
             raise ConfigError(
                 f"{args.config}: [noise]: {key} = {value:g} is read only by gyro and "
                 f"allan; fringes draws the photon shot noise of each readout alone")
-    taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
+    # The series holds 7 float64 per point: tau, four records, the combined
+    # value and its sigma; the size is known before the first allocation.
+    nbytes = 56 * grid.points
+    try:
+        taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+        raise MemoryError(f"{args.config}: [fringes]: a fringe sweep of {grid.points} points "
+                          f"needs {nbytes} bytes for its series (56 per point), more than "
+                          f"can be allocated") from None
     # A grid that the sweep, the spectra or the fit cannot use is an error
     # of [fringes].  The five tables of each length share one axis
     # object, tau_s or freq_hz, which the writer formats once.
@@ -268,10 +287,10 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
     nu0 = one_rad_rotation_rate(seq.tau_wp)
     with input_error("--epsilon: "):
         dr = dynamic_range(args.epsilon, nu0)
-    with input_error(f"{args.config}: [sequence]: the fringe at {f_fringe:g} Hz has no null "
-                     f"inside the cycle: with cycle_period = {seq.cycle_period:g} s and "
-                     f"t2_dq = {seq.t2_dq:g} s, "):
-        wp = select_working_point(seq.t2_dq, f_fringe, seq.tau_wp_max)
+    # The slope tau * exp(-tau/T2*) at a fixed noise per sample peaks at T2*.
+    tau_optimal = min(seq.t2_dq, seq.tau_wp_max)
+    with no_null_in_cycle(args.config, f_fringe, seq):
+        tau_snapped = snap_to_cos_null(tau_optimal, f_fringe, seq.tau_wp_max)
 
     lines = [
         f"nvgyro budget (B = {env.B:.1f} G)",
@@ -282,9 +301,9 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         f"  nu0 (1 rad shift) = {nu0:.2f} Hz",
         f"  dynamic range at epsilon = {args.epsilon:.1e}: "
         f"+-{dr:.3f} Hz (+-{dr * DEG_PER_REV:.0f} deg/s)",
-        f"  working point: optimum {wp.tau_optimal * 1e3:.4f} ms "
+        f"  working point: optimum {tau_optimal * 1e3:.4f} ms "
         f"(4 Ramseys in a {seq.cycle_period * 1e3:.3f} ms cycle), "
-        f"snapped to cosine null {wp.tau_wp * 1e3:.4f} ms",
+        f"snapped to cosine null {tau_snapped * 1e3:.4f} ms",
     ]
     outputs = {"budget.json": {
         "f_dq_hz": f_dq, "f1_hz": f1, "f2_hz": f2,
@@ -294,8 +313,8 @@ def cmd_budget(args, cfg: ExperimentConfig) -> tuple[dict, str]:
         "epsilon": args.epsilon,
         "dynamic_range_hz": dr,
         "dynamic_range_dps": dr * DEG_PER_REV,
-        "tau_optimal_s": wp.tau_optimal,
-        "tau_wp_snapped_s": wp.tau_wp,
+        "tau_optimal_s": tau_optimal,
+        "tau_wp_snapped_s": tau_snapped,
     }}
     return outputs, "\n".join(lines)
 

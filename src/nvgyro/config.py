@@ -10,8 +10,8 @@ phases in radians, angles in degrees only at the rate-table boundary.
 The [sequence] keys that set the rotating frame's numbers choose it
 (_frame): none for the phase-reset frame, a nonzero dq_detuning for the
 resonant frame, or f1_ref with f2_ref.  If tau_wp is not set explicitly
-it defaults to 1.428 ms snapped to the nearest fringe zero crossing of
-the configured frame, which is where the working-point protocol is
+it is the fringe zero crossing nearest 1.428 ms that the cycle holds
+(analysis.snap_to_cos_null), where the working-point protocol is
 linear and maximally sensitive.  The
 fringe is the kernel's DQ rate at nu = 0, spin.dq_rate: f_DQ at
 B + delta_B less the frame's DQ reference, of either sign
@@ -118,7 +118,6 @@ def _parse_kv_text(text: str, origin: str) -> dict[str, dict[str, tuple[str, int
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        # inline comments use '#' only: ';' separates list entries in values
         value = value.split("#")[0].strip()
         if not key:
             raise ConfigError(f"{origin}:{lineno}: empty key")
@@ -156,14 +155,15 @@ def _as_bool(value) -> bool:
 
 
 def _as_pairs(value) -> tuple[tuple[float, float], ...]:
-    """'a:b, a:b' or 'a,b; a,b' lists of float pairs."""
-    sep, inner = (";", ",") if ";" in value else (",", ":")
+    """'a:b, a:b' lists of float pairs."""
+    if ";" in value:
+        raise ValueError(f"{value!r}: write pairs as 'a:b, a:b', not 'a,b; a,b'")
     pairs = []
-    for chunk in value.split(sep):
+    for chunk in value.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [p.strip() for p in chunk.split(inner)]
+        parts = [p.strip() for p in chunk.split(":")]
         if len(parts) != 2:
             raise ValueError(f"{chunk!r} is not a pair")
         pairs.append((_as_float(parts[0]), _as_float(parts[1])))
@@ -284,6 +284,13 @@ def _frame(origin, entries, environment, constants) -> RotatingFrame:
     return RotatingFrame.dq_detuned(FieldEnvironment(B=environment.B), constants, detuning)
 
 
+def no_null_in_cycle(origin: str, f_fringe: float, sequence: SequenceConfig):
+    """input_error context of snap_to_cos_null up to sequence.tau_wp_max."""
+    return input_error(f"{origin}: [sequence]: the fringe at {f_fringe:g} Hz has no null "
+                       f"inside the cycle: with cycle_period = {sequence.cycle_period:g} s "
+                       f"and pump_duration = {sequence.pump_duration:g} s, ")
+
+
 def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     """Assemble an ExperimentConfig from parsed sections (strings)."""
     _check_known(origin, sections)
@@ -300,13 +307,16 @@ def build_config(sections, origin: str = "<config>") -> ExperimentConfig:
     with input_error(f"{origin}: [constants]: "):
         frame = _frame(origin, sections.get("sequence", {}), environment, constants)
         f_fringe = abs(dq_rate(environment.replace(nu=0.0), constants, frame))
-    if "tau_wp" not in seq_kw and f_fringe > 100.0:
-        seq_kw["tau_wp"] = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe)
     sequence = _build(origin, "sequence", {
-        **seq_kw, "frame": frame,
+        "tau_wp": 0.0, **seq_kw, "frame": frame,
         "detector": _build(origin, "detector", kw["detector"]),
         "noise": _build(origin, "noise", kw["noise"]),
     })
+    if "tau_wp" not in seq_kw:
+        with no_null_in_cycle(origin, f_fringe, sequence):
+            tau_wp = snap_to_cos_null(SequenceConfig.tau_wp, f_fringe, sequence.tau_wp_max)
+        with input_error(f"{origin}: [sequence]: "):
+            sequence = replace(sequence, tau_wp=tau_wp)
     # The kernel's phases (-2j pi rate) tau at tau = cycle_period: a carrier
     # near the float limit overflows them.
     with input_error(f"{origin}: [constants]: "), \

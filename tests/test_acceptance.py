@@ -146,7 +146,8 @@ def test_criterion_05_rotation_factor_of_two():
 def test_criterion_06_sensitivity_budget(tmp_path):
     # the twin's own budget at the paper's inputs: tau_wp snapped to the
     # null nearest 1.4 ms, T2* = 2.0 ms, 1.92 ms per Ramsey (cycle 7.68 ms)
-    tau_wp = snap_to_cos_null(1.4e-3, dq_splitting(482.0, C))
+    tau_wp = snap_to_cos_null(1.4e-3, dq_splitting(482.0, C),
+                              SequenceConfig(cycle_period=7.68e-3).tau_wp_max)
     cfg = tmp_path / "paper.cfg"
     cfg.write_text(f"[sequence]\ntau_wp = {tau_wp!r}\nt2_dq = 2.0e-3\n"
                    f"cycle_period = 7.68e-3\n")
@@ -167,7 +168,7 @@ def test_criterion_07_calibration_agreement():
 
     # three estimators on the simulated instrument (absolute mode)
     f_dq = dq_splitting(482.0, C)
-    tau_wp = snap_to_cos_null(1.428e-3, f_dq)
+    tau_wp = snap_to_cos_null(1.428e-3, f_dq, SequenceConfig().tau_wp_max)
     cfg = SequenceConfig(tau_wp=tau_wp)
     taus = np.linspace(0.0, 5e-3, 5000)
     fit = fit_decaying_sine(sweep_fringes(cfg, ENV, C, taus))
@@ -211,7 +212,7 @@ def test_criterion_08_allan_suite():
 
     # (b) configured 13 mHz/rtHz total noise floor: upper bound at 300 s
     f_dq = dq_splitting(482.0, C)
-    tau_wp = snap_to_cos_null(1.428e-3, f_dq)
+    tau_wp = snap_to_cos_null(1.428e-3, f_dq, SequenceConfig().tau_wp_max)
     base_cfg = SequenceConfig(tau_wp=tau_wp)
     dn = 0.01
     baseline, plus, minus = combine_4ramsey(ramsey_signals(

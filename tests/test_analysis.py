@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -22,7 +23,6 @@ from nvgyro import (
     one_rad_rotation_rate,
     power_spectrum,
     rotation_from_signal,
-    select_working_point,
     snap_to_cos_null,
     sweep_fringes,
 )
@@ -241,7 +241,7 @@ class TestCalibration:
 
     def test_from_fit_applies_envelope_and_sign(self):
         a, f, t2 = 0.0074, 2000.0, 1.95e-3
-        tau_wp = snap_to_cos_null(1.4e-3, f)
+        tau_wp = snap_to_cos_null(1.4e-3, f, 1.45e-3)
         y = _decaying_sine(DENSE, a, f, math.pi / 2, t2, 0.0)
         fit = fit_decaying_sine(FringeSeries(taus=DENSE, values=y))
         cal = calibration_from_fringes(fit, tau_wp)
@@ -253,7 +253,7 @@ class TestCalibration:
     def test_misaligned_working_point_warns(self):
         y = _decaying_sine(DENSE, 0.0074, 2000.0, math.pi / 2, 1.95e-3, 0.0)
         fit = fit_decaying_sine(FringeSeries(taus=DENSE, values=y))
-        bad_tau = snap_to_cos_null(1.4e-3, 2000.0) + 0.25 / (2 * 2000.0)
+        bad_tau = snap_to_cos_null(1.4e-3, 2000.0, 1.45e-3) + 0.25 / (2 * 2000.0)
         with pytest.warns(WorkingPointWarning):
             calibration_from_fringes(fit, bad_tau)
 
@@ -264,18 +264,18 @@ class TestCalibration:
         taus = np.linspace(0.0, 5e-3, 5000)
         fit = fit_decaying_sine(sweep_fringes(cfg, env, PhysicalConstants(), taus))
         with pytest.warns(WorkingPointWarning, match=(
-                r"default_config\(\) and load_config\(\) snap tau_wp .*"
-                r"use snap_to_cos_null\(tau_wp, 293\d\d\d\.?\d*\)")) as record:
+                r"load_config\(\) snaps only a tau_wp that the file leaves unset.*"
+                r"use snap_to_cos_null\(tau_wp, 293\d\d\d\.?\d*, tau_wp_max\)")) as record:
             calibration_from_fringes(fit, cfg.tau_wp)
-        f = float(str(record[0].message).rsplit(", ", 1)[1].rstrip(")"))
+        f = float(str(record[0].message).rsplit(", ", 2)[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            calibration_from_fringes(fit, snap_to_cos_null(cfg.tau_wp, f))
+            calibration_from_fringes(fit, snap_to_cos_null(cfg.tau_wp, f, cfg.tau_wp_max))
 
     def test_slope_method_matches_fringe_method(self):
         # analytic slope of the same synthetic fringe at the working point
         a, f, t2 = 0.0074, 2000.0, 1.95e-3
-        tau_wp = snap_to_cos_null(1.3e-3, f)
+        tau_wp = snap_to_cos_null(1.3e-3, f, 1.45e-3)
         y = _decaying_sine(DENSE, a, f, math.pi / 2, t2, 0.0)
         fit = fit_decaying_sine(FringeSeries(taus=DENSE, values=y))
         eps = 1e-8
@@ -431,18 +431,25 @@ class TestAllanDeviation:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: snap_to_cos_null(0.0, 2000.0), "tau and f must be > 0"),
-    (lambda: snap_to_cos_null(1e-3, 0.0), "tau and f must be > 0"),
-    (lambda: snap_to_cos_null(math.inf, 2000.0), "with 4 f tau finite"),
-    (lambda: snap_to_cos_null(1e-3, math.inf), "with 4 f tau finite"),
-    (lambda: snap_to_cos_null(math.nan, 2000.0), "with 4 f tau finite"),
-    (lambda: snap_to_cos_null(1e300, 1e10), "with 4 f tau finite"),
-    (lambda: select_working_point(0.0, 2000.0, 1.45e-3), "t2star, f_dq must be > 0"),
-    (lambda: select_working_point(1.95e-3, -1.0, 1.45e-3), "t2star, f_dq must be > 0"),
-    (lambda: select_working_point(1.95e-3, 2000.0, 0.0), "tau_max > 0"),
-    (lambda: select_working_point(1.95e-3, 2000.0, 1e-4), "no cosine null lies at or below"),
-    # the only null, 1/12 s, is 833 T2*: exp(-833) is 0, no signal is left
-    (lambda: select_working_point(1e-4, 3.0, 0.09375), "with a signal exp"),
+    (lambda: snap_to_cos_null(0.0, 2000.0, 1.45e-3), "tau and f must be > 0"),
+    (lambda: snap_to_cos_null(1e-3, 0.0, 1.45e-3), "tau and f must be > 0"),
+    (lambda: snap_to_cos_null(math.inf, 2000.0, 1.45e-3), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(1e-3, math.inf, 1.45e-3), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(math.nan, 2000.0, 1.45e-3), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(1e300, 1e10, 1.45e-3), "with 4 f tau finite"),
+    (lambda: snap_to_cos_null(1e-3, 2000.0, math.nan), "at or below tau_max = nan s"),
+    # the working point of a fixed cycle: the null nearest min(T2*, tau_max)
+    (lambda: snap_to_cos_null(min(0.0, 1.45e-3), 2000.0, 1.45e-3), "tau and f must be > 0"),
+    (lambda: snap_to_cos_null(1.45e-3, -1.0, 1.45e-3), "tau and f must be > 0"),
+    (lambda: snap_to_cos_null(1e-4, 2000.0, 0.0), r"at or below tau_max = 0 s"),
+    (lambda: snap_to_cos_null(1e-4, 2000.0, 1e-4),
+     r"no cosine null lies at or below tau_max = 0.0001 s: the first, 1/\(4 f\), is "
+     r"0.000125 s"),
+    # the only null, 1/12 s, is 833 T2*: exp(-833) is 0, no signal is left,
+    # and the sequence rejects it as tau_wp
+    (lambda: SequenceConfig(t2_dq=1e-4, cycle_period=4 * (300e-6 + 0.09375),
+                            tau_wp=snap_to_cos_null(1e-4, 3.0, 0.09375)),
+     "signal exp\\(-tau_wp/t2_dq\\) decays to 0"),
     (lambda: linearity(1.0, 0.0), "nu0 must be > 0"),
     (lambda: one_rad_rotation_rate(0.0), "tau must be > 0"),
     (lambda: dynamic_range(1e-4, 0.0), "nu0 must be > 0"),
@@ -457,7 +464,7 @@ class TestAllanDeviation:
       for call in (lambda nu=nu: calibration_from_sweep(nu, np.linspace(0.1, 0.3, 20)),
                    lambda nu=nu: rotation_rms_error(np.linspace(0.1, 0.3, 20), 1.0, 0.0, nu))],
 ], ids=["snap-tau", "snap-f", "snap-inf-tau", "snap-inf-f", "snap-nan-tau", "snap-4ftau",
-        "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "wp-no-signal", "linearity-nu0",
+        "snap-nan-tau-max", "wp-t2star", "wp-f", "wp-tau-max", "wp-no-null", "wp-no-signal", "linearity-nu0",
         "nu0-tau", "range-nu0", "fringes-tau", "amplitude-tau", "slope-tau", "slope-f",
         "sweep-1-rate", "rms-1-rate", "sweep-30-rates", "rms-30-rates"])
 def test_argument_guards(call, message):
@@ -465,33 +472,45 @@ def test_argument_guards(call, message):
         call()
 
 
+def _budget_working_point(tmp_path, tau_max: float) -> tuple[dict, float]:
+    """budget.json of the default config in a cycle whose tau_wp_max is
+    tau_max, to rounding, and that config's tau_wp_max."""
+    cfg = tmp_path / f"cycle-{tau_max:g}.cfg"
+    cfg.write_text(f"[sequence]\ncycle_period = {4 * (300e-6 + tau_max)!r}\n")
+    out = tmp_path / f"out-{tau_max:g}"
+    assert main(["budget", "--config", str(cfg), "--out", str(out)]) == 0
+    return (json.loads((out / "budget.json").read_text()),
+            load_config(cfg).sequence.tau_wp_max)
+
+
 class TestWorkingPoint:
     def test_snap_satisfies_cosine_null(self):
         for f in (293.332e3, 2000.0, 55.7e3):
-            tau = snap_to_cos_null(1.428e-3, f)
+            tau = snap_to_cos_null(1.428e-3, f, 1.45e-3)
             assert abs(math.cos(2 * math.pi * f * tau)) < 1e-6
 
     def test_snap_is_nearest(self):
         f = 2000.0
-        tau = snap_to_cos_null(1.36e-3, f)
+        tau = snap_to_cos_null(1.36e-3, f, 1.45e-3)
         spacing = 1.0 / (2 * f)
         assert abs(tau - 1.36e-3) <= spacing / 2 + 1e-15
 
-    def test_fixed_cycle_optimum_against_grid_oracle(self):
+    def test_fixed_cycle_optimum_against_grid_oracle(self, tmp_path):
         # independent dense-grid argmax of the slope tau*exp(-tau/T2) over
         # the delays (0, tau_max] that a fixed cycle holds
         t2 = 1.95e-3
         for tau_max in (1.45e-3, 4e-3):
             grid = np.linspace(1e-5, tau_max, 800_001)
             oracle = grid[np.argmax(grid * np.exp(-grid / t2))]
-            wp = select_working_point(t2, 293.332e3, tau_max)
-            assert wp.tau_optimal == pytest.approx(oracle, abs=2e-8)
+            budget, _ = _budget_working_point(tmp_path, tau_max)
+            assert budget["tau_optimal_s"] == pytest.approx(oracle, abs=2e-8)
 
-    def test_optimum_is_min_of_t2_and_tau_max(self):
+    def test_optimum_is_min_of_t2_and_tau_max(self, tmp_path):
         # the noise per sample of a fixed cycle does not depend on tau, so
         # the slope alone is the merit, and it peaks at T2*
-        assert select_working_point(1.95e-3, 293.332e3, 1.45e-3).tau_optimal == 1.45e-3
-        assert select_working_point(1.95e-3, 293.332e3, 4e-3).tau_optimal == 1.95e-3
+        budget, tau_max = _budget_working_point(tmp_path, 1.45e-3)
+        assert budget["tau_optimal_s"] == tau_max == pytest.approx(1.45e-3, rel=1e-12)
+        assert _budget_working_point(tmp_path, 4e-3)[0]["tau_optimal_s"] == 1.95e-3
 
     def test_optimum_on_a_null_or_one_ulp_below_it(self):
         # 4 f tau rounds across the null in about 6% of these cases, either
@@ -499,17 +518,27 @@ class TestWorkingPoint:
         rng = np.random.default_rng(11)
         for f, k in zip(rng.uniform(1.0, 1e6, 300), rng.integers(1, 1000, 300)):
             null = (2 * k + 1) / f / 4
-            assert select_working_point(1.0, f, null).tau_wp == null
-            below = select_working_point(1.0, f, math.nextafter(null, 0.0)).tau_wp
-            assert below == (2 * k - 1) / f / 4
+            assert snap_to_cos_null(null, f, null) == null
+            below = math.nextafter(null, 0.0)
+            assert snap_to_cos_null(below, f, below) == (2 * k - 1) / f / 4
 
     def test_snapped_value_near_optimum(self):
-        # at these points the null below the optimum has the larger slope:
-        # it is the working point, within one spacing 1/(2f) of the optimum
+        # at these points the nearest null lies below the optimum, within
+        # one spacing 1/(2f) of it
         for tau_max in (1.45e-3, 4e-3):
-            wp = select_working_point(1.95e-3, 293.332e3, tau_max)
-            assert 0 <= wp.tau_optimal - wp.tau_wp < 1.0 / (2 * 293.332e3)
-            assert abs(math.cos(2 * math.pi * 293.332e3 * wp.tau_wp)) < 1e-6
+            opt = min(1.95e-3, tau_max)
+            tau = snap_to_cos_null(opt, 293.332e3, tau_max)
+            assert 0 <= opt - tau < 1.0 / (2 * 293.332e3)
+            assert abs(math.cos(2 * math.pi * 293.332e3 * tau)) < 1e-6
+
+    def test_nearest_null_past_the_cycle_gives_the_last_that_fits(self):
+        # the null nearest 1.428 ms of a 400 Hz fringe, 1.875 ms, is past a
+        # 1.45 ms cycle: the last null that fits, 0.625 ms, is the nearest
+        # that the cycle holds
+        assert snap_to_cos_null(1.428e-3, 400.0, 1.45e-3) == 0.625e-3
+        f = 293.7e3
+        tau = snap_to_cos_null(1.428e-3, f, 0.95e-3)
+        assert tau <= 0.95e-3 < tau + 1.0 / (2 * f)
 
 
 class TestLinearity:

@@ -439,6 +439,22 @@ def test_unallocatable_run_names_cycles_and_bytes(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [10**13, 10**20])
+def test_unallocatable_fringe_sweep_names_points_and_bytes(tmp_path, capsys, points):
+    # 10**13 points are 72.8 TiB of delays alone, which the allocator
+    # refuses before touching any memory; 10**20 is past numpy's largest
+    # array.  The sweep's size is stated from [fringes] points.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"[fringes]\npoints = {points}\n")
+    out = tmp_path / "out"
+    assert main(["fringes", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: out of memory: {cfg}: [fringes]: a fringe sweep of {points} points "
+        f"needs {56 * points} bytes for its series (56 per point), more than can be "
+        f"allocated\n")
+    assert not out.exists()
+
+
 def _hz_twin(name: str) -> str:
     return name.replace("_dps_per_rt_s", "_hz_per_rt_hz").replace("dps", "hz")
 
@@ -602,6 +618,60 @@ class TestCleanErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
+    @pytest.mark.parametrize("detuning, fringe, first", [
+        ("150", "150", "0.00166667"), ("1e-9", "2.09548e-09", "1.19305e+08")],
+        ids=["150-hz", "frozen"])
+    def test_fringe_without_a_null_in_the_cycle_on_every_command(
+            self, tmp_path, capsys, command, detuning, fringe, first):
+        # The first null, 1/(4 f), of a 150 Hz fringe lies past the 1.45 ms
+        # that a 7 ms cycle holds, and that of a 2e-9 Hz one ~1e8 s out: no
+        # default tau_wp exists, and every command rejects the config.
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(f"[sequence]\ndq_detuning = {detuning}\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command == "allan":
+            argv += ["--duration", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: [sequence]: the fringe at {fringe} Hz has no null inside the "
+            f"cycle: with cycle_period = 0.007 s and pump_duration = 0.0003 s, no cosine "
+            f"null lies at or below tau_max = 0.00145 s: the first, 1/(4 f), is "
+            f"{first} s\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["allan", "gyro", "budget"])
+    @pytest.mark.parametrize("text, source", [
+        ("[sequence]\ndq_detuning = 1e14\n",
+         "[sequence]: dq_detuning (or f1_ref and f2_ref) puts the DQ fringe at 1e+14 Hz"),
+        ("[sequence]\ndq_detuning = 1e17\n",
+         "[sequence]: dq_detuning (or f1_ref and f2_ref) puts the DQ fringe at 1e+17 Hz"),
+        # 0.015 G above the anticrossing at D/gamma_e = 1024.0856 G
+        ("[environment]\nB = 1024.1\n",
+         "[environment]: B + delta_B = 1024.1 G puts the DQ fringe at 1.71176e+08 Hz"),
+    ], ids=["1e14", "1e17", "near-anticrossing"])
+    def test_fringe_too_fast_for_alpha0(self, tmp_path, capsys, command, text, source):
+        # alpha0 comes from +-0.01 Hz: past ~9.0e7 Hz the rounding of the
+        # fringe's rate, |f| * 2**-53, exceeds 1e-6 of that shift, and the
+        # working point's sensitivity would be off by as much or more.
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "gyro":
+            argv += ["--profile", str(TRIANGLE_CSV)]
+        if command == "allan":
+            argv += ["--duration", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {source}, too fast for alpha0 from +-0.01 Hz: ")
+        assert err.endswith(", more than 1e-06 (|fringe| <= 9.01e+07 Hz)\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["budget", "fringes", "allan", "gyro"])
     def test_resonant_frame_needs_a_detuning_on_every_command(self, tmp_path, capsys,
                                                               command):
         # The resonant frame at dq_detuning = 0 puts the DQ fringe at 0 Hz:
@@ -682,12 +752,15 @@ class TestCleanErrors:
         ("[detector]\nbalanced = maybe\n", ":2", "key 'balanced': 'maybe' is not a boolean"),
         ("[sequence]\nrf_gradient = 1:1:1\n", ":2", "key 'rf_gradient': '1:1:1' is not a pair"),
         ("[sequence]\nrf_gradient = ,\n", ":2", "key 'rf_gradient': no pairs given"),
+        ("[sequence]\nphase_table = 0,0; 3,0; 3,3; 0,3\n", ":2",
+         "key 'phase_table': '0,0; 3,0; 3,3; 0,3': write pairs as 'a:b, a:b', "
+         "not 'a,b; a,b'"),
         ("[sequence]\nphase_reference = absolute\n", ":2",
          "key 'phase_reference' in [sequence] was removed: a nonzero dq_detuning "
          "selects the resonant frame; without it the frame is the phase reset"),
         ("[sequence]\nt2_sq = 0\n", "", "[sequence]: t2_sq must be > 0 (inf: no SQ decay)"),
     ], ids=["few-points", "open-header", "empty-key", "fractional-seed", "not-a-boolean",
-            "triple", "no-pairs", "unknown-reference", "zero-t2-sq"])
+            "triple", "no-pairs", "semicolon-pairs", "unknown-reference", "zero-t2-sq"])
     def test_rejected_config_line(self, tmp_path, capsys, text, where, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -40,7 +40,7 @@ tau_wp = 1.4e-3
 cycle_period = 7e-3
 pump_fidelity = 0.98
 rf_gradient = 0.5:0.9, 0.5:1.1
-phase_table = 0,0; 3.141592653589793,0; 3.141592653589793,3.141592653589793; 0,3.141592653589793
+phase_table = 0:0, 3.141592653589793:0, 3.141592653589793:3.141592653589793, 0:3.141592653589793
 t2_dq = 1.95e-3
 dq_detuning = 2000.0
 
@@ -162,6 +162,27 @@ class TestDefaults:
         path = tmp_path / "exp.cfg"
         path.write_text("[sequence]\ntau_wp = 1.111e-3\n")
         assert load_config(path).sequence.tau_wp == 1.111e-3
+
+    def test_default_tau_wp_is_the_nearest_null_the_cycle_holds(self, tmp_path):
+        # A 400 Hz fringe's null nearest 1.428 ms, 1.875 ms, is past the
+        # 1.45 ms that a 7 ms cycle holds: the nearest null that fits is
+        # 0.625 ms.
+        path = tmp_path / "slow.cfg"
+        path.write_text("[sequence]\ndq_detuning = 400\n")
+        assert load_config(path).sequence.tau_wp == pytest.approx(0.625e-3, rel=1e-9)
+
+    def test_default_tau_wp_in_a_short_cycle(self, tmp_path):
+        # A 5 ms cycle holds delays up to 0.95 ms: the default tau_wp is
+        # the largest null of the 293.7 kHz fringe at or below it.
+        path = tmp_path / "short.cfg"
+        path.write_text("[sequence]\ncycle_period = 5e-3\n")
+        cfg = load_config(path)
+        tau, f = cfg.sequence.tau_wp, cfg.fringe_frequency()
+        assert cfg.sequence.tau_wp_max == pytest.approx(0.95e-3, rel=1e-12)
+        assert tau <= cfg.sequence.tau_wp_max < tau + 1.0 / (2 * f)
+        turns = 4 * f * tau
+        assert round(turns) % 2 == 1 and abs(turns - round(turns)) < 1e-9
+        assert tau == pytest.approx(0.948999e-3, abs=5e-10)
 
     def test_mapping_is_json_ready(self):
         import json

@@ -45,7 +45,7 @@ PERTURBED = {
     "cycle_period": ("sequence", {"cycle_period": "8e-3"}),
     "pump_fidelity": ("sequence", {"pump_fidelity": "0.9"}),
     "rf_gradient": ("sequence", {"rf_gradient": "0.5:0.9, 0.5:1.1"}),
-    "phase_table": ("sequence", {"phase_table": "0,0; 3,0; 3,3; 0,3"}),
+    "phase_table": ("sequence", {"phase_table": "0:0, 3:0, 3:3, 0:3"}),
     "t2_dq": ("sequence", {"t2_dq": "1.5e-3"}),
     "t2_sq": ("sequence", {"t2_sq": "1e-3"}),
     "dq_detuning": ("sequence", {"dq_detuning": "2000"}),

@@ -47,7 +47,7 @@ from nvgyro import (
     ramsey_projections,
     ramsey_signals,
     run_gyro_stream,
-    select_working_point,
+    snap_to_cos_null,
 )
 from nvgyro import analysis, io, sequence
 from nvgyro.analysis import octave_m_values
@@ -300,35 +300,46 @@ def test_telemetry_blocks_are_the_whole_grid_bit_for_bit(rows, data):
 def test_working_point_maximizes_merit(t2, tau_max, f):
     # A fixed cycle holds four Ramseys of any delay up to its tau_wp_max,
     # so the merit is the slope x*exp(-x/T2*): its maximum over the delays
-    # the cycle holds is min(T2*, tau_wp_max), and tau_wp is the cosine
-    # null of highest merit that the cycle holds, one of the two around
-    # that optimum, which the cycle accepts to the last ulp.
+    # the cycle holds is min(T2*, tau_wp_max).  The working point is the
+    # cosine null nearest that optimum among those the cycle holds, which
+    # the cycle accepts to the last ulp.  Where T2* >= tau_wp_max it is
+    # the null of highest merit; where T2* < tau_wp_max it may be the
+    # lesser of the two nulls around T2*, by at most the merit that a
+    # null at T2* -/+ s/2 loses, s = 1/(2 f T2*) the spacing in units of T2*.
     seq = SequenceConfig(tau_wp=0.0, cycle_period=4 * (300e-6 + tau_max), t2_dq=t2)
     opt = min(t2, seq.tau_wp_max)
-    first = 1.0 / f / 4
-    # The first null lies past the cycle, or so far past T2* that the
-    # signal there is 0, which SequenceConfig rejects as tau_wp; a null at
-    # or below the optimum, <= T2*, always keeps a signal.
-    if first > seq.tau_wp_max or not math.exp(-first / t2) > 0:
+    if 1.0 / f / 4 > seq.tau_wp_max:  # the first null lies past the cycle
         with pytest.raises(ValueError, match="no cosine null"):
-            select_working_point(t2, f, seq.tau_wp_max)
+            snap_to_cos_null(opt, f, seq.tau_wp_max)
         return
-    wp = select_working_point(t2, f, seq.tau_wp_max)
-    assert wp.tau_optimal == opt
+    tau = snap_to_cos_null(opt, f, seq.tau_wp_max)
 
     def merit(x):
         return x * math.exp(-x / t2)
 
     assert merit(opt) >= merit(opt * (1 - 1e-6))
     assert opt < t2 or merit(opt) >= merit(opt * (1 + 1e-6))
-    odd = round(4 * f * wp.tau_wp)
-    assert odd % 2 == 1 and abs(4 * f * wp.tau_wp - odd) <= 1e-9 * odd
-    assert 0 < wp.tau_wp <= seq.tau_wp_max
-    assert (odd - 2) / f / 4 <= opt < (odd + 2) / f / 4  # a null around the optimum
-    for other in ((odd - 2) / f / 4, (odd + 2) / f / 4):  # its neighbours that fit
-        if 0 < other <= seq.tau_wp_max:
-            assert merit(wp.tau_wp) >= merit(other)
-    assert seq.replace(tau_wp=wp.tau_wp).tau_wp == wp.tau_wp
+    odd = round(4 * f * tau)
+    assert odd % 2 == 1 and abs(4 * f * tau - odd) <= 1e-9 * odd
+    assert 0 < tau <= seq.tau_wp_max
+    spacing = 1.0 / f / 2
+    # its neighbours that fit: no nearer, and (merit is unimodal) the one
+    # of them around the optimum is the only null that can beat it
+    others = [x for x in ((odd - 2) / f / 4, (odd + 2) / f / 4) if 0 < x <= seq.tau_wp_max]
+    for other in others:
+        assert abs(tau - opt) <= abs(other - opt) + 1e-9 * spacing
+    best = max([merit(tau)] + [merit(x) for x in others])
+    if t2 >= seq.tau_wp_max:
+        assert merit(tau) == best
+    else:
+        s = spacing / t2
+        bound = s**3 / 12 / (1 - s * s / 4) if s < 2 else 1.0
+        assert 1 - merit(tau) / best <= bound + 1e-12
+    if math.exp(-tau / t2) > 0:
+        assert seq.replace(tau_wp=tau).tau_wp == tau
+    else:  # a null so far past T2* that no signal is left
+        with pytest.raises(ValueError, match="decays to 0"):
+            seq.replace(tau_wp=tau)
 
 
 #: The shortest cycle that holds four Ramseys at the default snapped working

@@ -254,7 +254,7 @@ class TestSweepFringes:
 
 class TestGyroStream:
     def wp_config(self, **kwargs):
-        tau_wp = snap_to_cos_null(1.428e-3, 2000.0)
+        tau_wp = snap_to_cos_null(1.428e-3, 2000.0, SequenceConfig().tau_wp_max)
         return sync_config(tau_wp=tau_wp, **kwargs)
 
     def test_constant_signal_without_rotation(self):
