@@ -115,14 +115,13 @@ def cmd_fringes(args, cfg: ExperimentConfig) -> tuple[dict, str]:
                 f"{args.config}: [noise]: {key} = {value:g} is read only by gyro and "
                 f"allan; fringes draws the photon shot noise of each readout alone")
     # The series holds 7 float64 per point: tau, four records, the combined
-    # value and its sigma; the size is known before the first allocation.
-    nbytes = 56 * grid.points
+    # value and its sigma.
     try:
         taus = np.linspace(grid.tau_min, grid.tau_max, grid.points)
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise MemoryError(f"{args.config}: [fringes]: a fringe sweep of {grid.points} points "
-                          f"needs {nbytes} bytes for its series (56 per point), more than "
-                          f"can be allocated") from None
+                          f"needs {56 * grid.points} bytes for its series (56 per point), "
+                          f"more than can be allocated") from None
     # A grid that the sweep, the spectra or the fit cannot use is an error
     # of [fringes].  The five tables of each length share one axis
     # object, tau_s or freq_hz, which the writer formats once.

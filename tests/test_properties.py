@@ -322,6 +322,7 @@ def test_working_point_maximizes_merit(t2, tau_max, f):
     odd = round(4 * f * tau)
     assert odd % 2 == 1 and abs(4 * f * tau - odd) <= 1e-9 * odd
     assert 0 < tau <= seq.tau_wp_max
+    assert (odd - 2) / f / 4 <= opt < (odd + 2) / f / 4  # a null around the optimum
     spacing = 1.0 / f / 2
     # its neighbours that fit: no nearer, and (merit is unimodal) the one
     # of them around the optimum is the only null that can beat it
